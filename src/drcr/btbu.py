@@ -26,8 +26,8 @@ from math import ceil
 from time import perf_counter
 
 from .network import Network, Path, DrcrTask
-from .pulse import (INF, SearchControl, SearchCounters, SearchOrder,
-                    SearchTimeout, build_search_order, pulse_optimal)
+from .pulse import (INF, SearchControl, SearchCounters, SearchInterrupted,
+                    SearchOrder, build_search_order, pulse_optimal)
 from .report import INFEASIBLE, OPTIMAL, TIMEOUT, SolveReport
 from .trees import ReverseTrees
 
@@ -80,7 +80,11 @@ def cost_step(net: Network, basis: str | int) -> int:
 def solve_btbu(net: Network, trees: ReverseTrees, task: DrcrTask,
                cfg: BtbuConfig = BTBU1, *, order: SearchOrder | None = None,
                control: SearchControl | None = None) -> tuple[Path | None, SolveReport]:
-    """Exact optimum for the task via the configured bound schedule."""
+    """Exact optimum for the task via the configured bound schedule.
+
+    A deadline passed or a stop event set in ``control`` ends the run with
+    the inexact TIMEOUT outcome and no path.
+    """
     start = perf_counter()
     counters = SearchCounters()
     report = SolveReport(INFEASIBLE, counters=counters)
@@ -117,7 +121,7 @@ def solve_btbu(net: Network, trees: ReverseTrees, task: DrcrTask,
             report.iterations += 1
             path = pulse_optimal(net, trees, task, INF, order=order,
                                  counters=counters, control=control)
-    except SearchTimeout:
+    except SearchInterrupted:
         report.outcome = TIMEOUT
         report.wall_time = perf_counter() - start
         return None, report

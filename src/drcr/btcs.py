@@ -30,10 +30,9 @@ from time import perf_counter
 
 from .network import (DrcrTask, Network, Path, SrlgTask, is_connected,
                       remove_conflicting_edges)
-from .pulse import (CostCorridor, SearchCancelled, SearchControl,
-                    SearchCounters, SearchOrder, SearchTimeout,
-                    build_search_order, pulse_first_feasible, pulse_optimal,
-                    scan_corridor_paths)
+from .pulse import (CostCorridor, SearchControl, SearchCounters,
+                    SearchInterrupted, SearchOrder, build_search_order,
+                    pulse_first_feasible, pulse_optimal, scan_corridor_paths)
 from .report import INFEASIBLE, PAIR, TIMEOUT, SolveReport
 from .trees import ReverseTrees
 
@@ -220,6 +219,23 @@ class _CorridorPool:
             self.stop.set()
 
 
+class _EitherStop:
+    """Stop signal for corridor workers: the pool's event or the caller's.
+
+    It stands in for the Event of a SearchControl, which is only ever polled
+    through ``is_set``.
+    """
+
+    __slots__ = ("pool_stop", "caller_stop")
+
+    def __init__(self, pool_stop: threading.Event, caller_stop: threading.Event):
+        self.pool_stop = pool_stop
+        self.caller_stop = caller_stop
+
+    def is_set(self) -> bool:
+        return self.pool_stop.is_set() or self.caller_stop.is_set()
+
+
 def solve_btcs(net: Network, trees: ReverseTrees, task: SrlgTask,
                cfg: BtcsConfig = BtcsConfig(), *,
                control: SearchControl | None = None
@@ -228,12 +244,15 @@ def solve_btcs(net: Network, trees: ReverseTrees, task: SrlgTask,
 
     ``corridors_explored`` in the report counts the stage-2 corridors up to
     and including the winning one (0 when stage 1 already succeeds), which
-    is independent of the worker count.
+    is independent of the worker count.  A deadline passed or a stop event
+    set in ``control`` ends the run, in either stage and with any worker
+    count, with the inexact TIMEOUT outcome and no pair.
     """
     start = perf_counter()
     counters = SearchCounters()
     report = SolveReport(INFEASIBLE, counters=counters)
     deadline = control.deadline if control is not None else None
+    caller_stop = control.stop if control is not None else None
 
     order = build_search_order(net, trees)
     try:
@@ -249,7 +268,7 @@ def solve_btcs(net: Network, trees: ReverseTrees, task: SrlgTask,
             report.outcome = PAIR
             report.wall_time = perf_counter() - start
             return DisjointPair(first_ap, pp), report
-    except SearchTimeout:
+    except SearchInterrupted:
         report.outcome = TIMEOUT
         report.wall_time = perf_counter() - start
         return None, report
@@ -262,10 +281,12 @@ def solve_btcs(net: Network, trees: ReverseTrees, task: SrlgTask,
 
     pool = _CorridorPool(k_last, cfg.max_corridors)
     counter_lock = threading.Lock()
+    worker_stop = (pool.stop if caller_stop is None
+                   else _EitherStop(pool.stop, caller_stop))
 
     def run_worker():
         local = SearchCounters()
-        worker_control = SearchControl(deadline=deadline, stop=pool.stop)
+        worker_control = SearchControl(deadline=deadline, stop=worker_stop)
         while True:
             k = pool.take_index()
             if k is None:
@@ -276,9 +297,10 @@ def solve_btcs(net: Network, trees: ReverseTrees, task: SrlgTask,
                 pair, checked, more_above = _scan_corridor(
                     net, trees, task, first_ap, c_low, c_up, order, local,
                     worker_control)
-            except SearchCancelled:
-                break
-            except SearchTimeout:
+            except SearchInterrupted:
+                # the pool sets its stop event only after fixing its outcome,
+                # so this is a no-op when a verdict cancelled the worker; a
+                # passed deadline or the caller's stop ends the run inexactly
                 pool.fail(TIMEOUT)
                 break
             pool.complete(k, pair, checked, more_above)

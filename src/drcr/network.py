@@ -55,15 +55,18 @@ class Network:
         node_count: number of nodes (ids 0..node_count-1).
         edges: tuple of Edge, indexed by EdgeId.
         adjacency: per-node tuple of egress EdgeIds.
+        reverse_adjacency: per-node tuple of ingress ``(src, cost, delay)``
+            triples, built on first use.
         srlg_groups: tuple of frozensets of EdgeId, indexed by SrlgId.
         edge_srlgs: per-edge frozenset of SrlgIds (inverse of srlg_groups).
 
-    Instances never change after construction, so any number of concurrent
-    readers is safe.
+    Instances never change after construction (the reverse adjacency is a
+    memo filled on first use), so any number of concurrent readers is safe.
     """
 
     __slots__ = ("node_count", "edges", "adjacency", "srlg_groups",
-                 "edge_srlgs", "min_edge_cost", "max_edge_cost")
+                 "edge_srlgs", "min_edge_cost", "max_edge_cost",
+                 "_reverse_adjacency")
 
     def __init__(self, node_count: int, edges: Iterable[Edge],
                  srlg_groups: Iterable[Iterable[int]] = ()):
@@ -82,6 +85,7 @@ class Network:
             _check_positive_int(e.delay, f"edge {eid} delay")
             adjacency[e.src].append(eid)
         self.adjacency = tuple(tuple(a) for a in adjacency)
+        self._reverse_adjacency = None
 
         groups = tuple(frozenset(g) for g in srlg_groups)
         inverse: list[set[int]] = [set() for _ in self.edges]
@@ -100,9 +104,33 @@ class Network:
         self.min_edge_cost = min(costs) if costs else None
         self.max_edge_cost = max(costs) if costs else None
 
+    @property
+    def reverse_adjacency(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Per-node tuple of ``(src, cost, delay)``, one per ingress edge.
+
+        The input of the reverse shortest-path trees, for both metrics.  It
+        depends on the edges alone, so it is built at most once per network
+        (and shared with ``with_srlgs`` copies) rather than once per target.
+        Two threads racing to build it compute equal values; either may win.
+        """
+        rev = self._reverse_adjacency
+        if rev is None:
+            lists: list[list[tuple[int, int, int]]] = [
+                [] for _ in range(self.node_count)]
+            for e in self.edges:
+                lists[e.dst].append((e.src, e.cost, e.delay))
+            rev = self._reverse_adjacency = tuple(tuple(r) for r in lists)
+        return rev
+
     def with_srlgs(self, srlg_groups: Iterable[Iterable[int]]) -> "Network":
-        """A copy of this network with the SRLG index replaced."""
-        return Network(self.node_count, self.edges, srlg_groups)
+        """A copy of this network with the SRLG index replaced.
+
+        The copy shares this network's reverse adjacency: SRLGs do not
+        change the edges.
+        """
+        copy = Network(self.node_count, self.edges, srlg_groups)
+        copy._reverse_adjacency = self.reverse_adjacency
+        return copy
 
     def path(self, edge_ids: Sequence[int]) -> "Path":
         """Build a Path from EdgeIds, computing the cached totals."""

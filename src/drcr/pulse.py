@@ -13,17 +13,21 @@ Egress edges are explored cheapest-completion first (edge cost plus the
 cost-to-target bound, ties by EdgeId).  The order is deterministic so
 results are reproducible, and because it is sorted by exactly the quantity
 the cost pruning tests, a single failed test cuts all remaining siblings at
-once.  Edges whose head cannot reach the target at all are dropped up front;
-no s->t path can use them.
+once.  Edges whose head cannot reach the target at all are dropped from the
+order; no s->t path can use them.  A node's sorted row is built the first
+time a search expands it (see SearchOrder), so a task pays for the rows its
+searches walk, not for the whole network.
 
 A search never mutates the network, the trees or the view, so any number of
-engines may run concurrently over shared inputs.
+engines may run concurrently over shared inputs; the only thing it writes is
+a missing row of the search order, and concurrent writers agree on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
+from operator import itemgetter
 from threading import Event
 from time import monotonic
 
@@ -97,35 +101,62 @@ class CostCorridor:
             raise ValueError(f"empty corridor [{self.c_low}, {self.c_up})")
 
 
-SearchOrder = list[list[tuple]]
-
-
-def build_search_order(net: NetLike, trees: ReverseTrees) -> SearchOrder:
+class SearchOrder:
     """Per-node egress rows (cost_lb, delay_lb, cost, delay, dst, eid).
 
     The lb entries fold the edge's own weight into the reverse-tree bound of
     its head, so the engine loops test a single addition.  Rows are sorted
-    ascending by (cost_lb, eid).  Building the order once per task and
-    sharing it across bound probes, corridors and protection searches is
-    much cheaper than re-sorting per engine call.
+    ascending by (cost_lb, eid).  ``rows[u]`` is None until a search first
+    expands u; ``row(u)`` then builds it, and it stays for the rest of the
+    task, shared by bound probes, corridors and protection searches.  A
+    search touches a small part of a large network, so it pays only for the
+    rows it walks.  A row can be empty: test for None, not for truth.
     """
-    base = as_view(net).net
-    min_cost = trees.min_cost_to_target
-    min_delay = trees.min_delay_to_target
-    edges = base.edges
-    order: SearchOrder = []
-    for adj in base.adjacency:
-        row = []
-        for eid in adj:
-            e = edges[eid]
-            mc = min_cost[e.dst]
-            if mc == INF:
-                continue
-            row.append((e.cost + mc, e.delay + min_delay[e.dst],
-                        e.cost, e.delay, e.dst, eid))
-        row.sort(key=lambda r: (r[0], r[5]))
-        order.append(row)
-    return order
+
+    __slots__ = ("rows", "_adjacency", "_edges", "_min_cost", "_min_delay")
+
+    def __init__(self, net: NetLike, trees: ReverseTrees):
+        base = as_view(net).net
+        self.rows: list[list[tuple] | None] = [None] * base.node_count
+        self._adjacency = base.adjacency
+        self._edges = base.edges
+        self._min_cost = trees.min_cost_to_target
+        self._min_delay = trees.min_delay_to_target
+
+    def row(self, u: int) -> list[tuple]:
+        """Node u's row, built and kept on first use.
+
+        Two corridor worker threads may both find the row missing and both
+        build it; they compute equal rows, so whichever store lands last is
+        as good as the other.
+        """
+        row = self.rows[u]
+        if row is None:
+            edges = self._edges
+            min_cost = self._min_cost
+            min_delay = self._min_delay
+            row = []
+            for eid in self._adjacency[u]:
+                e = edges[eid]
+                mc = min_cost[e.dst]
+                if mc == INF:
+                    continue
+                row.append((e.cost + mc, e.delay + min_delay[e.dst],
+                            e.cost, e.delay, e.dst, eid))
+            # adjacency holds EdgeIds in ascending order and the sort is
+            # stable, so sorting on cost_lb alone yields (cost_lb, eid) order
+            row.sort(key=itemgetter(0))
+            self.rows[u] = row
+        return row
+
+
+def build_search_order(net: NetLike, trees: ReverseTrees) -> SearchOrder:
+    """The egress order for one task's searches; rows are built on demand.
+
+    Creating it costs one list of node_count Nones, so engines called
+    without an order just make their own.
+    """
+    return SearchOrder(net, trees)
 
 
 def pulse_optimal(net: NetLike, trees: ReverseTrees, task: DrcrTask,
@@ -161,7 +192,8 @@ def pulse_optimal(net: NetLike, trees: ReverseTrees, task: DrcrTask,
     visited = bytearray(base.node_count)
     visited[s] = 1
     path: list[int] = []
-    frames: list[list] = [[s, order[s], 0, 0, 0]]
+    rows = order.rows
+    frames: list[list] = [[s, order.row(s), 0, 0, 0]]
     cur_cost = 0
     cur_delay = 0
     try:
@@ -201,7 +233,10 @@ def pulse_optimal(net: NetLike, trees: ReverseTrees, task: DrcrTask,
                 path.append(eid)
                 cur_cost += ec
                 cur_delay = new_delay
-                frames.append([to, order[to], 0, ec, ed])
+                to_row = rows[to]
+                if to_row is None:
+                    to_row = order.row(to)
+                frames.append([to, to_row, 0, ec, ed])
                 moved = True
                 break
             if moved:
@@ -226,8 +261,9 @@ def _corridor_scan(view, trees, task, c_low, c_up, order, counters, control,
                    collect: bool, cap: float):
     """Walk all window-feasible paths with cost in [c_low, c_up).
 
-    Returns (paths, truncated, more_above) when collecting, else
-    (count, truncated, more_above).  The corridor cost pruning is strict
+    Returns (paths, capped, more_above) when collecting, else
+    (count, capped, more_above); ``capped`` is True when the walk stopped
+    early at ``cap`` terminals.  The corridor cost pruning is strict
     (cut only when the optimistic completion exceeds c_up), mirroring the
     half-open collection test; boundary branches are explored and rejected
     at the terminal.
@@ -236,8 +272,8 @@ def _corridor_scan(view, trees, task, c_low, c_up, order, counters, control,
     >= c_up exists at all: nothing was cut by the cost pruning (so the walk
     covered the complete delay-feasible space) and no in-window terminal
     reached c_up.  Ascending sweeps use it to stop instead of scanning up
-    to the worst-case cost bound.  A capped (truncated) walk proves
-    nothing, so it reports more_above True.
+    to the worst-case cost bound.  A capped walk proves nothing, so it
+    reports more_above True.
     """
     base = view.net
     excluded = view.excluded
@@ -246,7 +282,6 @@ def _corridor_scan(view, trees, task, c_low, c_up, order, counters, control,
 
     found: list[Path] = []
     count = 0
-    truncated = False
     more_above = False
     pulses = 1
     infeas = 0
@@ -257,7 +292,8 @@ def _corridor_scan(view, trees, task, c_low, c_up, order, counters, control,
     visited = bytearray(base.node_count)
     visited[s] = 1
     path: list[int] = []
-    frames: list[list] = [[s, order[s], 0, 0, 0]]
+    rows = order.rows
+    frames: list[list] = [[s, order.row(s), 0, 0, 0]]
     cur_cost = 0
     cur_delay = 0
     try:
@@ -303,7 +339,10 @@ def _corridor_scan(view, trees, task, c_low, c_up, order, counters, control,
                 path.append(eid)
                 cur_cost += ec
                 cur_delay = new_delay
-                frames.append([to, order[to], 0, ec, ed])
+                to_row = rows[to]
+                if to_row is None:
+                    to_row = order.row(to)
+                frames.append([to, to_row, 0, ec, ed])
                 moved = True
                 break
             if moved:
@@ -319,7 +358,7 @@ def _corridor_scan(view, trees, task, c_low, c_up, order, counters, control,
             counters.pulses += pulses
             counters.infeasibility_prunes += infeas
             counters.cost_prunes += cost_prunes
-    return (found if collect else count), truncated, more_above
+    return (found if collect else count), False, more_above
 
 
 def scan_corridor_paths(net: NetLike, trees: ReverseTrees, task: DrcrTask,
@@ -384,7 +423,8 @@ def pulse_first_feasible(net: NetLike, trees: ReverseTrees, task: DrcrTask, *,
     visited = bytearray(base.node_count)
     visited[s] = 1
     path: list[int] = []
-    frames: list[list] = [[s, order[s], 0, 0, 0]]
+    rows = order.rows
+    frames: list[list] = [[s, order.row(s), 0, 0, 0]]
     cur_delay = 0
     try:
         while frames:
@@ -416,7 +456,10 @@ def pulse_first_feasible(net: NetLike, trees: ReverseTrees, task: DrcrTask, *,
                 visited[to] = 1
                 path.append(eid)
                 cur_delay = new_delay
-                frames.append([to, order[to], 0, 0, ed])
+                to_row = rows[to]
+                if to_row is None:
+                    to_row = order.row(to)
+                frames.append([to, to_row, 0, 0, ed])
                 moved = True
                 break
             if moved:

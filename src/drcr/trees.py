@@ -2,8 +2,11 @@
 
 Both prunings of the pulse search need, for every node u, the minimum cost
 and the minimum delay of any path from u to the task target.  These are two
-independent single-criterion Dijkstra runs on the reversed edge orientation.
-Unreachable nodes carry math.inf.
+independent single-criterion Dijkstra runs on the reversed edge orientation,
+both reading the network's ``reverse_adjacency``.  That adjacency depends on
+the edges alone and is built once per network; the trees depend on the
+target and are built afresh on every call, so a task's preprocessing covers
+all of its target-dependent work.  Unreachable nodes carry math.inf.
 
 Trees computed on the full network stay valid lower bounds on any
 edge-excluded view of it (removing edges can only increase true distances),
@@ -16,6 +19,10 @@ from heapq import heappop, heappush
 from math import inf
 
 from .network import Network
+
+# positions of the weights in a reverse_adjacency triple (src, cost, delay)
+_COST = 1
+_DELAY = 2
 
 
 class ReverseTrees:
@@ -30,8 +37,10 @@ class ReverseTrees:
         self.min_delay_to_target = min_delay_to_target
 
 
-def _reverse_dijkstra(node_count: int, rev: list[list[tuple[int, int]]],
-                      target: int) -> list[float]:
+def _reverse_dijkstra(node_count: int,
+                      rev: tuple[tuple[tuple[int, int, int], ...], ...],
+                      target: int, weight: int) -> list[float]:
+    """Distances to ``target``; ``weight`` indexes the (src, cost, delay) triples."""
     dist: list[float] = [inf] * node_count
     dist[target] = 0
     heap = [(0, target)]
@@ -39,8 +48,9 @@ def _reverse_dijkstra(node_count: int, rev: list[list[tuple[int, int]]],
         d, v = heappop(heap)
         if d > dist[v]:
             continue
-        for u, w in rev[v]:
-            nd = d + w
+        for arc in rev[v]:
+            nd = d + arc[weight]
+            u = arc[0]
             if nd < dist[u]:
                 dist[u] = nd
                 heappush(heap, (nd, u))
@@ -51,14 +61,10 @@ def build_reverse_trees(net: Network, target: int) -> ReverseTrees:
     """Exact shortest distances to ``target``, for cost and delay separately."""
     if not 0 <= target < net.node_count:
         raise ValueError(f"target {target} out of range")
-    rev_cost: list[list[tuple[int, int]]] = [[] for _ in range(net.node_count)]
-    rev_delay: list[list[tuple[int, int]]] = [[] for _ in range(net.node_count)]
-    for e in net.edges:
-        rev_cost[e.dst].append((e.src, e.cost))
-        rev_delay[e.dst].append((e.src, e.delay))
+    rev = net.reverse_adjacency
     return ReverseTrees(target,
-                        _reverse_dijkstra(net.node_count, rev_cost, target),
-                        _reverse_dijkstra(net.node_count, rev_delay, target))
+                        _reverse_dijkstra(net.node_count, rev, target, _COST),
+                        _reverse_dijkstra(net.node_count, rev, target, _DELAY))
 
 
 class TreeCache:

@@ -91,6 +91,22 @@ def bellman_ford_to_target(net: Network, target: int, metric: str) -> list[float
     return dist
 
 
+def eager_search_rows(net: Network, min_cost: list[float],
+                      min_delay: list[float]) -> list[list[tuple]]:
+    """Reference search order: every node's egress row, sorted up front.
+
+    Entries are (cost_lb, delay_lb, cost, delay, dst, eid), ordered by
+    (cost_lb, eid); edges whose head cannot reach the target are left out.
+    """
+    rows: list[list[tuple]] = [[] for _ in range(net.node_count)]
+    for eid, e in enumerate(net.edges):
+        if min_cost[e.dst] != inf:
+            rows[e.src].append((e.cost + min_cost[e.dst],
+                                e.delay + min_delay[e.dst],
+                                e.cost, e.delay, e.dst, eid))
+    return [sorted(row, key=lambda r: (r[0], r[5])) for row in rows]
+
+
 def reachable(net: Network, s: int, excluded: frozenset[int] = frozenset()) -> set[int]:
     """Reference reachability by naive fixpoint iteration."""
     seen = {s}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import threading
 from math import inf
 from time import monotonic
 
@@ -113,4 +114,21 @@ def test_timeout_outcome():
     control = SearchControl(deadline=monotonic() - 1.0, poll_every=1)
     path, report = solve_btbu(net, trees, DrcrTask(0, n - 1, 0, 10 ** 9), BTBU1,
                               control=control)
+    assert path is None and report.outcome == "timeout"
+
+
+def test_stop_event_is_a_timeout_outcome():
+    # complete digraph, delay window only met by Hamiltonian paths: the
+    # probe at bound 8 walks well past the 512-pulse poll interval
+    n = 8
+    net = Network(n, [Edge(u, v, 1, 1) for u in range(n) for v in range(n) if u != v])
+    task = DrcrTask(0, n - 1, n - 1, n - 1)
+    trees = build_reverse_trees(net, task.target)
+    stop = threading.Event()
+    path, report = solve_btbu(net, trees, task, BTBU1,
+                              control=SearchControl(stop=stop))
+    assert report.outcome == "optimal" and path.total_cost == n - 1
+    stop.set()
+    path, report = solve_btbu(net, trees, task, BTBU1,
+                              control=SearchControl(stop=stop))
     assert path is None and report.outcome == "timeout"

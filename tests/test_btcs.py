@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import threading
 from time import monotonic
 
 import pytest
@@ -221,4 +222,38 @@ def test_deadline_times_out():
     trees = build_reverse_trees(net, n - 1)
     control = SearchControl(deadline=monotonic() - 1.0, poll_every=1)
     pair, report = solve_btcs(net, trees, task, control=control)
+    assert pair is None and report.outcome == "timeout"
+
+
+def _stage1_heavy() -> tuple[Network, SrlgTask]:
+    """Stage-1 search alone walks far past the 512-pulse poll interval."""
+    n = 8
+    net = Network(n, [Edge(u, v, 1, 1) for u in range(n) for v in range(n) if u != v])
+    return net, SrlgTask(DrcrTask(0, n - 1, n - 1, n - 1), 0)
+
+
+def _corridor_heavy() -> tuple[Network, SrlgTask]:
+    """Stage 1 is a few pulses, the first corridor holds ~2000 paths.
+
+    One SRLG holds every egress edge of the source, so no active path can
+    be protected: an unavoidable trap, settled only by a full sweep.
+    """
+    n = 8
+    edges = [Edge(u, v, 1, 1) for u in range(n) for v in range(n) if u != v]
+    net = Network(n, edges, [{eid for eid, e in enumerate(edges) if e.src == 0}])
+    return net, SrlgTask(DrcrTask(0, n - 1, 0, 10 ** 9), 10 ** 9)
+
+
+@pytest.mark.parametrize("instance", [_stage1_heavy, _corridor_heavy])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stop_event_is_a_timeout_outcome(instance, workers):
+    net, task = instance()
+    trees = build_reverse_trees(net, task.target)
+    cfg = BtcsConfig(workers=workers)
+    stop = threading.Event()
+    unset = solve_btcs(net, trees, task, cfg, control=SearchControl(stop=stop))
+    assert unset[1].outcome == solve_btcs(net, trees, task, cfg)[1].outcome != "timeout"
+    stop.set()
+    pair, report = solve_btcs(net, trees, task, cfg,
+                              control=SearchControl(stop=stop))
     assert pair is None and report.outcome == "timeout"

@@ -7,9 +7,9 @@ import random
 import pytest
 
 from drcr import (DrcrTask, Edge, IntegrityError, Network, ParseError, Path,
-                  SrlgTask, check_path, is_connected, load_network,
-                  load_tasks, remove_conflicting_edges, save_network,
-                  save_tasks)
+                  SrlgTask, build_reverse_trees, check_path, is_connected,
+                  load_network, load_tasks, remove_conflicting_edges,
+                  save_network, save_tasks)
 from drcr.network import NetworkView, format_task, parse_task_line
 
 from conftest import diamond, random_network, reachable
@@ -208,6 +208,10 @@ def test_adjacency_and_inverse_invariants():
         assert sorted(listed) == list(range(len(net.edges)))
         for node, adj in enumerate(net.adjacency):
             assert all(net.edges[eid].src == node for eid in adj)
+        ingress = sorted((e.src, e.dst, e.cost, e.delay) for e in net.edges)
+        assert sorted((src, node, cost, delay)
+                      for node, arcs in enumerate(net.reverse_adjacency)
+                      for src, cost, delay in arcs) == ingress
         for gid, group in enumerate(net.srlg_groups):
             for eid in group:
                 assert gid in net.edge_srlgs[eid]
@@ -232,3 +236,16 @@ def test_path_totals():
     net = diamond()
     p = net.path([2, 3])
     assert (p.total_cost, p.total_delay) == (10, 2)
+
+
+def test_reverse_adjacency_built_once_and_shared_by_srlg_copies():
+    net = Network(3, [Edge(0, 1, 2, 5), Edge(0, 1, 3, 4), Edge(2, 1, 1, 1),
+                      Edge(1, 2, 7, 7)])
+    rev = net.reverse_adjacency
+    assert rev == ((), ((0, 2, 5), (0, 3, 4), (2, 1, 1)), ((1, 7, 7),))
+    build_reverse_trees(net, 1)
+    build_reverse_trees(net, 2)
+    assert net.reverse_adjacency is rev
+    copy = net.with_srlgs([{0, 3}])
+    assert copy.srlg_groups == (frozenset({0, 3}),)
+    assert copy.reverse_adjacency is rev

@@ -3,19 +3,20 @@
 from __future__ import annotations
 
 import random
+import threading
 from math import inf
 from time import monotonic
 
 import pytest
 
-from drcr import (CostCorridor, DrcrTask, Edge, Network, SearchControl,
-                  SearchCounters, SearchTimeout, build_reverse_trees,
-                  check_path, count_paths_capped, enumerate_paths,
-                  oracle_drcr, pulse_all_in_corridor, pulse_first_feasible,
-                  pulse_optimal)
+from drcr import (CostCorridor, DrcrTask, Edge, Network, SearchCancelled,
+                  SearchControl, SearchCounters, SearchTimeout,
+                  build_reverse_trees, build_search_order, check_path,
+                  count_paths_capped, enumerate_paths, oracle_drcr,
+                  pulse_all_in_corridor, pulse_first_feasible, pulse_optimal)
 from drcr.network import NetworkView
 
-from conftest import random_network, random_task
+from conftest import eager_search_rows, random_network, random_task
 
 
 def _solve(net, task, bound=inf, **kw):
@@ -208,3 +209,65 @@ def test_deadline_raises_timeout():
     control = SearchControl(deadline=monotonic() - 1.0, poll_every=1)
     with pytest.raises(SearchTimeout):
         pulse_optimal(net, trees, task, control=control, prune=False)
+
+
+def test_preset_stop_event_cancels_search():
+    # complete digraph, delay window only met by Hamiltonian paths: the
+    # unpruned walk runs far past the 512-pulse poll interval
+    n = 8
+    net = Network(n, [Edge(u, v, 1, 1) for u in range(n) for v in range(n) if u != v])
+    task = DrcrTask(0, n - 1, n - 1, n - 1)
+    trees = build_reverse_trees(net, task.target)
+    stop = threading.Event()
+    stop.set()
+    counters = SearchCounters()
+    with pytest.raises(SearchCancelled):
+        pulse_optimal(net, trees, task, counters=counters,
+                      control=SearchControl(stop=stop), prune=False)
+    # the root pulse, then the poll_every pulses up to the first poll
+    assert counters.pulses == 1 + SearchControl().poll_every
+
+
+def test_lazy_rows_match_eager_reference():
+    rng = random.Random(41)
+    built = 0
+    for seed in range(60):
+        rng.seed(seed)
+        net = random_network(rng, max_nodes=14, max_edges=40)
+        task = random_task(rng, net)
+        trees = build_reverse_trees(net, task.target)
+        reference = eager_search_rows(net, trees.min_cost_to_target,
+                                      trees.min_delay_to_target)
+        order = build_search_order(net, trees)
+        assert order.rows == [None] * net.node_count
+        pulse_optimal(net, trees, task, order=order)
+        pulse_all_in_corridor(net, trees, task, CostCorridor(0, inf), order=order)
+        view = NetworkView(net, frozenset(rng.sample(range(len(net.edges)),
+                                                     len(net.edges) // 3)))
+        pulse_first_feasible(view, trees, task, order=order)
+        for u, row in enumerate(order.rows):
+            if row is not None:
+                built += 1
+                assert row == reference[u]
+        assert [order.row(u) for u in range(net.node_count)] == reference
+    assert built > 60
+
+
+def test_search_builds_only_the_rows_it_walks():
+    # chain 0 -> 1 -> ... -> m-1; every chain node also has a dead-end side
+    # node and a costly detour node that rejoins the chain
+    m = 200
+    edges = [Edge(i, i + 1, 1, 1) for i in range(m - 1)]
+    for i in range(m - 1):
+        dead, detour = m + 2 * i, m + 2 * i + 1
+        edges += [Edge(i, dead, 1, 1), Edge(i, detour, 5, 1),
+                  Edge(detour, i + 1, 5, 1)]
+    net = Network(3 * m - 2, edges)
+    task = DrcrTask(0, m - 1, 0, 10 * m)
+    trees = build_reverse_trees(net, task.target)
+    order = build_search_order(net, trees)
+    path = pulse_optimal(net, trees, task, order=order)
+    assert path.edges == tuple(range(m - 1))
+    built = {u for u, row in enumerate(order.rows) if row is not None}
+    assert built == set(range(m - 1))
+    assert len(built) < net.node_count

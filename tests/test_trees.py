@@ -5,6 +5,9 @@ from __future__ import annotations
 import random
 from math import inf
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from drcr import Edge, Network, TreeCache, build_reverse_trees, enumerate_paths
 
 from conftest import bellman_ford_to_target, random_network
@@ -57,6 +60,47 @@ def test_matches_bellman_ford():
         trees = build_reverse_trees(net, target)
         assert trees.min_cost_to_target == bellman_ford_to_target(net, target, "cost")
         assert trees.min_delay_to_target == bellman_ford_to_target(net, target, "delay")
+
+
+def test_parallel_edges_and_unreachable_nodes_match_bellman_ford():
+    # 0->1 twice (cheap-slow and costly-fast), 1->3 twice, 2 only reaches
+    # 0 (so it reaches 3 the long way), 4 and 5 cannot reach 3 at all
+    net = Network(6, [
+        Edge(0, 1, 1, 9), Edge(0, 1, 8, 2), Edge(1, 3, 4, 4),
+        Edge(1, 3, 2, 7), Edge(2, 0, 3, 3), Edge(3, 4, 1, 1),
+        Edge(4, 5, 1, 1), Edge(5, 4, 2, 2),
+    ])
+    for target in range(net.node_count):
+        trees = build_reverse_trees(net, target)
+        assert trees.min_cost_to_target == bellman_ford_to_target(net, target, "cost")
+        assert trees.min_delay_to_target == bellman_ford_to_target(net, target, "delay")
+    trees = build_reverse_trees(net, 3)
+    assert trees.min_cost_to_target == [3, 2, 6, 0, inf, inf]
+    assert trees.min_delay_to_target == [6, 4, 9, 0, inf, inf]
+
+
+@st.composite
+def _network_and_target(draw):
+    n = draw(st.integers(1, 10))
+    node = st.integers(0, n - 1)
+    raw = draw(st.lists(st.tuples(node, node, st.integers(1, 9),
+                                  st.integers(1, 9)), max_size=30))
+    edges = [Edge(u, v, c, d) for u, v, c, d in raw if u != v]
+    # repeat some edges verbatim or with new weights: parallel edges
+    for i in draw(st.lists(st.integers(0, max(0, len(edges) - 1)),
+                           max_size=5 if edges else 0)):
+        u, v, _, _ = edges[i]
+        edges.append(Edge(u, v, draw(st.integers(1, 9)), draw(st.integers(1, 9))))
+    return Network(n, edges), draw(node)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_network_and_target())
+def test_property_matches_bellman_ford(case):
+    net, target = case
+    trees = build_reverse_trees(net, target)
+    assert trees.min_cost_to_target == bellman_ford_to_target(net, target, "cost")
+    assert trees.min_delay_to_target == bellman_ford_to_target(net, target, "delay")
 
 
 def test_triangle_relaxation_fixpoint():

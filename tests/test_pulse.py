@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import random
 import threading
 from math import inf
+from pathlib import Path
 from time import monotonic
 
 import pytest
@@ -15,6 +17,7 @@ from drcr import (CostCorridor, DrcrTask, Edge, Network, SearchCancelled,
                   count_paths_capped, enumerate_paths, oracle_drcr,
                   pulse_all_in_corridor, pulse_first_feasible, pulse_optimal)
 from drcr.network import NetworkView
+from drcr.pulse import scan_corridor_paths
 
 from conftest import eager_search_rows, random_network, random_task
 
@@ -271,3 +274,86 @@ def test_search_builds_only_the_rows_it_walks():
     built = {u for u, row in enumerate(order.rows) if row is not None}
     assert built == set(range(m - 1))
     assert len(built) < net.node_count
+
+
+GOLDEN_COUNTS = Path(__file__).with_name("pulse_golden_counts.json")
+
+
+def _counted(fn, *args, **kw):
+    counters = SearchCounters()
+    result = fn(*args, counters=counters, **kw)
+    return result, [counters.pulses, counters.infeasibility_prunes,
+                    counters.cost_prunes]
+
+
+def _edges(path):
+    return None if path is None else list(path.edges)
+
+
+def golden_observations() -> dict[str, list]:
+    """Result and (pulses, infeasibility_prunes, cost_prunes) of every public
+    engine entry point on 50 seeded small instances, keyed "seed:call".
+
+    Bounds for pulse_optimal sit at and half a unit around the optimum c*
+    (the unconstrained shortest cost when no feasible path exists), which
+    covers the integer and non-integer cases of the incumbent cut.
+    """
+    rng = random.Random()
+    seen: dict[str, list] = {}
+    for seed in range(50):
+        rng.seed(9000 + seed)
+        net = random_network(rng, max_nodes=10, max_edges=40, min_edges=15)
+        task = random_task(rng, net)
+        trees = build_reverse_trees(net, task.target)
+        best = oracle_drcr(net, task)
+        shortest = trees.min_cost_to_target[task.source]
+        c_star = best[0] if best else (shortest if shortest != inf else 10)
+        c_low = rng.randint(0, 30)
+        c_up = c_low + rng.randint(1, 40)
+        view = NetworkView(net, frozenset(rng.sample(range(len(net.edges)),
+                                                     len(net.edges) // 3)))
+        relaxed = DrcrTask(task.source, task.target, 0, inf)
+        calls = {
+            "optimal@inf": (pulse_optimal, net, trees, task),
+            "optimal@c*": (pulse_optimal, net, trees, task, c_star),
+            "optimal@c*-0.5": (pulse_optimal, net, trees, task, c_star - 0.5),
+            "optimal@c*+0.5": (pulse_optimal, net, trees, task, c_star + 0.5),
+            "optimal@c*+1": (pulse_optimal, net, trees, task, c_star + 1),
+            "unpruned@inf": (pulse_optimal, net, trees, task, inf),
+            "unpruned@c*+0.5": (pulse_optimal, net, trees, task, c_star + 0.5),
+            "corridor": (scan_corridor_paths, net, trees, task,
+                         CostCorridor(c_low, c_up)),
+            "corridor-open": (scan_corridor_paths, net, trees, task,
+                              CostCorridor(c_low, inf)),
+            "first": (pulse_first_feasible, net, trees, task),
+            "first-stripped": (pulse_first_feasible, view, trees, task),
+            "count": (count_paths_capped, net, trees, task, 7, 5),
+            "count-relaxed": (count_paths_capped, net, trees, relaxed, 5, 9),
+        }
+        for name, (fn, *args) in calls.items():
+            kw = {"prune": False} if name.startswith("unpruned") else {}
+            result, counts = _counted(fn, *args, **kw)
+            if fn is scan_corridor_paths:
+                result = [[_edges(p) for p in result[0]], result[1]]
+            elif fn is count_paths_capped:
+                result = [sorted(result[0].items()), result[1]]
+            else:
+                result = _edges(result)
+            seen[f"{seed}:{name}"] = [result, counts]
+    return seen
+
+
+def test_work_counts_match_golden_table():
+    # regenerate with: PYTHONPATH=src:tests python tests/test_pulse.py
+    expected = json.loads(GOLDEN_COUNTS.read_text())
+    got = json.loads(json.dumps(golden_observations()))
+    assert got.keys() == expected.keys()
+    for key in expected:
+        assert got[key] == expected[key], key
+
+
+if __name__ == "__main__":
+    table = golden_observations()
+    GOLDEN_COUNTS.write_text("{\n" + ",\n".join(
+        f"{json.dumps(key)}: {json.dumps(table[key])}" for key in sorted(table))
+        + "\n}\n")

@@ -17,12 +17,12 @@ from dataclasses import asdict, dataclass
 from time import perf_counter
 from typing import IO, Iterable, Sequence
 
-from .btbu import BTBU1, BTBU2, BtbuConfig, solve_btbu
-from .btcs import BtcsConfig, solve_btcs
-from .network import Network, SrlgTask, Task
-from .pulse import SearchControl, SearchCounters, SearchTimeout, pulse_optimal
+from .btbu import BTBU1, BTBU2, solve_btbu
+from .btcs import BtcsConfig, DisjointPair, solve_btcs
+from .network import Network, Path, SrlgTask, Task
+from .pulse import SearchControl, SearchInterrupted, pulse_optimal
 from .report import INFEASIBLE, OPTIMAL, PAIR, TIMEOUT, SolveReport
-from .trees import build_reverse_trees
+from .trees import ReverseTrees, build_reverse_trees
 
 SOLVERS = ("pulse", "btbu1", "btbu2", "btcs")
 ERROR = "error"
@@ -43,38 +43,47 @@ class BenchRecord:
     corridors_explored: int = 0
     ap_candidates_checked: int = 0
     ap_cost: int | None = None
+    error: str | None = None  # "<ExceptionType>: <message>" on error records
 
     @property
     def wall_time_ms(self) -> float:
         return self.wall_time_us / 1000.0
 
 
-def _solve_once(net: Network, task: Task, solver: str,
-                control: SearchControl | None, alpha: float, workers: int
-                ) -> tuple[str, SolveReport | None, int | None]:
-    trees = build_reverse_trees(net, task.target)
+def solve(net: Network, trees: ReverseTrees, task: Task, solver: str,
+          control: SearchControl | None = None,
+          btcs_cfg: BtcsConfig | None = None
+          ) -> tuple[SolveReport, Path | DisjointPair | None]:
+    """One task under one named solver: its report and its path or pair.
+
+    ``pulse`` is the plain optimal search with an infinite bound; a deadline
+    or stop in ``control`` is the TIMEOUT outcome for every solver.  Raises
+    ValueError when the solver does not take this kind of task.
+    """
     if solver == "btcs":
         if not isinstance(task, SrlgTask):
             raise ValueError(f"btcs needs disjoint-pair tasks, got {task!r}")
-        pair, report = solve_btcs(net, trees, task,
-                                  BtcsConfig(alpha=alpha, workers=workers),
+        pair, report = solve_btcs(net, trees, task, btcs_cfg or BtcsConfig(),
                                   control=control)
-        return report.outcome, report, pair.ap.total_cost if pair else None
+        return report, pair
     if isinstance(task, SrlgTask):
         raise ValueError(f"solver {solver!r} needs single-path tasks, got {task!r}")
     if solver == "pulse":
-        counters = SearchCounters()
+        start = perf_counter()
+        report = SolveReport(TIMEOUT)
         try:
-            path = pulse_optimal(net, trees, task, counters=counters,
+            path = pulse_optimal(net, trees, task, counters=report.counters,
                                  control=control)
-        except SearchTimeout:
-            return TIMEOUT, SolveReport(TIMEOUT, counters=counters), None
-        outcome = OPTIMAL if path is not None else INFEASIBLE
-        return outcome, SolveReport(outcome, counters=counters), \
-            path.total_cost if path else None
-    cfg: BtbuConfig = BTBU1 if solver == "btbu1" else BTBU2
-    path, report = solve_btbu(net, trees, task, cfg, control=control)
-    return report.outcome, report, path.total_cost if path else None
+        except SearchInterrupted:
+            path = None
+        else:
+            report.outcome = OPTIMAL if path is not None else INFEASIBLE
+        report.wall_time = perf_counter() - start
+        return report, path
+    path, report = solve_btbu(net, trees, task,
+                              BTBU1 if solver == "btbu1" else BTBU2,
+                              control=control)
+    return report, path
 
 
 def run_suite(net: Network, tasks: Sequence[Task], solver: str, *,
@@ -82,13 +91,14 @@ def run_suite(net: Network, tasks: Sequence[Task], solver: str, *,
               alpha: float = 10.0, workers: int = 1) -> list[BenchRecord]:
     """Time every task under one solver; repetitions keep the fastest run.
 
-    A solver crash on a task is recorded with outcome ``error`` and never
-    aborts the suite.
+    A solver crash on a task is recorded with outcome ``error`` and the
+    exception text, and never aborts the suite.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    btcs_cfg = BtcsConfig(alpha=alpha, workers=workers)
     records = []
     for task_id, task in enumerate(tasks):
         best = None
@@ -96,19 +106,25 @@ def run_suite(net: Network, tasks: Sequence[Task], solver: str, *,
             control = SearchControl.from_time_limit_ms(time_limit_ms)
             t0 = perf_counter()
             try:
-                outcome, report, ap_cost = _solve_once(
-                    net, task, solver, control, alpha, workers)
-            except Exception:
-                outcome, report, ap_cost = ERROR, None, None
+                trees = build_reverse_trees(net, task.target)
+                report, result = solve(net, trees, task, solver, control,
+                                       btcs_cfg)
+                error = None
+            except Exception as exc:
+                report, result = None, None
+                error = f"{type(exc).__name__}: {exc}"
             elapsed_us = int((perf_counter() - t0) * 1e6)
             if best is None or elapsed_us < best.wall_time_us:
+                ap = result.ap if isinstance(result, DisjointPair) else result
                 best = BenchRecord(
-                    task_id=task_id, solver=solver, outcome=outcome,
+                    task_id=task_id, solver=solver,
+                    outcome=report.outcome if report else ERROR,
                     wall_time_us=elapsed_us,
                     pulses=report.pulses if report else 0,
                     corridors_explored=report.corridors_explored if report else 0,
                     ap_candidates_checked=report.ap_candidates_checked if report else 0,
-                    ap_cost=ap_cost)
+                    ap_cost=ap.total_cost if ap is not None else None,
+                    error=error)
         records.append(best)
     return records
 

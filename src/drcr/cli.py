@@ -16,13 +16,12 @@ from contextlib import contextmanager
 
 from . import bench as bench_mod
 from . import netgen
-from .btbu import BTBU1, BTBU2, solve_btbu
-from .btcs import BtcsConfig, solve_btcs
+from .btcs import BtcsConfig
 from .network import (IntegrityError, ParseError, SrlgTask, format_task,
                       load_network, load_tasks, parse_task_line, save_network,
                       save_tasks)
 from .oracle import DEFAULT_PATH_CAP, build_histogram
-from .pulse import SearchControl, SearchTimeout, pulse_optimal
+from .pulse import SearchControl
 from .trees import TreeCache
 
 _USAGE_EXIT = 1
@@ -224,18 +223,9 @@ def _cmd_solve_drcr(args) -> int:
                 raise ParseError(args.tasks, 0,
                                  "solve-drcr expects 4-column tasks")
             control = SearchControl.from_time_limit_ms(args.time_limit_ms)
-            trees = cache.get(task.target)
-            if args.solver == "pulse":
-                try:
-                    path = pulse_optimal(net, trees, task, control=control)
-                    outcome = "optimal" if path else "infeasible"
-                except SearchTimeout:
-                    path, outcome = None, "timeout"
-            else:
-                cfg = BTBU1 if args.solver == "btbu1" else BTBU2
-                path, report = solve_btbu(net, trees, task, cfg, control=control)
-                outcome = report.outcome
-            row = {"task": format_task(task), "outcome": outcome}
+            report, path = bench_mod.solve(net, cache.get(task.target), task,
+                                           args.solver, control)
+            row = {"task": format_task(task), "outcome": report.outcome}
             if path is not None:
                 row.update(cost=path.total_cost, delay=path.total_delay,
                            edges=list(path.edges))
@@ -255,8 +245,8 @@ def _cmd_solve_srlg(args) -> int:
                 raise ParseError(args.tasks, 0,
                                  "solve-srlg expects 5-column tasks")
             control = SearchControl.from_time_limit_ms(args.time_limit_ms)
-            pair, report = solve_btcs(net, cache.get(task.target), task, cfg,
-                                      control=control)
+            report, pair = bench_mod.solve(net, cache.get(task.target), task,
+                                           "btcs", control, cfg)
             row = {"task": format_task(task), "outcome": report.outcome,
                    "corridors_explored": report.corridors_explored,
                    "ap_candidates_checked": report.ap_candidates_checked}

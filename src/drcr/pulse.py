@@ -1,13 +1,21 @@
-"""Depth-first pulse search over a network view, in three variants.
+"""Depth-first pulse search over a network view: one walk, three terminal modes.
 
-All variants walk elementary paths from the task source with an explicit
-stack (graphs can be deeper than any recursion limit) and track visited
+Every search walks elementary paths from the task source with an explicit
+stack (graphs can be deeper than any recursion limit) and tracks visited
 nodes, cutting branches with two prunings backed by the reverse trees:
 
 * infeasibility: accumulated delay plus the delay lower bound to the target
   already exceeds the window top;
-* cost: accumulated cost plus the cost lower bound to the target cannot beat
-  the incumbent (optimal search) or the corridor top (corridor search).
+* cost: accumulated cost plus the cost lower bound to the target exceeds
+  the walk's integer cost limit.
+
+Costs are integers, so one strict cut ``cur_cost + cost_lb > limit`` serves
+every search; only the limit differs.  The optimal search keeps an
+incumbent and cuts at ``ceil(bound) - 1``, lowered to ``cost - 1`` on each
+new incumbent, which equals the non-strict ``>= incumbent`` cut.  The
+corridor search enumerates [c_low, c_up) and cuts at ``c_up``.  The
+first-feasible search has no bound and returns the first window-feasible
+path.  The search kind is consulted only at a terminal inside the window.
 
 Egress edges are explored cheapest-completion first (edge cost plus the
 cost-to-target bound, ties by EdgeId).  The order is deterministic so
@@ -22,11 +30,10 @@ A search never mutates the network, the trees or the view, so any number of
 engines may run concurrently over shared inputs; the only thing it writes is
 a missing row of the search order, and concurrent writers agree on it.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
+from math import ceil, inf
 from operator import itemgetter
 from threading import Event
 from time import monotonic
@@ -159,19 +166,33 @@ def build_search_order(net: NetLike, trees: ReverseTrees) -> SearchOrder:
     return SearchOrder(net, trees)
 
 
-def pulse_optimal(net: NetLike, trees: ReverseTrees, task: DrcrTask,
-                  initial_bound: float = INF, *, order: SearchOrder | None = None,
-                  counters: SearchCounters | None = None,
-                  control: SearchControl | None = None,
-                  prune: bool = True) -> Path | None:
-    """Minimum-cost elementary path within the delay window, below the bound.
+# terminal modes of the walk
+_BEST, _COLLECT, _COUNT, _FIRST = range(4)
 
-    Returns the cheapest path P with d_low <= d(P) <= d_up and
-    c(P) < initial_bound, or None when no such path exists.  The cost
-    pruning is non-strict (a branch that can at best tie the incumbent is
-    cut), which never loses a strictly better path.  ``prune=False`` runs
-    the same exhaustive walk without either pruning; it must return the
-    same cost and exists for the pruning-neutrality checks.
+
+def _pulse(net: NetLike, trees: ReverseTrees, task: DrcrTask,
+           order: SearchOrder | None, counters: SearchCounters | None,
+           control: SearchControl | None, mode: int, lo: int = 0,
+           hi: float = INF, cap: float = INF, prune: bool = True):
+    """The one walk behind every search; the cuts are the module docstring's.
+
+    The cost limit is ``ceil(hi) - 1`` for ``_BEST`` (lowered on each new
+    incumbent) and ``hi`` for the other modes, so ``_FIRST`` with
+    ``hi = INF`` never cuts on cost.  ``prune=False`` sets both cuts to INF
+    and never lowers the limit.
+
+    The mode is consulted only at an in-window terminal of cost in
+    [lo, hi): ``_BEST`` keeps it as the incumbent and lowers ``hi`` to its
+    cost, ``_COLLECT``/``_COUNT`` collect or count it and stop at ``cap``,
+    ``_FIRST`` returns it at once.
+
+    Returns (result, capped, more_above).  ``result`` is the incumbent or
+    first path (None if none), the collected paths, or the count.
+    ``capped`` is True when the walk stopped at ``cap`` terminals.
+    ``more_above`` False is a proof that no window-feasible path of cost
+    >= hi exists at all: nothing was cut by the cost pruning (so the walk
+    covered the complete delay-feasible space) and no in-window terminal
+    reached hi.  A capped walk proves nothing, so it reports True.
     """
     view = as_view(net)
     base = view.net
@@ -180,106 +201,15 @@ def pulse_optimal(net: NetLike, trees: ReverseTrees, task: DrcrTask,
         order = build_search_order(base, trees)
     s, t = task.source, task.target
     d_low, d_up = task.d_low, task.d_up
+    d_cut = d_up if prune else INF
+    if not prune:
+        limit = INF
+    elif mode == _BEST and hi != INF:
+        limit = ceil(hi) - 1
+    else:
+        limit = hi
 
-    best_cost = initial_bound
-    best_edges: list[int] | None = None
-    pulses = 1
-    infeas = 0
-    cost_prunes = 0
-    poll_every = control.poll_every if control is not None else 0
-    poll_left = poll_every
-
-    visited = bytearray(base.node_count)
-    visited[s] = 1
-    path: list[int] = []
-    rows = order.rows
-    frames: list[list] = [[s, order.row(s), 0, 0, 0]]
-    cur_cost = 0
-    cur_delay = 0
-    try:
-        while frames:
-            frame = frames[-1]
-            row = frame[1]
-            i = frame[2]
-            n_row = len(row)
-            moved = False
-            while i < n_row:
-                c_lb, d_lb, ec, ed, to, eid = row[i]
-                i += 1
-                if prune and cur_cost + c_lb >= best_cost:
-                    cost_prunes += n_row - i + 1
-                    break
-                if eid in excluded or visited[to]:
-                    continue
-                if prune and cur_delay + d_lb > d_up:
-                    infeas += 1
-                    continue
-                pulses += 1
-                if poll_every:
-                    poll_left -= 1
-                    if poll_left <= 0:
-                        poll_left = poll_every
-                        _poll(control)
-                new_delay = cur_delay + ed
-                if to == t:
-                    new_cost = cur_cost + ec
-                    if d_low <= new_delay <= d_up and new_cost < best_cost:
-                        best_cost = new_cost
-                        best_edges = path + [eid]
-                    # t is now on the path; no deeper pulse can end there again
-                    continue
-                frame[2] = i
-                visited[to] = 1
-                path.append(eid)
-                cur_cost += ec
-                cur_delay = new_delay
-                to_row = rows[to]
-                if to_row is None:
-                    to_row = order.row(to)
-                frames.append([to, to_row, 0, ec, ed])
-                moved = True
-                break
-            if moved:
-                continue
-            fr = frames.pop()
-            if frames:
-                path.pop()
-                cur_cost -= fr[3]
-                cur_delay -= fr[4]
-                visited[fr[0]] = 0
-    finally:
-        if counters is not None:
-            counters.pulses += pulses
-            counters.infeasibility_prunes += infeas
-            counters.cost_prunes += cost_prunes
-    if best_edges is None:
-        return None
-    return base.path(best_edges)
-
-
-def _corridor_scan(view, trees, task, c_low, c_up, order, counters, control,
-                   collect: bool, cap: float):
-    """Walk all window-feasible paths with cost in [c_low, c_up).
-
-    Returns (paths, capped, more_above) when collecting, else
-    (count, capped, more_above); ``capped`` is True when the walk stopped
-    early at ``cap`` terminals.  The corridor cost pruning is strict
-    (cut only when the optimistic completion exceeds c_up), mirroring the
-    half-open collection test; boundary branches are explored and rejected
-    at the terminal.
-
-    ``more_above`` False is a proof that no window-feasible path of cost
-    >= c_up exists at all: nothing was cut by the cost pruning (so the walk
-    covered the complete delay-feasible space) and no in-window terminal
-    reached c_up.  Ascending sweeps use it to stop instead of scanning up
-    to the worst-case cost bound.  A capped walk proves nothing, so it
-    reports more_above True.
-    """
-    base = view.net
-    excluded = view.excluded
-    s, t = task.source, task.target
-    d_low, d_up = task.d_low, task.d_up
-
+    best: list[int] | None = None
     found: list[Path] = []
     count = 0
     more_above = False
@@ -306,13 +236,13 @@ def _corridor_scan(view, trees, task, c_low, c_up, order, counters, control,
             while i < n_row:
                 c_lb, d_lb, ec, ed, to, eid = row[i]
                 i += 1
-                if cur_cost + c_lb > c_up:
+                if cur_cost + c_lb > limit:
                     cost_prunes += n_row - i + 1
                     more_above = True
                     break
                 if eid in excluded or visited[to]:
                     continue
-                if cur_delay + d_lb > d_up:
+                if cur_delay + d_lb > d_cut:
                     infeas += 1
                     continue
                 pulses += 1
@@ -323,16 +253,26 @@ def _corridor_scan(view, trees, task, c_low, c_up, order, counters, control,
                         _poll(control)
                 new_delay = cur_delay + ed
                 if to == t:
-                    new_cost = cur_cost + ec
+                    # t is now on the path; no deeper pulse can end there again
                     if d_low <= new_delay <= d_up:
-                        if new_cost >= c_up:
-                            more_above = True  # lands exactly on the boundary
-                        elif c_low <= new_cost:
-                            if collect:
-                                found.append(base.path(path + [eid]))
-                            count += 1
-                            if count >= cap:
-                                return (found if collect else count), True, True
+                        new_cost = cur_cost + ec
+                        if new_cost >= hi:
+                            more_above = True  # lands on or above the top
+                        elif lo <= new_cost:
+                            if mode == _BEST:
+                                best = path + [eid]
+                                hi = new_cost
+                                if prune:
+                                    limit = new_cost - 1
+                            elif mode == _FIRST:
+                                return base.path(path + [eid]), False, True
+                            else:
+                                if mode == _COLLECT:
+                                    found.append(base.path(path + [eid]))
+                                count += 1
+                                if count >= cap:
+                                    return (found if mode == _COLLECT
+                                            else count), True, True
                     continue
                 frame[2] = i
                 visited[to] = 1
@@ -358,7 +298,29 @@ def _corridor_scan(view, trees, task, c_low, c_up, order, counters, control,
             counters.pulses += pulses
             counters.infeasibility_prunes += infeas
             counters.cost_prunes += cost_prunes
-    return (found if collect else count), False, more_above
+    if mode == _COLLECT:
+        return found, False, more_above
+    if mode == _COUNT:
+        return count, False, more_above
+    return (None if best is None else base.path(best)), False, more_above
+
+
+def pulse_optimal(net: NetLike, trees: ReverseTrees, task: DrcrTask,
+                  initial_bound: float = INF, *, order: SearchOrder | None = None,
+                  counters: SearchCounters | None = None,
+                  control: SearchControl | None = None,
+                  prune: bool = True) -> Path | None:
+    """Minimum-cost elementary path within the delay window, below the bound.
+
+    Returns the cheapest path P with d_low <= d(P) <= d_up and
+    c(P) < initial_bound, or None when no such path exists.  The cost
+    pruning is non-strict (a branch that can at best tie the incumbent is
+    cut), which never loses a strictly better path.  ``prune=False`` runs
+    the same exhaustive walk without either pruning; it must return the
+    same cost and exists for the pruning-neutrality checks.
+    """
+    return _pulse(net, trees, task, order, counters, control, _BEST,
+                  hi=initial_bound, prune=prune)[0]
 
 
 def scan_corridor_paths(net: NetLike, trees: ReverseTrees, task: DrcrTask,
@@ -371,14 +333,13 @@ def scan_corridor_paths(net: NetLike, trees: ReverseTrees, task: DrcrTask,
 
     Same path set as pulse_all_in_corridor; the second value is False only
     when the scan proved no window-feasible path of cost >= c_up exists, so
-    ascending corridor consumers can stop early.
+    ascending corridor consumers can stop early.  The corridor cost pruning
+    is strict (cut only when the optimistic completion exceeds c_up),
+    mirroring the half-open collection test; boundary branches are explored
+    and rejected at the terminal, where they set the proof bit.
     """
-    view = as_view(net)
-    if order is None:
-        order = build_search_order(view.net, trees)
-    paths, _, more_above = _corridor_scan(view, trees, task, corridor.c_low,
-                                          corridor.c_up, order, counters,
-                                          control, collect=True, cap=INF)
+    paths, _, more_above = _pulse(net, trees, task, order, counters, control,
+                                  _COLLECT, corridor.c_low, corridor.c_up)
     return paths, more_above
 
 
@@ -403,77 +364,11 @@ def pulse_first_feasible(net: NetLike, trees: ReverseTrees, task: DrcrTask, *,
                          control: SearchControl | None = None) -> Path | None:
     """Any elementary path satisfying the delay window, at first discovery.
 
-    Cost is not tracked and only the infeasibility pruning runs; the walk
-    stops as soon as a terminal satisfies the window, so the result carries
-    no optimality claim.
+    There is no cost bound, so only the infeasibility pruning fires; the
+    walk stops as soon as a terminal satisfies the window, so the result
+    carries no optimality claim.
     """
-    view = as_view(net)
-    base = view.net
-    excluded = view.excluded
-    if order is None:
-        order = build_search_order(base, trees)
-    s, t = task.source, task.target
-    d_low, d_up = task.d_low, task.d_up
-
-    pulses = 1
-    infeas = 0
-    poll_every = control.poll_every if control is not None else 0
-    poll_left = poll_every
-
-    visited = bytearray(base.node_count)
-    visited[s] = 1
-    path: list[int] = []
-    rows = order.rows
-    frames: list[list] = [[s, order.row(s), 0, 0, 0]]
-    cur_delay = 0
-    try:
-        while frames:
-            frame = frames[-1]
-            row = frame[1]
-            i = frame[2]
-            n_row = len(row)
-            moved = False
-            while i < n_row:
-                _c_lb, d_lb, _ec, ed, to, eid = row[i]
-                i += 1
-                if eid in excluded or visited[to]:
-                    continue
-                if cur_delay + d_lb > d_up:
-                    infeas += 1
-                    continue
-                pulses += 1
-                if poll_every:
-                    poll_left -= 1
-                    if poll_left <= 0:
-                        poll_left = poll_every
-                        _poll(control)
-                new_delay = cur_delay + ed
-                if to == t:
-                    if d_low <= new_delay <= d_up:
-                        return base.path(path + [eid])
-                    continue
-                frame[2] = i
-                visited[to] = 1
-                path.append(eid)
-                cur_delay = new_delay
-                to_row = rows[to]
-                if to_row is None:
-                    to_row = order.row(to)
-                frames.append([to, to_row, 0, 0, ed])
-                moved = True
-                break
-            if moved:
-                continue
-            fr = frames.pop()
-            if frames:
-                path.pop()
-                cur_delay -= fr[4]
-                visited[fr[0]] = 0
-    finally:
-        if counters is not None:
-            counters.pulses += pulses
-            counters.infeasibility_prunes += infeas
-    return None
+    return _pulse(net, trees, task, order, counters, control, _FIRST)[0]
 
 
 def count_paths_capped(net: NetLike, trees: ReverseTrees, task: DrcrTask,
@@ -495,8 +390,7 @@ def count_paths_capped(net: NetLike, trees: ReverseTrees, task: DrcrTask,
         raise ValueError(f"bin width must be >= 1, got {bin_width}")
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    view = as_view(net)
-    base = view.net
+    base = as_view(net).net
     if order is None:
         order = build_search_order(base, trees)
     ceiling = base.max_elementary_path_cost()
@@ -506,10 +400,9 @@ def count_paths_capped(net: NetLike, trees: ReverseTrees, task: DrcrTask,
     total = 0
     b = origin
     while b <= ceiling:
-        got, hit, more_above = _corridor_scan(view, trees, task, b,
-                                              b + bin_width, order, counters,
-                                              control, collect=False,
-                                              cap=cap - total)
+        got, hit, more_above = _pulse(net, trees, task, order, counters,
+                                      control, _COUNT, b, b + bin_width,
+                                      cap - total)
         if got:
             bins[b] = got
             total += got

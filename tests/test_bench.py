@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import io
+import threading
 
 import pytest
 
-from drcr import (BenchRecord, DrcrTask, Edge, Network, SrlgTask, run_suite,
-                  summarize, sweep_alpha)
+from drcr import (BenchRecord, DrcrTask, Edge, Network, SearchControl,
+                  SrlgTask, build_reverse_trees, run_suite, summarize,
+                  sweep_alpha)
 from drcr import bench as bench_mod
 from drcr.bench import (read_records_jsonl, write_records_jsonl,
                         write_summary_csv, write_summary_text)
@@ -38,6 +40,24 @@ def test_solver_task_kind_mismatch_is_error_outcome():
     net = Network(2, [Edge(0, 1, 5, 7)])
     records = run_suite(net, [SrlgTask(DrcrTask(0, 1, 0, 10), 1)], "pulse")
     assert records[0].outcome == "error"
+    assert records[0].error.startswith(
+        "ValueError: solver 'pulse' needs single-path tasks")
+
+
+def test_solve_reports_stop_event_as_timeout_for_every_solver():
+    net = Network(4, [Edge(u, v, 1, 1) for u in range(4) for v in range(4) if u != v])
+    trees = build_reverse_trees(net, 3)
+    stop = threading.Event()
+    stop.set()
+    control = SearchControl(stop=stop, poll_every=1)
+    for solver in ("pulse", "btbu1", "btbu2"):
+        report, path = bench_mod.solve(net, trees, DrcrTask(0, 3, 0, 10), solver,
+                                       control)
+        assert report.outcome == "timeout" and path is None
+        assert report.pulses >= 1
+    report, pair = bench_mod.solve(net, trees, SrlgTask(DrcrTask(0, 3, 0, 10), 5),
+                                   "btcs", control)
+    assert report.outcome == "timeout" and pair is None
 
 
 def test_timeout_enforced():
@@ -104,6 +124,14 @@ def test_records_jsonl_roundtrip():
     buf.seek(0)
     assert buf.getvalue().startswith("# seed=1\n")
     assert read_records_jsonl(buf) == records
+
+
+def test_records_jsonl_without_error_field_still_read():
+    old = ('{"ap_candidates_checked": 0, "ap_cost": 7, "corridors_explored": 0, '
+           '"outcome": "optimal", "pulses": 5, "solver": "pulse", '
+           '"task_id": 0, "wall_time_us": 1234}\n')
+    [record] = read_records_jsonl(io.StringIO(old))
+    assert record.error is None and record.ap_cost == 7
 
 
 def test_summary_writers_include_meta():

@@ -16,7 +16,7 @@ from drcr import (CostCorridor, DrcrTask, Edge, Network, SearchCancelled,
                   build_reverse_trees, build_search_order, check_path,
                   count_paths_capped, enumerate_paths, oracle_drcr,
                   pulse_all_in_corridor, pulse_first_feasible, pulse_optimal)
-from drcr.network import NetworkView
+from drcr.network import NetworkView, as_view
 from drcr.pulse import scan_corridor_paths
 
 from conftest import eager_search_rows, random_network, random_task
@@ -106,7 +106,7 @@ def test_count_paths_disconnected():
 
 def test_matches_oracle_on_random_instances():
     rng = random.Random(101)
-    checked = 0
+    checked = found_on_view = 0
     for seed in range(150):
         rng.seed(seed)
         net = random_network(rng)
@@ -121,7 +121,20 @@ def test_matches_oracle_on_random_instances():
             check_path(net, got, task.source, task.target)
             assert task.d_low <= got.total_delay <= task.d_up
             checked += 1
+        view = NetworkView(net, frozenset(rng.sample(range(len(net.edges)),
+                                                     len(net.edges) // 3)))
+        for space in (net, view):
+            first = pulse_first_feasible(space, trees, task)
+            if oracle_drcr(space, task) is None:
+                assert first is None
+            else:
+                assert first is not None
+                check_path(net, first, task.source, task.target)
+                assert task.d_low <= first.total_delay <= task.d_up
+                assert not set(first.edges) & as_view(space).excluded
+                found_on_view += space is view
     assert checked > 20
+    assert found_on_view > 10
 
 
 def test_corridor_matches_oracle_enumeration():

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import random
 import threading
+from pathlib import Path
 from time import monotonic
 
 import pytest
@@ -257,3 +259,93 @@ def test_stop_event_is_a_timeout_outcome(instance, workers):
     pair, report = solve_btcs(net, trees, task, cfg,
                               control=SearchControl(stop=stop))
     assert pair is None and report.outcome == "timeout"
+
+
+GOLDEN_REPORTS = Path(__file__).with_name("btcs_golden_reports.json")
+
+GOLDEN_CONFIGS = {
+    "alpha=0.5": BtcsConfig(alpha=0.5),
+    "alpha=1": BtcsConfig(alpha=1),
+    "alpha=10": BtcsConfig(alpha=10),
+    "cap=1": BtcsConfig(alpha=1, max_corridors=1),
+    "cap=2": BtcsConfig(alpha=1, max_corridors=2),
+}
+
+
+def _golden_instance(seed: int) -> tuple[Network, SrlgTask]:
+    """Seeds below 44: small random networks (stage-1 pairs, few traps).
+
+    Seeds from 44: complete 8-node digraphs with many SRLGs, mostly traps
+    whose corridors hold enough paths for one search to pass the 512-pulse
+    poll interval, so a preset stop event cuts them short in stage 2.
+    """
+    rng = random.Random(7000 + seed)
+    if seed < 44:
+        net = random_network(rng, max_nodes=11, max_edges=40, min_edges=15,
+                             srlg_count=rng.randint(2, 12))
+        task = random_task(rng, net, srlg=True)
+        if seed % 2:
+            task = SrlgTask(
+                DrcrTask(task.source, task.target, 0, task.d_up + task.d_low),
+                max(task.d_diff, task.d_up // 2 + 1))
+        return net, task
+    n = 8
+    edges = [Edge(u, v, rng.randint(1, 4), rng.randint(1, 4))
+             for u in range(n) for v in range(n) if u != v]
+    groups = [set(rng.sample(range(len(edges)), rng.randint(6, 30)))
+              for _ in range(rng.randint(4, 12))]
+    task = SrlgTask(DrcrTask(0, n - 1, rng.randint(0, 4), rng.randint(14, 40)),
+                    rng.randint(0, 6))
+    return Network(n, edges, groups), task
+
+
+def golden_observations() -> dict[str, list]:
+    """Report of solve_btcs on 50 seeded instances, keyed "seed:config".
+
+    Each entry is [outcome, AP edges, PP edges, corridors_explored,
+    ap_candidates_checked, (pulses, infeasibility_prunes, cost_prunes)]
+    under three corridor widths, two corridor caps and a preset stop event.
+    """
+    seen: dict[str, list] = {}
+    for seed in range(50):
+        net, task = _golden_instance(seed)
+        trees = build_reverse_trees(net, task.target)
+        stop = threading.Event()
+        stop.set()
+        runs = [(name, cfg, None) for name, cfg in GOLDEN_CONFIGS.items()]
+        runs.append(("stop", BtcsConfig(alpha=10), SearchControl(stop=stop)))
+        for name, cfg, control in runs:
+            pair, report = solve_btcs(net, trees, task, cfg, control=control)
+            c = report.counters
+            seen[f"{seed}:{name}"] = [
+                report.outcome,
+                list(pair.ap.edges) if pair else None,
+                list(pair.pp.edges) if pair else None,
+                report.corridors_explored, report.ap_candidates_checked,
+                [c.pulses, c.infeasibility_prunes, c.cost_prunes]]
+    return seen
+
+
+def test_reports_match_golden_table():
+    # regenerate with: PYTHONPATH=src:tests python tests/test_btcs.py
+    expected = json.loads(GOLDEN_REPORTS.read_text())
+    kinds = {(key.split(":")[1], entry[0], entry[3] > 0)
+             for key, entry in expected.items()}
+    assert {("alpha=1", "pair", False),        # stage-1 pair
+            ("alpha=1", "pair", True),         # avoidable trap
+            ("alpha=1", "infeasible", True),   # unavoidable trap
+            ("cap=1", "timeout", True),
+            ("cap=2", "timeout", True),
+            ("stop", "timeout", False),        # cut in stage 2, corridor 0
+            ("stop", "timeout", True)} <= kinds
+    got = json.loads(json.dumps(golden_observations()))
+    assert got.keys() == expected.keys()
+    for key in expected:
+        assert got[key] == expected[key], key
+
+
+if __name__ == "__main__":
+    table = golden_observations()
+    GOLDEN_REPORTS.write_text("{\n" + ",\n".join(
+        f"{json.dumps(key)}: {json.dumps(table[key])}" for key in sorted(table))
+        + "\n}\n")

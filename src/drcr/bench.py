@@ -88,7 +88,7 @@ def solve(net: Network, trees: ReverseTrees, task: Task, solver: str,
 
 def run_suite(net: Network, tasks: Sequence[Task], solver: str, *,
               time_limit_ms: float | None = None, repetitions: int = 1,
-              alpha: float = 10.0, workers: int = 1) -> list[BenchRecord]:
+              alpha: float = 10.0) -> list[BenchRecord]:
     """Time every task under one solver; repetitions keep the fastest run.
 
     A solver crash on a task is recorded with outcome ``error`` and the
@@ -98,7 +98,7 @@ def run_suite(net: Network, tasks: Sequence[Task], solver: str, *,
         raise ValueError(f"unknown solver {solver!r}")
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    btcs_cfg = BtcsConfig(alpha=alpha, workers=workers)
+    btcs_cfg = BtcsConfig(alpha=alpha)
     records = []
     for task_id, task in enumerate(tasks):
         best = None
@@ -245,10 +245,8 @@ def write_summary_text(rows: Sequence[SolverSummary], f: IO[str],
 
 def sweep_alpha(net: Network, tasks: Sequence[Task],
                 alphas: Sequence[float], *, time_limit_ms: float | None = None,
-                workers: int = 1, repetitions: int = 1
-                ) -> dict[float, list[BenchRecord]]:
+                repetitions: int = 1) -> dict[float, list[BenchRecord]]:
     """Corridor-width sweep: one btcs suite per alpha value."""
     return {alpha: run_suite(net, tasks, "btcs", time_limit_ms=time_limit_ms,
-                             repetitions=repetitions, alpha=alpha,
-                             workers=workers)
+                             repetitions=repetitions, alpha=alpha)
             for alpha in alphas}

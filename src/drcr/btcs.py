@@ -10,12 +10,6 @@ edge sequence), and try to protect each in order.  The first protected
 candidate is the exact min-min optimum, because corridors partition the
 cost axis in increasing order.
 
-Corridors are independent, so with ``workers > 1`` they are handed out to
-threads in globally increasing order.  A pair found in corridor k becomes
-the answer only once every corridor below k has completed without one;
-workers above the winner are cancelled cooperatively.  Parallel output is
-therefore identical to sequential output.
-
 No elementary path can cost more than node_count * max_edge_cost; once a
 corridor starts above that, it is widened to infinity, run once, and a
 still-empty result proves infeasibility.
@@ -23,7 +17,6 @@ still-empty result proves infeasibility.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from math import ceil, inf
 from time import perf_counter
@@ -39,17 +32,18 @@ from .trees import ReverseTrees
 
 @dataclass(frozen=True)
 class BtcsConfig:
-    """Corridor width factor, worker count and optional safety cap."""
+    """Corridor width factor and optional safety cap."""
 
     alpha: float = 10.0
-    workers: int = 1
+    workers: int = 1  # fixed: corridors are scanned one after another
     max_corridors: int | None = None
 
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.workers != 1:
+            raise ValueError(f"corridor workers were removed; workers must "
+                             f"be 1, got {self.workers}")
         if self.max_corridors is not None and self.max_corridors < 1:
             raise ValueError("max_corridors must be >= 1")
 
@@ -140,119 +134,22 @@ def _scan_corridor(net, trees, task, first_ap, c_low, c_up, order, counters,
     return None, checked, more_above
 
 
-class _CorridorPool:
-    """Shared state for the corridor workers.
-
-    ``results[k]`` is the pair found in corridor k (or None); the frontier
-    walks the contiguous prefix of finished corridors and the first pair on
-    it wins.  ``stop`` is only set once a winner is final or the run fails,
-    so a corridor at or below the best known pair index is never cancelled.
-    """
-
-    def __init__(self, k_last: int, k_cap: int | None):
-        self.lock = threading.Lock()
-        self.stop = threading.Event()
-        self.k_last = k_last          # index of the final (unbounded) corridor
-        self.k_cap = k_cap            # max_corridors cap, exclusive
-        self.next_k = 0
-        self.frontier = 0
-        self.results: dict[int, DisjointPair | None] = {}
-        self.checked: dict[int, int] = {}
-        self.empty_above: set[int] = set()
-        self.best_pair_k: int | None = None
-        self.ceiling_k: int | None = None   # min corridor proven empty-above
-        self.winner_k: int | None = None
-        self.outcome: str | None = None
-        self.explored = 0                   # corridors behind the verdict
-
-    def take_index(self) -> int | None:
-        with self.lock:
-            if self.outcome is not None:
-                return None
-            k = self.next_k
-            if k > self.k_last or (self.k_cap is not None and k >= self.k_cap):
-                return None
-            if self.best_pair_k is not None and k > self.best_pair_k:
-                return None
-            if self.ceiling_k is not None and k > self.ceiling_k:
-                return None
-            self.next_k = k + 1
-            return k
-
-    def complete(self, k: int, pair: DisjointPair | None, checked: int,
-                 more_above: bool) -> None:
-        with self.lock:
-            self.results[k] = pair
-            self.checked[k] = checked
-            if not more_above:
-                self.empty_above.add(k)
-                if self.ceiling_k is None or k < self.ceiling_k:
-                    self.ceiling_k = k
-            if pair is not None and (self.best_pair_k is None or k < self.best_pair_k):
-                self.best_pair_k = k
-            while self.outcome is None and self.frontier in self.results:
-                if self.results[self.frontier] is not None:
-                    self.winner_k = self.frontier
-                    self.outcome = PAIR
-                    self.stop.set()
-                    break
-                if self.frontier in self.empty_above:
-                    self.outcome = INFEASIBLE
-                    self.explored = self.frontier + 1
-                    self.stop.set()
-                    break
-                self.frontier += 1
-            if self.outcome is None:
-                if self.frontier > self.k_last:
-                    self.outcome = INFEASIBLE
-                    self.explored = self.frontier
-                    self.stop.set()
-                elif self.k_cap is not None and self.frontier >= self.k_cap:
-                    self.outcome = TIMEOUT
-                    self.explored = self.frontier
-                    self.stop.set()
-
-    def fail(self, outcome: str) -> None:
-        with self.lock:
-            if self.outcome is None:
-                self.outcome = outcome
-            self.stop.set()
-
-
-class _EitherStop:
-    """Stop signal for corridor workers: the pool's event or the caller's.
-
-    It stands in for the Event of a SearchControl, which is only ever polled
-    through ``is_set``.
-    """
-
-    __slots__ = ("pool_stop", "caller_stop")
-
-    def __init__(self, pool_stop: threading.Event, caller_stop: threading.Event):
-        self.pool_stop = pool_stop
-        self.caller_stop = caller_stop
-
-    def is_set(self) -> bool:
-        return self.pool_stop.is_set() or self.caller_stop.is_set()
-
-
 def solve_btcs(net: Network, trees: ReverseTrees, task: SrlgTask,
                cfg: BtcsConfig = BtcsConfig(), *,
                control: SearchControl | None = None
                ) -> tuple[DisjointPair | None, SolveReport]:
     """Cheapest protectable AP with a feasible PP, or an exact verdict.
 
-    ``corridors_explored`` in the report counts the stage-2 corridors up to
-    and including the winning one (0 when stage 1 already succeeds), which
-    is independent of the worker count.  A deadline passed or a stop event
-    set in ``control`` ends the run, in either stage and with any worker
-    count, with the inexact TIMEOUT outcome and no pair.
+    Stage-2 corridors are scanned one after another in ascending cost
+    order.  ``corridors_explored`` in the report counts the corridors
+    completed, up to and including the winning one (0 when stage 1 already
+    succeeds).  A deadline passed or a stop event set in ``control`` ends
+    the run, in either stage, with the inexact TIMEOUT outcome and no pair;
+    ``control`` is polled as given, ``poll_every`` included.
     """
     start = perf_counter()
     counters = SearchCounters()
     report = SolveReport(INFEASIBLE, counters=counters)
-    deadline = control.deadline if control is not None else None
-    caller_stop = control.stop if control is not None else None
 
     order = build_search_order(net, trees)
     try:
@@ -279,59 +176,28 @@ def solve_btcs(net: Network, trees: ReverseTrees, task: SrlgTask,
     # first corridor whose lower end passes the guard is widened to infinity
     k_last = max(0, (guard - start_cost) // width + 1)
 
-    pool = _CorridorPool(k_last, cfg.max_corridors)
-    counter_lock = threading.Lock()
-    worker_stop = (pool.stop if caller_stop is None
-                   else _EitherStop(pool.stop, caller_stop))
-
-    def run_worker():
-        local = SearchCounters()
-        worker_control = SearchControl(deadline=deadline, stop=worker_stop)
-        while True:
-            k = pool.take_index()
-            if k is None:
-                break
-            c_low = start_cost + k * width
-            c_up = inf if k == pool.k_last else c_low + width
-            try:
-                pair, checked, more_above = _scan_corridor(
-                    net, trees, task, first_ap, c_low, c_up, order, local,
-                    worker_control)
-            except SearchInterrupted:
-                # the pool sets its stop event only after fixing its outcome,
-                # so this is a no-op when a verdict cancelled the worker; a
-                # passed deadline or the caller's stop ends the run inexactly
-                pool.fail(TIMEOUT)
-                break
-            pool.complete(k, pair, checked, more_above)
-        with counter_lock:
-            counters.merge(local)
-
-    if cfg.workers == 1:
-        run_worker()
-    else:
-        threads = [threading.Thread(target=run_worker, name=f"corridor-{i}")
-                   for i in range(cfg.workers)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-
-    if pool.outcome == PAIR:
-        k = pool.winner_k
-        report.outcome = PAIR
+    # corridors_explored counts completed corridors; the outcome stays
+    # INFEASIBLE unless a pair, the cap or an interruption ends the sweep
+    for k in range(k_last + 1):
+        if cfg.max_corridors is not None and k >= cfg.max_corridors:
+            report.outcome = TIMEOUT
+            break
+        c_low = start_cost + k * width
+        c_up = inf if k == k_last else c_low + width
+        try:
+            pair, checked, more_above = _scan_corridor(
+                net, trees, task, first_ap, c_low, c_up, order, counters,
+                control)
+        except SearchInterrupted:
+            report.outcome = TIMEOUT
+            break
+        report.ap_candidates_checked += checked
         report.corridors_explored = k + 1
-        report.ap_candidates_checked += sum(
-            pool.checked[j] for j in range(k + 1))
-        report.wall_time = perf_counter() - start
-        return pool.results[k], report
-
-    report.ap_candidates_checked += sum(pool.checked.values())
-    if pool.outcome == INFEASIBLE:
-        report.outcome = INFEASIBLE
-        report.corridors_explored = pool.explored
-    else:
-        report.outcome = TIMEOUT
-        report.corridors_explored = pool.explored or len(pool.results)
+        if pair is not None:
+            report.outcome = PAIR
+            report.wall_time = perf_counter() - start
+            return pair, report
+        if not more_above:
+            break
     report.wall_time = perf_counter() - start
     return None, report

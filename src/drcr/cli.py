@@ -91,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tasks", required=True)
     p.add_argument("--kind", choices=("drcr", "srlg"), required=True)
     p.add_argument("--alpha", type=float, default=10.0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--max-corridors", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--labels-out")
@@ -109,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--srlg", required=True)
     p.add_argument("--tasks", required=True)
     p.add_argument("--alpha", type=float, default=10.0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--max-corridors", type=int)
     p.add_argument("--time-limit-ms", type=float)
     p.add_argument("--out")
@@ -137,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-limit-ms", type=float)
     p.add_argument("--repetitions", type=int, default=1)
     p.add_argument("--alpha", type=float, default=10.0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--records", help="write per-task records (JSON lines)")
     p.add_argument("--summary-csv")
     p.add_argument("--out", help="aligned-text summary (default stdout)")
@@ -149,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", type=_alpha_list,
                    default=[1, 2, 5, 10, 20, 50, 100])
     p.add_argument("--time-limit-ms", type=float)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")
 
     return parser
@@ -199,9 +195,8 @@ def _cmd_gen_tasks(args) -> int:
 
 def _cmd_filter_tasks(args) -> int:
     net = load_network(args.graph, args.srlg)
-    tasks = load_tasks(args.tasks)
-    cfg = BtcsConfig(alpha=args.alpha, workers=args.workers,
-                     max_corridors=args.max_corridors)
+    tasks = load_tasks(args.tasks, net.node_count)
+    cfg = BtcsConfig(alpha=args.alpha, max_corridors=args.max_corridors)
     kept, labels = netgen.filter_tasks(net, tasks, args.kind, btcs_cfg=cfg)
     save_tasks(kept, args.out)
     if args.labels_out:
@@ -215,7 +210,7 @@ def _cmd_filter_tasks(args) -> int:
 
 def _cmd_solve_drcr(args) -> int:
     net = load_network(args.graph)
-    tasks = load_tasks(args.tasks)
+    tasks = load_tasks(args.tasks, net.node_count)
     cache = TreeCache(net)
     with _out_stream(args.out) as out:
         for task in tasks:
@@ -235,10 +230,9 @@ def _cmd_solve_drcr(args) -> int:
 
 def _cmd_solve_srlg(args) -> int:
     net = load_network(args.graph, args.srlg)
-    tasks = load_tasks(args.tasks)
+    tasks = load_tasks(args.tasks, net.node_count)
     cache = TreeCache(net)
-    cfg = BtcsConfig(alpha=args.alpha, workers=args.workers,
-                     max_corridors=args.max_corridors)
+    cfg = BtcsConfig(alpha=args.alpha, max_corridors=args.max_corridors)
     with _out_stream(args.out) as out:
         for task in tasks:
             if not isinstance(task, SrlgTask):
@@ -262,7 +256,7 @@ def _cmd_solve_srlg(args) -> int:
 
 def _cmd_histogram(args) -> int:
     net = load_network(args.graph, args.srlg)
-    task = parse_task_line(args.task, "<--task>", 1)
+    task = parse_task_line(args.task, "<--task>", 1, net.node_count)
     hist = build_histogram(net, task, args.bin, args.cap,
                            cost_ceiling=args.ceiling,
                            include_all=not args.no_all)
@@ -273,11 +267,10 @@ def _cmd_histogram(args) -> int:
 
 def _cmd_bench(args) -> int:
     net = load_network(args.graph, args.srlg)
-    tasks = load_tasks(args.tasks)
+    tasks = load_tasks(args.tasks, net.node_count)
     meta = {"graph": args.graph, "tasks": args.tasks,
             "time_limit_ms": args.time_limit_ms,
             "repetitions": args.repetitions, "alpha": args.alpha,
-            "workers": args.workers,
             "threshold_rule": "strict-less-than",
             "repetition_rule": "min-wall-time",
             "timing": "per-task, preprocessing included, file I/O excluded"}
@@ -285,8 +278,7 @@ def _cmd_bench(args) -> int:
     for solver in args.solver:
         all_records.extend(bench_mod.run_suite(
             net, tasks, solver, time_limit_ms=args.time_limit_ms,
-            repetitions=args.repetitions, alpha=args.alpha,
-            workers=args.workers))
+            repetitions=args.repetitions, alpha=args.alpha))
     rows = bench_mod.summarize(all_records)
     if args.records:
         with open(args.records, "w", encoding="utf-8") as f:
@@ -301,10 +293,9 @@ def _cmd_bench(args) -> int:
 
 def _cmd_sweep_alpha(args) -> int:
     net = load_network(args.graph, args.srlg)
-    tasks = load_tasks(args.tasks)
+    tasks = load_tasks(args.tasks, net.node_count)
     sweeps = bench_mod.sweep_alpha(net, tasks, args.alphas,
-                                   time_limit_ms=args.time_limit_ms,
-                                   workers=args.workers)
+                                   time_limit_ms=args.time_limit_ms)
     with _out_stream(args.out) as out:
         out.write("alpha,tasks,feasible_found,feasible_under_20ms,"
                   "feasible_under_50ms,max_ms,mean_ms,median_ms\n")

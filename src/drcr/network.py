@@ -111,7 +111,6 @@ class Network:
         The input of the reverse shortest-path trees, for both metrics.  It
         depends on the edges alone, so it is built at most once per network
         (and shared with ``with_srlgs`` copies) rather than once per target.
-        Two threads racing to build it compute equal values; either may win.
         """
         rev = self._reverse_adjacency
         if rev is None:
@@ -244,6 +243,9 @@ class DrcrTask:
     d_up: int
 
     def __post_init__(self):
+        if self.source < 0 or self.target < 0:
+            raise IntegrityError(f"task node ids must be >= 0, got "
+                                 f"{self.source} -> {self.target}")
         if self.source == self.target:
             raise IntegrityError("task source equals target")
         if self.d_low < 0 or self.d_low > self.d_up:
@@ -405,13 +407,19 @@ def save_network(net: Network, graph_file, srlg_file=None) -> None:
                 f.write(f"{gid}:{','.join(str(e) for e in sorted(group))}\n")
 
 
-def parse_task_line(line: str, path="<string>", line_no: int = 0) -> Task:
+def parse_task_line(line: str, path="<string>", line_no: int = 0,
+                    node_count: int | None = None) -> Task:
+    """One task line; with node_count, its node ids must lie below it."""
     parts = line.strip().split(",")
     if len(parts) not in (4, 5):
         raise ParseError(path, line_no,
                          f"expected 'src,dst,d_low,d_up[,d_diff]', got {line!r}")
     names = ("src", "dst", "d_low", "d_up", "d_diff")
     values = [_parse_int(p, path, line_no, n) for p, n in zip(parts, names)]
+    for name, node in zip(names, values[:2]):
+        if node_count is not None and node >= node_count:
+            raise ParseError(path, line_no, f"{name} {node} is not a node of "
+                             f"the {node_count}-node network")
     try:
         base = DrcrTask(values[0], values[1], values[2], values[3])
         if len(values) == 5:
@@ -421,8 +429,10 @@ def parse_task_line(line: str, path="<string>", line_no: int = 0) -> Task:
         raise ParseError(path, line_no, str(exc)) from None
 
 
-def load_tasks(path) -> list[Task]:
-    return [parse_task_line(line, path, line_no) for line_no, line in _iter_lines(path)]
+def load_tasks(path, node_count: int | None = None) -> list[Task]:
+    """Every task in a task file; see parse_task_line for node_count."""
+    return [parse_task_line(line, path, line_no, node_count)
+            for line_no, line in _iter_lines(path)]
 
 
 def save_tasks(tasks: Iterable[Task], path) -> None:

@@ -26,9 +26,8 @@ order; no s->t path can use them.  A node's sorted row is built the first
 time a search expands it (see SearchOrder), so a task pays for the rows its
 searches walk, not for the whole network.
 
-A search never mutates the network, the trees or the view, so any number of
-engines may run concurrently over shared inputs; the only thing it writes is
-a missing row of the search order, and concurrent writers agree on it.
+A search never mutates the network, the trees or the view; the only thing it
+writes is a missing row of the search order.
 """
 from __future__ import annotations
 
@@ -53,7 +52,7 @@ class SearchTimeout(SearchInterrupted):
 
 
 class SearchCancelled(SearchInterrupted):
-    """The search was told to stop by its coordinator."""
+    """The search was told to stop through its stop event."""
 
 
 @dataclass
@@ -63,11 +62,6 @@ class SearchCounters:
     pulses: int = 0
     infeasibility_prunes: int = 0
     cost_prunes: int = 0
-
-    def merge(self, other: "SearchCounters") -> None:
-        self.pulses += other.pulses
-        self.infeasibility_prunes += other.infeasibility_prunes
-        self.cost_prunes += other.cost_prunes
 
 
 @dataclass
@@ -131,12 +125,7 @@ class SearchOrder:
         self._min_delay = trees.min_delay_to_target
 
     def row(self, u: int) -> list[tuple]:
-        """Node u's row, built and kept on first use.
-
-        Two corridor worker threads may both find the row missing and both
-        build it; they compute equal rows, so whichever store lands last is
-        as good as the other.
-        """
+        """Node u's row, built and kept on first use."""
         row = self.rows[u]
         if row is None:
             edges = self._edges

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import pytest
 
-from drcr import (BTBU1, BTBU2, BtcsConfig, CostCorridor, DrcrTask, GenSpec,
-                  Network, SrlgSpec, SrlgTask, TreeCache, build_histogram,
+from drcr import (BTBU1, BTBU2, CostCorridor, DrcrTask, GenSpec, Network,
+                  SrlgSpec, SrlgTask, TreeCache, build_histogram,
                   build_reverse_trees, check_path, enumerate_paths,
                   filter_tasks, gen_graph, gen_srlg, gen_tasks, oracle_drcr,
                   oracle_minmin, pulse_all_in_corridor, pulse_optimal,
@@ -58,7 +58,7 @@ def test_criterion_1_drcr_oracle_equivalence():
 
 
 def test_criterion_2_minmin_oracle_equivalence():
-    """solve_btcs(workers=1) matches the exhaustive min-min optimum."""
+    """solve_btcs matches the exhaustive min-min optimum."""
     rng = random.Random(20240202)
     instances = 0
     pairs = 0
@@ -75,7 +75,7 @@ def test_criterion_2_minmin_oracle_equivalence():
         instances += 1
         trees = build_reverse_trees(net, task.target)
         expected = oracle_minmin(net, task)
-        pair, report = solve_btcs(net, trees, task, BtcsConfig(workers=1))
+        pair, report = solve_btcs(net, trees, task)
         if expected is None:
             assert pair is None and report.outcome == "infeasible"
         else:
@@ -163,7 +163,7 @@ def trap_suite():
         for task, label in zip(kept, labels):
             trees = cache.get(task.target)
             start = pulse_optimal(net, trees, task.base).total_cost
-            pair, report = solve_btcs(net, trees, task, BtcsConfig(workers=1))
+            pair, report = solve_btcs(net, trees, task)
             instances.append(TrapInstance(
                 net=net, task=task, label=label, start_cost=start,
                 ap_cost=pair.ap.total_cost if pair else None,
@@ -174,24 +174,26 @@ def trap_suite():
     return instances
 
 
-def test_criterion_4_worker_determinism(trap_suite):
-    """Identical ap cost and edge sequence for workers in {1, 2, 4}."""
+def test_criterion_4_repeat_determinism(trap_suite):
+    """A second solve gives the identical pair and identical report counts."""
     avoidable = [t for t in trap_suite if t.label == AVOIDABLE]
     assert len(avoidable) >= 50
     checked = 0
     for inst in avoidable[:60]:
         trees = build_reverse_trees(inst.net, inst.task.target)
         results = []
-        for workers in (1, 2, 4):
-            pair, report = solve_btcs(inst.net, trees, inst.task,
-                                      BtcsConfig(workers=workers))
+        for _ in range(2):
+            pair, report = solve_btcs(inst.net, trees, inst.task)
             assert report.outcome == "pair"
-            results.append((pair.ap.total_cost, pair.ap.edges))
-        assert results[0] == results[1] == results[2]
-        assert results[0] == (inst.ap_cost, inst.ap_edges)
+            results.append((pair, report.corridors_explored,
+                            report.ap_candidates_checked, report.counters))
+        assert results[0] == results[1]
+        pair = results[0][0]
+        assert (pair.ap.total_cost, pair.ap.edges) == (inst.ap_cost,
+                                                       inst.ap_edges)
         checked += 1
     assert checked >= 50
-    _report(4, f"worker determinism on {checked} trap instances")
+    _report(4, f"repeat determinism on {checked} trap instances")
 
 
 def test_criterion_5_btbu_advantage_trend():
@@ -261,8 +263,7 @@ def test_criterion_7_alpha_sweep_stability(trap_suite):
         for group in by_net.values():
             net = group[0].net
             records = run_suite(net, [i.task for i in group], "btcs",
-                                time_limit_ms=10_000.0, alpha=float(alpha),
-                                workers=1)
+                                time_limit_ms=10_000.0, alpha=float(alpha))
             found += sum(r.outcome == "pair" for r in records)
         counts[alpha] = found
     assert counts[5] > 0

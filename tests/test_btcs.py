@@ -12,10 +12,10 @@ import pytest
 
 from drcr import (BtcsConfig, DrcrTask, Edge, Network, SearchCounters,
                   SrlgTask, build_reverse_trees, check_path, oracle_minmin,
-                  pp_delay_window, solve_btcs, try_protect)
+                  pp_delay_window, pulse_optimal, solve_btcs, try_protect)
 from drcr.pulse import SearchControl
 
-from conftest import random_network, random_task, trap_network
+from conftest import random_network, random_task
 
 
 def _verify_pair(net, task, pair):
@@ -159,33 +159,7 @@ def test_matches_minmin_oracle_on_random_instances():
     assert pairs_seen > 15
 
 
-def test_worker_counts_agree(trap_net):
-    rng = random.Random(88)
-    for seed in range(25):
-        rng.seed(seed)
-        net = random_network(rng, max_nodes=10, max_edges=24,
-                             srlg_count=rng.randint(1, 10))
-        task = random_task(rng, net, srlg=True)
-        trees = build_reverse_trees(net, task.target)
-        outcomes = []
-        for workers in (1, 2, 4):
-            pair, report = solve_btcs(net, trees, task,
-                                      BtcsConfig(workers=workers))
-            key = (report.outcome,
-                   pair.ap.edges if pair else None,
-                   pair.ap.total_cost if pair else None,
-                   report.corridors_explored)
-            # checked-candidate counts are schedule-independent only up to
-            # the winning corridor; without a pair they include whatever
-            # higher corridors happened to start before the verdict
-            if pair is not None:
-                key += (report.ap_candidates_checked,)
-            outcomes.append(key)
-        assert outcomes[0] == outcomes[1] == outcomes[2]
-
-
 def test_corridor_progression_invariant():
-    from drcr import pulse_optimal
     from drcr.btcs import corridor_width
     rng = random.Random(99)
     for seed in range(40):
@@ -247,18 +221,46 @@ def _corridor_heavy() -> tuple[Network, SrlgTask]:
 
 
 @pytest.mark.parametrize("instance", [_stage1_heavy, _corridor_heavy])
-@pytest.mark.parametrize("workers", [1, 2])
-def test_stop_event_is_a_timeout_outcome(instance, workers):
+def test_stop_event_is_a_timeout_outcome(instance):
     net, task = instance()
     trees = build_reverse_trees(net, task.target)
-    cfg = BtcsConfig(workers=workers)
     stop = threading.Event()
-    unset = solve_btcs(net, trees, task, cfg, control=SearchControl(stop=stop))
-    assert unset[1].outcome == solve_btcs(net, trees, task, cfg)[1].outcome != "timeout"
+    unset = solve_btcs(net, trees, task, control=SearchControl(stop=stop))
+    assert unset[1].outcome == solve_btcs(net, trees, task)[1].outcome != "timeout"
     stop.set()
-    pair, report = solve_btcs(net, trees, task, cfg,
-                              control=SearchControl(stop=stop))
+    pair, report = solve_btcs(net, trees, task, control=SearchControl(stop=stop))
     assert pair is None and report.outcome == "timeout"
+
+
+class _CountingStop:
+    """A stop event that is never set and counts how often it is polled."""
+
+    def __init__(self):
+        self.polls = 0
+
+    def is_set(self) -> bool:
+        self.polls += 1
+        return False
+
+
+def test_stage_two_polls_at_the_callers_interval():
+    net, task = _corridor_heavy()
+    trees = build_reverse_trees(net, task.target)
+    stop = _CountingStop()
+    pair, report = solve_btcs(net, trees, task,
+                              control=SearchControl(stop=stop, poll_every=1))
+    assert pair is None and report.corridors_explored >= 1
+    stage1 = SearchCounters()
+    first_ap = pulse_optimal(net, trees, task.base, counters=stage1)
+    assert try_protect(net, trees, task, first_ap, counters=stage1) is None
+    # every pulse but a search's root is polled at poll_every=1
+    assert stop.polls >= report.pulses - stage1.pulses > 1000
+
+
+def test_only_one_corridor_worker_is_accepted():
+    assert BtcsConfig(workers=1).workers == 1
+    with pytest.raises(ValueError, match="corridor workers were removed"):
+        BtcsConfig(workers=2)
 
 
 GOLDEN_REPORTS = Path(__file__).with_name("btcs_golden_reports.json")

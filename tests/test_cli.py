@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from drcr.cli import main
 
 
@@ -39,8 +41,7 @@ def test_full_pipeline(tmp_path, capsys):
 
     pairs = tmp_path / "pairs.jsonl"
     assert run("solve-srlg", "--graph", str(graph), "--srlg", str(srlg),
-               "--tasks", str(tasks_srlg), "--alpha", "10", "--workers", "2",
-               "--out", str(pairs)) == 0
+               "--tasks", str(tasks_srlg), "--alpha", "10", "--out", str(pairs)) == 0
     rows = [json.loads(line) for line in pairs.read_text().splitlines()]
     assert len(rows) == 5
     assert all(r["outcome"] in ("pair", "infeasible") for r in rows)
@@ -126,3 +127,30 @@ def test_inline_task_on_stdout(tmp_path, capsys):
                "--bin", "5") == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "bin_low,all,feasible"
+
+
+# "-1,2,0,20" (a source aliasing the target) is covered by the parser test
+# in test_network.py only: an unchecked copy of it makes btbu1 loop forever
+@pytest.mark.parametrize("task", ["-1,1,0,20", "7,2,0,20", "0,7,0,20"])
+def test_task_node_out_of_range_exits_2(tmp_path, capsys, task):
+    graph = tmp_path / "g.csv"
+    graph.write_text("nodes,3\n0,1,1,5\n1,2,1,5\n")
+    tasks = tmp_path / "t.csv"
+    tasks.write_text(task + "\n")
+    srlg_tasks = tmp_path / "t5.csv"
+    srlg_tasks.write_text(task + ",10\n")
+    srlg = tmp_path / "s.csv"
+    srlg.write_text("0:0\n")
+    out = str(tmp_path / "out")
+    assert run("solve-drcr", "--graph", str(graph), "--tasks", str(tasks)) == 2
+    assert run("solve-srlg", "--graph", str(graph), "--srlg", str(srlg),
+               "--tasks", str(srlg_tasks)) == 2
+    assert run("filter-tasks", "--graph", str(graph), "--tasks", str(tasks),
+               "--kind", "drcr", "--out", out) == 2
+    assert run("bench", "--graph", str(graph), "--tasks", str(tasks),
+               "--solver", "btbu1", "--out", out) == 2
+    assert run("sweep-alpha", "--graph", str(graph), "--srlg", str(srlg),
+               "--tasks", str(srlg_tasks), "--out", out) == 2
+    assert run("histogram", "--graph", str(graph), f"--task={task}",
+               "--bin", "5") == 2
+    assert "t.csv:1: " in capsys.readouterr().err

@@ -134,6 +134,30 @@ def test_task_line_validation():
     assert format_task(parse_task_line("0,1,2,3,4")) == "0,1,2,3,4"
 
 
+def test_task_node_ids_checked():
+    with pytest.raises(IntegrityError, match="node ids must be >= 0"):
+        DrcrTask(-1, 1, 0, 20)
+    with pytest.raises(ParseError, match="node ids must be >= 0"):
+        parse_task_line("-1,1,0,20", "t.csv", 3)
+    # a negative source that would alias the target of a 3-node network
+    with pytest.raises(ParseError, match="t.csv:3: "):
+        parse_task_line("-1,2,0,20", "t.csv", 3, node_count=3)
+    with pytest.raises(ParseError, match="t.csv:3: src 7 is not a node"):
+        parse_task_line("7,2,0,20", "t.csv", 3, node_count=3)
+    with pytest.raises(ParseError, match="t.csv:3: dst 3 is not a node"):
+        parse_task_line("0,3,0,20,5", "t.csv", 3, node_count=3)
+    assert parse_task_line("0,2,0,20", node_count=3) == DrcrTask(0, 2, 0, 20)
+
+
+def test_load_tasks_checks_node_ids_against_the_network(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("0,1,0,5\n\n1,4,0,5\n")
+    assert len(load_tasks(path)) == 2
+    with pytest.raises(ParseError, match="t.csv:3: dst 4 is not a node"):
+        load_tasks(path, node_count=4)
+    assert len(load_tasks(path, node_count=5)) == 2
+
+
 def test_remove_conflicting_edges_group_lookup():
     net = Network(4, [Edge(0, 1, 1, 1), Edge(1, 3, 1, 1), Edge(0, 2, 1, 1),
                       Edge(2, 3, 1, 1)], [{0, 3}])

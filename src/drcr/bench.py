@@ -19,7 +19,7 @@ from typing import IO, Iterable, Sequence
 
 from .btbu import BTBU1, BTBU2, solve_btbu
 from .btcs import BtcsConfig, DisjointPair, solve_btcs
-from .network import Network, Path, SrlgTask, Task
+from .network import Network, Path, SrlgTask, Task, check_task_nodes
 from .pulse import SearchControl, SearchInterrupted, pulse_optimal
 from .report import INFEASIBLE, OPTIMAL, PAIR, TIMEOUT, SolveReport
 from .trees import ReverseTrees, build_reverse_trees
@@ -58,7 +58,8 @@ def solve(net: Network, trees: ReverseTrees, task: Task, solver: str,
 
     ``pulse`` is the plain optimal search with an infinite bound; a deadline
     or stop in ``control`` is the TIMEOUT outcome for every solver.  Raises
-    ValueError when the solver does not take this kind of task.
+    ValueError when the solver does not take this kind of task, and
+    IntegrityError (a ValueError) when a task node is not a network node.
     """
     if solver == "btcs":
         if not isinstance(task, SrlgTask):
@@ -69,6 +70,7 @@ def solve(net: Network, trees: ReverseTrees, task: Task, solver: str,
     if isinstance(task, SrlgTask):
         raise ValueError(f"solver {solver!r} needs single-path tasks, got {task!r}")
     if solver == "pulse":
+        check_task_nodes(net, task)
         start = perf_counter()
         report = SolveReport(TIMEOUT)
         try:

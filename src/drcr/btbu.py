@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import ceil
 from time import perf_counter
 
-from .network import Network, Path, DrcrTask
+from .network import Network, Path, DrcrTask, check_task_nodes
 from .pulse import (INF, SearchControl, SearchCounters, SearchInterrupted,
                     SearchOrder, build_search_order, pulse_optimal)
 from .report import INFEASIBLE, OPTIMAL, TIMEOUT, SolveReport
@@ -83,8 +83,10 @@ def solve_btbu(net: Network, trees: ReverseTrees, task: DrcrTask,
     """Exact optimum for the task via the configured bound schedule.
 
     A deadline passed or a stop event set in ``control`` ends the run with
-    the inexact TIMEOUT outcome and no path.
+    the inexact TIMEOUT outcome and no path.  Raises IntegrityError when a
+    task node is not a node of ``net``.
     """
+    check_task_nodes(net, task)
     start = perf_counter()
     counters = SearchCounters()
     report = SolveReport(INFEASIBLE, counters=counters)

@@ -3,12 +3,19 @@
 Stage 1 is plain active-path-first: find the cheapest window-feasible
 active path, strip every edge conflicting with it, and look for any
 feasible protection path in the adjusted delay window.  When that fails
-(a trap instance), stage 2 scans half-open cost corridors of width
-min_edge_cost * alpha upward from the stage-1 cost: enumerate every
-feasible AP candidate in the corridor, sort ascending by cost (ties by
-edge sequence), and try to protect each in order.  The first protected
-candidate is the exact min-min optimum, because corridors partition the
-cost axis in increasing order.
+(a trap instance), stage 2 scans half-open cost corridors upward from the
+stage-1 cost: enumerate every feasible AP candidate in the corridor, sort
+ascending by cost (ties by edge sequence), and try to protect each in
+order.  The first protected candidate is the exact min-min optimum,
+because corridors partition the cost axis in increasing order.
+
+Corridor k has width w * growth**k, where w = min_edge_cost * alpha is the
+first corridor's width, and starts where corridor k-1 ended.  growth=1 is
+the paper's fixed-width sweep.  Every corridor walks again the cheaper
+prefixes below it, so fixed widths cost about quadratically in the number
+of corridors; growing widths (the default doubles them) bound that by a
+constant factor of one scan, as BTBU's doubling bounds do for one path.
+The pulse search's cost pruning keeps a wide corridor cheap.
 
 No elementary path can cost more than node_count * max_edge_cost; once a
 corridor starts above that, it is widened to infinity, run once, and a
@@ -18,11 +25,12 @@ still-empty result proves infeasibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import ceil, inf
 from time import perf_counter
 
-from .network import (DrcrTask, Network, Path, SrlgTask, is_connected,
-                      remove_conflicting_edges)
+from .network import (DrcrTask, Network, Path, SrlgTask, check_task_nodes,
+                      is_connected, remove_conflicting_edges)
 from .pulse import (CostCorridor, SearchControl, SearchCounters,
                     SearchInterrupted, SearchOrder, build_search_order,
                     pulse_first_feasible, pulse_optimal, scan_corridor_paths)
@@ -32,15 +40,25 @@ from .trees import ReverseTrees
 
 @dataclass(frozen=True)
 class BtcsConfig:
-    """Corridor width factor and optional safety cap."""
+    """Corridor schedule and optional safety cap.
+
+    ``alpha`` sets the first corridor's width in units of the cheapest edge
+    cost; each later corridor is ``growth`` times wider than the one before
+    (``growth=1`` is the paper's fixed-width schedule).  ``max_corridors``
+    caps the number of corridors, of growing width, that a sweep may scan;
+    reaching it is the TIMEOUT outcome.
+    """
 
     alpha: float = 10.0
     workers: int = 1  # fixed: corridors are scanned one after another
     max_corridors: int | None = None
+    growth: int = 2
 
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if self.growth < 1:
+            raise ValueError(f"growth must be >= 1, got {self.growth}")
         if self.workers != 1:
             raise ValueError(f"corridor workers were removed; workers must "
                              f"be 1, got {self.workers}")
@@ -141,12 +159,15 @@ def solve_btcs(net: Network, trees: ReverseTrees, task: SrlgTask,
     """Cheapest protectable AP with a feasible PP, or an exact verdict.
 
     Stage-2 corridors are scanned one after another in ascending cost
-    order.  ``corridors_explored`` in the report counts the corridors
-    completed, up to and including the winning one (0 when stage 1 already
-    succeeds).  A deadline passed or a stop event set in ``control`` ends
-    the run, in either stage, with the inexact TIMEOUT outcome and no pair;
-    ``control`` is polled as given, ``poll_every`` included.
+    order, each ``cfg.growth`` times wider than the one before.
+    ``corridors_explored`` in the report counts the corridors completed, up
+    to and including the winning one (0 when stage 1 already succeeds).  A
+    deadline passed or a stop event set in ``control`` ends the run, in
+    either stage, with the inexact TIMEOUT outcome and no pair; ``control``
+    is polled as given, ``poll_every`` included.  Raises IntegrityError
+    when a task node is not a node of ``net``.
     """
+    check_task_nodes(net, task)
     start = perf_counter()
     counters = SearchCounters()
     report = SolveReport(INFEASIBLE, counters=counters)
@@ -171,19 +192,18 @@ def solve_btcs(net: Network, trees: ReverseTrees, task: SrlgTask,
         return None, report
 
     width = corridor_width(net, cfg.alpha)
-    start_cost = first_ap.total_cost
     guard = net.max_elementary_path_cost()
-    # first corridor whose lower end passes the guard is widened to infinity
-    k_last = max(0, (guard - start_cost) // width + 1)
+    c_low = first_ap.total_cost
 
     # corridors_explored counts completed corridors; the outcome stays
-    # INFEASIBLE unless a pair, the cap or an interruption ends the sweep
-    for k in range(k_last + 1):
+    # INFEASIBLE unless a pair, the cap or an interruption ends the sweep.
+    # The first corridor whose lower end passes the guard is widened to
+    # infinity; its scan never reports more_above, so it ends the sweep.
+    for k in count():
         if cfg.max_corridors is not None and k >= cfg.max_corridors:
             report.outcome = TIMEOUT
             break
-        c_low = start_cost + k * width
-        c_up = inf if k == k_last else c_low + width
+        c_up = inf if c_low > guard else c_low + width * cfg.growth ** k
         try:
             pair, checked, more_above = _scan_corridor(
                 net, trees, task, first_ap, c_low, c_up, order, counters,
@@ -199,5 +219,6 @@ def solve_btcs(net: Network, trees: ReverseTrees, task: SrlgTask,
             return pair, report
         if not more_above:
             break
+        c_low = c_up
     report.wall_time = perf_counter() - start
     return None, report

@@ -283,6 +283,14 @@ class SrlgTask:
 Task = Union[DrcrTask, SrlgTask]
 
 
+def check_task_nodes(net: Network, task: Task) -> None:
+    """Raise IntegrityError unless the task's source and target are nodes of net."""
+    for name, node in (("source", task.source), ("target", task.target)):
+        if node >= net.node_count:
+            raise IntegrityError(f"task {name} {node} is not a node of the "
+                                 f"{net.node_count}-node network")
+
+
 def remove_conflicting_edges(net: Network, ap: Path) -> NetworkView:
     """View of ``net`` without any edge that conflicts with the given path.
 

@@ -7,9 +7,9 @@ import threading
 
 import pytest
 
-from drcr import (BenchRecord, DrcrTask, Edge, Network, SearchControl,
-                  SrlgTask, build_reverse_trees, run_suite, summarize,
-                  sweep_alpha)
+from drcr import (BenchRecord, DrcrTask, Edge, IntegrityError, Network,
+                  SearchControl, SrlgTask, build_reverse_trees, run_suite,
+                  summarize, sweep_alpha)
 from drcr import bench as bench_mod
 from drcr.bench import (read_records_jsonl, write_records_jsonl,
                         write_summary_csv, write_summary_text)
@@ -152,6 +152,16 @@ def test_sweep_alpha_runs_all_values():
     assert set(sweeps) == {1.0, 10.0}
     for records in sweeps.values():
         assert records[0].outcome == "pair" and records[0].ap_cost == 4
+
+
+def test_task_node_outside_network_is_rejected_by_every_solver():
+    net = Network(3, [Edge(0, 1, 1, 1), Edge(1, 2, 1, 1)])
+    trees = build_reverse_trees(net, 2)
+    for solver in ("pulse", "btbu1", "btbu2"):
+        with pytest.raises(IntegrityError, match="source 7 is not a node"):
+            bench_mod.solve(net, trees, DrcrTask(7, 2, 0, 20), solver)
+    with pytest.raises(IntegrityError, match="target 5 is not a node"):
+        bench_mod.solve(net, trees, SrlgTask(DrcrTask(0, 5, 0, 20), 5), "btcs")
 
 
 def test_unknown_solver_rejected():

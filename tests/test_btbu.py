@@ -9,9 +9,9 @@ from time import monotonic
 
 import pytest
 
-from drcr import (BTBU1, BTBU2, BtbuConfig, DrcrTask, Edge, GenSpec, Network,
-                  build_reverse_trees, gen_graph, gen_tasks, oracle_drcr,
-                  pulse_optimal, solve_btbu)
+from drcr import (BTBU1, BTBU2, BtbuConfig, DrcrTask, Edge, GenSpec,
+                  IntegrityError, Network, build_reverse_trees, gen_graph,
+                  gen_tasks, oracle_drcr, pulse_optimal, solve_btbu)
 from drcr.btbu import cost_step
 from drcr.pulse import SearchControl
 
@@ -132,3 +132,13 @@ def test_stop_event_is_a_timeout_outcome():
     path, report = solve_btbu(net, trees, task, BTBU1,
                               control=SearchControl(stop=stop))
     assert path is None and report.outcome == "timeout"
+
+
+def test_task_node_outside_network_is_rejected():
+    net = Network(3, [Edge(0, 1, 1, 1), Edge(1, 2, 1, 1)])
+    trees = build_reverse_trees(net, 2)
+    with pytest.raises(IntegrityError, match="source 7 is not a node of the "
+                                             "3-node network"):
+        solve_btbu(net, trees, DrcrTask(7, 2, 0, 20), BTBU1)
+    with pytest.raises(IntegrityError, match="target 3 is not a node"):
+        solve_btbu(net, trees, DrcrTask(0, 3, 0, 20), BTBU2)

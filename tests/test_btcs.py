@@ -5,14 +5,19 @@ from __future__ import annotations
 import json
 import random
 import threading
+from itertools import product
 from pathlib import Path
 from time import monotonic
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from drcr import (BtcsConfig, DrcrTask, Edge, Network, SearchCounters,
-                  SrlgTask, build_reverse_trees, check_path, oracle_minmin,
-                  pp_delay_window, pulse_optimal, solve_btcs, try_protect)
+from drcr import (BtcsConfig, DrcrTask, Edge, IntegrityError, Network,
+                  SearchCounters, SrlgTask, build_reverse_trees, check_path,
+                  oracle_minmin, pp_delay_window, pulse_optimal, solve_btcs,
+                  try_protect)
+from drcr.btcs import corridor_width
 from drcr.pulse import SearchControl
 
 from conftest import random_network, random_task
@@ -159,27 +164,76 @@ def test_matches_minmin_oracle_on_random_instances():
     assert pairs_seen > 15
 
 
+def _corridor_bounds(net, cfg, start, k):
+    """[c_low, c_up) of corridor k (0-based) under cfg's schedule."""
+    width = corridor_width(net, cfg.alpha)
+    guard = net.max_elementary_path_cost()
+    low = start
+    for j in range(k):
+        low += width * cfg.growth ** j
+    return low, (float("inf") if low > guard else low + width * cfg.growth ** k)
+
+
 def test_corridor_progression_invariant():
-    from drcr.btcs import corridor_width
-    rng = random.Random(99)
-    for seed in range(40):
-        rng.seed(seed)
-        net = random_network(rng, max_nodes=10, max_edges=24,
-                             srlg_count=rng.randint(1, 8))
-        task = random_task(rng, net, srlg=True)
+    beyond_first = 0
+    for seed, growth in product(range(50), (1, 2)):
+        net, task = _golden_instance(seed)
         trees = build_reverse_trees(net, task.target)
-        cfg = BtcsConfig(alpha=rng.choice((0.5, 1, 2, 10)))
-        pair, report = solve_btcs(net, trees, task, cfg)
-        if pair is None:
+        first_ap = pulse_optimal(net, trees, task.base)
+        if first_ap is None:
             continue
-        width = corridor_width(net, cfg.alpha)
-        start = pulse_optimal(net, trees, task.base).total_cost
-        # the accepted candidate lies inside the last explored corridor
-        assert report.corridors_explored * width >= \
-            pair.ap.total_cost - start - width
-        if report.corridors_explored:
-            low = start + (report.corridors_explored - 1) * width
-            assert low <= pair.ap.total_cost < low + width
+        for alpha in (0.5, 1, 2, 10):
+            cfg = BtcsConfig(alpha=alpha, growth=growth)
+            pair, report = solve_btcs(net, trees, task, cfg)
+            if pair is None or not report.corridors_explored:
+                continue
+            # the accepted candidate lies inside the last explored corridor
+            low, up = _corridor_bounds(net, cfg, first_ap.total_cost,
+                                       report.corridors_explored - 1)
+            assert low <= pair.ap.total_cost < up
+            beyond_first += report.corridors_explored > 1
+    assert beyond_first >= 10
+
+
+@st.composite
+def _srlg_instance(draw):
+    """A small dense network with SRLGs and a disjoint-pair task on it.
+
+    About half are stage-1 pairs and a quarter are traps swept to a
+    verdict; a few percent are avoidable traps.
+    """
+    n = draw(st.integers(3, 6))
+    node = st.integers(0, n - 1)
+    raw = draw(st.lists(st.tuples(node, node, st.integers(1, 9),
+                                  st.integers(1, 9)), min_size=12, max_size=30))
+    edges = [Edge(u, v, c, d) for u, v, c, d in raw if u != v]
+    if not edges:
+        edges = [Edge(0, 1, 1, 1)]
+    eid = st.integers(0, len(edges) - 1)
+    groups = draw(st.lists(st.sets(eid, min_size=1, max_size=3), max_size=6))
+    s = draw(node)
+    t = draw(node.filter(lambda v: v != s))
+    d_low = draw(st.integers(0, 10))
+    task = SrlgTask(DrcrTask(s, t, d_low, d_low + draw(st.integers(5, 60))),
+                    draw(st.integers(0, 30)))
+    return Network(n, edges, groups), task
+
+
+@settings(max_examples=300, deadline=None)
+@given(_srlg_instance(), st.sampled_from([0.5, 1.0, 3.0]))
+def test_property_every_schedule_matches_minmin_oracle(case, alpha):
+    net, task = case
+    trees = build_reverse_trees(net, task.target)
+    expected = oracle_minmin(net, task)
+    for growth in (1, 2, 3):
+        pair, report = solve_btcs(net, trees, task,
+                                  BtcsConfig(alpha=alpha, growth=growth))
+        if expected is None:
+            assert pair is None and report.outcome == "infeasible"
+        else:
+            assert report.outcome == "pair"
+            assert pair.ap.total_cost == expected[0]
+            _verify_pair(net, task, pair)
 
 
 def test_max_corridors_cap_times_out(trap_net):
@@ -263,14 +317,35 @@ def test_only_one_corridor_worker_is_accepted():
         BtcsConfig(workers=2)
 
 
+def test_growth_below_one_is_rejected():
+    assert BtcsConfig(growth=1).growth == 1
+    with pytest.raises(ValueError, match="growth must be >= 1"):
+        BtcsConfig(growth=0)
+
+
+def test_task_node_outside_network_is_rejected():
+    net = _two_route_net(shared_srlg=False)
+    trees = build_reverse_trees(net, 3)
+    with pytest.raises(IntegrityError, match="source 7 is not a node of the "
+                                             "4-node network"):
+        solve_btcs(net, trees, SrlgTask(DrcrTask(7, 3, 0, 100), 100))
+    with pytest.raises(IntegrityError, match="target 4 is not a node"):
+        solve_btcs(net, trees, SrlgTask(DrcrTask(0, 4, 0, 100), 100))
+
+
 GOLDEN_REPORTS = Path(__file__).with_name("btcs_golden_reports.json")
 
+# entries without a growth suffix pin the paper's fixed-width schedule
 GOLDEN_CONFIGS = {
-    "alpha=0.5": BtcsConfig(alpha=0.5),
-    "alpha=1": BtcsConfig(alpha=1),
-    "alpha=10": BtcsConfig(alpha=10),
-    "cap=1": BtcsConfig(alpha=1, max_corridors=1),
-    "cap=2": BtcsConfig(alpha=1, max_corridors=2),
+    "alpha=0.5": BtcsConfig(alpha=0.5, growth=1),
+    "alpha=1": BtcsConfig(alpha=1, growth=1),
+    "alpha=10": BtcsConfig(alpha=10, growth=1),
+    "cap=1": BtcsConfig(alpha=1, max_corridors=1, growth=1),
+    "cap=2": BtcsConfig(alpha=1, max_corridors=2, growth=1),
+    "alpha=0.5,growth=2": BtcsConfig(alpha=0.5, growth=2),
+    "alpha=1,growth=2": BtcsConfig(alpha=1, growth=2),
+    "alpha=10,growth=2": BtcsConfig(alpha=10, growth=2),
+    "cap=2,growth=2": BtcsConfig(alpha=1, max_corridors=2, growth=2),
 }
 
 
@@ -306,7 +381,9 @@ def golden_observations() -> dict[str, list]:
 
     Each entry is [outcome, AP edges, PP edges, corridors_explored,
     ap_candidates_checked, (pulses, infeasibility_prunes, cost_prunes)]
-    under three corridor widths, two corridor caps and a preset stop event.
+    under three first-corridor widths and two corridor caps, each with
+    fixed and doubling widths (no cap=1 for doubling: corridor 0 is the
+    same), and a preset stop event.
     """
     seen: dict[str, list] = {}
     for seed in range(50):
@@ -315,7 +392,8 @@ def golden_observations() -> dict[str, list]:
         stop = threading.Event()
         stop.set()
         runs = [(name, cfg, None) for name, cfg in GOLDEN_CONFIGS.items()]
-        runs.append(("stop", BtcsConfig(alpha=10), SearchControl(stop=stop)))
+        runs.append(("stop", BtcsConfig(alpha=10, growth=1),
+                     SearchControl(stop=stop)))
         for name, cfg, control in runs:
             pair, report = solve_btcs(net, trees, task, cfg, control=control)
             c = report.counters
@@ -338,8 +416,20 @@ def test_reports_match_golden_table():
             ("alpha=1", "infeasible", True),   # unavoidable trap
             ("cap=1", "timeout", True),
             ("cap=2", "timeout", True),
+            ("alpha=1,growth=2", "pair", True),
+            ("alpha=1,growth=2", "infeasible", True),
+            ("cap=2,growth=2", "pair", True),   # finished within the cap
+            ("cap=2,growth=2", "timeout", True),
             ("stop", "timeout", False),        # cut in stage 2, corridor 0
             ("stop", "timeout", True)} <= kinds
+    # a finished solve gives the same outcome, pair and checked count under
+    # either schedule; only corridors and pulse counters may differ
+    for key, entry in expected.items():
+        seed, name = key.split(":")
+        if name.endswith(",growth=2") and entry[0] != "timeout":
+            alpha = GOLDEN_CONFIGS[name].alpha
+            fixed = expected[f"{seed}:alpha={alpha:g}"]
+            assert entry[:3] + entry[4:5] == fixed[:3] + fixed[4:5], key
     got = json.loads(json.dumps(golden_observations()))
     assert got.keys() == expected.keys()
     for key in expected:

@@ -20,6 +20,14 @@ The pulse search's cost pruning keeps a wide corridor cheap.
 No elementary path can cost more than node_count * max_edge_cost; once a
 corridor starts above that, it is widened to infinity, run once, and a
 still-empty result proves infeasibility.
+
+Before the first corridor, an exact SRLG-cut test settles the traps that
+no sweep could avoid (trap avoidance, Xu et al., JLT 2003): if removing
+the edges of one SRLG leaves no source-target path, every AP uses that
+SRLG, stripping the AP removes it, and no PP can exist.  Such a trap is
+INFEASIBLE with no corridor scanned and the proving group in the report's
+``srlg_cut``.  The test costs a few plain DFS and no pulses; a trap without
+a single-SRLG cut goes on to the sweep unchanged.
 """
 
 from __future__ import annotations
@@ -29,8 +37,9 @@ from itertools import count
 from math import ceil, inf
 from time import perf_counter
 
-from .network import (DrcrTask, Network, Path, SrlgTask, check_task_nodes,
-                      is_connected, remove_conflicting_edges)
+from .network import (DrcrTask, Network, NetworkView, Path, SrlgTask,
+                      check_task_nodes, find_path, is_connected,
+                      remove_conflicting_edges)
 from .pulse import (CostCorridor, SearchControl, SearchCounters,
                     SearchInterrupted, SearchOrder, build_search_order,
                     pulse_first_feasible, pulse_optimal, scan_corridor_paths)
@@ -124,6 +133,40 @@ def try_protect(net: Network, trees: ReverseTrees, task: SrlgTask, ap: Path, *,
                                 counters=counters, control=control)
 
 
+def _srlgs_on(net: Network, edge_ids) -> set[int]:
+    edge_srlgs = net.edge_srlgs
+    return set().union(*(edge_srlgs[eid] for eid in edge_ids))
+
+
+def find_srlg_cut(net: Network, task: SrlgTask, ap: Path,
+                  control: SearchControl | None = None) -> int | None:
+    """An SRLG whose removal alone leaves no path from source to target.
+
+    Every s-t path, ``ap`` included, crosses such a cut, so the candidates
+    start as the SRLGs of ``ap``.  A path found while avoiding some of them
+    crosses every cut too, so the candidates shrink to its SRLGs, which
+    drops the avoided ones.  The first search avoids all candidates at once,
+    and a path found then rules out every single group; after that the
+    smallest candidate is tried alone.  Returns the smallest cut, or None
+    when no single SRLG is one.  ``control`` is polled before each search.
+    """
+    groups = net.srlg_groups
+    candidates = _srlgs_on(net, ap.edges)
+    avoid = sorted(candidates)
+    while avoid:
+        if control is not None:
+            control.poll()
+        excluded = frozenset().union(*(groups[g] for g in avoid))
+        path = find_path(NetworkView(net, excluded), task.source, task.target)
+        if path is None:
+            if len(avoid) == 1:
+                return avoid[0]
+        else:
+            candidates &= _srlgs_on(net, path)
+        avoid = sorted(candidates)[:1]
+    return None
+
+
 def _scan_corridor(net, trees, task, first_ap, c_low, c_up, order, counters,
                    control):
     """One corridor: enumerate candidates, protect in order.
@@ -140,11 +183,16 @@ def _scan_corridor(net, trees, task, first_ap, c_low, c_up, order, counters,
                                                  counters=counters,
                                                  control=control)
     candidates.sort(key=lambda p: (p.total_cost, p.edges))
+    # a candidate that fails on connectivity spends no pulse, so the engine
+    # would never poll through a long run of them
+    poll_every = control.poll_every if control is not None else 0
     checked = 0
     for ap in candidates:
         if ap.edges == first_ap.edges:
             continue
         checked += 1
+        if poll_every and checked % poll_every == 0:
+            control.poll()
         pp = try_protect(net, trees, task, ap, order=order, counters=counters,
                          control=control)
         if pp is not None:
@@ -158,14 +206,17 @@ def solve_btcs(net: Network, trees: ReverseTrees, task: SrlgTask,
                ) -> tuple[DisjointPair | None, SolveReport]:
     """Cheapest protectable AP with a feasible PP, or an exact verdict.
 
-    Stage-2 corridors are scanned one after another in ascending cost
-    order, each ``cfg.growth`` times wider than the one before.
-    ``corridors_explored`` in the report counts the corridors completed, up
-    to and including the winning one (0 when stage 1 already succeeds).  A
-    deadline passed or a stop event set in ``control`` ends the run, in
-    either stage, with the inexact TIMEOUT outcome and no pair; ``control``
-    is polled as given, ``poll_every`` included.  Raises IntegrityError
-    when a task node is not a node of ``net``.
+    When stage 1 finds no PP, ``find_srlg_cut`` runs first: a single-SRLG
+    cut is the INFEASIBLE verdict with ``corridors_explored`` 0 and the cut
+    in ``srlg_cut``.  Otherwise stage-2 corridors are scanned one after
+    another in ascending cost order, each ``cfg.growth`` times wider than
+    the one before.  ``corridors_explored`` in the report counts the
+    corridors completed, up to and including the winning one (0 when stage
+    1 or the cut test already decides).  A deadline passed or a stop event
+    set in ``control`` ends the run, in either stage or the cut test, with
+    the inexact TIMEOUT outcome and no pair; ``control`` is polled as given,
+    ``poll_every`` included.  Raises IntegrityError when a task node is not
+    a node of ``net``.
     """
     check_task_nodes(net, task)
     start = perf_counter()
@@ -186,6 +237,10 @@ def solve_btcs(net: Network, trees: ReverseTrees, task: SrlgTask,
             report.outcome = PAIR
             report.wall_time = perf_counter() - start
             return DisjointPair(first_ap, pp), report
+        report.srlg_cut = find_srlg_cut(net, task, first_ap, control)
+        if report.srlg_cut is not None:
+            report.wall_time = perf_counter() - start
+            return None, report
     except SearchInterrupted:
         report.outcome = TIMEOUT
         report.wall_time = perf_counter() - start

@@ -244,6 +244,8 @@ def _cmd_solve_srlg(args) -> int:
             row = {"task": format_task(task), "outcome": report.outcome,
                    "corridors_explored": report.corridors_explored,
                    "ap_candidates_checked": report.ap_candidates_checked}
+            if report.srlg_cut is not None:
+                row["srlg_cut"] = report.srlg_cut
             if pair is not None:
                 row.update(ap_cost=pair.ap.total_cost,
                            ap_delay=pair.ap.total_delay,

@@ -310,19 +310,23 @@ def remove_conflicting_edges(net: Network, ap: Path) -> NetworkView:
     return NetworkView(net, frozenset(excluded))
 
 
-def is_connected(net: NetLike, s: int, t: int) -> bool:
-    """True iff a directed path s -> t exists, ignoring all constraints."""
+def find_path(net: NetLike, s: int, t: int) -> list[int] | None:
+    """EdgeIds of some directed path s -> t, ignoring all constraints, or None.
+
+    One depth-first search; the path it returns is elementary (a search tree
+    branch) and empty when s == t.
+    """
     view = as_view(net)
     base = view.net
     if not (0 <= s < base.node_count and 0 <= t < base.node_count):
         raise IntegrityError(f"node out of range: s={s}, t={t}")
     if s == t:
-        return True
+        return []
     excluded = view.excluded
     edges = base.edges
     adjacency = base.adjacency
-    seen = bytearray(base.node_count)
-    seen[s] = 1
+    via = [-1] * base.node_count  # EdgeId that first reached each node
+    via[s] = -2
     stack = [s]
     while stack:
         u = stack.pop()
@@ -330,12 +334,24 @@ def is_connected(net: NetLike, s: int, t: int) -> bool:
             if eid in excluded:
                 continue
             v = edges[eid].dst
+            if via[v] != -1:
+                continue
+            via[v] = eid
             if v == t:
-                return True
-            if not seen[v]:
-                seen[v] = 1
-                stack.append(v)
-    return False
+                path = []
+                while v != s:
+                    eid = via[v]
+                    path.append(eid)
+                    v = edges[eid].src
+                path.reverse()
+                return path
+            stack.append(v)
+    return None
+
+
+def is_connected(net: NetLike, s: int, t: int) -> bool:
+    """True iff a directed path s -> t exists, ignoring all constraints."""
+    return find_path(net, s, t) is not None
 
 
 # ---- file formats ----------------------------------------------------------

@@ -66,7 +66,11 @@ class SearchCounters:
 
 @dataclass
 class SearchControl:
-    """Cooperative deadline/cancellation, polled between pulses."""
+    """Cooperative deadline/cancellation, polled between pulses.
+
+    ``drcr.btcs`` also polls it between protection attempts and before each
+    search of its SRLG-cut test, neither of which spends pulses.
+    """
 
     deadline: float | None = None
     stop: Event | None = None
@@ -80,14 +84,12 @@ class SearchControl:
         deadline = None if time_limit_ms is None else monotonic() + time_limit_ms / 1000.0
         return cls(deadline=deadline, stop=stop)
 
-
-def _poll(control: SearchControl) -> None:
-    stop = control.stop
-    if stop is not None and stop.is_set():
-        raise SearchCancelled()
-    deadline = control.deadline
-    if deadline is not None and monotonic() > deadline:
-        raise SearchTimeout()
+    def poll(self) -> None:
+        """Raise SearchCancelled or SearchTimeout if the search must end."""
+        if self.stop is not None and self.stop.is_set():
+            raise SearchCancelled()
+        if self.deadline is not None and monotonic() > self.deadline:
+            raise SearchTimeout()
 
 
 @dataclass(frozen=True, slots=True)
@@ -239,7 +241,7 @@ def _pulse(net: NetLike, trees: ReverseTrees, task: DrcrTask,
                     poll_left -= 1
                     if poll_left <= 0:
                         poll_left = poll_every
-                        _poll(control)
+                        control.poll()
                 new_delay = cur_delay + ed
                 if to == t:
                     # t is now on the path; no deeper pulse can end there again

@@ -22,7 +22,9 @@ class SolveReport:
     single-path solvers; ``iterations`` counts bound-schedule probes and
     stays zero for the corridor solver.  ``wall_time`` is seconds inside the
     solver (preprocessing excluded; the benchmark harness times that
-    separately).
+    separately).  ``srlg_cut`` is the SRLG whose removal alone disconnects
+    the task's source from its target when the corridor solver proved the
+    task infeasible by that cut, and None otherwise.
     """
 
     outcome: str
@@ -30,6 +32,7 @@ class SolveReport:
     corridors_explored: int = 0
     ap_candidates_checked: int = 0
     iterations: int = 0
+    srlg_cut: int | None = None
     counters: SearchCounters = field(default_factory=SearchCounters)
 
     @property

@@ -8,6 +8,7 @@ import threading
 from itertools import product
 from pathlib import Path
 from time import monotonic
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +18,10 @@ from drcr import (BtcsConfig, DrcrTask, Edge, IntegrityError, Network,
                   SearchCounters, SrlgTask, build_reverse_trees, check_path,
                   oracle_minmin, pp_delay_window, pulse_optimal, solve_btcs,
                   try_protect)
-from drcr.btcs import corridor_width
-from drcr.pulse import SearchControl
+from drcr import btcs
+from drcr.btcs import corridor_width, find_srlg_cut
+from drcr.network import NetworkView, is_connected
+from drcr.pulse import SearchControl, SearchTimeout
 
 from conftest import random_network, random_task
 
@@ -228,6 +231,11 @@ def test_property_every_schedule_matches_minmin_oracle(case, alpha):
     for growth in (1, 2, 3):
         pair, report = solve_btcs(net, trees, task,
                                   BtcsConfig(alpha=alpha, growth=growth))
+        if report.srlg_cut is not None:
+            assert expected is None and report.corridors_explored == 0
+            cut = net.srlg_groups[report.srlg_cut]
+            assert not is_connected(NetworkView(net, cut), task.source,
+                                    task.target)
         if expected is None:
             assert pair is None and report.outcome == "infeasible"
         else:
@@ -266,7 +274,8 @@ def _corridor_heavy() -> tuple[Network, SrlgTask]:
     """Stage 1 is a few pulses, the first corridor holds ~2000 paths.
 
     One SRLG holds every egress edge of the source, so no active path can
-    be protected: an unavoidable trap, settled only by a full sweep.
+    be protected: an unavoidable trap, which that single-SRLG cut settles
+    before any corridor.
     """
     n = 8
     edges = [Edge(u, v, 1, 1) for u in range(n) for v in range(n) if u != v]
@@ -274,7 +283,24 @@ def _corridor_heavy() -> tuple[Network, SrlgTask]:
     return net, SrlgTask(DrcrTask(0, n - 1, 0, 10 ** 9), 10 ** 9)
 
 
-@pytest.mark.parametrize("instance", [_stage1_heavy, _corridor_heavy])
+def _cross() -> tuple[Network, SrlgTask]:
+    """A trap without a single-SRLG cut, settled in corridor 0 after ~3900 pulses.
+
+    Complete 8-node digraph, unit weights.  SRLG A holds 0->1, 0->2, 0->3,
+    4->7, 5->7, 6->7 and 0->7; SRLG B is its mirror 0->4, 0->5, 0->6, 1->7,
+    2->7, 3->7 and 0->7.  Every two-hop path uses both groups; a three-hop
+    path such as 0->1->4->7 uses A alone and is protected through B.
+    """
+    n = 8
+    edges = [Edge(u, v, 1, 1) for u in range(n) for v in range(n) if u != v]
+    eid = {(e.src, e.dst): i for i, e in enumerate(edges)}
+    a = [(0, 1), (0, 2), (0, 3), (4, 7), (5, 7), (6, 7), (0, 7)]
+    b = [(0, 4), (0, 5), (0, 6), (1, 7), (2, 7), (3, 7), (0, 7)]
+    net = Network(n, edges, [{eid[p] for p in a}, {eid[p] for p in b}])
+    return net, SrlgTask(DrcrTask(0, n - 1, 0, 10 ** 9), 10 ** 9)
+
+
+@pytest.mark.parametrize("instance", [_stage1_heavy, _corridor_heavy, _cross])
 def test_stop_event_is_a_timeout_outcome(instance):
     net, task = instance()
     trees = build_reverse_trees(net, task.target)
@@ -298,17 +324,71 @@ class _CountingStop:
 
 
 def test_stage_two_polls_at_the_callers_interval():
-    net, task = _corridor_heavy()
+    net, task = _cross()
     trees = build_reverse_trees(net, task.target)
     stop = _CountingStop()
     pair, report = solve_btcs(net, trees, task,
                               control=SearchControl(stop=stop, poll_every=1))
-    assert pair is None and report.corridors_explored >= 1
+    assert pair is not None and report.corridors_explored >= 1
     stage1 = SearchCounters()
     first_ap = pulse_optimal(net, trees, task.base, counters=stage1)
     assert try_protect(net, trees, task, first_ap, counters=stage1) is None
     # every pulse but a search's root is polled at poll_every=1
     assert stop.polls >= report.pulses - stage1.pulses > 1000
+
+
+def test_protection_loop_polls_between_candidates(monkeypatch):
+    net, task = _cross()
+    trees = build_reverse_trees(net, task.target)
+    stop = _CountingStop()
+    polls_at_protect = []
+    protect = btcs.try_protect
+
+    def recording_protect(*args, **kwargs):
+        polls_at_protect.append(stop.polls)
+        return protect(*args, **kwargs)
+
+    monkeypatch.setattr(btcs, "try_protect", recording_protect)
+    pair, report = solve_btcs(net, trees, task,
+                              control=SearchControl(stop=stop, poll_every=1))
+    assert pair is not None and report.ap_candidates_checked == 10
+    # stage 2's candidates, most of which fail on connectivity (no pulses)
+    stage2 = polls_at_protect[1:]
+    assert len(stage2) == 9
+    assert all(b > a for a, b in zip(stage2, stage2[1:]))
+
+
+def test_single_srlg_cut_is_infeasible_before_any_corridor(monkeypatch):
+    net, task = _corridor_heavy()
+    trees = build_reverse_trees(net, task.target)
+    pair, report = solve_btcs(net, trees, task)
+    assert pair is None and report.outcome == "infeasible"
+    assert report.srlg_cut == 0 and report.corridors_explored == 0
+    assert report.ap_candidates_checked == 1 and report.pulses < 10
+    # the sweep without the test reaches the same verdict the long way
+    monkeypatch.setattr(btcs, "find_srlg_cut", lambda *args: None)
+    pair, swept = solve_btcs(net, trees, task)
+    assert pair is None and swept.outcome == "infeasible"
+    assert swept.srlg_cut is None and swept.pulses > 1000
+
+
+def test_find_srlg_cut_narrows_to_the_cut():
+    # SRLG 0 = {0->1}, SRLG 1 = {1->3, 2->3}: avoiding both leaves no path,
+    # avoiding 0 alone leaves 0->2->3, which crosses 1, and avoiding 1
+    # alone leaves no path
+    edges = [Edge(0, 1, 1, 1), Edge(1, 3, 1, 1),
+             Edge(0, 2, 5, 1), Edge(2, 3, 5, 1)]
+    net = Network(4, edges, [{0}, {1, 3}])
+    task = SrlgTask(DrcrTask(0, 3, 0, 100), 100)
+    ap = net.path([0, 1])
+    assert find_srlg_cut(net, task, ap) == 1
+    assert find_srlg_cut(net.with_srlgs([{0}, {1}]), task, ap) is None
+    cross, cross_task = _cross()
+    trees = build_reverse_trees(cross, cross_task.target)
+    first_ap = pulse_optimal(cross, trees, cross_task.base)
+    assert find_srlg_cut(cross, cross_task, first_ap) is None
+    with pytest.raises(SearchTimeout):
+        find_srlg_cut(net, task, ap, SearchControl(deadline=monotonic() - 1.0))
 
 
 def test_only_one_corridor_worker_is_accepted():
@@ -376,6 +456,17 @@ def _golden_instance(seed: int) -> tuple[Network, SrlgTask]:
     return Network(n, edges, groups), task
 
 
+def _observe(net, trees, task, cfg, control) -> list:
+    pair, report = solve_btcs(net, trees, task, cfg, control=control)
+    c = report.counters
+    return [report.outcome,
+            list(pair.ap.edges) if pair else None,
+            list(pair.pp.edges) if pair else None,
+            report.corridors_explored, report.ap_candidates_checked,
+            [c.pulses, c.infeasibility_prunes, c.cost_prunes],
+            report.srlg_cut]
+
+
 def golden_observations() -> dict[str, list]:
     """Report of solve_btcs on 50 seeded instances, keyed "seed:config".
 
@@ -383,7 +474,10 @@ def golden_observations() -> dict[str, list]:
     ap_candidates_checked, (pulses, infeasibility_prunes, cost_prunes)]
     under three first-corridor widths and two corridor caps, each with
     fixed and doubling widths (no cap=1 for doubling: corridor 0 is the
-    same), and a preset stop event.
+    same), and a preset stop event.  These entries are taken with the
+    SRLG-cut test replaced by one that never finds a cut, so they pin the
+    sweep alone; each "seed:config,cut" entry is the full solver's, with
+    ``srlg_cut`` appended.
     """
     seen: dict[str, list] = {}
     for seed in range(50):
@@ -395,14 +489,11 @@ def golden_observations() -> dict[str, list]:
         runs.append(("stop", BtcsConfig(alpha=10, growth=1),
                      SearchControl(stop=stop)))
         for name, cfg, control in runs:
-            pair, report = solve_btcs(net, trees, task, cfg, control=control)
-            c = report.counters
-            seen[f"{seed}:{name}"] = [
-                report.outcome,
-                list(pair.ap.edges) if pair else None,
-                list(pair.pp.edges) if pair else None,
-                report.corridors_explored, report.ap_candidates_checked,
-                [c.pulses, c.infeasibility_prunes, c.cost_prunes]]
+            with patch.object(btcs, "find_srlg_cut", lambda *args: None):
+                seen[f"{seed}:{name}"] = _observe(net, trees, task, cfg,
+                                                  control)[:-1]
+            seen[f"{seed}:{name},cut"] = _observe(net, trees, task, cfg,
+                                                  control)
     return seen
 
 
@@ -421,7 +512,10 @@ def test_reports_match_golden_table():
             ("cap=2,growth=2", "pair", True),   # finished within the cap
             ("cap=2,growth=2", "timeout", True),
             ("stop", "timeout", False),        # cut in stage 2, corridor 0
-            ("stop", "timeout", True)} <= kinds
+            ("stop", "timeout", True),
+            ("alpha=1,cut", "infeasible", False),  # single-SRLG cut
+            ("alpha=1,cut", "infeasible", True),   # swept: no single cut
+            ("cap=1,cut", "infeasible", False)} <= kinds
     # a finished solve gives the same outcome, pair and checked count under
     # either schedule; only corridors and pulse counters may differ
     for key, entry in expected.items():
@@ -430,6 +524,17 @@ def test_reports_match_golden_table():
             alpha = GOLDEN_CONFIGS[name].alpha
             fixed = expected[f"{seed}:alpha={alpha:g}"]
             assert entry[:3] + entry[4:5] == fixed[:3] + fixed[4:5], key
+    # the cut test settles some traps before any corridor and leaves every
+    # other solve as the sweep alone runs it
+    for key, entry in expected.items():
+        if not key.endswith(",cut"):
+            continue
+        sweep = expected[key[:-len(",cut")]]
+        if entry[6] is not None:
+            assert entry[0] == "infeasible" and entry[3] == 0, key
+            assert sweep[0] in ("infeasible", "timeout"), key
+        elif entry[0] != "timeout":
+            assert entry[:6] == sweep, key
     got = json.loads(json.dumps(golden_observations()))
     assert got.keys() == expected.keys()
     for key in expected:

@@ -154,3 +154,21 @@ def test_task_node_out_of_range_exits_2(tmp_path, capsys, task):
     assert run("histogram", "--graph", str(graph), f"--task={task}",
                "--bin", "5") == 2
     assert "t.csv:1: " in capsys.readouterr().err
+
+
+def test_solve_srlg_reports_the_cut_only_when_set(tmp_path):
+    graph = tmp_path / "g.csv"
+    graph.write_text("nodes,4\n0,1,1,1\n1,3,1,1\n0,2,5,1\n2,3,5,1\n")
+    srlg = tmp_path / "s.csv"
+    srlg.write_text("0:0,2\n")  # both egress edges of node 0
+    tasks = tmp_path / "t.csv"
+    tasks.write_text("0,3,0,100,100\n1,3,0,100,100\n")
+    out = tmp_path / "pairs.jsonl"
+    assert run("solve-srlg", "--graph", str(graph), "--srlg", str(srlg),
+               "--tasks", str(tasks), "--out", str(out)) == 0
+    assert out.read_text().splitlines() == [
+        '{"task": "0,3,0,100,100", "outcome": "infeasible", '
+        '"corridors_explored": 0, "ap_candidates_checked": 1, "srlg_cut": 0}',
+        # 1->3 is the only route and lies in no SRLG: swept to a verdict
+        '{"task": "1,3,0,100,100", "outcome": "infeasible", '
+        '"corridors_explored": 1, "ap_candidates_checked": 1}']

@@ -10,7 +10,8 @@ from drcr import (DrcrTask, Edge, IntegrityError, Network, ParseError, Path,
                   SrlgTask, build_reverse_trees, check_path, is_connected,
                   load_network, load_tasks, remove_conflicting_edges,
                   save_network, save_tasks)
-from drcr.network import NetworkView, format_task, parse_task_line
+from drcr.network import (NetworkView, find_path, format_task,
+                          parse_task_line)
 
 from conftest import diamond, random_network, reachable
 
@@ -207,6 +208,7 @@ def test_is_connected_trivial_cases():
     assert not is_connected(net, 0, 2)
     assert not is_connected(net, 1, 0)  # directed
     assert is_connected(net, 2, 2)
+    assert find_path(net, 2, 2) == []
 
 
 def test_is_connected_matches_reference_reachability():
@@ -221,6 +223,11 @@ def test_is_connected_matches_reference_reachability():
         seen = reachable(net, s, excluded)
         for t in range(net.node_count):
             assert is_connected(view, s, t) == (t in seen)
+            path = find_path(view, s, t)
+            assert (path is not None) == (t in seen)
+            if path:
+                assert not excluded & set(path)
+                check_path(net, net.path(path), s, t)
 
 
 def test_adjacency_and_inverse_invariants():

@@ -17,12 +17,14 @@ from dataclasses import asdict, dataclass
 from time import perf_counter
 from typing import IO, Iterable, Sequence
 
-from .btbu import BTBU1, BTBU2, solve_btbu
-from .btcs import BtcsConfig, DisjointPair, solve_btcs
+from . import btbu, btcs, pulse
+from . import trees as trees_mod
+from .btbu import BTBU1, BTBU2
+from .btcs import BtcsConfig, DisjointPair
 from .network import Network, Path, SrlgTask, Task, check_task_nodes
-from .pulse import SearchControl, SearchInterrupted, pulse_optimal
+from .pulse import SearchControl, SearchInterrupted
 from .report import INFEASIBLE, OPTIMAL, PAIR, TIMEOUT, SolveReport
-from .trees import ReverseTrees, build_reverse_trees
+from .trees import ReverseTrees
 
 SOLVERS = ("pulse", "btbu1", "btbu2", "btcs")
 ERROR = "error"
@@ -60,12 +62,15 @@ def solve(net: Network, trees: ReverseTrees, task: Task, solver: str,
     or stop in ``control`` is the TIMEOUT outcome for every solver.  Raises
     ValueError when the solver does not take this kind of task, and
     IntegrityError (a ValueError) when a task node is not a network node.
+    The solvers are looked up on their modules at call time, so a wrapper
+    set on ``drcr.btcs.solve_btcs`` and the like sees every call.
     """
     if solver == "btcs":
         if not isinstance(task, SrlgTask):
             raise ValueError(f"btcs needs disjoint-pair tasks, got {task!r}")
-        pair, report = solve_btcs(net, trees, task, btcs_cfg or BtcsConfig(),
-                                  control=control)
+        pair, report = btcs.solve_btcs(net, trees, task,
+                                       btcs_cfg or BtcsConfig(),
+                                       control=control)
         return report, pair
     if isinstance(task, SrlgTask):
         raise ValueError(f"solver {solver!r} needs single-path tasks, got {task!r}")
@@ -74,17 +79,18 @@ def solve(net: Network, trees: ReverseTrees, task: Task, solver: str,
         start = perf_counter()
         report = SolveReport(TIMEOUT)
         try:
-            path = pulse_optimal(net, trees, task, counters=report.counters,
-                                 control=control)
+            path = pulse.pulse_optimal(net, trees, task,
+                                       counters=report.counters,
+                                       control=control)
         except SearchInterrupted:
             path = None
         else:
             report.outcome = OPTIMAL if path is not None else INFEASIBLE
         report.wall_time = perf_counter() - start
         return report, path
-    path, report = solve_btbu(net, trees, task,
-                              BTBU1 if solver == "btbu1" else BTBU2,
-                              control=control)
+    path, report = btbu.solve_btbu(net, trees, task,
+                                   BTBU1 if solver == "btbu1" else BTBU2,
+                                   control=control)
     return report, path
 
 
@@ -108,7 +114,7 @@ def run_suite(net: Network, tasks: Sequence[Task], solver: str, *,
             control = SearchControl.from_time_limit_ms(time_limit_ms)
             t0 = perf_counter()
             try:
-                trees = build_reverse_trees(net, task.target)
+                trees = trees_mod.build_reverse_trees(net, task.target)
                 report, result = solve(net, trees, task, solver, control,
                                        btcs_cfg)
                 error = None

@@ -8,6 +8,15 @@ the edges alone and is built once per network; the trees depend on the
 target and are built afresh on every call, so a task's preprocessing covers
 all of its target-dependent work.  Unreachable nodes carry math.inf.
 
+Each run keeps its queue as distance buckets (Dial, "Algorithm 360:
+shortest-path forest with topological ordering", CACM 1969): the nodes
+reached at one distance share a list, and a heap holds only the distinct
+distances, so many nodes at one distance cost one heap operation.  Costs
+and delays are validated positive integers, so every arc adds at least 1,
+a bucket is never extended while it is drained, and the popped distance is
+final for every node still at it.  Python ints keep the sums exact at any
+magnitude.
+
 Trees computed on the full network stay valid lower bounds on any
 edge-excluded view of it (removing edges can only increase true distances),
 so protection-path searches reuse them unchanged.
@@ -40,20 +49,32 @@ class ReverseTrees:
 def _reverse_dijkstra(node_count: int,
                       rev: tuple[tuple[tuple[int, int, int], ...], ...],
                       target: int, weight: int) -> list[float]:
-    """Distances to ``target``; ``weight`` indexes the (src, cost, delay) triples."""
+    """Distances to ``target``; ``weight`` indexes the (src, cost, delay) triples.
+
+    ``level`` maps a distance to the nodes reached at it and ``keys`` is a
+    heap of the distinct distances.  A node whose ``dist`` fell below the
+    bucket's distance was settled from an earlier bucket and is skipped.
+    """
     dist: list[float] = [inf] * node_count
     dist[target] = 0
-    heap = [(0, target)]
-    while heap:
-        d, v = heappop(heap)
-        if d > dist[v]:
-            continue
-        for arc in rev[v]:
-            nd = d + arc[weight]
-            u = arc[0]
-            if nd < dist[u]:
-                dist[u] = nd
-                heappush(heap, (nd, u))
+    level = {0: [target]}
+    keys = [0]
+    while keys:
+        d = heappop(keys)
+        for v in level.pop(d):
+            if dist[v] != d:
+                continue
+            for arc in rev[v]:
+                nd = d + arc[weight]
+                u = arc[0]
+                if nd < dist[u]:
+                    dist[u] = nd
+                    bucket = level.get(nd)
+                    if bucket is None:
+                        level[nd] = [u]
+                        heappush(keys, nd)
+                    else:
+                        bucket.append(u)
     return dist
 
 

@@ -7,6 +7,10 @@ import threading
 
 import pytest
 
+import drcr.btbu
+import drcr.btcs
+import drcr.pulse
+import drcr.trees
 from drcr import (BenchRecord, DrcrTask, Edge, IntegrityError, Network,
                   SearchControl, SrlgTask, build_reverse_trees, run_suite,
                   summarize, sweep_alpha)
@@ -168,3 +172,31 @@ def test_unknown_solver_rejected():
     net = Network(2, [Edge(0, 1, 5, 7)])
     with pytest.raises(ValueError):
         run_suite(net, [DrcrTask(0, 1, 0, 10)], "magic")
+
+
+def test_solve_and_run_suite_look_solvers_up_on_their_modules(monkeypatch):
+    # a wrapper on a module attribute (as a span tracer sets) sees every call
+    calls = []
+    for module, name in ((drcr.trees, "build_reverse_trees"),
+                         (drcr.pulse, "pulse_optimal"),
+                         (drcr.btbu, "solve_btbu"),
+                         (drcr.btcs, "solve_btcs")):
+        def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    net = trap_network()
+    drcr_task = DrcrTask(0, 5, 0, 100)
+    srlg_task = SrlgTask(drcr_task, 50)
+    expected = {"pulse": "pulse_optimal", "btbu1": "solve_btbu",
+                "btbu2": "solve_btbu", "btcs": "solve_btcs"}
+    for solver, callee in expected.items():
+        task = srlg_task if solver == "btcs" else drcr_task
+        calls.clear()
+        records = run_suite(net, [task], solver)
+        assert records[0].outcome in ("optimal", "pair")
+        assert calls == ["build_reverse_trees", callee]
+        trees = drcr.trees.build_reverse_trees(net, 5)
+        calls.clear()
+        bench_mod.solve(net, trees, task, solver)
+        assert calls == [callee]

@@ -20,7 +20,7 @@ from drcr import (BtcsConfig, DrcrTask, Edge, IntegrityError, Network,
                   try_protect)
 from drcr import btcs
 from drcr.btcs import corridor_width, find_srlg_cut
-from drcr.network import NetworkView, is_connected
+from drcr.network import NetworkView, is_connected, remove_conflicting_edges
 from drcr.pulse import SearchControl, SearchTimeout
 
 from conftest import random_network, random_task
@@ -356,6 +356,45 @@ def test_protection_loop_polls_between_candidates(monkeypatch):
     stage2 = polls_at_protect[1:]
     assert len(stage2) == 9
     assert all(b > a for a, b in zip(stage2, stage2[1:]))
+
+
+def test_stop_set_before_protection_loop_times_out_there(monkeypatch):
+    # alpha 2: corridor 0 is [1, 3), the six two-hop paths 0->k->7, each
+    # crossing both SRLGs, so every candidate fails on connectivity and
+    # spends no pulse; only the protection-loop poll can see the stop
+    net, task = _cross()
+    trees = build_reverse_trees(net, task.target)
+    cfg = BtcsConfig(alpha=2.0)
+    stop = threading.Event()
+    first_ap = pulse_optimal(net, trees, task.base)
+    assert find_srlg_cut(net, task, first_ap) is None
+    scan = btcs.scan_corridor_paths
+    corridors = []
+
+    def scan_then_stop(*args, **kwargs):
+        candidates, more_above = scan(*args, **kwargs)
+        corridors.append(candidates)
+        stop.set()
+        return candidates, more_above
+
+    monkeypatch.setattr(btcs, "scan_corridor_paths", scan_then_stop)
+    protects = []
+    protect = btcs.try_protect
+
+    def recording_protect(*args, **kwargs):
+        protects.append(args[3])
+        return protect(*args, **kwargs)
+
+    monkeypatch.setattr(btcs, "try_protect", recording_protect)
+    pair, report = solve_btcs(net, trees, task, cfg,
+                              control=SearchControl(stop=stop, poll_every=1))
+    assert pair is None and report.outcome == "timeout"
+    assert report.corridors_explored == 0 and report.ap_candidates_checked == 1
+    assert protects == [first_ap]
+    stage2 = [ap for ap in corridors[0] if ap.edges != first_ap.edges]
+    assert len(stage2) == 6
+    assert not any(is_connected(remove_conflicting_edges(net, ap),
+                                task.source, task.target) for ap in stage2)
 
 
 def test_single_srlg_cut_is_infeasible_before_any_corridor(monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drcr import Edge, Network, TreeCache, build_reverse_trees, enumerate_paths
+from drcr import trees as trees_mod
 
 from conftest import bellman_ford_to_target, random_network
 
@@ -83,14 +84,15 @@ def test_parallel_edges_and_unreachable_nodes_match_bellman_ford():
 def _network_and_target(draw):
     n = draw(st.integers(1, 10))
     node = st.integers(0, n - 1)
-    raw = draw(st.lists(st.tuples(node, node, st.integers(1, 9),
-                                  st.integers(1, 9)), max_size=30))
+    # small weights tie often; large ones need exact integer sums
+    weight = st.integers(1, draw(st.sampled_from((100, 10 ** 15))))
+    raw = draw(st.lists(st.tuples(node, node, weight, weight), max_size=30))
     edges = [Edge(u, v, c, d) for u, v, c, d in raw if u != v]
     # repeat some edges verbatim or with new weights: parallel edges
     for i in draw(st.lists(st.integers(0, max(0, len(edges) - 1)),
                            max_size=5 if edges else 0)):
         u, v, _, _ = edges[i]
-        edges.append(Edge(u, v, draw(st.integers(1, 9)), draw(st.integers(1, 9))))
+        edges.append(Edge(u, v, draw(weight), draw(weight)))
     return Network(n, edges), draw(node)
 
 
@@ -101,6 +103,76 @@ def test_property_matches_bellman_ford(case):
     trees = build_reverse_trees(net, target)
     assert trees.min_cost_to_target == bellman_ford_to_target(net, target, "cost")
     assert trees.min_delay_to_target == bellman_ford_to_target(net, target, "delay")
+
+
+def test_many_nodes_tied_at_one_distance():
+    # 300 nodes reach the target at cost 5; 300 more reach it at cost 8
+    # both through them and by a direct edge: two crowded buckets, and a
+    # tie at every node of the second
+    width = 300
+    edges = [Edge(i, 0, 5, 2) for i in range(1, width + 1)]
+    edges += [Edge(width + i, i, 3, 1) for i in range(1, width + 1)]
+    edges += [Edge(width + i, 0, 8, 9) for i in range(1, width + 1)]
+    net = Network(2 * width + 1, edges)
+    trees = build_reverse_trees(net, 0)
+    assert trees.min_cost_to_target == [0] + [5] * width + [8] * width
+    assert trees.min_delay_to_target == [0] + [2] * width + [3] * width
+    assert trees.min_cost_to_target == bellman_ford_to_target(net, 0, "cost")
+
+
+def test_long_chain():
+    n = 600
+    rng = random.Random(5)
+    weights = [(rng.randint(1, 50), rng.randint(1, 50)) for _ in range(n - 1)]
+    net = Network(n, [Edge(i, i + 1, c, d) for i, (c, d) in enumerate(weights)])
+    trees = build_reverse_trees(net, n - 1)
+    cost_to = [0] * n
+    delay_to = [0] * n
+    for i in range(n - 2, -1, -1):
+        cost_to[i] = cost_to[i + 1] + weights[i][0]
+        delay_to[i] = delay_to[i + 1] + weights[i][1]
+    assert trees.min_cost_to_target == cost_to
+    assert trees.min_delay_to_target == delay_to
+    # the chain's head is reachable from nowhere but itself
+    assert build_reverse_trees(net, 0).min_cost_to_target == [0] + [inf] * (n - 1)
+
+
+def test_weights_near_and_above_2_63_are_exact():
+    big = 2 ** 63
+    # 0->2 direct costs 2**64 + 1; 0->1->2 costs (2**63 - 1) + (2**63 + 1),
+    # one less, which a float sum could not tell apart
+    net = Network(3, [Edge(0, 2, 2 * big + 1, 1), Edge(0, 1, big - 1, big),
+                      Edge(1, 2, big + 1, big + 3)])
+    trees = build_reverse_trees(net, 2)
+    assert trees.min_cost_to_target == [2 * big, big + 1, 0]
+    assert trees.min_delay_to_target == [1, big + 3, 0]
+    assert all(type(d) is int for d in trees.min_cost_to_target)
+    assert float(2 * big) == float(2 * big + 1)
+
+
+class _CountingRows(list):
+    """Ingress rows that count how often each node's row is read."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.reads = [0] * len(rows)
+
+    def __getitem__(self, v):
+        self.reads[v] += 1
+        return super().__getitem__(v)
+
+
+def test_stale_bucket_entry_is_skipped():
+    # the costly parallel edge 1->2 puts node 1 in bucket 9 first; the
+    # cheap one moves it to bucket 1, and bucket 9 must not expand it again
+    net = Network(4, [Edge(1, 2, 9, 1), Edge(1, 2, 1, 9), Edge(0, 1, 1, 1),
+                      Edge(3, 2, 20, 20)])
+    rows = _CountingRows(net.reverse_adjacency)
+    dist = trees_mod._reverse_dijkstra(net.node_count, rows, 2, trees_mod._COST)
+    assert dist == [2, 1, 0, 20]
+    assert rows.reads == [1, 1, 1, 1]
+    assert dist == bellman_ford_to_target(net, 2, "cost")
+    assert build_reverse_trees(net, 2).min_delay_to_target == [2, 1, 0, 20]
 
 
 def test_triangle_relaxation_fixpoint():

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from drcr import (BtcsConfig, DrcrTask, Edge, GenerationError, GenSpec,
                   Network, SrlgSpec, SrlgTask, build_reverse_trees,
                   filter_tasks, gen_graph, gen_srlg, gen_tasks, pulse_optimal,
-                  save_network, try_protect)
+                  save_network, save_tasks, try_protect)
+from drcr.network import format_task
 from drcr.netgen import AVOIDABLE, FEASIBLE, UNAVOIDABLE
 
 from conftest import trap_network
@@ -164,3 +169,70 @@ def test_filter_tasks_kind_mismatch():
     net = Network(2, [Edge(0, 1, 1, 1)])
     with pytest.raises(ValueError):
         filter_tasks(net, [SrlgTask(DrcrTask(0, 1, 0, 5), 1)], "drcr")
+
+
+GOLDEN_DIGESTS = Path(__file__).with_name("netgen_golden.json")
+
+
+def golden_digests(tmp: Path) -> dict[str, str]:
+    """sha256 of the saved output of every generator on fixed seeded specs.
+
+    Graphs of both topologies under three weight ranges (the default, a
+    wide cost with a narrow delay, and a constant cost); random and star
+    SRLGs; tasks of both kinds; and the tasks each filter keeps, with their
+    labels, in the ``filter-tasks --labels-out`` format.
+    """
+    digests: dict[str, str] = {}
+
+    def digest(name, write):
+        path = tmp / name
+        write(path)
+        digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def save_labelled(kept, labels):
+        return lambda path: path.write_text("".join(
+            f"{format_task(t)},{label}\n" for t, label in zip(kept, labels)))
+
+    ranges = {"default": {}, "c3-1000-d1-7": {"cost_range": (3, 1000),
+                                              "delay_range": (1, 7)},
+              "c1-1-d1-100": {"cost_range": (1, 1), "delay_range": (1, 100)}}
+    nets = {}
+    for topology, density, seed in (("er", 5, 21), ("scale-free", 2, 22)):
+        for label, kw in ranges.items():
+            net = gen_graph(GenSpec(topology, 300, density, seed=seed, **kw))
+            nets[topology, label] = net
+            digest(f"graph-{topology}-{label}",
+                   lambda path, net=net: save_network(net, path))
+
+    er, sf = nets["er", "default"], nets["scale-free", "default"]
+    srlg_nets = {}
+    for pattern, seed in (("random", 31), ("star", 32)):
+        groups = gen_srlg(sf, SrlgSpec(pattern, seed=seed))
+        srlg_nets[pattern] = sf.with_srlgs(groups)
+        digest(f"srlg-{pattern}", lambda path, groups=groups: save_network(
+            sf.with_srlgs(groups), tmp / "srlg-graph.csv", path))
+
+    drcr_tasks = gen_tasks(er, 40, "drcr", seed=42)
+    digest("tasks-drcr", lambda path: save_tasks(drcr_tasks, path))
+    srlg_tasks = gen_tasks(srlg_nets["star"], 20, "srlg", seed=43)
+    digest("tasks-srlg", lambda path: save_tasks(srlg_tasks, path))
+
+    digest("filter-drcr", save_labelled(*filter_tasks(er, drcr_tasks, "drcr")))
+    for pattern, net in srlg_nets.items():
+        kept = filter_tasks(net, srlg_tasks, "srlg",
+                            btcs_cfg=BtcsConfig(max_corridors=30))
+        digest(f"filter-srlg-{pattern}", save_labelled(*kept))
+    return digests
+
+
+def test_generator_outputs_match_golden_digests(tmp_path):
+    # regenerate with: PYTHONPATH=src:tests python tests/test_netgen.py
+    expected = json.loads(GOLDEN_DIGESTS.read_text())
+    assert golden_digests(tmp_path) == expected
+
+
+if __name__ == "__main__":
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        table = golden_digests(Path(tmp))
+    GOLDEN_DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")

@@ -36,7 +36,7 @@ import numpy as np
 
 from .btcs import BtcsConfig, solve_btcs, try_protect
 from .network import DrcrTask, Edge, Network, SrlgTask, Task
-from .pulse import SearchControl, pulse_optimal
+from .pulse import SearchControl, pulse_first_feasible, pulse_optimal
 from .report import INFEASIBLE, PAIR
 from .trees import TreeCache
 
@@ -107,18 +107,19 @@ def gen_graph(spec: GenSpec) -> Network:
             targets = np.flatnonzero(hits)
             costs = rng.integers(clo, chi + 1, size=len(targets))
             delays = rng.integers(dlo, dhi + 1, size=len(targets))
-            for v, c, d in zip(targets, costs, delays):
-                edges.append(Edge(u, int(v), int(c), int(d)))
+            edges += [Edge(u, v, c, d) for v, c, d in zip(
+                targets.tolist(), costs.tolist(), delays.tolist())]
     else:
         m = spec.density_param
         if m >= n:
             raise GenerationError(f"attachment parameter {m} needs more than {n} nodes")
-        graph = nx.barabasi_albert_graph(n, m, seed=spec.seed)
-        for u, v in graph.edges():
-            for a, b in ((u, v), (v, u)):
-                edges.append(Edge(a, b,
-                                  int(rng.integers(clo, chi + 1)),
-                                  int(rng.integers(dlo, dhi + 1))))
+        links = list(nx.barabasi_albert_graph(n, m, seed=spec.seed).edges())
+        # one (cost, delay) row per arc, drawn in the order and from the
+        # stream that one scalar draw per weight would use
+        weights = rng.integers(np.array([clo, dlo]), np.array([chi + 1, dhi + 1]),
+                               size=(2 * len(links), 2)).tolist()
+        arcs = (arc for u, v in links for arc in ((u, v), (v, u)))
+        edges = [Edge(a, b, c, d) for (a, b), (c, d) in zip(arcs, weights)]
 
     return Network(n, edges)
 
@@ -223,7 +224,10 @@ def filter_tasks(net: Network, tasks: list[Task], kind: str, *,
                  ) -> tuple[list[Task], list[str]]:
     """Keep the evaluation-worthy tasks, with a label per kept task.
 
-    drcr: keeps tasks that have a feasible path at all (label ``feasible``).
+    drcr: keeps tasks that have a feasible path at all (label ``feasible``),
+    decided by the first-feasible search: it walks in the optimal search's
+    order with no cost limit and stops at the first in-window path, so it
+    never does more work than the optimal search would.
     srlg: keeps only traps -- the cheapest feasible AP has no protection --
     labelled ``avoidable`` or ``unavoidable`` by whether the corridor solver
     finds a pair(``unknown`` if it hits a configured cap first).
@@ -238,7 +242,7 @@ def filter_tasks(net: Network, tasks: list[Task], kind: str, *,
             if not isinstance(task, DrcrTask):
                 raise ValueError(f"expected single-path tasks, got {task!r}")
             trees = cache.get(task.target)
-            if pulse_optimal(net, trees, task, control=control) is not None:
+            if pulse_first_feasible(net, trees, task, control=control) is not None:
                 kept.append(task)
                 labels.append(FEASIBLE)
         else:

@@ -48,20 +48,27 @@ def _check_positive_int(value, what: str):
         raise IntegrityError(f"{what} must be a positive integer, got {value!r}")
 
 
+_NO_SRLGS: frozenset[int] = frozenset()
+
+
 class Network:
     """Immutable directed network with per-edge cost/delay and SRLG index.
 
     Attributes:
         node_count: number of nodes (ids 0..node_count-1).
-        edges: tuple of Edge, indexed by EdgeId.
+        edges: tuple of Edge, indexed by EdgeId; Edge instances passed in
+            are kept as they are, other tuples are converted.
         adjacency: per-node tuple of egress EdgeIds.
         reverse_adjacency: per-node tuple of ingress ``(src, cost, delay)``
             triples, built on first use.
         srlg_groups: tuple of frozensets of EdgeId, indexed by SrlgId.
-        edge_srlgs: per-edge frozenset of SrlgIds (inverse of srlg_groups).
+        edge_srlgs: per-edge frozenset of SrlgIds (inverse of srlg_groups);
+            every edge in no group holds the same shared empty frozenset.
 
-    Instances never change after construction (the reverse adjacency is a
-    memo filled on first use), so any number of concurrent readers is safe.
+    ``with_srlgs`` copies share everything but the SRLG index with their
+    source network.  Instances never change after construction (the reverse
+    adjacency is a memo filled on first use), so any number of concurrent
+    readers is safe.
     """
 
     __slots__ = ("node_count", "edges", "adjacency", "srlg_groups",
@@ -73,7 +80,7 @@ class Network:
         if not isinstance(node_count, int) or node_count < 1:
             raise IntegrityError(f"node count must be >= 1, got {node_count!r}")
         self.node_count = node_count
-        self.edges = tuple(Edge(*e) for e in edges)
+        self.edges = tuple(e if isinstance(e, Edge) else Edge(*e) for e in edges)
 
         adjacency: list[list[int]] = [[] for _ in range(node_count)]
         for eid, e in enumerate(self.edges):
@@ -87,22 +94,29 @@ class Network:
         self.adjacency = tuple(tuple(a) for a in adjacency)
         self._reverse_adjacency = None
 
+        costs = [e.cost for e in self.edges]
+        self.min_edge_cost = min(costs) if costs else None
+        self.max_edge_cost = max(costs) if costs else None
+        self._index_srlgs(srlg_groups)
+
+    def _index_srlgs(self, srlg_groups: Iterable[Iterable[int]]) -> None:
+        """Validate the groups and set ``srlg_groups`` and ``edge_srlgs``."""
         groups = tuple(frozenset(g) for g in srlg_groups)
-        inverse: list[set[int]] = [set() for _ in self.edges]
+        edge_count = len(self.edges)
+        inverse: dict[int, list[int]] = {}
         for gid, group in enumerate(groups):
             if not group:
                 raise IntegrityError(f"srlg group {gid} is empty")
             for eid in group:
-                if not isinstance(eid, int) or not 0 <= eid < len(self.edges):
+                if not isinstance(eid, int) or not 0 <= eid < edge_count:
                     raise IntegrityError(
                         f"srlg group {gid} references unknown edge {eid!r}")
-                inverse[eid].add(gid)
+                inverse.setdefault(eid, []).append(gid)
+        edge_srlgs = [_NO_SRLGS] * edge_count
+        for eid, gids in inverse.items():
+            edge_srlgs[eid] = frozenset(gids)
         self.srlg_groups = groups
-        self.edge_srlgs = tuple(frozenset(s) for s in inverse)
-
-        costs = [e.cost for e in self.edges]
-        self.min_edge_cost = min(costs) if costs else None
-        self.max_edge_cost = max(costs) if costs else None
+        self.edge_srlgs = tuple(edge_srlgs)
 
     @property
     def reverse_adjacency(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
@@ -124,11 +138,18 @@ class Network:
     def with_srlgs(self, srlg_groups: Iterable[Iterable[int]]) -> "Network":
         """A copy of this network with the SRLG index replaced.
 
-        The copy shares this network's reverse adjacency: SRLGs do not
-        change the edges.
+        SRLGs do not change the edges, so the copy shares this network's
+        node count, edges, adjacency, edge-cost extremes and reverse
+        adjacency; only the SRLG index is built and validated.
         """
-        copy = Network(self.node_count, self.edges, srlg_groups)
+        copy = Network.__new__(Network)
+        copy.node_count = self.node_count
+        copy.edges = self.edges
+        copy.adjacency = self.adjacency
+        copy.min_edge_cost = self.min_edge_cost
+        copy.max_edge_cost = self.max_edge_cost
         copy._reverse_adjacency = self.reverse_adjacency
+        copy._index_srlgs(srlg_groups)
         return copy
 
     def path(self, edge_ids: Sequence[int]) -> "Path":

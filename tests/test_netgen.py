@@ -4,18 +4,22 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drcr import (BtcsConfig, DrcrTask, Edge, GenerationError, GenSpec,
                   Network, SrlgSpec, SrlgTask, build_reverse_trees,
-                  filter_tasks, gen_graph, gen_srlg, gen_tasks, pulse_optimal,
+                  check_path, filter_tasks, gen_graph, gen_srlg, gen_tasks,
+                  oracle_drcr, pulse_first_feasible, pulse_optimal,
                   save_network, save_tasks, try_protect)
 from drcr.network import format_task
 from drcr.netgen import AVOIDABLE, FEASIBLE, UNAVOIDABLE
 
-from conftest import trap_network
+from conftest import random_network, random_task
 
 
 def test_scale_free_link_counts_match_attachment_arithmetic():
@@ -133,6 +137,24 @@ def test_filter_tasks_drcr_drops_infeasible():
     bad = DrcrTask(0, 2, 0, 3)  # min delay is 10
     kept, labels = filter_tasks(net, [good, bad], "drcr")
     assert kept == [good] and labels == [FEASIBLE]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_property_drcr_filter_keeps_exactly_the_oracle_feasible_tasks(seed):
+    rng = random.Random(seed)
+    net = random_network(rng)
+    tasks = [random_task(rng, net) for _ in range(4)]
+    feasible = [task for task in tasks if oracle_drcr(net, task) is not None]
+    kept, labels = filter_tasks(net, tasks, "drcr")
+    assert kept == feasible and labels == [FEASIBLE] * len(kept)
+    for task in tasks:
+        path = pulse_first_feasible(net, build_reverse_trees(net, task.target),
+                                    task)
+        assert (path is not None) == (task in feasible)
+        if path is not None:
+            check_path(net, path, task.source, task.target)
+            assert task.d_low <= path.total_delay <= task.d_up
 
 
 def test_filter_tasks_srlg_keeps_only_traps(trap_net):

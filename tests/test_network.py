@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
-from drcr import (DrcrTask, Edge, IntegrityError, Network, ParseError, Path,
-                  SrlgTask, build_reverse_trees, check_path, is_connected,
-                  load_network, load_tasks, remove_conflicting_edges,
-                  save_network, save_tasks)
+from drcr import (DrcrTask, Edge, GenSpec, IntegrityError, Network,
+                  ParseError, Path, SrlgTask, build_reverse_trees, check_path,
+                  gen_graph, is_connected, load_network, load_tasks,
+                  remove_conflicting_edges, save_network, save_tasks)
 from drcr.network import (NetworkView, find_path, format_task,
                           parse_task_line)
 
@@ -280,3 +282,62 @@ def test_reverse_adjacency_built_once_and_shared_by_srlg_copies():
     copy = net.with_srlgs([{0, 3}])
     assert copy.srlg_groups == (frozenset({0, 3}),)
     assert copy.reverse_adjacency is rev
+
+
+def test_edge_instances_are_kept_and_other_tuples_converted():
+    given = [Edge(0, 1, 2, 3), (1, 2, 4, 5)]
+    net = Network(3, given)
+    assert net.edges[0] is given[0]
+    assert type(net.edges[1]) is Edge and net.edges[1] == Edge(1, 2, 4, 5)
+
+
+def test_srlg_free_edges_share_one_empty_set():
+    net = Network(3, [Edge(0, 1, 1, 1), Edge(1, 2, 1, 1), Edge(0, 2, 1, 1),
+                      Edge(2, 0, 1, 1)], [{1}])
+    free = [net.edge_srlgs[eid] for eid in (0, 2, 3)]
+    assert all(groups is free[0] for groups in free)
+    assert free[0] == frozenset() and type(free[0]) is frozenset
+    assert net.edge_srlgs[1] == frozenset({0})
+    bare = Network(2, [Edge(0, 1, 1, 1), Edge(1, 0, 1, 1)])
+    assert bare.edge_srlgs[0] is bare.edge_srlgs[1] is free[0]
+
+
+def test_with_srlgs_shares_everything_but_the_srlg_index():
+    net = Network(3, [Edge(0, 1, 2, 5), Edge(1, 2, 3, 4), Edge(0, 2, 9, 1)])
+    copy = net.with_srlgs([{0, 2}, {1}])
+    assert copy.edges is net.edges
+    assert copy.adjacency is net.adjacency
+    assert copy.reverse_adjacency is net.reverse_adjacency
+    assert (copy.node_count, copy.min_edge_cost, copy.max_edge_cost) == (3, 2, 9)
+    assert copy.srlg_groups == (frozenset({0, 2}), frozenset({1}))
+    assert copy.edge_srlgs == (frozenset({0}), frozenset({1}), frozenset({0}))
+    assert net.srlg_groups == () and copy == Network(3, net.edges, [{0, 2}, {1}])
+
+
+@pytest.mark.parametrize("groups, message", [
+    ([{0}, set()], "srlg group 1 is empty"),
+    ([{0, 3}], "srlg group 0 references unknown edge 3"),
+    ([{-1}], "srlg group 0 references unknown edge -1"),
+    ([{0}, {"1"}], "srlg group 1 references unknown edge '1'"),
+])
+def test_with_srlgs_validates_the_groups(groups, message):
+    net = Network(3, [Edge(0, 1, 1, 1), Edge(1, 2, 1, 1), Edge(0, 2, 1, 1)])
+    with pytest.raises(IntegrityError, match=message):
+        net.with_srlgs(groups)
+    with pytest.raises(IntegrityError, match=message):
+        Network(3, net.edges, groups)
+
+
+def test_srlg_free_network_from_existing_edges_allocates_little():
+    # 1000 nodes, about 7000 edges: adjacency tuples and the per-edge SRLG
+    # index that points at one shared empty set, about 0.4 MB in CPython 3.11
+    edges = gen_graph(GenSpec("er", 1000, 7, seed=1000)).edges
+    gc.collect()
+    tracemalloc.start()
+    try:
+        net = Network(1000, edges)
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert net.edges == edges
+    assert live < 1 << 20, f"{live / (1 << 20):.2f} MB live"

@@ -12,8 +12,8 @@ from .network import (DrcrTask, Edge, IntegrityError, Network, NetworkView,
 from .trees import ReverseTrees, TreeCache, build_reverse_trees
 from .pulse import (CostCorridor, SearchCancelled, SearchControl,
                     SearchCounters, SearchTimeout, build_search_order,
-                    count_paths_capped, pulse_all_in_corridor,
-                    pulse_first_feasible, pulse_optimal)
+                    count_paths_capped, pulse_first_feasible, pulse_optimal,
+                    scan_corridor_paths)
 from .report import INFEASIBLE, OPTIMAL, PAIR, TIMEOUT, SolveReport
 from .btbu import BTBU1, BTBU2, BtbuConfig, solve_btbu
 from .btcs import (BtcsConfig, DisjointPair, pp_delay_window, solve_btcs,
@@ -37,8 +37,8 @@ __all__ = [
     "build_search_order", "check_path", "count_paths_capped",
     "enumerate_paths", "filter_tasks", "gen_graph", "gen_srlg", "gen_tasks",
     "is_connected", "load_network", "load_tasks", "oracle_drcr",
-    "oracle_minmin", "pp_delay_window", "pulse_all_in_corridor",
-    "pulse_first_feasible", "pulse_optimal", "remove_conflicting_edges",
-    "run_suite", "save_network", "save_tasks", "solve_btbu", "solve_btcs",
-    "summarize", "sweep_alpha", "try_protect",
+    "oracle_minmin", "pp_delay_window", "pulse_first_feasible",
+    "pulse_optimal", "remove_conflicting_edges", "run_suite",
+    "save_network", "save_tasks", "scan_corridor_paths", "solve_btbu",
+    "solve_btcs", "summarize", "sweep_alpha", "try_protect",
 ]

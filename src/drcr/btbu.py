@@ -9,11 +9,13 @@ nearly empty left tail of the distribution and are cheap; the first
 successful probe returns the exact optimum, because a probe at bound B is
 exhaustive over all paths cheaper than B.
 
-Two schedules:
+Both schedules probe shortest + f, shortest + 3f, shortest + 7f, ...: the
+step starts at f and doubles after each failed probe.  They differ only in
+f:
 
-* doubling-bound: probe 2*shortest, 4*shortest, 8*shortest, ...
-* doubling-step:  probe shortest + f, + 3f, + 7f, ... with the step f
-  picked from the edge costs (default: twice the cheapest edge).
+* doubling-bound: f = shortest, so the probes are 2*shortest, 4*shortest,
+  8*shortest, ...
+* doubling-step:  f = twice the cheapest edge cost.
 
 No elementary path can cost more than node_count * max_edge_cost, so once
 the bound passes that, one final unbounded probe settles infeasibility.
@@ -22,7 +24,6 @@ the bound passes that, one final unbounded probe settles infeasibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
 from time import perf_counter
 
 from .network import Network, Path, DrcrTask, check_task_nodes
@@ -34,47 +35,24 @@ from .trees import ReverseTrees
 DOUBLING_BOUND = "doubling-bound"
 DOUBLING_STEP = "doubling-step"
 
-STEP_BASES = ("min-edge-cost", "double-min-edge-cost", "mean-edge-cost")
-
 
 @dataclass(frozen=True)
 class BtbuConfig:
-    """Bound schedule selection.
+    """Bound schedule selection: the first step f of shortest + f, + 3f, ...
 
-    ``step_basis`` picks f(G) for the doubling-step schedule: one of the
-    STEP_BASES names or an explicit positive integer.
+    ``DOUBLING_BOUND`` takes f = shortest (BTBU1), ``DOUBLING_STEP`` takes
+    f = 2 * min_edge_cost (BTBU2).
     """
 
     strategy: str = DOUBLING_BOUND
-    step_basis: str | int = "double-min-edge-cost"
 
     def __post_init__(self):
         if self.strategy not in (DOUBLING_BOUND, DOUBLING_STEP):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if isinstance(self.step_basis, int):
-            if self.step_basis < 1:
-                raise ValueError("explicit cost step must be >= 1")
-        elif self.step_basis not in STEP_BASES:
-            raise ValueError(f"unknown step basis {self.step_basis!r}")
 
 
 BTBU1 = BtbuConfig(strategy=DOUBLING_BOUND)
 BTBU2 = BtbuConfig(strategy=DOUBLING_STEP)
-
-
-def cost_step(net: Network, basis: str | int) -> int:
-    """Resolve a step basis against a network's edge costs."""
-    if isinstance(basis, int):
-        return basis
-    if net.min_edge_cost is None:
-        raise ValueError("network has no edges")
-    if basis == "min-edge-cost":
-        return net.min_edge_cost
-    if basis == "double-min-edge-cost":
-        return 2 * net.min_edge_cost
-    if basis == "mean-edge-cost":
-        return ceil(sum(e.cost for e in net.edges) / len(net.edges))
-    raise ValueError(f"unknown step basis {basis!r}")
 
 
 def solve_btbu(net: Network, trees: ReverseTrees, task: DrcrTask,
@@ -98,26 +76,16 @@ def solve_btbu(net: Network, trees: ReverseTrees, task: DrcrTask,
         order = build_search_order(net, trees)
 
     guard = net.max_elementary_path_cost()
+    step = shortest if cfg.strategy == DOUBLING_BOUND else 2 * net.min_edge_cost
+    bound = shortest + step
     path: Path | None = None
     try:
-        if cfg.strategy == DOUBLING_BOUND:
-            bound = shortest
-            while path is None:
-                bound *= 2
-                if bound > guard:
-                    break
-                report.iterations += 1
-                path = pulse_optimal(net, trees, task, bound, order=order,
-                                     counters=counters, control=control)
-        else:
-            step = cost_step(net, cfg.step_basis)
-            bound = shortest + step
-            while path is None and bound <= guard:
-                report.iterations += 1
-                path = pulse_optimal(net, trees, task, bound, order=order,
-                                     counters=counters, control=control)
-                step *= 2
-                bound += step
+        while path is None and bound <= guard:
+            report.iterations += 1
+            path = pulse_optimal(net, trees, task, bound, order=order,
+                                 counters=counters, control=control)
+            step *= 2
+            bound += step
         if path is None:
             # bound passed the elementary-path cost ceiling: settle exactly
             report.iterations += 1

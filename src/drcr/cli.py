@@ -303,6 +303,9 @@ def _cmd_sweep_alpha(args) -> int:
                   "feasible_under_50ms,max_ms,mean_ms,median_ms\n")
         for alpha in args.alphas:
             rows = bench_mod.summarize(sweeps[alpha])
+            if not rows:  # no tasks, so no btcs records to summarize
+                out.write(f"{alpha:g},0,0,0,0,0.000,0.000,0.000\n")
+                continue
             row = rows[0]
             out.write(f"{alpha:g},{row.tasks},{row.feasible_found},"
                       f"{row.feasible_under_ms[20.0]},{row.feasible_under_ms[50.0]},"

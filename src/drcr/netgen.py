@@ -34,9 +34,9 @@ from math import ceil
 import networkx as nx
 import numpy as np
 
-from .btcs import BtcsConfig, solve_btcs, try_protect
+from .btcs import BtcsConfig, solve_btcs
 from .network import DrcrTask, Edge, Network, SrlgTask, Task
-from .pulse import SearchControl, pulse_first_feasible, pulse_optimal
+from .pulse import SearchControl, pulse_first_feasible
 from .report import INFEASIBLE, PAIR
 from .trees import TreeCache
 
@@ -230,7 +230,10 @@ def filter_tasks(net: Network, tasks: list[Task], kind: str, *,
     never does more work than the optimal search would.
     srlg: keeps only traps -- the cheapest feasible AP has no protection --
     labelled ``avoidable`` or ``unavoidable`` by whether the corridor solver
-    finds a pair(``unknown`` if it hits a configured cap first).
+    finds a pair, or ``unknown`` if the ``btcs_cfg`` corridor cap or
+    ``control`` ends it first, in any stage.  One ``solve_btcs`` run per
+    task decides it all: a task with no AP (no candidate checked) or whose
+    stage-1 AP is protected (a pair with no corridor explored) is dropped.
     """
     if kind not in ("drcr", "srlg"):
         raise ValueError(f"unknown task kind {kind!r}")
@@ -248,14 +251,12 @@ def filter_tasks(net: Network, tasks: list[Task], kind: str, *,
         else:
             if not isinstance(task, SrlgTask):
                 raise ValueError(f"expected disjoint-pair tasks, got {task!r}")
-            trees = cache.get(task.target)
-            ap = pulse_optimal(net, trees, task.base, control=control)
-            if ap is None:
-                continue
-            if try_protect(net, trees, task, ap, control=control) is not None:
-                continue
-            _, report = solve_btcs(net, trees, task,
+            _, report = solve_btcs(net, cache.get(task.target), task,
                                    btcs_cfg or BtcsConfig(), control=control)
+            if report.outcome == INFEASIBLE and not report.ap_candidates_checked:
+                continue  # no active path at all
+            if report.outcome == PAIR and not report.corridors_explored:
+                continue  # stage 1 protected its active path: no trap
             kept.append(task)
             if report.outcome == PAIR:
                 labels.append(AVOIDABLE)

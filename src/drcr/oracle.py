@@ -124,16 +124,15 @@ class Histogram:
     (upper delay bound only; single-path tasks with a nonzero lower bound),
     ``feasible`` (full window) and ``protected`` (feasible with a valid
     protection path; disjoint-pair tasks).  Bins are half-open
-    [b, b + bin_width) keyed by b; zero bins are omitted.
+    [b, b + bin_width) keyed by b, starting at 0; zero bins are omitted.
     """
 
     bin_width: int
-    origin: int
     series: dict[str, dict[int, int]] = field(default_factory=dict)
     truncated: bool = False
 
     def bin_of(self, cost: int) -> int:
-        return self.origin + ((cost - self.origin) // self.bin_width) * self.bin_width
+        return cost // self.bin_width * self.bin_width
 
     def count(self, series: str, cost: int) -> int:
         return self.series[series].get(self.bin_of(cost), 0)
@@ -159,7 +158,7 @@ def _upper_only(task: DrcrTask) -> DrcrTask:
 
 
 def build_histogram(net: Network, task: DrcrTask | SrlgTask, bin_width: int,
-                    cap: int = DEFAULT_PATH_CAP, *, origin: int = 0,
+                    cap: int = DEFAULT_PATH_CAP, *,
                     cost_ceiling: int | None = None,
                     include_all: bool = True,
                     control: SearchControl | None = None) -> Histogram:
@@ -179,15 +178,14 @@ def build_histogram(net: Network, task: DrcrTask | SrlgTask, bin_width: int,
     order = build_search_order(net, trees)
     counters = SearchCounters()
 
-    hist = Histogram(bin_width=bin_width, origin=origin)
+    hist = Histogram(bin_width=bin_width)
     truncated = False
 
     def swept(bins_task: DrcrTask) -> dict[int, int]:
         nonlocal truncated
         bins, hit = count_paths_capped(net, trees, bins_task, bin_width, cap,
-                                       origin=origin, cost_ceiling=cost_ceiling,
-                                       order=order, counters=counters,
-                                       control=control)
+                                       cost_ceiling=cost_ceiling, order=order,
+                                       counters=counters, control=control)
         truncated = truncated or hit
         return bins
 
@@ -201,7 +199,7 @@ def build_histogram(net: Network, task: DrcrTask | SrlgTask, bin_width: int,
         if cost_ceiling is not None:
             ceiling = min(ceiling, cost_ceiling)
         total = 0
-        b = origin
+        b = 0
         while b <= ceiling:
             candidates, more_above = scan_corridor_paths(
                 net, trees, base_task, CostCorridor(b, b + bin_width),

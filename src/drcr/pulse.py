@@ -13,9 +13,11 @@ Costs are integers, so one strict cut ``cur_cost + cost_lb > limit`` serves
 every search; only the limit differs.  The optimal search keeps an
 incumbent and cuts at ``ceil(bound) - 1``, lowered to ``cost - 1`` on each
 new incumbent, which equals the non-strict ``>= incumbent`` cut.  The
-corridor search enumerates [c_low, c_up) and cuts at ``c_up``.  The
-first-feasible search has no bound and returns the first window-feasible
-path.  The search kind is consulted only at a terminal inside the window.
+collecting search gathers the paths of cost in [lo, hi), cuts at ``hi`` and
+stops after ``cap`` of them: the corridor scan is [c_low, c_up) with no
+cap, and the first-feasible search is [0, inf) with cap 1.  The counting
+search is the collecting one without the paths, for the histograms.  The
+mode is consulted only at a terminal inside the window.
 
 Egress edges are explored cheapest-completion first (edge cost plus the
 cost-to-target bound, ties by EdgeId).  The order is deterministic so
@@ -158,7 +160,7 @@ def build_search_order(net: NetLike, trees: ReverseTrees) -> SearchOrder:
 
 
 # terminal modes of the walk
-_BEST, _COLLECT, _COUNT, _FIRST = range(4)
+_BEST, _COLLECT, _COUNT = range(3)
 
 
 def _pulse(net: NetLike, trees: ReverseTrees, task: DrcrTask,
@@ -168,17 +170,17 @@ def _pulse(net: NetLike, trees: ReverseTrees, task: DrcrTask,
     """The one walk behind every search; the cuts are the module docstring's.
 
     The cost limit is ``ceil(hi) - 1`` for ``_BEST`` (lowered on each new
-    incumbent) and ``hi`` for the other modes, so ``_FIRST`` with
+    incumbent) and ``hi`` for ``_COLLECT`` and ``_COUNT``, so a walk with
     ``hi = INF`` never cuts on cost.  ``prune=False`` sets both cuts to INF
     and never lowers the limit.
 
     The mode is consulted only at an in-window terminal of cost in
     [lo, hi): ``_BEST`` keeps it as the incumbent and lowers ``hi`` to its
-    cost, ``_COLLECT``/``_COUNT`` collect or count it and stop at ``cap``,
-    ``_FIRST`` returns it at once.
+    cost, ``_COLLECT`` appends it and ``_COUNT`` counts it, and both stop
+    once ``cap`` terminals are taken.
 
-    Returns (result, capped, more_above).  ``result`` is the incumbent or
-    first path (None if none), the collected paths, or the count.
+    Returns (result, capped, more_above).  ``result`` is the incumbent
+    (None if none), the collected paths, or the count.
     ``capped`` is True when the walk stopped at ``cap`` terminals.
     ``more_above`` False is a proof that no window-feasible path of cost
     >= hi exists at all: nothing was cut by the cost pruning (so the walk
@@ -255,8 +257,6 @@ def _pulse(net: NetLike, trees: ReverseTrees, task: DrcrTask,
                                 hi = new_cost
                                 if prune:
                                     limit = new_cost - 1
-                            elif mode == _FIRST:
-                                return base.path(path + [eid]), False, True
                             else:
                                 if mode == _COLLECT:
                                     found.append(base.path(path + [eid]))
@@ -320,33 +320,20 @@ def scan_corridor_paths(net: NetLike, trees: ReverseTrees, task: DrcrTask,
                         counters: SearchCounters | None = None,
                         control: SearchControl | None = None
                         ) -> tuple[list[Path], bool]:
-    """Corridor enumeration plus the can-anything-live-above proof bit.
+    """Exactly the corridor's paths, plus the can-anything-live-above bit.
 
-    Same path set as pulse_all_in_corridor; the second value is False only
-    when the scan proved no window-feasible path of cost >= c_up exists, so
-    ascending corridor consumers can stop early.  The corridor cost pruning
-    is strict (cut only when the optimistic completion exceeds c_up),
-    mirroring the half-open collection test; boundary branches are explored
-    and rejected at the terminal, where they set the proof bit.
+    The collecting walk with no cap: every elementary path with
+    d_low <= d(P) <= d_up and c_low <= c(P) < c_up, in discovery order.
+    No incumbent is kept and no bound is updated.  The second value is
+    False only when the scan proved no window-feasible path of cost >= c_up
+    exists, so ascending corridor consumers can stop early.  The corridor
+    cost pruning is strict (cut only when the optimistic completion exceeds
+    c_up), mirroring the half-open collection test; boundary branches are
+    explored and rejected at the terminal, where they set the proof bit.
     """
     paths, _, more_above = _pulse(net, trees, task, order, counters, control,
                                   _COLLECT, corridor.c_low, corridor.c_up)
     return paths, more_above
-
-
-def pulse_all_in_corridor(net: NetLike, trees: ReverseTrees, task: DrcrTask,
-                          corridor: CostCorridor, *,
-                          order: SearchOrder | None = None,
-                          counters: SearchCounters | None = None,
-                          control: SearchControl | None = None) -> list[Path]:
-    """Exactly the elementary paths with the window delay and corridor cost.
-
-    No incumbent is kept and no bound is updated; every path with
-    d_low <= d(P) <= d_up and c_low <= c(P) < c_up is returned, in
-    discovery order.
-    """
-    return scan_corridor_paths(net, trees, task, corridor, order=order,
-                               counters=counters, control=control)[0]
 
 
 def pulse_first_feasible(net: NetLike, trees: ReverseTrees, task: DrcrTask, *,
@@ -355,15 +342,18 @@ def pulse_first_feasible(net: NetLike, trees: ReverseTrees, task: DrcrTask, *,
                          control: SearchControl | None = None) -> Path | None:
     """Any elementary path satisfying the delay window, at first discovery.
 
-    There is no cost bound, so only the infeasibility pruning fires; the
-    walk stops as soon as a terminal satisfies the window, so the result
-    carries no optimality claim.
+    The collecting walk over [0, inf) with cap 1.  There is no cost bound,
+    so only the infeasibility pruning fires; the walk stops as soon as a
+    terminal satisfies the window, so the result carries no optimality
+    claim.
     """
-    return _pulse(net, trees, task, order, counters, control, _FIRST)[0]
+    found = _pulse(net, trees, task, order, counters, control, _COLLECT,
+                   cap=1)[0]
+    return found[0] if found else None
 
 
 def count_paths_capped(net: NetLike, trees: ReverseTrees, task: DrcrTask,
-                       bin_width: int, cap: int, *, origin: int = 0,
+                       bin_width: int, cap: int, *,
                        cost_ceiling: int | None = None,
                        order: SearchOrder | None = None,
                        counters: SearchCounters | None = None,
@@ -371,7 +361,7 @@ def count_paths_capped(net: NetLike, trees: ReverseTrees, task: DrcrTask,
     """Per-cost-bin counts of paths satisfying the task's delay window.
 
     Pass a delay-relaxed task (d_up = math.inf) to count every path.  Bins
-    are half-open [b, b + bin_width) starting at ``origin`` and are swept in
+    are half-open [b, b + bin_width) starting at 0 and are swept in
     ascending cost order, so when the cap stops the count early only the
     expensive bins are missing; the second return value reports that
     truncation.  Zero bins are omitted from the result.  ``cost_ceiling``
@@ -389,7 +379,7 @@ def count_paths_capped(net: NetLike, trees: ReverseTrees, task: DrcrTask,
         ceiling = min(ceiling, cost_ceiling)
     bins: dict[int, int] = {}
     total = 0
-    b = origin
+    b = 0
     while b <= ceiling:
         got, hit, more_above = _pulse(net, trees, task, order, counters,
                                       control, _COUNT, b, b + bin_width,

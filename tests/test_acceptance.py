@@ -16,8 +16,8 @@ from drcr import (BTBU1, BTBU2, CostCorridor, DrcrTask, GenSpec, Network,
                   SrlgSpec, SrlgTask, TreeCache, build_histogram,
                   build_reverse_trees, check_path, enumerate_paths,
                   filter_tasks, gen_graph, gen_srlg, gen_tasks, oracle_drcr,
-                  oracle_minmin, pulse_all_in_corridor, pulse_optimal,
-                  run_suite, solve_btbu, solve_btcs, summarize)
+                  oracle_minmin, pulse_optimal, run_suite,
+                  scan_corridor_paths, solve_btbu, solve_btcs, summarize)
 from drcr.btcs import corridor_width
 from drcr.netgen import AVOIDABLE
 
@@ -119,8 +119,8 @@ def test_criterion_3_corridor_completeness():
             c_up = c_low + rng.randint(1, 80)
         instances += 1
         trees = build_reverse_trees(net, task.target)
-        got = {p.edges for p in pulse_all_in_corridor(
-            net, trees, task, CostCorridor(c_low, c_up))}
+        got = {p.edges for p in scan_corridor_paths(
+            net, trees, task, CostCorridor(c_low, c_up))[0]}
         expected = {p.edges for p in paths
                     if task.d_low <= p.total_delay <= task.d_up
                     and c_low <= p.total_cost < c_up}

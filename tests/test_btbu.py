@@ -12,7 +12,7 @@ import pytest
 from drcr import (BTBU1, BTBU2, BtbuConfig, DrcrTask, Edge, GenSpec,
                   IntegrityError, Network, build_reverse_trees, gen_graph,
                   gen_tasks, oracle_drcr, pulse_optimal, solve_btbu)
-from drcr.btbu import cost_step
+import drcr.btbu
 from drcr.pulse import SearchControl
 
 from conftest import random_network, random_task
@@ -37,15 +37,40 @@ def test_unconstrained_optimum_succeeds_first_probe(diamond_net):
 
 
 def test_step_bases():
-    net = Network(3, [Edge(0, 1, 2, 1), Edge(1, 2, 4, 1)])
-    assert cost_step(net, "min-edge-cost") == 2
-    assert cost_step(net, "double-min-edge-cost") == 4
-    assert cost_step(net, "mean-edge-cost") == 3
-    assert cost_step(net, 7) == 7
-    with pytest.raises(ValueError):
-        BtbuConfig(step_basis=0)
     with pytest.raises(ValueError):
         BtbuConfig(strategy="tripling")
+
+
+def test_probe_bounds_of_both_schedules(monkeypatch):
+    # cheap slow route 0-1-3 (s = 7), costly fast route 0-2-3 (cost 100);
+    # m = 3, so 2m = 6 differs from s and the two schedules part at once
+    net = Network(4, [Edge(0, 1, 3, 10), Edge(1, 3, 4, 10),
+                      Edge(0, 2, 50, 1), Edge(2, 3, 50, 1)])
+    trees = build_reverse_trees(net, 3)
+    s, m = trees.min_cost_to_target[0], net.min_edge_cost
+    assert (s, m, net.max_elementary_path_cost()) == (7, 3, 200)
+    bounds = []
+    probe = drcr.btbu.pulse_optimal
+
+    def recording(net, trees, task, bound, **kwargs):
+        bounds.append(bound)
+        return probe(net, trees, task, bound, **kwargs)
+
+    monkeypatch.setattr(drcr.btbu, "pulse_optimal", recording)
+    fast_only, neither = DrcrTask(0, 3, 0, 5), DrcrTask(0, 3, 50, 60)
+    btbu1 = [2 * s, 4 * s, 8 * s, 16 * s]
+    btbu2 = [s + 2 * m, s + 6 * m, s + 14 * m, s + 30 * m, s + 62 * m]
+    assert btbu1 == [14, 28, 56, 112] and btbu2 == [13, 25, 49, 97, 193]
+    # the next bounds, 224 and 289, pass 200: one unbounded probe settles
+    for cfg, task, expected in ((BTBU1, fast_only, btbu1),
+                                (BTBU2, fast_only, btbu2),
+                                (BTBU1, neither, btbu1 + [inf]),
+                                (BTBU2, neither, btbu2 + [inf])):
+        bounds.clear()
+        path, report = solve_btbu(net, trees, task, cfg)
+        assert bounds == expected
+        assert report.iterations == len(expected)
+        assert (path is None) == (task is neither)
 
 
 def test_infeasible_reported_after_exhaustive_probe(diamond_net):

@@ -72,6 +72,31 @@ def test_full_pipeline(tmp_path, capsys):
     assert sweep.read_text().startswith("alpha,")
 
 
+def test_sweep_alpha_on_empty_task_file(tmp_path):
+    graph = tmp_path / "g.csv"
+    graph.write_text("nodes,3\n0,1,1,5\n1,2,1,5\n")
+    srlg = tmp_path / "s.csv"
+    srlg.write_text("0:0\n1:1\n")
+    tasks = tmp_path / "t.csv"
+    tasks.write_text("")
+    sweep = tmp_path / "sweep.csv"
+    assert run("sweep-alpha", "--graph", str(graph), "--srlg", str(srlg),
+               "--tasks", str(tasks), "--alphas", "5,10",
+               "--out", str(sweep)) == 0
+    assert sweep.read_text().splitlines()[1:] == [
+        "5,0,0,0,0,0.000,0.000,0.000", "10,0,0,0,0,0.000,0.000,0.000"]
+
+
+def test_package_exports_resolve():
+    import drcr
+
+    for name in drcr.__all__:
+        assert getattr(drcr, name) is not None, name
+    namespace: dict = {}
+    exec("from drcr import *", namespace)
+    assert set(drcr.__all__) <= set(namespace)
+
+
 def test_gen_outputs_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):

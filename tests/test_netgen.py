@@ -6,18 +6,20 @@ import hashlib
 import json
 import random
 from pathlib import Path
+from time import monotonic
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drcr import (BtcsConfig, DrcrTask, Edge, GenerationError, GenSpec,
-                  Network, SrlgSpec, SrlgTask, build_reverse_trees,
-                  check_path, filter_tasks, gen_graph, gen_srlg, gen_tasks,
-                  oracle_drcr, pulse_first_feasible, pulse_optimal,
-                  save_network, save_tasks, try_protect)
+                  Network, SearchControl, SrlgSpec, SrlgTask,
+                  build_reverse_trees, check_path, filter_tasks, gen_graph,
+                  gen_srlg, gen_tasks, oracle_drcr, pulse_first_feasible,
+                  pulse_optimal, save_network, save_tasks, try_protect)
+import drcr.pulse
 from drcr.network import format_task
-from drcr.netgen import AVOIDABLE, FEASIBLE, UNAVOIDABLE
+from drcr.netgen import AVOIDABLE, FEASIBLE, UNAVOIDABLE, UNKNOWN
 
 from conftest import random_network, random_task
 
@@ -185,6 +187,30 @@ def test_filter_tasks_trap_labels_recheck(trap_net):
         ap = pulse_optimal(trap_net, trees, task.base)
         assert ap is not None
         assert try_protect(trap_net, trees, task, ap) is None
+
+
+def test_filter_tasks_srlg_runs_stage_one_once(trap_net, monkeypatch):
+    calls = []
+    walk = drcr.pulse._pulse
+
+    def counting(*args, **kwargs):
+        calls.append(args[6])  # the walk's terminal mode
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(drcr.pulse, "_pulse", counting)
+    trap = SrlgTask(DrcrTask(0, 5, 0, 100), 50)
+    no_ap = SrlgTask(DrcrTask(0, 5, 0, 1), 1)  # every route has delay >= 2
+    kept, labels = filter_tasks(trap_net, [trap, no_ap], "srlg")
+    assert kept == [trap] and labels == [AVOIDABLE]
+    # one optimal search per task: the stage 1 of its single solve_btcs
+    assert calls.count(drcr.pulse._BEST) == 2
+
+
+def test_filter_tasks_srlg_deadline_labels_unknown(trap_net):
+    trap = SrlgTask(DrcrTask(0, 5, 0, 100), 50)
+    control = SearchControl(deadline=monotonic() - 1, poll_every=1)
+    kept, labels = filter_tasks(trap_net, [trap], "srlg", control=control)
+    assert kept == [trap] and labels == [UNKNOWN]
 
 
 def test_filter_tasks_kind_mismatch():

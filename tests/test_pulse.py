@@ -15,9 +15,8 @@ from drcr import (CostCorridor, DrcrTask, Edge, Network, SearchCancelled,
                   SearchControl, SearchCounters, SearchTimeout,
                   build_reverse_trees, build_search_order, check_path,
                   count_paths_capped, enumerate_paths, oracle_drcr,
-                  pulse_all_in_corridor, pulse_first_feasible, pulse_optimal)
+                  pulse_first_feasible, pulse_optimal, scan_corridor_paths)
 from drcr.network import NetworkView, as_view
-from drcr.pulse import scan_corridor_paths
 
 from conftest import eager_search_rows, random_network, random_task
 
@@ -52,11 +51,14 @@ def test_delay_lower_bound_respected(diamond_net):
 def test_corridor_collects_exactly_the_window(diamond_net):
     trees = build_reverse_trees(diamond_net, 3)
     task = DrcrTask(0, 3, 0, 100)
-    got = pulse_all_in_corridor(diamond_net, trees, task, CostCorridor(0, 100))
-    assert sorted(p.total_cost for p in got) == [2, 10]
-    assert pulse_all_in_corridor(diamond_net, trees, task, CostCorridor(3, 10)) == []
-    only = pulse_all_in_corridor(diamond_net, trees, task, CostCorridor(10, 11))
-    assert [p.total_cost for p in only] == [10]
+
+    def scan(c_low, c_up):
+        return scan_corridor_paths(diamond_net, trees, task,
+                                   CostCorridor(c_low, c_up))[0]
+
+    assert sorted(p.total_cost for p in scan(0, 100)) == [2, 10]
+    assert scan(3, 10) == []
+    assert [p.total_cost for p in scan(10, 11)] == [10]
 
 
 def test_corridor_rejects_empty_interval():
@@ -146,7 +148,7 @@ def test_corridor_matches_oracle_enumeration():
         c_low = rng.randint(0, 30)
         c_up = c_low + rng.randint(1, 60)
         trees = build_reverse_trees(net, task.target)
-        got = pulse_all_in_corridor(net, trees, task, CostCorridor(c_low, c_up))
+        got = scan_corridor_paths(net, trees, task, CostCorridor(c_low, c_up))[0]
         expected = {
             p.edges for p in enumerate_paths(net, task.source, task.target)
             if task.d_low <= p.total_delay <= task.d_up
@@ -257,7 +259,7 @@ def test_lazy_rows_match_eager_reference():
         order = build_search_order(net, trees)
         assert order.rows == [None] * net.node_count
         pulse_optimal(net, trees, task, order=order)
-        pulse_all_in_corridor(net, trees, task, CostCorridor(0, inf), order=order)
+        scan_corridor_paths(net, trees, task, CostCorridor(0, inf), order=order)
         view = NetworkView(net, frozenset(rng.sample(range(len(net.edges)),
                                                      len(net.edges) // 3)))
         pulse_first_feasible(view, trees, task, order=order)

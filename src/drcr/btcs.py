@@ -21,13 +21,17 @@ No elementary path can cost more than node_count * max_edge_cost; once a
 corridor starts above that, it is widened to infinity, run once, and a
 still-empty result proves infeasibility.
 
-Before the first corridor, an exact SRLG-cut test settles the traps that
-no sweep could avoid (trap avoidance, Xu et al., JLT 2003): if removing
-the edges of one SRLG leaves no source-target path, every AP uses that
-SRLG, stripping the AP removes it, and no PP can exist.  Such a trap is
-INFEASIBLE with no corridor scanned and the proving group in the report's
-``srlg_cut``.  The test costs a few plain DFS and no pulses; a trap without
-a single-SRLG cut goes on to the sweep unchanged.
+Two exact SRLG-cut tests settle the traps that no sweep could avoid (trap
+avoidance, Xu et al., JLT 2003): if removing the edges of one SRLG leaves
+no source-target path, every AP uses that SRLG, stripping the AP removes
+it, and no PP can exist.  Before anything else, ``source_egress_cut``
+intersects the SRLGs of the source's egress edges: a group holding all of
+them is such a cut, found in O(out-degree) with no search order, no
+stage 1 and no pulse.  After stage 1 finds no PP, ``find_srlg_cut`` looks
+for any other single-SRLG cut with a few plain DFS, before the first
+corridor.  Either way the trap is INFEASIBLE with no corridor scanned and
+the proving group in the report's ``srlg_cut``; a trap without a
+single-SRLG cut goes on to the sweep unchanged.
 """
 
 from __future__ import annotations
@@ -138,6 +142,28 @@ def _srlgs_on(net: Network, edge_ids) -> set[int]:
     return set().union(*(edge_srlgs[eid] for eid in edge_ids))
 
 
+def source_egress_cut(net: Network, source: int,
+                      control: SearchControl | None = None) -> int | None:
+    """The smallest SRLG holding every egress edge of ``source``, or None.
+
+    Every path from the source leaves it by one of these edges, so such a
+    group lies on every AP and every PP: removing it alone leaves no path
+    to any target, and no SRLG-disjoint pair can exist.  A source without
+    egress edges has no such group.  ``control`` is polled first, so a
+    verdict that spends no pulse still honours a stop already set or a
+    deadline already passed.
+    """
+    if control is not None:
+        control.poll()
+    edge_srlgs = net.edge_srlgs
+    egress = net.adjacency[source]
+    if not egress:
+        return None
+    shared = edge_srlgs[egress[0]].intersection(
+        *(edge_srlgs[eid] for eid in egress[1:]))
+    return min(shared, default=None)
+
+
 def find_srlg_cut(net: Network, task: SrlgTask, ap: Path,
                   control: SearchControl | None = None) -> int | None:
     """An SRLG whose removal alone leaves no path from source to target.
@@ -149,6 +175,8 @@ def find_srlg_cut(net: Network, task: SrlgTask, ap: Path,
     and a path found then rules out every single group; after that the
     smallest candidate is tried alone.  Returns the smallest cut, or None
     when no single SRLG is one.  ``control`` is polled before each search.
+    ``solve_btcs`` runs it after stage 1 finds no PP, and only when
+    ``source_egress_cut`` found no group.
     """
     groups = net.srlg_groups
     candidates = _srlgs_on(net, ap.edges)
@@ -206,25 +234,33 @@ def solve_btcs(net: Network, trees: ReverseTrees, task: SrlgTask,
                ) -> tuple[DisjointPair | None, SolveReport]:
     """Cheapest protectable AP with a feasible PP, or an exact verdict.
 
-    When stage 1 finds no PP, ``find_srlg_cut`` runs first: a single-SRLG
-    cut is the INFEASIBLE verdict with ``corridors_explored`` 0 and the cut
-    in ``srlg_cut``.  Otherwise stage-2 corridors are scanned one after
-    another in ascending cost order, each ``cfg.growth`` times wider than
-    the one before.  ``corridors_explored`` in the report counts the
-    corridors completed, up to and including the winning one (0 when stage
-    1 or the cut test already decides).  A deadline passed or a stop event
-    set in ``control`` ends the run, in either stage or the cut test, with
-    the inexact TIMEOUT outcome and no pair; ``control`` is polled as given,
-    ``poll_every`` included.  Raises IntegrityError when a task node is not
-    a node of ``net``.
+    ``source_egress_cut`` runs first, after one poll of ``control``: a
+    group holding every egress edge of the source is the INFEASIBLE
+    verdict with that group in ``srlg_cut`` and no corridor, candidate or
+    pulse spent; the search order is not even built.  Otherwise stage 1
+    runs, and when it finds no PP, ``find_srlg_cut`` runs next: a
+    single-SRLG cut is the INFEASIBLE verdict with ``corridors_explored`` 0
+    and the cut in ``srlg_cut``.  Otherwise stage-2 corridors are scanned
+    one after another in ascending cost order, each ``cfg.growth`` times
+    wider than the one before.  ``corridors_explored`` in the report counts
+    the corridors completed, up to and including the winning one (0 when
+    stage 1 or a cut test already decides).  A deadline passed or a stop
+    event set in ``control`` ends the run, on entry, in either stage or the
+    cut test, with the inexact TIMEOUT outcome and no pair; ``control`` is
+    polled as given, ``poll_every`` included.  Raises IntegrityError when a
+    task node is not a node of ``net``.
     """
     check_task_nodes(net, task)
     start = perf_counter()
     counters = SearchCounters()
     report = SolveReport(INFEASIBLE, counters=counters)
 
-    order = build_search_order(net, trees)
     try:
+        report.srlg_cut = source_egress_cut(net, task.source, control)
+        if report.srlg_cut is not None:
+            report.wall_time = perf_counter() - start
+            return None, report
+        order = build_search_order(net, trees)
         first_ap = pulse_optimal(net, trees, task.base, order=order,
                                  counters=counters, control=control)
         if first_ap is None:

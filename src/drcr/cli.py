@@ -92,6 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("drcr", "srlg"), required=True)
     p.add_argument("--alpha", type=float, default=10.0)
     p.add_argument("--max-corridors", type=int)
+    p.add_argument("--time-limit-ms", type=float,
+                   help="per-task deadline; a task it ends is kept as unknown")
     p.add_argument("--out", required=True)
     p.add_argument("--labels-out")
 
@@ -123,6 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="only sweep cost bins up to this value")
     p.add_argument("--no-all", action="store_true",
                    help="skip the unpruned all-paths series")
+    p.add_argument("--time-limit-ms", type=float,
+                   help="deadline for the whole histogram; the bins it "
+                        "completed are written, marked truncated")
     p.add_argument("--out")
 
     p = sub.add_parser("bench", help="timed solver suite over a task file")
@@ -197,7 +202,8 @@ def _cmd_filter_tasks(args) -> int:
     net = load_network(args.graph, args.srlg)
     tasks = load_tasks(args.tasks, net.node_count)
     cfg = BtcsConfig(alpha=args.alpha, max_corridors=args.max_corridors)
-    kept, labels = netgen.filter_tasks(net, tasks, args.kind, btcs_cfg=cfg)
+    kept, labels = netgen.filter_tasks(net, tasks, args.kind, btcs_cfg=cfg,
+                                       time_limit_ms=args.time_limit_ms)
     save_tasks(kept, args.out)
     if args.labels_out:
         with open(args.labels_out, "w", encoding="utf-8") as f:
@@ -261,7 +267,9 @@ def _cmd_histogram(args) -> int:
     task = parse_task_line(args.task, "<--task>", 1, net.node_count)
     hist = build_histogram(net, task, args.bin, args.cap,
                            cost_ceiling=args.ceiling,
-                           include_all=not args.no_all)
+                           include_all=not args.no_all,
+                           control=SearchControl.from_time_limit_ms(
+                               args.time_limit_ms))
     with _out_stream(args.out) as out:
         hist.to_csv(out)
     return 0

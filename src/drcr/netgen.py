@@ -36,9 +36,9 @@ import numpy as np
 
 from .btcs import BtcsConfig, solve_btcs
 from .network import DrcrTask, Edge, Network, SrlgTask, Task
-from .pulse import SearchControl, pulse_first_feasible
+from .pulse import SearchControl, SearchInterrupted, pulse_first_feasible
 from .report import INFEASIBLE, PAIR
-from .trees import TreeCache
+from .trees import ReverseTrees, TreeCache
 
 ER = "er"
 SCALE_FREE = "scale-free"
@@ -220,7 +220,8 @@ UNKNOWN = "unknown"
 def filter_tasks(net: Network, tasks: list[Task], kind: str, *,
                  cache: TreeCache | None = None,
                  btcs_cfg: BtcsConfig | None = None,
-                 control: SearchControl | None = None
+                 control: SearchControl | None = None,
+                 time_limit_ms: float | None = None
                  ) -> tuple[list[Task], list[str]]:
     """Keep the evaluation-worthy tasks, with a label per kept task.
 
@@ -230,41 +231,63 @@ def filter_tasks(net: Network, tasks: list[Task], kind: str, *,
     never does more work than the optimal search would.
     srlg: keeps only traps -- the cheapest feasible AP has no protection --
     labelled ``avoidable`` or ``unavoidable`` by whether the corridor solver
-    finds a pair, or ``unknown`` if the ``btcs_cfg`` corridor cap or
-    ``control`` ends it first, in any stage.  One ``solve_btcs`` run per
-    task decides it all: a task with no AP (no candidate checked) or whose
-    stage-1 AP is protected (a pair with no corridor explored) is dropped.
+    finds a pair.  One ``solve_btcs`` run per task decides it: a task with
+    no AP (no candidate checked and no cut) or whose stage-1 AP is
+    protected (a pair with no corridor explored) is dropped.  When the
+    source-egress cut settles a task before any AP search, one
+    first-feasible search decides whether an AP exists: the task is kept as
+    ``unavoidable`` if one does and dropped otherwise.
+    Either kind keeps a task labelled ``unknown`` when ``control`` ends its
+    searches before a verdict, and srlg also when the ``btcs_cfg`` corridor
+    cap does.  ``control`` is shared by every task; ``time_limit_ms`` gives
+    each task its own deadline instead, counted from the start of its
+    searches.  Give at most one of them.
     """
     if kind not in ("drcr", "srlg"):
         raise ValueError(f"unknown task kind {kind!r}")
+    if control is not None and time_limit_ms is not None:
+        raise ValueError("give control or time_limit_ms, not both")
     cache = cache or TreeCache(net)
+    expected, noun = ((DrcrTask, "single-path") if kind == "drcr"
+                      else (SrlgTask, "disjoint-pair"))
     kept: list[Task] = []
     labels: list[str] = []
     for task in tasks:
-        if kind == "drcr":
-            if not isinstance(task, DrcrTask):
-                raise ValueError(f"expected single-path tasks, got {task!r}")
-            trees = cache.get(task.target)
-            if pulse_first_feasible(net, trees, task, control=control) is not None:
-                kept.append(task)
-                labels.append(FEASIBLE)
-        else:
-            if not isinstance(task, SrlgTask):
-                raise ValueError(f"expected disjoint-pair tasks, got {task!r}")
-            _, report = solve_btcs(net, cache.get(task.target), task,
-                                   btcs_cfg or BtcsConfig(), control=control)
-            if report.outcome == INFEASIBLE and not report.ap_candidates_checked:
-                continue  # no active path at all
-            if report.outcome == PAIR and not report.corridors_explored:
-                continue  # stage 1 protected its active path: no trap
-            kept.append(task)
-            if report.outcome == PAIR:
-                labels.append(AVOIDABLE)
-            elif report.outcome == INFEASIBLE:
-                labels.append(UNAVOIDABLE)
+        if not isinstance(task, expected):
+            raise ValueError(f"expected {noun} tasks, got {task!r}")
+        trees = cache.get(task.target)
+        task_control = (control if time_limit_ms is None
+                        else SearchControl.from_time_limit_ms(time_limit_ms))
+        try:
+            if kind == "drcr":
+                found = pulse_first_feasible(net, trees, task,
+                                             control=task_control)
+                label = None if found is None else FEASIBLE
             else:
-                labels.append(UNKNOWN)
+                label = _trap_label(net, trees, task, btcs_cfg or BtcsConfig(),
+                                    task_control)
+        except SearchInterrupted:
+            label = UNKNOWN
+        if label is not None:
+            kept.append(task)
+            labels.append(label)
     return kept, labels
+
+
+def _trap_label(net: Network, trees: ReverseTrees, task: SrlgTask,
+                cfg: BtcsConfig, control: SearchControl | None) -> str | None:
+    """The srlg label of ``filter_tasks``, or None to drop the task."""
+    _, report = solve_btcs(net, trees, task, cfg, control=control)
+    if report.outcome == INFEASIBLE and not report.ap_candidates_checked:
+        if report.srlg_cut is None:
+            return None  # no active path at all
+        # the source-egress cut settled it before any AP search
+        ap = pulse_first_feasible(net, trees, task.base, control=control)
+        return None if ap is None else UNAVOIDABLE
+    if report.outcome == PAIR:
+        # stage 1 protected its active path: no trap
+        return AVOIDABLE if report.corridors_explored else None
+    return UNAVOIDABLE if report.outcome == INFEASIBLE else UNKNOWN
 
 
 def write_manifest(artifact_path, kind: str, params: dict) -> str:

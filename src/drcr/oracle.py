@@ -20,7 +20,7 @@ from typing import IO
 from .btcs import DisjointPair, try_protect
 from .network import DrcrTask, NetLike, Network, Path, SrlgTask, as_view
 from .pulse import (INF, CostCorridor, SearchControl, SearchCounters,
-                    build_search_order, count_paths_capped,
+                    SearchInterrupted, build_search_order, count_paths_capped,
                     scan_corridor_paths)
 from .trees import build_reverse_trees
 
@@ -170,7 +170,10 @@ def build_histogram(net: Network, task: DrcrTask | SrlgTask, bin_width: int,
     unless a protection exists).  ``include_all=False`` skips the unpruned
     all-paths count, which dominates the runtime on anything nontrivial.
     Each series is capped at ``cap`` counted paths; hitting any cap sets
-    the truncated flag.
+    the truncated flag.  A deadline or stop event in ``control`` ends the
+    sweep the same way: every bin completed before it is kept, the bin cut
+    short is dropped, every series not yet begun stays empty, and the
+    truncated flag is set.
     """
     is_pair_task = isinstance(task, SrlgTask)
     base_task = task.base if is_pair_task else task
@@ -201,19 +204,25 @@ def build_histogram(net: Network, task: DrcrTask | SrlgTask, bin_width: int,
         total = 0
         b = 0
         while b <= ceiling:
-            candidates, more_above = scan_corridor_paths(
-                net, trees, base_task, CostCorridor(b, b + bin_width),
-                order=order, counters=counters, control=control)
-            if total + len(candidates) > cap:
-                candidates = candidates[:cap - total]
-                truncated = True
-            if candidates:
-                feasible[b] = len(candidates)
-                total += len(candidates)
+            try:
+                if control is not None:
+                    control.poll()
+                candidates, more_above = scan_corridor_paths(
+                    net, trees, base_task, CostCorridor(b, b + bin_width),
+                    order=order, counters=counters, control=control)
+                if total + len(candidates) > cap:
+                    candidates = candidates[:cap - total]
+                    truncated = True
                 hits = sum(
                     1 for ap in candidates
                     if try_protect(net, trees, task, ap, order=order,
                                    counters=counters, control=control) is not None)
+            except SearchInterrupted:
+                truncated = True
+                break
+            if candidates:
+                feasible[b] = len(candidates)
+                total += len(candidates)
                 if hits:
                     protected[b] = hits
             if truncated or not more_above:

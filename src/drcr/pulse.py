@@ -70,8 +70,10 @@ class SearchCounters:
 class SearchControl:
     """Cooperative deadline/cancellation, polled between pulses.
 
-    ``drcr.btcs`` also polls it between protection attempts and before each
-    search of its SRLG-cut test, neither of which spends pulses.
+    ``drcr.btcs`` also polls it once on entry, between protection attempts
+    and before each search of its SRLG-cut test, and ``count_paths_capped``
+    and ``build_histogram`` before each cost bin; none of these spends
+    pulses.
     """
 
     deadline: float | None = None
@@ -366,6 +368,9 @@ def count_paths_capped(net: NetLike, trees: ReverseTrees, task: DrcrTask,
     expensive bins are missing; the second return value reports that
     truncation.  Zero bins are omitted from the result.  ``cost_ceiling``
     bounds the swept range for deliberately partial, low-cost-tail counts.
+    A deadline or stop event in ``control``, polled before each bin and
+    inside it, ends the sweep as the cap does: the bins completed so far
+    are returned, the bin cut short is dropped, and the flag is True.
     """
     if bin_width < 1:
         raise ValueError(f"bin width must be >= 1, got {bin_width}")
@@ -381,9 +386,14 @@ def count_paths_capped(net: NetLike, trees: ReverseTrees, task: DrcrTask,
     total = 0
     b = 0
     while b <= ceiling:
-        got, hit, more_above = _pulse(net, trees, task, order, counters,
-                                      control, _COUNT, b, b + bin_width,
-                                      cap - total)
+        try:
+            if control is not None:
+                control.poll()
+            got, hit, more_above = _pulse(net, trees, task, order, counters,
+                                          control, _COUNT, b, b + bin_width,
+                                          cap - total)
+        except SearchInterrupted:
+            return bins, True
         if got:
             bins[b] = got
             total += got

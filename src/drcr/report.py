@@ -22,9 +22,13 @@ class SolveReport:
     single-path solvers; ``iterations`` counts bound-schedule probes and
     stays zero for the corridor solver.  ``wall_time`` is seconds inside the
     solver (preprocessing excluded; the benchmark harness times that
-    separately).  ``srlg_cut`` is the SRLG whose removal alone disconnects
-    the task's source from its target when the corridor solver proved the
-    task infeasible by that cut, and None otherwise.
+    separately).  ``srlg_cut`` is set only when the corridor solver proved
+    the task infeasible by a single-SRLG cut: a group whose removal alone
+    leaves no source-target path.  It is the smallest group holding every
+    egress edge of the source when there is one (then no AP was searched
+    for, so a task without any window-feasible AP reports it too), and
+    otherwise the smallest cut among the stage-1 AP's groups.  It is None
+    for every other verdict.
     """
 
     outcome: str

@@ -236,6 +236,11 @@ def test_property_every_schedule_matches_minmin_oracle(case, alpha):
             cut = net.srlg_groups[report.srlg_cut]
             assert not is_connected(NetworkView(net, cut), task.source,
                                     task.target)
+        egress_cut = btcs.source_egress_cut(net, task.source)
+        if egress_cut is not None:
+            assert expected is None and report.srlg_cut == egress_cut
+            assert set(net.adjacency[task.source]) <= net.srlg_groups[egress_cut]
+            assert report.ap_candidates_checked == 0 and report.pulses == 0
         if expected is None:
             assert pair is None and report.outcome == "infeasible"
         else:
@@ -274,8 +279,9 @@ def _corridor_heavy() -> tuple[Network, SrlgTask]:
     """Stage 1 is a few pulses, the first corridor holds ~2000 paths.
 
     One SRLG holds every egress edge of the source, so no active path can
-    be protected: an unavoidable trap, which that single-SRLG cut settles
-    before any corridor.
+    be protected: an unavoidable trap, which the source-egress rule settles
+    before stage 1 (and, with the rule off, the SRLG-cut test before any
+    corridor).
     """
     n = 8
     edges = [Edge(u, v, 1, 1) for u in range(n) for v in range(n) if u != v]
@@ -400,6 +406,8 @@ def test_stop_set_before_protection_loop_times_out_there(monkeypatch):
 def test_single_srlg_cut_is_infeasible_before_any_corridor(monkeypatch):
     net, task = _corridor_heavy()
     trees = build_reverse_trees(net, task.target)
+    # the source-egress rule would settle this trap before stage 1
+    monkeypatch.setattr(btcs, "source_egress_cut", lambda *args: None)
     pair, report = solve_btcs(net, trees, task)
     assert pair is None and report.outcome == "infeasible"
     assert report.srlg_cut == 0 and report.corridors_explored == 0
@@ -409,6 +417,46 @@ def test_single_srlg_cut_is_infeasible_before_any_corridor(monkeypatch):
     pair, swept = solve_btcs(net, trees, task)
     assert pair is None and swept.outcome == "infeasible"
     assert swept.srlg_cut is None and swept.pulses > 1000
+
+
+def test_source_egress_cut_settles_the_trap_before_stage_one(monkeypatch):
+    net, task = _corridor_heavy()
+    trees = build_reverse_trees(net, task.target)
+    assert btcs.source_egress_cut(net, task.source) == 0
+
+    def no_search(*args):
+        raise AssertionError("stage 1 ran")
+
+    monkeypatch.setattr(btcs, "build_search_order", no_search)
+    pair, report = solve_btcs(net, trees, task)
+    assert pair is None and report.outcome == "infeasible"
+    assert report.srlg_cut == 0 and report.corridors_explored == 0
+    assert report.ap_candidates_checked == 0
+    assert report.counters == SearchCounters()
+    # a window no path meets: still the cut, where stage 1 would find no AP
+    no_ap = SrlgTask(DrcrTask(0, task.target, 0, 0), 0)
+    assert solve_btcs(net, trees, no_ap)[1].srlg_cut == 0
+
+
+def test_source_egress_cut_is_the_smallest_group_on_every_egress_edge():
+    # egress of 0: edges 0 (0->1) and 2 (0->2)
+    edges = [Edge(0, 1, 1, 1), Edge(1, 3, 1, 1),
+             Edge(0, 2, 5, 1), Edge(2, 3, 5, 1)]
+    net = Network(4, edges, [{1, 3}, {0, 2, 1}, {0}, {0, 2}])
+    assert btcs.source_egress_cut(net, 0) == 1
+    assert btcs.source_egress_cut(net.with_srlgs([{0}, {2}]), 0) is None
+    assert btcs.source_egress_cut(net.with_srlgs([{0}]), 0) is None
+    assert btcs.source_egress_cut(net, 3) is None  # no egress edge
+
+
+def test_source_without_shared_egress_group_runs_stage_one():
+    # 0->1 lies in A alone and 0->4 in B alone; 0->7 in both
+    net, task = _cross()
+    assert btcs.source_egress_cut(net, task.source) is None
+    trees = build_reverse_trees(net, task.target)
+    pair, report = solve_btcs(net, trees, task)
+    assert pair is not None and report.srlg_cut is None
+    assert report.ap_candidates_checked > 1 and report.pulses > 1000
 
 
 def test_find_srlg_cut_narrows_to_the_cut():
@@ -513,10 +561,11 @@ def golden_observations() -> dict[str, list]:
     ap_candidates_checked, (pulses, infeasibility_prunes, cost_prunes)]
     under three first-corridor widths and two corridor caps, each with
     fixed and doubling widths (no cap=1 for doubling: corridor 0 is the
-    same), and a preset stop event.  These entries are taken with the
-    SRLG-cut test replaced by one that never finds a cut, so they pin the
-    sweep alone; each "seed:config,cut" entry is the full solver's, with
-    ``srlg_cut`` appended.
+    same), and a preset stop event.  These entries are taken with both
+    SRLG-cut tests replaced by ones that never find a cut, so they pin the
+    sweep alone; each "seed:config,cut" entry adds the cut test after
+    stage 1, with ``srlg_cut`` appended, and each "seed:config,egress"
+    entry is the full solver's, with the source-egress rule as well.
     """
     seen: dict[str, list] = {}
     for seed in range(50):
@@ -528,11 +577,14 @@ def golden_observations() -> dict[str, list]:
         runs.append(("stop", BtcsConfig(alpha=10, growth=1),
                      SearchControl(stop=stop)))
         for name, cfg, control in runs:
-            with patch.object(btcs, "find_srlg_cut", lambda *args: None):
-                seen[f"{seed}:{name}"] = _observe(net, trees, task, cfg,
-                                                  control)[:-1]
-            seen[f"{seed}:{name},cut"] = _observe(net, trees, task, cfg,
-                                                  control)
+            with patch.object(btcs, "source_egress_cut", lambda *args: None):
+                with patch.object(btcs, "find_srlg_cut", lambda *args: None):
+                    seen[f"{seed}:{name}"] = _observe(net, trees, task, cfg,
+                                                      control)[:-1]
+                seen[f"{seed}:{name},cut"] = _observe(net, trees, task, cfg,
+                                                      control)
+            seen[f"{seed}:{name},egress"] = _observe(net, trees, task, cfg,
+                                                     control)
     return seen
 
 
@@ -574,6 +626,21 @@ def test_reports_match_golden_table():
             assert sweep[0] in ("infeasible", "timeout"), key
         elif entry[0] != "timeout":
             assert entry[:6] == sweep, key
+    # the egress rule settles some of those before stage 1, a preset stop
+    # is a timeout on entry, and every other solve runs as before
+    settled = 0
+    for key, entry in expected.items():
+        if not key.endswith(",egress"):
+            continue
+        cut = expected[key[:-len(",egress")] + ",cut"]
+        if key.endswith(":stop,egress"):
+            assert entry == ["timeout", None, None, 0, 0, [0, 0, 0], None], key
+        elif entry != cut:
+            assert entry[:6] == ["infeasible", None, None, 0, 0, [0, 0, 0]], key
+            assert entry[6] is not None, key
+            assert cut[0] in ("infeasible", "timeout"), key
+            settled += 1
+    assert settled >= 10
     got = json.loads(json.dumps(golden_observations()))
     assert got.keys() == expected.keys()
     for key in expected:

@@ -119,6 +119,38 @@ def test_filter_tasks_cli(tmp_path):
     assert labels.read_text() == "0,2,0,20,feasible\n"
 
 
+def test_filter_tasks_time_limit_keeps_tasks_it_ends_as_unknown(tmp_path):
+    graph = tmp_path / "g.csv"
+    graph.write_text("nodes,4\n0,1,1,1\n1,3,1,1\n0,2,5,1\n2,3,5,1\n")
+    srlg = tmp_path / "s.csv"
+    srlg.write_text("0:0\n1:2\n")
+    tasks = tmp_path / "t.csv"
+    tasks.write_text("0,3,0,100,100\n")
+    kept = tmp_path / "kept.csv"
+    labels = tmp_path / "labels.csv"
+    args = ("filter-tasks", "--graph", str(graph), "--srlg", str(srlg),
+            "--tasks", str(tasks), "--kind", "srlg", "--out", str(kept),
+            "--labels-out", str(labels))
+    # a stage-1 pair is no trap; a deadline already passed ends the solve
+    assert run(*args, "--time-limit-ms", "60000") == 0
+    assert kept.read_text() == ""
+    assert run(*args, "--time-limit-ms=-1") == 0
+    assert labels.read_text() == "0,3,0,100,100,unknown\n"
+
+
+def test_histogram_time_limit_keeps_completed_bins_only(tmp_path, capsys):
+    graph = tmp_path / "g.csv"
+    graph.write_text("nodes,2\n0,1,2,3\n")
+    args = ("histogram", "--graph", str(graph), "--task", "0,1,0,10",
+            "--bin", "5")
+    assert run(*args, "--time-limit-ms", "60000") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "bin_low,all,feasible", "0,1,1", "# truncated=false"]
+    assert run(*args, "--time-limit-ms=-1") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "bin_low,all,feasible", "# truncated=true"]
+
+
 def test_usage_error_exits_1(capsys):
     assert run("solve-drcr") == 1
     assert run("no-such-command") == 1
@@ -193,7 +225,7 @@ def test_solve_srlg_reports_the_cut_only_when_set(tmp_path):
                "--tasks", str(tasks), "--out", str(out)) == 0
     assert out.read_text().splitlines() == [
         '{"task": "0,3,0,100,100", "outcome": "infeasible", '
-        '"corridors_explored": 0, "ap_candidates_checked": 1, "srlg_cut": 0}',
+        '"corridors_explored": 0, "ap_candidates_checked": 0, "srlg_cut": 0}',
         # 1->3 is the only route and lies in no SRLG: swept to a verdict
         '{"task": "1,3,0,100,100", "outcome": "infeasible", '
         '"corridors_explored": 1, "ap_candidates_checked": 1}']

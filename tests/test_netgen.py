@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from itertools import count
 from pathlib import Path
 from time import monotonic
 
@@ -211,6 +212,68 @@ def test_filter_tasks_srlg_deadline_labels_unknown(trap_net):
     control = SearchControl(deadline=monotonic() - 1, poll_every=1)
     kept, labels = filter_tasks(trap_net, [trap], "srlg", control=control)
     assert kept == [trap] and labels == [UNKNOWN]
+
+
+def test_filter_tasks_srlg_egress_cut_keeps_only_tasks_with_an_ap():
+    # both egress edges of node 0 lie in SRLG 0: settled before any AP search
+    net = Network(4, [Edge(0, 1, 1, 1), Edge(1, 3, 1, 1),
+                      Edge(0, 2, 5, 1), Edge(2, 3, 5, 1)], [{0, 2}])
+    trap = SrlgTask(DrcrTask(0, 3, 0, 100), 100)
+    no_ap = SrlgTask(DrcrTask(0, 3, 0, 1), 1)  # every route has delay 2
+    kept, labels = filter_tasks(net, [no_ap, trap], "srlg")
+    assert kept == [trap] and labels == [UNAVOIDABLE]
+    # the stop is seen by the AP search, after the solver's entry poll
+    control = SearchControl(stop=_StopAfter(1), poll_every=1)
+    kept, labels = filter_tasks(net, [trap], "srlg", control=control)
+    assert kept == [trap] and labels == [UNKNOWN]
+
+
+class _StopAfter:
+    """A stop event that reads as set from its (polls + 1)-th read on."""
+
+    def __init__(self, polls: int):
+        self.left = polls
+
+    def is_set(self) -> bool:
+        self.left -= 1
+        return self.left < 0
+
+
+def test_filter_tasks_drcr_deadline_labels_unknown():
+    net = Network(3, [Edge(0, 1, 1, 5), Edge(1, 2, 1, 5)])
+    task = DrcrTask(0, 2, 0, 20)
+    control = SearchControl(deadline=monotonic() - 1, poll_every=1)
+    kept, labels = filter_tasks(net, [task], "drcr", control=control)
+    assert kept == [task] and labels == [UNKNOWN]
+
+
+def _late_feasible() -> tuple[Network, DrcrTask]:
+    """A first-feasible search of about 1500 pulses: two polls at 512.
+
+    Only node 7 of the complete digraph on 0..7 has an edge to 8, and the
+    window admits only the paths through all eight, so the walk first
+    exhausts the shorter ways to 7.
+    """
+    n = 8
+    edges = [Edge(u, v, 1, 1) for u in range(n) for v in range(n) if u != v]
+    return Network(n + 1, edges + [Edge(7, 8, 100, 1)]), DrcrTask(0, 8, 8, 8)
+
+
+def test_filter_tasks_time_limit_is_a_deadline_per_task(monkeypatch):
+    net, task = _late_feasible()
+    # a clock that ticks once per read: making a deadline reads it once,
+    # and each task's walk reads it at its two polls
+    ticks = count()
+    monkeypatch.setattr(drcr.pulse, "monotonic", lambda: next(ticks))
+    kept, labels = filter_tasks(net, [task, task], "drcr", time_limit_ms=2500)
+    assert labels == [FEASIBLE, FEASIBLE]
+    shared = SearchControl.from_time_limit_ms(2500)
+    kept, labels = filter_tasks(net, [task, task], "drcr", control=shared)
+    assert kept == [task, task] and labels == [FEASIBLE, UNKNOWN]
+    kept, labels = filter_tasks(net, [task], "drcr", time_limit_ms=1500)
+    assert kept == [task] and labels == [UNKNOWN]
+    with pytest.raises(ValueError, match="not both"):
+        filter_tasks(net, [task], "drcr", control=shared, time_limit_ms=1)
 
 
 def test_filter_tasks_kind_mismatch():

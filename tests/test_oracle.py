@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import io
 import random
+from math import inf
+from time import monotonic
 
 import pytest
 
-from drcr import (DrcrTask, Edge, Network, OracleTooLargeError, SrlgTask,
-                  build_histogram, enumerate_paths, oracle_drcr,
+import drcr.pulse
+from drcr import (DrcrTask, Edge, Network, OracleTooLargeError, SearchControl,
+                  SrlgTask, build_histogram, enumerate_paths, oracle_drcr,
                   oracle_minmin)
 
 from conftest import random_network, random_task
@@ -140,3 +143,67 @@ def test_histogram_cost_ceiling_limits_sweep(diamond_net):
     hist = build_histogram(diamond_net, DrcrTask(0, 3, 0, 10 ** 6), 10,
                            cost_ceiling=5)
     assert hist.series["all"] == {0: 1}  # the cost-10 path is above the ceiling
+
+
+def _weighted_complete(seed: int, n: int = 6) -> Network:
+    """A complete digraph whose histograms fill 7 to 8 bins of width 4."""
+    rng = random.Random(seed)
+    edges = [Edge(u, v, rng.randint(1, 9), rng.randint(1, 9))
+             for u in range(n) for v in range(n) if u != v]
+    return Network(n, edges, [set(rng.sample(range(len(edges)), 4))
+                              for _ in range(8)])
+
+
+_HISTOGRAM_TASKS = (DrcrTask(0, 5, 10, 30), SrlgTask(DrcrTask(0, 5, 0, 30), 8))
+
+
+@pytest.mark.parametrize("task", _HISTOGRAM_TASKS)
+def test_histogram_passed_deadline_keeps_no_bin(task):
+    net = _weighted_complete(0)
+    control = SearchControl(deadline=monotonic() - 1.0)
+    hist = build_histogram(net, task, 4, control=control)
+    assert hist.truncated
+    assert list(hist.series) == list(build_histogram(net, task, 4).series)
+    assert all(bins == {} for bins in hist.series.values())
+
+
+@pytest.mark.parametrize("task", _HISTOGRAM_TASKS)
+def test_histogram_deadline_mid_sweep_keeps_the_completed_bins(task,
+                                                               monkeypatch):
+    net = _weighted_complete(0)
+    full = build_histogram(net, task, 4)
+    assert not full.truncated
+    ticks = [0]
+
+    def clock():  # one tick per read; every poll reads it once
+        ticks[0] += 1
+        return ticks[0]
+
+    monkeypatch.setattr(drcr.pulse, "monotonic", clock)
+    build_histogram(net, task, 4, control=SearchControl(deadline=inf,
+                                                        poll_every=1))
+    polls = ticks[0]
+    assert polls > 1000
+    partial = 0
+    for deadline in range(0, polls + 1, polls // 60):
+        ticks[0] = 0
+        hist = build_histogram(net, task, 4, control=SearchControl(
+            deadline=deadline + 0.5, poll_every=1))
+        assert list(hist.series) == list(full.series)
+        assert hist.truncated == (deadline < polls)
+        ended = None  # the sweep the deadline cut short
+        for name, bins in hist.series.items():
+            sweep = "feasible" if name == "protected" else name
+            if ended not in (None, sweep):
+                assert bins == {}, name  # a sweep after the one cut short
+                continue
+            # the bins below the sweep's first missing one, exactly as in
+            # full; protected is swept with feasible and shares its cut
+            missing = min((b for b in full.series[sweep]
+                           if b not in hist.series[sweep]), default=inf)
+            assert bins == {b: n for b, n in full.series[name].items()
+                            if b < missing}, name
+            if ended is None and bins != full.series[name]:
+                ended = sweep
+                partial += bool(bins)
+    assert partial >= 10

@@ -10,6 +10,8 @@ from pathlib import Path
 from time import monotonic
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drcr import (CostCorridor, DrcrTask, Edge, Network, SearchCancelled,
                   SearchControl, SearchCounters, SearchTimeout,
@@ -170,6 +172,71 @@ def test_pruning_neutrality():
         assert (pruned is None) == (unpruned is None)
         if pruned is not None:
             assert pruned.total_cost == unpruned.total_cost
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_property_pulse_optimal_matches_oracle_cost(seed):
+    rng = random.Random(seed)
+    net = random_network(rng, max_nodes=9, max_edges=36, min_edges=16)
+    task = random_task(rng, net)
+    trees = build_reverse_trees(net, task.target)
+    expected = oracle_drcr(net, task)
+    bound = rng.randint(1, 80)
+    for prune in (True, False):
+        got = pulse_optimal(net, trees, task, prune=prune)
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert got.total_cost == expected[0]
+            check_path(net, got, task.source, task.target)
+            assert task.d_low <= got.total_delay <= task.d_up
+        below = pulse_optimal(net, trees, task, bound, prune=prune)
+        if expected is None or expected[0] >= bound:
+            assert below is None
+        else:
+            assert below.total_cost == expected[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_property_corridor_scan_is_exactly_the_corridor(seed):
+    rng = random.Random(seed)
+    net = random_network(rng, max_nodes=9, max_edges=36, min_edges=16)
+    task = random_task(rng, net)
+    space = rng.choice([net, NetworkView(net, frozenset(
+        rng.sample(range(len(net.edges)), len(net.edges) // 3)))])
+    c_low = rng.randint(0, 40)
+    c_up = rng.choice([inf, c_low + rng.randint(1, 60)])
+    trees = build_reverse_trees(net, task.target)
+    got, more_above = scan_corridor_paths(space, trees, task,
+                                          CostCorridor(c_low, c_up))
+    feasible = [p for p in enumerate_paths(space, task.source, task.target)
+                if task.d_low <= p.total_delay <= task.d_up]
+    assert sorted(p.edges for p in got) == sorted(
+        p.edges for p in feasible if c_low <= p.total_cost < c_up)
+    if not more_above:
+        assert all(p.total_cost < c_up for p in feasible)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_property_capped_counts_match_oracle_bins(seed):
+    rng = random.Random(seed)
+    net = random_network(rng, max_nodes=9, max_edges=36, min_edges=16)
+    task = random_task(rng, net)
+    relaxed = DrcrTask(task.source, task.target, 0, inf)
+    width = rng.randint(1, 12)
+    trees = build_reverse_trees(net, task.target)
+    paths = enumerate_paths(net, task.source, task.target)
+    for counted in (task, relaxed):
+        bins, truncated = count_paths_capped(net, trees, counted, width,
+                                             len(paths) + 1)
+        expected: dict[int, int] = {}
+        for p in paths:
+            if counted.d_low <= p.total_delay <= counted.d_up:
+                b = p.total_cost // width * width
+                expected[b] = expected.get(b, 0) + 1
+        assert bins == expected and not truncated
 
 
 def test_monotone_bound():

@@ -59,9 +59,11 @@ def solve(net: Network, trees: ReverseTrees, task: Task, solver: str,
     """One task under one named solver: its report and its path or pair.
 
     ``pulse`` is the plain optimal search with an infinite bound; a deadline
-    or stop in ``control`` is the TIMEOUT outcome for every solver.  Raises
-    ValueError when the solver does not take this kind of task, and
-    IntegrityError (a ValueError) when a task node is not a network node.
+    or stop in ``control`` is the TIMEOUT outcome for every solver, and
+    every solver polls it once on entry, so one already passed or set ends
+    the solve before its first pulse.  Raises ValueError when the solver
+    does not take this kind of task, and IntegrityError (a ValueError) when
+    a task node is not a network node.
     The solvers are looked up on their modules at call time, so a wrapper
     set on ``drcr.btcs.solve_btcs`` and the like sees every call.
     """
@@ -79,6 +81,8 @@ def solve(net: Network, trees: ReverseTrees, task: Task, solver: str,
         start = perf_counter()
         report = SolveReport(TIMEOUT)
         try:
+            if control is not None:
+                control.poll()
             path = pulse.pulse_optimal(net, trees, task,
                                        counters=report.counters,
                                        control=control)

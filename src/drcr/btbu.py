@@ -60,26 +60,29 @@ def solve_btbu(net: Network, trees: ReverseTrees, task: DrcrTask,
                control: SearchControl | None = None) -> tuple[Path | None, SolveReport]:
     """Exact optimum for the task via the configured bound schedule.
 
-    A deadline passed or a stop event set in ``control`` ends the run with
-    the inexact TIMEOUT outcome and no path.  Raises IntegrityError when a
-    task node is not a node of ``net``.
+    A deadline passed or a stop event set in ``control``, polled once on
+    entry and then between pulses, ends the run with the inexact TIMEOUT
+    outcome and no path.  Raises IntegrityError when a task node is not a
+    node of ``net``.
     """
     check_task_nodes(net, task)
     start = perf_counter()
     counters = SearchCounters()
     report = SolveReport(INFEASIBLE, counters=counters)
-    shortest = trees.min_cost_to_target[task.source]
-    if shortest == INF:
-        report.wall_time = perf_counter() - start
-        return None, report
-    if order is None:
-        order = build_search_order(net, trees)
-
-    guard = net.max_elementary_path_cost()
-    step = shortest if cfg.strategy == DOUBLING_BOUND else 2 * net.min_edge_cost
-    bound = shortest + step
     path: Path | None = None
     try:
+        if control is not None:
+            control.poll()
+        shortest = trees.min_cost_to_target[task.source]
+        if shortest == INF:
+            report.wall_time = perf_counter() - start
+            return None, report
+        if order is None:
+            order = build_search_order(net, trees)
+        guard = net.max_elementary_path_cost()
+        step = (shortest if cfg.strategy == DOUBLING_BOUND
+                else 2 * net.min_edge_cost)
+        bound = shortest + step
         while path is None and bound <= guard:
             report.iterations += 1
             path = pulse_optimal(net, trees, task, bound, order=order,

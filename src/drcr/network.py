@@ -59,6 +59,8 @@ class Network:
         edges: tuple of Edge, indexed by EdgeId; Edge instances passed in
             are kept as they are, other tuples are converted.
         adjacency: per-node tuple of egress EdgeIds.
+        min_edge_cost, max_edge_cost, max_edge_delay: weight extremes, None
+            without edges.
         reverse_adjacency: per-node tuple of ingress ``(src, cost, delay)``
             triples, built on first use.
         srlg_groups: tuple of frozensets of EdgeId, indexed by SrlgId.
@@ -73,7 +75,7 @@ class Network:
 
     __slots__ = ("node_count", "edges", "adjacency", "srlg_groups",
                  "edge_srlgs", "min_edge_cost", "max_edge_cost",
-                 "_reverse_adjacency")
+                 "max_edge_delay", "_reverse_adjacency")
 
     def __init__(self, node_count: int, edges: Iterable[Edge],
                  srlg_groups: Iterable[Iterable[int]] = ()):
@@ -97,6 +99,7 @@ class Network:
         costs = [e.cost for e in self.edges]
         self.min_edge_cost = min(costs) if costs else None
         self.max_edge_cost = max(costs) if costs else None
+        self.max_edge_delay = max((e.delay for e in self.edges), default=None)
         self._index_srlgs(srlg_groups)
 
     def _index_srlgs(self, srlg_groups: Iterable[Iterable[int]]) -> None:
@@ -122,7 +125,8 @@ class Network:
     def reverse_adjacency(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
         """Per-node tuple of ``(src, cost, delay)``, one per ingress edge.
 
-        The input of the reverse shortest-path trees, for both metrics.  It
+        The input of the reverse shortest-path trees, for both metrics: a
+        tree reads the source and its metric's weight from each triple.  It
         depends on the edges alone, so it is built at most once per network
         (and shared with ``with_srlgs`` copies) rather than once per target.
         """
@@ -139,7 +143,7 @@ class Network:
         """A copy of this network with the SRLG index replaced.
 
         SRLGs do not change the edges, so the copy shares this network's
-        node count, edges, adjacency, edge-cost extremes and reverse
+        node count, edges, adjacency, edge-weight extremes and reverse
         adjacency; only the SRLG index is built and validated.
         """
         copy = Network.__new__(Network)
@@ -148,6 +152,7 @@ class Network:
         copy.adjacency = self.adjacency
         copy.min_edge_cost = self.min_edge_cost
         copy.max_edge_cost = self.max_edge_cost
+        copy.max_edge_delay = self.max_edge_delay
         copy._reverse_adjacency = self.reverse_adjacency
         copy._index_srlgs(srlg_groups)
         return copy

@@ -44,6 +44,8 @@ from .trees import ReverseTrees
 
 INF = inf
 
+_COST_LB = itemgetter(0)  # sort key of a SearchOrder row entry
+
 
 class SearchInterrupted(Exception):
     """Base for cooperative search interruption."""
@@ -71,9 +73,10 @@ class SearchControl:
     """Cooperative deadline/cancellation, polled between pulses.
 
     ``drcr.btcs`` also polls it once on entry, between protection attempts
-    and before each search of its SRLG-cut test, and ``count_paths_capped``
-    and ``build_histogram`` before each cost bin; none of these spends
-    pulses.
+    and before each search of its SRLG-cut test, ``solve_btbu`` and the
+    ``pulse`` solver of ``drcr.bench.solve`` once on entry, and
+    ``count_paths_capped`` and ``build_histogram`` before each cost bin;
+    none of these spends pulses.
     """
 
     deadline: float | None = None
@@ -139,15 +142,14 @@ class SearchOrder:
             min_delay = self._min_delay
             row = []
             for eid in self._adjacency[u]:
-                e = edges[eid]
-                mc = min_cost[e.dst]
+                _, v, c, d = edges[eid]
+                mc = min_cost[v]
                 if mc == INF:
                     continue
-                row.append((e.cost + mc, e.delay + min_delay[e.dst],
-                            e.cost, e.delay, e.dst, eid))
+                row.append((c + mc, d + min_delay[v], c, d, v, eid))
             # adjacency holds EdgeIds in ascending order and the sort is
             # stable, so sorting on cost_lb alone yields (cost_lb, eid) order
-            row.sort(key=itemgetter(0))
+            row.sort(key=_COST_LB)
             self.rows[u] = row
         return row
 

@@ -49,19 +49,22 @@ def test_solver_task_kind_mismatch_is_error_outcome():
 
 
 def test_solve_reports_stop_event_as_timeout_for_every_solver():
+    # unstopped, pulse takes 2 pulses, fewer than the default poll_every:
+    # only a poll on entry ends every solver before its first pulse
     net = Network(4, [Edge(u, v, 1, 1) for u in range(4) for v in range(4) if u != v])
     trees = build_reverse_trees(net, 3)
+    report, path = bench_mod.solve(net, trees, DrcrTask(0, 3, 0, 10), "pulse")
+    assert (report.outcome, report.pulses) == ("optimal", 2)
     stop = threading.Event()
     stop.set()
-    control = SearchControl(stop=stop, poll_every=1)
-    for solver in ("pulse", "btbu1", "btbu2"):
-        report, path = bench_mod.solve(net, trees, DrcrTask(0, 3, 0, 10), solver,
-                                       control)
-        assert report.outcome == "timeout" and path is None
-        assert report.pulses >= 1
-    report, pair = bench_mod.solve(net, trees, SrlgTask(DrcrTask(0, 3, 0, 10), 5),
-                                   "btcs", control)
-    assert report.outcome == "timeout" and pair is None
+    for control in (SearchControl(stop=stop, poll_every=1), SearchControl(stop=stop)):
+        for solver, task in (("pulse", DrcrTask(0, 3, 0, 10)),
+                             ("btbu1", DrcrTask(0, 3, 0, 10)),
+                             ("btbu2", DrcrTask(0, 3, 0, 10)),
+                             ("btcs", SrlgTask(DrcrTask(0, 3, 0, 10), 5))):
+            report, result = bench_mod.solve(net, trees, task, solver, control)
+            assert (report.outcome, result, report.pulses) == ("timeout", None, 0)
+    assert control.poll_every > 2
 
 
 def test_timeout_enforced():

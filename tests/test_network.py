@@ -308,7 +308,8 @@ def test_with_srlgs_shares_everything_but_the_srlg_index():
     assert copy.edges is net.edges
     assert copy.adjacency is net.adjacency
     assert copy.reverse_adjacency is net.reverse_adjacency
-    assert (copy.node_count, copy.min_edge_cost, copy.max_edge_cost) == (3, 2, 9)
+    assert (copy.node_count, copy.min_edge_cost, copy.max_edge_cost,
+            copy.max_edge_delay) == (3, 2, 9, 5)
     assert copy.srlg_groups == (frozenset({0, 2}), frozenset({1}))
     assert copy.edge_srlgs == (frozenset({0}), frozenset({1}), frozenset({0}))
     assert net.srlg_groups == () and copy == Network(3, net.edges, [{0, 2}, {1}])

@@ -338,6 +338,26 @@ def test_lazy_rows_match_eager_reference():
     assert built > 60
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((1, 3, 20)))
+def test_property_rows_match_reference_order(seed, max_cost):
+    # costs of 1..3 tie many cost_lb values, so the (cost_lb, eid) order
+    # rests on the sort keeping EdgeId order among equal keys
+    rng = random.Random(seed)
+    net = random_network(rng, max_nodes=8, max_edges=40, max_cost=max_cost)
+    target = rng.randrange(net.node_count)
+    trees = build_reverse_trees(net, target)
+    reference = eager_search_rows(net, trees.min_cost_to_target,
+                                  trees.min_delay_to_target)
+    order = build_search_order(net, trees)
+    nodes = list(range(net.node_count))
+    rng.shuffle(nodes)
+    for u in nodes:
+        assert order.row(u) == reference[u]
+        assert all(trees.min_cost_to_target[entry[4]] != inf
+                   for entry in order.row(u))
+
+
 def test_search_builds_only_the_rows_it_walks():
     # chain 0 -> 1 -> ... -> m-1; every chain node also has a dead-end side
     # node and a costly detour node that rejoins the chain

@@ -81,18 +81,20 @@ def test_parallel_edges_and_unreachable_nodes_match_bellman_ford():
 
 
 @st.composite
-def _network_and_target(draw):
+def _network_and_target(draw, caps=(3, 20, 100, 10 ** 15)):
     n = draw(st.integers(1, 10))
     node = st.integers(0, n - 1)
-    # small weights tie often; large ones need exact integer sums
-    weight = st.integers(1, draw(st.sampled_from((100, 10 ** 15))))
-    raw = draw(st.lists(st.tuples(node, node, weight, weight), max_size=30))
+    # small weights tie often and keep the ring, large ones need exact sums;
+    # each metric draws its own cap, so one may take the ring and one the heap
+    cost = st.integers(1, draw(st.sampled_from(caps)))
+    delay = st.integers(1, draw(st.sampled_from(caps)))
+    raw = draw(st.lists(st.tuples(node, node, cost, delay), max_size=30))
     edges = [Edge(u, v, c, d) for u, v, c, d in raw if u != v]
     # repeat some edges verbatim or with new weights: parallel edges
     for i in draw(st.lists(st.integers(0, max(0, len(edges) - 1)),
                            max_size=5 if edges else 0)):
         u, v, _, _ = edges[i]
-        edges.append(Edge(u, v, draw(weight), draw(weight)))
+        edges.append(Edge(u, v, draw(cost), draw(delay)))
     return Network(n, edges), draw(node)
 
 
@@ -103,6 +105,109 @@ def test_property_matches_bellman_ford(case):
     trees = build_reverse_trees(net, target)
     assert trees.min_cost_to_target == bellman_ford_to_target(net, target, "cost")
     assert trees.min_delay_to_target == bellman_ford_to_target(net, target, "delay")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_network_and_target())
+def test_property_every_queue_matches_bellman_ford(case):
+    # the limit picks the queue: below RING_SHARE * (W + 1) the heap; for W
+    # up to 100, at it the ring, handing off once it walks past that
+    # distance, and at n times it, above any distance, the whole ring.
+    # Each expands every reachable node once, so a hand-off neither loses
+    # nor repeats a live entry
+    net, target = case
+    share = trees_mod.RING_SHARE
+    for weight, metric, max_weight in ((trees_mod._COST, "cost", net.max_edge_cost),
+                                       (trees_mod._DELAY, "delay", net.max_edge_delay)):
+        expected = bellman_ford_to_target(net, target, metric)
+        size = (max_weight or 0) + 1
+        limits = [share * size - 1]
+        if size <= 101:
+            limits += [share * size, share * net.node_count * size]
+        for limit in limits:
+            rows = _CountingRows(net.reverse_adjacency)
+            dist = trees_mod._reverse_dijkstra(rows, target, weight, max_weight, limit)
+            assert dist == expected
+            assert rows.reads == [int(d != inf) for d in expected]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_network_and_target(caps=(3, 20)), st.integers(1, 10 ** 12))
+def test_scaled_weights_scale_the_distances_through_the_heap(case, j):
+    # k exceeds n + m, so every scaled weight is past the switch and both
+    # scaled trees take the heap: they must be exactly k times the originals
+    net, target = case
+    k = net.node_count + len(net.edges) + j
+    scaled = Network(net.node_count, [Edge(e.src, e.dst, e.cost * k, e.delay * k)
+                                      for e in net.edges])
+    small = build_reverse_trees(net, target)
+    large = build_reverse_trees(scaled, target)
+    assert large.min_cost_to_target == [d * k for d in small.min_cost_to_target]
+    assert large.min_delay_to_target == [d * k for d in small.min_delay_to_target]
+    assert all(type(d) is int for d in large.min_cost_to_target if d != inf)
+
+
+def _heap_calls(monkeypatch) -> list[int]:
+    """Record the weight position of every run that reaches the heap."""
+    calls: list[int] = []
+    heap = trees_mod._heap_queue
+
+    def recording(rev, weight, dist, level):
+        calls.append(weight)
+        return heap(rev, weight, dist, level)
+
+    monkeypatch.setattr(trees_mod, "_heap_queue", recording)
+    return calls
+
+
+def test_ring_up_to_a_share_of_the_network_size_then_heap(monkeypatch):
+    # a star of 9 nodes into node 0, node 2 by two edges: n + m = 20, so a
+    # largest cost of 4 keeps the ring (4 * 5 = 20) and 5 takes the heap
+    # (4 * 6 > 20); delays stay 1
+    assert trees_mod.RING_SHARE * (4 + 1) == 20 < trees_mod.RING_SHARE * (5 + 1)
+    calls = _heap_calls(monkeypatch)
+    for top, heap in ((4, []), (5, [trees_mod._COST])):
+        net = Network(10, [Edge(1, 0, top, 1), Edge(2, 0, 3, 1)]
+                      + [Edge(i, 0, 1, 1) for i in range(2, 10)])
+        trees = build_reverse_trees(net, 0)
+        assert trees.min_cost_to_target == [0, top] + [1] * 8
+        assert trees.min_delay_to_target == [0] + [1] * 9
+        assert calls == heap
+        calls.clear()
+
+
+def test_sparse_distances_hand_the_ring_to_the_heap(monkeypatch):
+    # a 50-node chain into node 49 with costs 10: the ring (4 * 11 <= n + m
+    # = 99) meets its first empty bucket past 99 at distance 101 and hands
+    # node 38, at 110, to the heap; the delays of 1 stay on the ring
+    n = 50
+    net = Network(n, [Edge(i, i + 1, 10, 1) for i in range(n - 1)])
+    calls = _heap_calls(monkeypatch)
+    trees = build_reverse_trees(net, n - 1)
+    assert trees.min_cost_to_target == [10 * (n - 1 - i) for i in range(n)]
+    assert trees.min_delay_to_target == [n - 1 - i for i in range(n)]
+    assert calls == [trees_mod._COST]
+    rows = _CountingRows(net.reverse_adjacency)
+    trees_mod._reverse_dijkstra(rows, n - 1, trees_mod._COST, 10, n + n - 1)
+    assert rows.reads == [1] * n
+
+
+def test_hand_off_skips_stale_ring_entries(monkeypatch):
+    # W = 10 and a limit of 44 (4 * 11): a chain puts node 4 at 40, nodes 5
+    # and 6 settle at 45 and 46, node 7 is queued at 55 through 5 and then
+    # at 51 through 6, and node 8 at 54, in the ring's last slot; distance
+    # 47 is empty and past 44, so the ring hands off holding all three
+    # entries, and the one of node 7 at 55 is stale
+    net = Network(9, [Edge(1, 0, 10, 1), Edge(2, 1, 10, 1), Edge(3, 2, 10, 1),
+                      Edge(4, 3, 10, 1), Edge(5, 4, 5, 1), Edge(6, 4, 6, 1),
+                      Edge(7, 5, 10, 1), Edge(7, 6, 5, 1), Edge(8, 6, 8, 1)])
+    calls = _heap_calls(monkeypatch)
+    rows = _CountingRows(net.reverse_adjacency)
+    dist = trees_mod._reverse_dijkstra(rows, 0, trees_mod._COST, 10, 44)
+    assert dist == [0, 10, 20, 30, 40, 45, 46, 51, 54]
+    assert dist == bellman_ford_to_target(net, 0, "cost")
+    assert rows.reads == [1] * 9
+    assert calls == [trees_mod._COST]
 
 
 def test_many_nodes_tied_at_one_distance():
@@ -164,15 +269,23 @@ class _CountingRows(list):
 
 def test_stale_bucket_entry_is_skipped():
     # the costly parallel edge 1->2 puts node 1 in bucket 9 first; the
-    # cheap one moves it to bucket 1, and bucket 9 must not expand it again
+    # cheap one moves it to bucket 1, and bucket 9 must not expand it again;
+    # checked on the heap (a limit of 20, below 4 * 21) and on the whole
+    # ring (a limit of 84, above every distance)
     net = Network(4, [Edge(1, 2, 9, 1), Edge(1, 2, 1, 9), Edge(0, 1, 1, 1),
                       Edge(3, 2, 20, 20)])
-    rows = _CountingRows(net.reverse_adjacency)
-    dist = trees_mod._reverse_dijkstra(net.node_count, rows, 2, trees_mod._COST)
-    assert dist == [2, 1, 0, 20]
-    assert rows.reads == [1, 1, 1, 1]
-    assert dist == bellman_ford_to_target(net, 2, "cost")
+    for limit in (20, 84):
+        rows = _CountingRows(net.reverse_adjacency)
+        dist = trees_mod._reverse_dijkstra(rows, 2, trees_mod._COST, 20, limit)
+        assert dist == [2, 1, 0, 20]
+        assert rows.reads == [1, 1, 1, 1]
+        assert dist == bellman_ford_to_target(net, 2, "cost")
     assert build_reverse_trees(net, 2).min_delay_to_target == [2, 1, 0, 20]
+
+
+def test_network_without_edges():
+    trees = build_reverse_trees(Network(2, []), 1)
+    assert trees.min_cost_to_target == trees.min_delay_to_target == [inf, 0]
 
 
 def test_triangle_relaxation_fixpoint():

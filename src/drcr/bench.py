@@ -78,7 +78,6 @@ def solve(net: Network, trees: ReverseTrees, task: Task, solver: str,
         raise ValueError(f"solver {solver!r} needs single-path tasks, got {task!r}")
     if solver == "pulse":
         check_task_nodes(net, task)
-        start = perf_counter()
         report = SolveReport(TIMEOUT)
         try:
             if control is not None:
@@ -90,7 +89,6 @@ def solve(net: Network, trees: ReverseTrees, task: Task, solver: str,
             path = None
         else:
             report.outcome = OPTIMAL if path is not None else INFEASIBLE
-        report.wall_time = perf_counter() - start
         return report, path
     path, report = btbu.solve_btbu(net, trees, task,
                                    BTBU1 if solver == "btbu1" else BTBU2,

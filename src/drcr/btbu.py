@@ -24,7 +24,6 @@ the bound passes that, one final unbounded probe settles infeasibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 
 from .network import Network, Path, DrcrTask, check_task_nodes
 from .pulse import (INF, SearchControl, SearchCounters, SearchInterrupted,
@@ -66,7 +65,6 @@ def solve_btbu(net: Network, trees: ReverseTrees, task: DrcrTask,
     node of ``net``.
     """
     check_task_nodes(net, task)
-    start = perf_counter()
     counters = SearchCounters()
     report = SolveReport(INFEASIBLE, counters=counters)
     path: Path | None = None
@@ -75,7 +73,6 @@ def solve_btbu(net: Network, trees: ReverseTrees, task: DrcrTask,
             control.poll()
         shortest = trees.min_cost_to_target[task.source]
         if shortest == INF:
-            report.wall_time = perf_counter() - start
             return None, report
         if order is None:
             order = build_search_order(net, trees)
@@ -96,9 +93,7 @@ def solve_btbu(net: Network, trees: ReverseTrees, task: DrcrTask,
                                  counters=counters, control=control)
     except SearchInterrupted:
         report.outcome = TIMEOUT
-        report.wall_time = perf_counter() - start
         return None, report
 
     report.outcome = OPTIMAL if path is not None else INFEASIBLE
-    report.wall_time = perf_counter() - start
     return path, report

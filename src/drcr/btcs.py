@@ -39,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 from math import ceil, inf
-from time import perf_counter
 
 from .network import (DrcrTask, Network, NetworkView, Path, SrlgTask,
                       check_task_nodes, find_path, is_connected,
@@ -68,8 +67,8 @@ class BtcsConfig:
     growth: int = 2
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if not 0 < self.alpha < inf:  # also false for NaN
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
         if self.growth < 1:
             raise ValueError(f"growth must be >= 1, got {self.growth}")
         if self.workers != 1:
@@ -85,14 +84,6 @@ class DisjointPair:
 
     ap: Path
     pp: Path
-
-    @property
-    def ap_delay(self) -> int:
-        return self.ap.total_delay
-
-    @property
-    def pp_delay(self) -> int:
-        return self.pp.total_delay
 
 
 def pp_delay_window(task: SrlgTask, ap_delay: int) -> tuple[int, int] | None:
@@ -251,35 +242,29 @@ def solve_btcs(net: Network, trees: ReverseTrees, task: SrlgTask,
     task node is not a node of ``net``.
     """
     check_task_nodes(net, task)
-    start = perf_counter()
     counters = SearchCounters()
     report = SolveReport(INFEASIBLE, counters=counters)
 
     try:
         report.srlg_cut = source_egress_cut(net, task.source, control)
         if report.srlg_cut is not None:
-            report.wall_time = perf_counter() - start
             return None, report
         order = build_search_order(net, trees)
         first_ap = pulse_optimal(net, trees, task.base, order=order,
                                  counters=counters, control=control)
         if first_ap is None:
-            report.wall_time = perf_counter() - start
             return None, report
         report.ap_candidates_checked = 1
         pp = try_protect(net, trees, task, first_ap, order=order,
                          counters=counters, control=control)
         if pp is not None:
             report.outcome = PAIR
-            report.wall_time = perf_counter() - start
             return DisjointPair(first_ap, pp), report
         report.srlg_cut = find_srlg_cut(net, task, first_ap, control)
         if report.srlg_cut is not None:
-            report.wall_time = perf_counter() - start
             return None, report
     except SearchInterrupted:
         report.outcome = TIMEOUT
-        report.wall_time = perf_counter() - start
         return None, report
 
     width = corridor_width(net, cfg.alpha)
@@ -306,10 +291,8 @@ def solve_btcs(net: Network, trees: ReverseTrees, task: SrlgTask,
         report.corridors_explored = k + 1
         if pair is not None:
             report.outcome = PAIR
-            report.wall_time = perf_counter() - start
             return pair, report
         if not more_above:
             break
         c_low = c_up
-    report.wall_time = perf_counter() - start
     return None, report

@@ -19,7 +19,7 @@ from . import netgen
 from .btcs import BtcsConfig
 from .network import (IntegrityError, ParseError, SrlgTask, format_task,
                       load_network, load_tasks, parse_task_line, save_network,
-                      save_tasks)
+                      save_srlgs, save_tasks)
 from .oracle import DEFAULT_PATH_CAP, build_histogram
 from .pulse import SearchControl
 from .trees import TreeCache
@@ -177,9 +177,7 @@ def _cmd_gen_srlg(args) -> int:
     spec = netgen.SrlgSpec(pattern=args.pattern, seed=args.seed,
                            random_size_range=args.size_range)
     groups = netgen.gen_srlg(net, spec)
-    with open(args.out, "w", encoding="utf-8") as f:
-        for gid, group in enumerate(groups):
-            f.write(f"{gid}:{','.join(str(e) for e in sorted(group))}\n")
+    save_srlgs(groups, args.out)
     netgen.write_manifest(args.out, "srlg", {
         "graph": args.graph, "pattern": args.pattern,
         "size_range": list(args.size_range), "seed": args.seed})

@@ -452,9 +452,14 @@ def save_network(net: Network, graph_file, srlg_file=None) -> None:
         for e in net.edges:
             f.write(f"{e.src},{e.dst},{e.cost},{e.delay}\n")
     if srlg_file is not None:
-        with open(srlg_file, "w", encoding="utf-8") as f:
-            for gid, group in enumerate(net.srlg_groups):
-                f.write(f"{gid}:{','.join(str(e) for e in sorted(group))}\n")
+        save_srlgs(net.srlg_groups, srlg_file)
+
+
+def save_srlgs(groups: Iterable[Iterable[int]], srlg_file) -> None:
+    """Write SRLG groups in the load_network format, members ascending."""
+    with open(srlg_file, "w", encoding="utf-8") as f:
+        for gid, group in enumerate(groups):
+            f.write(f"{gid}:{','.join(str(e) for e in sorted(group))}\n")
 
 
 def parse_task_line(line: str, path="<string>", line_no: int = 0,

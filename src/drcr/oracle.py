@@ -19,8 +19,8 @@ from typing import IO
 
 from .btcs import DisjointPair, try_protect
 from .network import DrcrTask, NetLike, Network, Path, SrlgTask, as_view
-from .pulse import (INF, CostCorridor, SearchControl, SearchCounters,
-                    SearchInterrupted, build_search_order, count_paths_capped,
+from .pulse import (INF, CostCorridor, SearchControl, SearchInterrupted,
+                    build_search_order, count_paths_capped,
                     scan_corridor_paths)
 from .trees import build_reverse_trees
 
@@ -131,12 +131,6 @@ class Histogram:
     series: dict[str, dict[int, int]] = field(default_factory=dict)
     truncated: bool = False
 
-    def bin_of(self, cost: int) -> int:
-        return cost // self.bin_width * self.bin_width
-
-    def count(self, series: str, cost: int) -> int:
-        return self.series[series].get(self.bin_of(cost), 0)
-
     def to_csv(self, f: IO[str]) -> None:
         names = list(self.series)
         f.write("bin_low," + ",".join(names) + "\n")
@@ -179,7 +173,6 @@ def build_histogram(net: Network, task: DrcrTask | SrlgTask, bin_width: int,
     base_task = task.base if is_pair_task else task
     trees = build_reverse_trees(net, base_task.target)
     order = build_search_order(net, trees)
-    counters = SearchCounters()
 
     hist = Histogram(bin_width=bin_width)
     truncated = False
@@ -188,7 +181,7 @@ def build_histogram(net: Network, task: DrcrTask | SrlgTask, bin_width: int,
         nonlocal truncated
         bins, hit = count_paths_capped(net, trees, bins_task, bin_width, cap,
                                        cost_ceiling=cost_ceiling, order=order,
-                                       counters=counters, control=control)
+                                       control=control)
         truncated = truncated or hit
         return bins
 
@@ -209,14 +202,14 @@ def build_histogram(net: Network, task: DrcrTask | SrlgTask, bin_width: int,
                     control.poll()
                 candidates, more_above = scan_corridor_paths(
                     net, trees, base_task, CostCorridor(b, b + bin_width),
-                    order=order, counters=counters, control=control)
+                    order=order, control=control)
                 if total + len(candidates) > cap:
                     candidates = candidates[:cap - total]
                     truncated = True
                 hits = sum(
                     1 for ap in candidates
                     if try_protect(net, trees, task, ap, order=order,
-                                   counters=counters, control=control) is not None)
+                                   control=control) is not None)
             except SearchInterrupted:
                 truncated = True
                 break

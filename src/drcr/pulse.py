@@ -34,7 +34,7 @@ writes is a missing row of the search order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, inf
+from math import ceil, inf, isnan
 from operator import itemgetter
 from threading import Event
 from time import monotonic
@@ -86,6 +86,13 @@ class SearchControl:
     @classmethod
     def from_time_limit_ms(cls, time_limit_ms: float | None,
                            stop: Event | None = None) -> "SearchControl | None":
+        """A deadline ``time_limit_ms`` from now and ``stop``; None if neither.
+
+        A zero or negative limit is a deadline already passed.  NaN raises
+        ValueError: no clock reading is ever past a NaN deadline.
+        """
+        if time_limit_ms is not None and isnan(time_limit_ms):
+            raise ValueError("time limit must be a number of ms, got nan")
         if time_limit_ms is None and stop is None:
             return None
         deadline = None if time_limit_ms is None else monotonic() + time_limit_ms / 1000.0

@@ -11,8 +11,6 @@ PAIR = "pair"              # disjoint-pair solver: pair found
 INFEASIBLE = "infeasible"  # proven: no solution exists
 TIMEOUT = "timeout"        # deadline or corridor cap hit before a verdict
 
-OUTCOMES = (OPTIMAL, PAIR, INFEASIBLE, TIMEOUT)
-
 
 @dataclass
 class SolveReport:
@@ -20,19 +18,16 @@ class SolveReport:
 
     ``corridors_explored`` and ``ap_candidates_checked`` stay zero for
     single-path solvers; ``iterations`` counts bound-schedule probes and
-    stays zero for the corridor solver.  ``wall_time`` is seconds inside the
-    solver (preprocessing excluded; the benchmark harness times that
-    separately).  ``srlg_cut`` is set only when the corridor solver proved
-    the task infeasible by a single-SRLG cut: a group whose removal alone
-    leaves no source-target path.  It is the smallest group holding every
-    egress edge of the source when there is one (then no AP was searched
-    for, so a task without any window-feasible AP reports it too), and
-    otherwise the smallest cut among the stage-1 AP's groups.  It is None
-    for every other verdict.
+    stays zero for the corridor solver.  ``srlg_cut`` is set only when the
+    corridor solver proved the task infeasible by a single-SRLG cut: a
+    group whose removal alone leaves no source-target path.  It is the
+    smallest group holding every egress edge of the source when there is
+    one (then no AP was searched for, so a task without any window-feasible
+    AP reports it too), and otherwise the smallest cut among the stage-1
+    AP's groups.  It is None for every other verdict.
     """
 
     outcome: str
-    wall_time: float = 0.0
     corridors_explored: int = 0
     ap_candidates_checked: int = 0
     iterations: int = 0

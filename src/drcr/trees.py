@@ -62,11 +62,10 @@ _DELAY = 2
 class ReverseTrees:
     """Minimum cost-to-target and delay-to-target for every node."""
 
-    __slots__ = ("target", "min_cost_to_target", "min_delay_to_target")
+    __slots__ = ("min_cost_to_target", "min_delay_to_target")
 
-    def __init__(self, target: int, min_cost_to_target: list[float],
+    def __init__(self, min_cost_to_target: list[float],
                  min_delay_to_target: list[float]):
-        self.target = target
         self.min_cost_to_target = min_cost_to_target
         self.min_delay_to_target = min_delay_to_target
 
@@ -155,7 +154,6 @@ def build_reverse_trees(net: Network, target: int) -> ReverseTrees:
     rev = net.reverse_adjacency
     limit = net.node_count + len(net.edges)
     return ReverseTrees(
-        target,
         _reverse_dijkstra(rev, target, _COST, net.max_edge_cost, limit),
         _reverse_dijkstra(rev, target, _DELAY, net.max_edge_delay, limit))
 

@@ -490,6 +490,12 @@ def test_growth_below_one_is_rejected():
         BtcsConfig(growth=0)
 
 
+@pytest.mark.parametrize("alpha", [0, -1.0, float("inf"), float("nan")])
+def test_alpha_must_be_finite_and_positive(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+        BtcsConfig(alpha=alpha)
+
+
 def test_task_node_outside_network_is_rejected():
     net = _two_route_net(shared_srlg=False)
     trees = build_reverse_trees(net, 3)

@@ -151,6 +151,43 @@ def test_histogram_time_limit_keeps_completed_bins_only(tmp_path, capsys):
         "bin_low,all,feasible", "# truncated=true"]
 
 
+@pytest.mark.parametrize("command", [
+    ("solve-srlg", "--srlg", "{srlg}", "--tasks", "{srlg_tasks}",
+     "--alpha", "inf"),
+    ("solve-srlg", "--srlg", "{srlg}", "--tasks", "{srlg_tasks}",
+     "--alpha", "nan"),
+    ("solve-srlg", "--srlg", "{srlg}", "--tasks", "{srlg_tasks}",
+     "--time-limit-ms", "nan"),
+    ("filter-tasks", "--srlg", "{srlg}", "--tasks", "{srlg_tasks}",
+     "--kind", "srlg", "--out", "{out}", "--alpha", "inf"),
+    ("sweep-alpha", "--srlg", "{srlg}", "--tasks", "{srlg_tasks}",
+     "--alphas", "5,nan"),
+    ("bench", "--srlg", "{srlg}", "--tasks", "{srlg_tasks}",
+     "--solver", "btcs", "--alpha", "inf"),
+    ("solve-drcr", "--tasks", "{tasks}", "--time-limit-ms", "nan"),
+    ("histogram", "--task", "0,3,0,100", "--bin", "5",
+     "--time-limit-ms", "nan"),
+])
+def test_non_finite_alpha_or_nan_time_limit_exits_1(tmp_path, capsys,
+                                                     command):
+    graph = tmp_path / "g.csv"
+    graph.write_text("nodes,4\n0,1,1,1\n1,3,1,1\n0,2,5,1\n2,3,5,1\n")
+    srlg = tmp_path / "s.csv"
+    srlg.write_text("0:0\n1:2\n")
+    tasks = tmp_path / "t.csv"
+    tasks.write_text("0,3,0,100\n")
+    srlg_tasks = tmp_path / "t5.csv"
+    # a stage-1 pair, then a task that reaches the corridor sweep
+    srlg_tasks.write_text("0,3,0,100,100\n1,3,0,100,100\n")
+    names = dict(srlg=srlg, tasks=tasks, srlg_tasks=srlg_tasks,
+                 out=tmp_path / "out.csv")
+    argv = [arg.format(**names) for arg in command]
+    assert run(argv[0], "--graph", str(graph), *argv[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("drcr: ")
+
+
 def test_usage_error_exits_1(capsys):
     assert run("solve-drcr") == 1
     assert run("no-such-command") == 1

@@ -296,6 +296,15 @@ def test_deadline_raises_timeout():
         pulse_optimal(net, trees, task, control=control, prune=False)
 
 
+def test_nan_time_limit_is_rejected_and_a_negative_one_has_passed():
+    # monotonic() > nan is never true, so a NaN deadline would never end
+    with pytest.raises(ValueError, match="nan"):
+        SearchControl.from_time_limit_ms(float("nan"))
+    assert SearchControl.from_time_limit_ms(0).deadline is not None
+    with pytest.raises(SearchTimeout):
+        SearchControl.from_time_limit_ms(-1).poll()
+
+
 def test_preset_stop_event_cancels_search():
     # complete digraph, delay window only met by Hamiltonian paths: the
     # unpruned walk runs far past the 512-pulse poll interval

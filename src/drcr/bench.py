@@ -257,6 +257,8 @@ def sweep_alpha(net: Network, tasks: Sequence[Task],
                 alphas: Sequence[float], *, time_limit_ms: float | None = None,
                 repetitions: int = 1) -> dict[float, list[BenchRecord]]:
     """Corridor-width sweep: one btcs suite per alpha value."""
+    for alpha in alphas:
+        BtcsConfig(alpha=alpha)  # a bad alpha fails before the first suite
     return {alpha: run_suite(net, tasks, "btcs", time_limit_ms=time_limit_ms,
                              repetitions=repetitions, alpha=alpha)
             for alpha in alphas}

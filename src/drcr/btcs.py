@@ -101,9 +101,14 @@ def pp_delay_window(task: SrlgTask, ap_delay: int) -> tuple[int, int] | None:
 
 
 def corridor_width(net: Network, alpha: float) -> int:
+    """``min_edge_cost * alpha`` rounded up, at least 1 and at most
+    ``max_elementary_path_cost()``: a first corridor that wide already holds
+    every path, so any wider one sweeps the same single corridor."""
     if net.min_edge_cost is None:
         raise ValueError("network has no edges")
-    return max(1, ceil(net.min_edge_cost * alpha))
+    top = net.max_elementary_path_cost()
+    width = net.min_edge_cost * alpha
+    return top if width >= top else max(1, ceil(width))
 
 
 def try_protect(net: Network, trees: ReverseTrees, task: SrlgTask, ap: Path, *,

@@ -20,7 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence, Union
+
+import numpy as np
 
 
 class ParseError(ValueError):
@@ -61,21 +64,25 @@ class Network:
         adjacency: per-node tuple of egress EdgeIds.
         min_edge_cost, max_edge_cost, max_edge_delay: weight extremes, None
             without edges.
+        reverse_arcs: the ``(head, tail, weight)`` int64 arrays of the
+            stacked reverse graph that the numpy tree route reads, built on
+            first use.
         reverse_adjacency: per-node tuple of ingress ``(src, cost, delay)``
-            triples, built on first use.
+            triples that the heap tree route reads, built on first use.
         srlg_groups: tuple of frozensets of EdgeId, indexed by SrlgId.
         edge_srlgs: per-edge frozenset of SrlgIds (inverse of srlg_groups);
             every edge in no group holds the same shared empty frozenset.
 
     ``with_srlgs`` copies share everything but the SRLG index with their
-    source network.  Instances never change after construction (the reverse
-    adjacency is a memo filled on first use), so any number of concurrent
-    readers is safe.
+    source network, the memo of the two reverse layouts included, whichever
+    of them builds it.  Instances never change after construction (the
+    reverse layouts are memos filled on first use), so any number of
+    concurrent readers is safe.
     """
 
     __slots__ = ("node_count", "edges", "adjacency", "srlg_groups",
                  "edge_srlgs", "min_edge_cost", "max_edge_cost",
-                 "max_edge_delay", "_reverse_adjacency")
+                 "max_edge_delay", "_memo")
 
     def __init__(self, node_count: int, edges: Iterable[Edge],
                  srlg_groups: Iterable[Iterable[int]] = ()):
@@ -94,7 +101,7 @@ class Network:
             _check_positive_int(e.delay, f"edge {eid} delay")
             adjacency[e.src].append(eid)
         self.adjacency = tuple(tuple(a) for a in adjacency)
-        self._reverse_adjacency = None
+        self._memo: dict[str, object] = {}
 
         costs = [e.cost for e in self.edges]
         self.min_edge_cost = min(costs) if costs else None
@@ -122,29 +129,60 @@ class Network:
         self.edge_srlgs = tuple(edge_srlgs)
 
     @property
+    def reverse_arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only int64 arrays ``(head, tail, weight)`` of the stacked
+        reverse graph: the input of the numpy route of the reverse trees.
+
+        The stacked graph has 2 * node_count nodes: nodes 0..n-1 carry cost
+        and nodes n..2n-1 carry delay.  Edge ``eid`` from u to v gives arc
+        ``eid`` from v to u weighted by its cost and arc ``m + eid`` from
+        v + n to u + n weighted by its delay, so a tree relaxes the label of
+        ``tail`` from the label of ``head`` and the metrics never meet.  The
+        weights must fit int64; the trees build the arrays only when they
+        do.  Built at most once per network and shared with ``with_srlgs``
+        copies.
+        """
+        arcs = self._memo.get("reverse_arcs")
+        if arcs is None:
+            edges, n = self.edges, self.node_count
+            size = 2 * len(edges)
+            # filled from the edges in place: a 2-D array of the edges first
+            # would hold twice the memory while it is copied
+            arcs = (np.fromiter(chain((e.dst for e in edges),
+                                      (e.dst + n for e in edges)), np.int64, size),
+                    np.fromiter(chain((e.src for e in edges),
+                                      (e.src + n for e in edges)), np.int64, size),
+                    np.fromiter(chain((e.cost for e in edges),
+                                      (e.delay for e in edges)), np.int64, size))
+            for a in arcs:
+                a.flags.writeable = False
+            self._memo["reverse_arcs"] = arcs
+        return arcs
+
+    @property
     def reverse_adjacency(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
         """Per-node tuple of ``(src, cost, delay)``, one per ingress edge.
 
-        The input of the reverse shortest-path trees, for both metrics: a
-        tree reads the source and its metric's weight from each triple.  It
-        depends on the edges alone, so it is built at most once per network
-        (and shared with ``with_srlgs`` copies) rather than once per target.
+        The input of the heap route of the reverse trees, for both metrics:
+        a tree reads the source and its metric's weight from each triple.
+        Built at most once per network, only when that route runs, and
+        shared with ``with_srlgs`` copies.
         """
-        rev = self._reverse_adjacency
+        rev = self._memo.get("reverse_adjacency")
         if rev is None:
             lists: list[list[tuple[int, int, int]]] = [
                 [] for _ in range(self.node_count)]
             for e in self.edges:
                 lists[e.dst].append((e.src, e.cost, e.delay))
-            rev = self._reverse_adjacency = tuple(tuple(r) for r in lists)
+            rev = self._memo["reverse_adjacency"] = tuple(tuple(r) for r in lists)
         return rev
 
     def with_srlgs(self, srlg_groups: Iterable[Iterable[int]]) -> "Network":
         """A copy of this network with the SRLG index replaced.
 
         SRLGs do not change the edges, so the copy shares this network's
-        node count, edges, adjacency, edge-weight extremes and reverse
-        adjacency; only the SRLG index is built and validated.
+        node count, edges, adjacency, edge-weight extremes and the memo of
+        its reverse layouts; only the SRLG index is built and validated.
         """
         copy = Network.__new__(Network)
         copy.node_count = self.node_count
@@ -153,7 +191,7 @@ class Network:
         copy.min_edge_cost = self.min_edge_cost
         copy.max_edge_cost = self.max_edge_cost
         copy.max_edge_delay = self.max_edge_delay
-        copy._reverse_adjacency = self.reverse_adjacency
+        copy._memo = self._memo
         copy._index_srlgs(srlg_groups)
         return copy
 

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from drcr import bench as bench_mod
 from drcr.cli import main
 
 
@@ -186,6 +187,45 @@ def test_non_finite_alpha_or_nan_time_limit_exits_1(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("drcr: ")
+
+
+def test_sweep_alpha_rejects_a_bad_alpha_before_any_suite(tmp_path, capsys,
+                                                          monkeypatch):
+    graph = tmp_path / "g.csv"
+    graph.write_text("nodes,4\n0,1,1,1\n1,3,1,1\n0,2,5,1\n2,3,5,1\n")
+    srlg = tmp_path / "s.csv"
+    srlg.write_text("0:0\n1:2\n")
+    tasks = tmp_path / "t.csv"
+    tasks.write_text("1,3,0,100,100\n")
+    suites = []
+    real = bench_mod.run_suite
+    monkeypatch.setattr(bench_mod, "run_suite",
+                        lambda *a, **kw: suites.append(kw) or real(*a, **kw))
+    assert run("sweep-alpha", "--graph", str(graph), "--srlg", str(srlg),
+               "--tasks", str(tasks), "--alphas", "1,nan") == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("drcr: ")
+    assert suites == []
+
+
+def test_alpha_past_the_largest_path_cost_sweeps_one_corridor(tmp_path, capsys):
+    # node 1's only route 1->3 lies in no SRLG, so the task reaches the
+    # sweep; a width of 2 * 1e308 overflows a float, and is clamped to
+    # max_elementary_path_cost() like any width that holds every path
+    graph = tmp_path / "g.csv"
+    graph.write_text("nodes,4\n0,1,2,1\n1,3,2,1\n0,2,10,1\n2,3,10,1\n")
+    srlg = tmp_path / "s.csv"
+    srlg.write_text("0:0,2\n")
+    tasks = tmp_path / "t.csv"
+    tasks.write_text("1,3,0,100,100\n")
+    lines = {}
+    for alpha in ("1e6", "1e308"):
+        assert run("solve-srlg", "--graph", str(graph), "--srlg", str(srlg),
+                   "--tasks", str(tasks), "--alpha", alpha) == 0
+        lines[alpha] = capsys.readouterr().out
+    assert lines["1e308"] == lines["1e6"] == (
+        '{"task": "1,3,0,100,100", "outcome": "infeasible", '
+        '"corridors_explored": 1, "ap_candidates_checked": 1}\n')
 
 
 def test_usage_error_exits_1(capsys):

@@ -245,6 +245,13 @@ def test_adjacency_and_inverse_invariants():
         assert sorted((src, node, cost, delay)
                       for node, arcs in enumerate(net.reverse_adjacency)
                       for src, cost, delay in arcs) == ingress
+        # the stacked arcs: edge i is cost arc i and, n nodes up, delay arc m + i
+        head, tail, weight = (a.tolist() for a in net.reverse_arcs)
+        n, m = net.node_count, len(net.edges)
+        assert [(tail[i], head[i], weight[i], weight[m + i])
+                for i in range(m)] == [tuple(e) for e in net.edges]
+        assert head[m:] == [v + n for v in head[:m]]
+        assert tail[m:] == [u + n for u in tail[:m]]
         for gid, group in enumerate(net.srlg_groups):
             for eid in group:
                 assert gid in net.edge_srlgs[eid]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from math import inf
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,8 +85,9 @@ def test_parallel_edges_and_unreachable_nodes_match_bellman_ford():
 def _network_and_target(draw, caps=(3, 20, 100, 10 ** 15)):
     n = draw(st.integers(1, 10))
     node = st.integers(0, n - 1)
-    # small weights tie often and keep the ring, large ones need exact sums;
-    # each metric draws its own cap, so one may take the ring and one the heap
+    target = draw(node)
+    # small weights tie often, large ones need exact sums; each metric
+    # draws its own cap
     cost = st.integers(1, draw(st.sampled_from(caps)))
     delay = st.integers(1, draw(st.sampled_from(caps)))
     raw = draw(st.lists(st.tuples(node, node, cost, delay), max_size=30))
@@ -95,7 +97,9 @@ def _network_and_target(draw, caps=(3, 20, 100, 10 ** 15)):
                            max_size=5 if edges else 0)):
         u, v, _, _ = edges[i]
         edges.append(Edge(u, v, draw(cost), draw(delay)))
-    return Network(n, edges), draw(node)
+    if draw(st.booleans()):
+        edges = [e for e in edges if target not in (e.src, e.dst)]
+    return Network(n, edges), target
 
 
 @settings(max_examples=300, deadline=None)
@@ -109,33 +113,29 @@ def test_property_matches_bellman_ford(case):
 
 @settings(max_examples=300, deadline=None)
 @given(_network_and_target())
-def test_property_every_queue_matches_bellman_ford(case):
-    # the limit picks the queue: below RING_SHARE * (W + 1) the heap; for W
-    # up to 100, at it the ring, handing off once it walks past that
-    # distance, and at n times it, above any distance, the whole ring.
-    # Each expands every reachable node once, so a hand-off neither loses
-    # nor repeats a live entry
+def test_property_both_routes_match_bellman_ford(case):
+    # each route called directly, whatever the size: the frontier route on
+    # the stacked arcs, the heap once per metric, reading each reachable
+    # node's ingress row exactly once (a stale entry is skipped)
     net, target = case
-    share = trees_mod.RING_SHARE
-    for weight, metric, max_weight in ((trees_mod._COST, "cost", net.max_edge_cost),
-                                       (trees_mod._DELAY, "delay", net.max_edge_delay)):
-        expected = bellman_ford_to_target(net, target, metric)
-        size = (max_weight or 0) + 1
-        limits = [share * size - 1]
-        if size <= 101:
-            limits += [share * size, share * net.node_count * size]
-        for limit in limits:
-            rows = _CountingRows(net.reverse_adjacency)
-            dist = trees_mod._reverse_dijkstra(rows, target, weight, max_weight, limit)
-            assert dist == expected
-            assert rows.reads == [int(d != inf) for d in expected]
+    cost = bellman_ford_to_target(net, target, "cost")
+    delay = bellman_ford_to_target(net, target, "delay")
+    trees = trees_mod._frontier_trees(net.reverse_arcs, net.node_count, target)
+    assert trees.min_cost_to_target == cost
+    assert trees.min_delay_to_target == delay
+    _assert_python_ints(trees)
+    for weight, expected in ((trees_mod._COST, cost), (trees_mod._DELAY, delay)):
+        rows = _CountingRows(net.reverse_adjacency)
+        assert trees_mod._heap_tree(rows, target, weight) == expected
+        assert rows.reads == [int(d != inf) for d in expected]
 
 
 @settings(max_examples=200, deadline=None)
 @given(_network_and_target(caps=(3, 20)), st.integers(1, 10 ** 12))
 def test_scaled_weights_scale_the_distances_through_the_heap(case, j):
-    # k exceeds n + m, so every scaled weight is past the switch and both
-    # scaled trees take the heap: they must be exactly k times the originals
+    # k exceeds n + m, so the scaled trees sum only large weights, on the
+    # heap since the graphs are below FRONTIER_MIN_SIZE: they must be
+    # exactly k times the originals
     net, target = case
     k = net.node_count + len(net.edges) + j
     scaled = Network(net.node_count, [Edge(e.src, e.dst, e.cost * k, e.delay * k)
@@ -144,70 +144,120 @@ def test_scaled_weights_scale_the_distances_through_the_heap(case, j):
     large = build_reverse_trees(scaled, target)
     assert large.min_cost_to_target == [d * k for d in small.min_cost_to_target]
     assert large.min_delay_to_target == [d * k for d in small.min_delay_to_target]
-    assert all(type(d) is int for d in large.min_cost_to_target if d != inf)
+    _assert_python_ints(large)
 
 
-def _heap_calls(monkeypatch) -> list[int]:
-    """Record the weight position of every run that reaches the heap."""
-    calls: list[int] = []
-    heap = trees_mod._heap_queue
+def _assert_python_ints(trees):
+    assert all(type(d) is int
+               for d in trees.min_cost_to_target + trees.min_delay_to_target
+               if d != inf)
 
-    def recording(rev, weight, dist, level):
-        calls.append(weight)
-        return heap(rev, weight, dist, level)
 
-    monkeypatch.setattr(trees_mod, "_heap_queue", recording)
+def _routes(monkeypatch) -> list[str]:
+    """Record which route each tree pair took: ``frontier``, or ``heap``
+    (one entry per pair, after any frontier walk that gave up)."""
+    calls: list[str] = []
+    frontier, heap = trees_mod._frontier_trees, trees_mod._heap_tree
+
+    def frontier_recording(arcs, n, target):
+        calls.append("frontier")
+        return frontier(arcs, n, target)
+
+    def heap_recording(rev, target, weight):
+        if weight == trees_mod._COST:
+            calls.append("heap")
+        return heap(rev, target, weight)
+
+    monkeypatch.setattr(trees_mod, "_frontier_trees", frontier_recording)
+    monkeypatch.setattr(trees_mod, "_heap_tree", heap_recording)
     return calls
 
 
-def test_ring_up_to_a_share_of_the_network_size_then_heap(monkeypatch):
-    # a star of 9 nodes into node 0, node 2 by two edges: n + m = 20, so a
-    # largest cost of 4 keeps the ring (4 * 5 = 20) and 5 takes the heap
-    # (4 * 6 > 20); delays stay 1
-    assert trees_mod.RING_SHARE * (4 + 1) == 20 < trees_mod.RING_SHARE * (5 + 1)
-    calls = _heap_calls(monkeypatch)
-    for top, heap in ((4, []), (5, [trees_mod._COST])):
-        net = Network(10, [Edge(1, 0, top, 1), Edge(2, 0, 3, 1)]
-                      + [Edge(i, 0, 1, 1) for i in range(2, 10)])
+def _star(nodes: int) -> Network:
+    """Node 0 as the target of an edge from each of nodes 1..leaves, and a
+    second hop from each leaf but the first, with ``nodes - 1 - leaves``
+    isolated nodes after them: n + m = nodes + 2 * leaves - 1."""
+    leaves = (nodes + 1) // 3
+    edges = [Edge(i, 0, 3, 2) for i in range(1, leaves + 1)]
+    edges += [Edge(i + 1, i, 1, 1) for i in range(1, leaves)]
+    return Network(nodes, edges)
+
+
+def test_frontier_from_a_network_size_then_heap_below(monkeypatch):
+    calls = _routes(monkeypatch)
+    for nodes in range(100, trees_mod.FRONTIER_MIN_SIZE):
+        net = _star(nodes)
+        size = net.node_count + len(net.edges)
+        if size in (trees_mod.FRONTIER_MIN_SIZE - 1, trees_mod.FRONTIER_MIN_SIZE):
+            trees = build_reverse_trees(net, 0)
+            leaves = (nodes + 1) // 3
+            assert trees.min_cost_to_target == (
+                [0] + [3] * leaves + [inf] * (nodes - 1 - leaves))
+            assert trees.min_delay_to_target == (
+                [0] + [2] * leaves + [inf] * (nodes - 1 - leaves))
+            _assert_python_ints(trees)
+    assert calls == ["heap", "frontier"]
+
+
+def test_int64_guard_below_and_at_2_62(monkeypatch):
+    # n * W is 2**62 - 256, just below the guard (the frontier route, in
+    # int64), and then 2**62 (the heap).  Node i > 1 reaches the target
+    # cheapest through node 1, at the sum of two weights near W / 2: past
+    # 2**53, where floats space their values 4 apart, and exact either way
+    n = 256
+    calls = _routes(monkeypatch)
+    for top, route in ((2 ** 54 - 1, "frontier"), (2 ** 54, "heap")):
+        assert n * top - 2 ** 62 == (-n if route == "frontier" else 0)
+        half = top // 2
+        net = Network(n, [Edge(1, 0, half + 1, top)]
+                      + [Edge(i, 1, half - i, 1) for i in range(2, n)]
+                      + [Edge(i, 0, top, 2) for i in range(2, n)])
+        assert net.node_count + len(net.edges) >= trees_mod.FRONTIER_MIN_SIZE
         trees = build_reverse_trees(net, 0)
-        assert trees.min_cost_to_target == [0, top] + [1] * 8
-        assert trees.min_delay_to_target == [0] + [1] * 9
-        assert calls == heap
+        assert calls == [route]
+        cost = [0, half + 1] + [2 * half + 1 - i for i in range(2, n)]
+        assert trees.min_cost_to_target == cost
+        assert trees.min_delay_to_target == [0, top] + [2] * (n - 2)
+        assert cost == bellman_ford_to_target(net, 0, "cost")
+        assert any(float(d) != d for d in cost)
+        _assert_python_ints(trees)
         calls.clear()
 
 
-def test_sparse_distances_hand_the_ring_to_the_heap(monkeypatch):
-    # a 50-node chain into node 49 with costs 10: the ring (4 * 11 <= n + m
-    # = 99) meets its first empty bucket past 99 at distance 101 and hands
-    # node 38, at 110, to the heap; the delays of 1 stay on the ring
-    n = 50
-    net = Network(n, [Edge(i, i + 1, 10, 1) for i in range(n - 1)])
-    calls = _heap_calls(monkeypatch)
-    trees = build_reverse_trees(net, n - 1)
-    assert trees.min_cost_to_target == [10 * (n - 1 - i) for i in range(n)]
-    assert trees.min_delay_to_target == [n - 1 - i for i in range(n)]
-    assert calls == [trees_mod._COST]
-    rows = _CountingRows(net.reverse_adjacency)
-    trees_mod._reverse_dijkstra(rows, n - 1, trees_mod._COST, 10, n + n - 1)
-    assert rows.reads == [1] * n
+def test_long_walk_restarts_on_the_heap(monkeypatch):
+    # a chain above the size threshold: rooted at node k, the walk takes
+    # k + 1 rounds, the last finding nothing to relax.  At k = MAX - 1 the
+    # frontier route ends it; at k = MAX it gives up and the heap restarts
+    # from the target, with the heap's own values
+    bound = trees_mod.FRONTIER_MAX_ROUNDS
+    n = trees_mod.FRONTIER_MIN_SIZE
+    net = Network(n, [Edge(i, i + 1, 10, 1 + i % 3) for i in range(n - 1)])
+    heap = trees_mod._heap_tree
+    calls = _routes(monkeypatch)
+    for root, route in ((bound - 1, ["frontier"]), (bound, ["frontier", "heap"]),
+                        (n - 1, ["frontier", "heap"])):
+        trees = build_reverse_trees(net, root)
+        assert calls == route
+        calls.clear()
+        assert trees.min_cost_to_target == (
+            [10 * (root - i) for i in range(root + 1)] + [inf] * (n - root - 1))
+        assert trees.min_cost_to_target == heap(net.reverse_adjacency, root, trees_mod._COST)
+        assert trees.min_delay_to_target == heap(net.reverse_adjacency, root, trees_mod._DELAY)
+        _assert_python_ints(trees)
+    assert trees_mod._frontier_trees(net.reverse_arcs, n, bound) is None
 
 
-def test_hand_off_skips_stale_ring_entries(monkeypatch):
-    # W = 10 and a limit of 44 (4 * 11): a chain puts node 4 at 40, nodes 5
-    # and 6 settle at 45 and 46, node 7 is queued at 55 through 5 and then
-    # at 51 through 6, and node 8 at 54, in the ring's last slot; distance
-    # 47 is empty and past 44, so the ring hands off holding all three
-    # entries, and the one of node 7 at 55 is stale
-    net = Network(9, [Edge(1, 0, 10, 1), Edge(2, 1, 10, 1), Edge(3, 2, 10, 1),
-                      Edge(4, 3, 10, 1), Edge(5, 4, 5, 1), Edge(6, 4, 6, 1),
-                      Edge(7, 5, 10, 1), Edge(7, 6, 5, 1), Edge(8, 6, 8, 1)])
-    calls = _heap_calls(monkeypatch)
-    rows = _CountingRows(net.reverse_adjacency)
-    dist = trees_mod._reverse_dijkstra(rows, 0, trees_mod._COST, 10, 44)
-    assert dist == [0, 10, 20, 30, 40, 45, 46, 51, 54]
-    assert dist == bellman_ford_to_target(net, 0, "cost")
-    assert rows.reads == [1] * 9
-    assert calls == [trees_mod._COST]
+def test_frontier_route_builds_only_the_shared_arcs(monkeypatch):
+    # the frontier route reads the arcs, never the ingress triples, and a
+    # with_srlgs copy shares the arcs whichever network builds them first
+    net = _star(trees_mod.FRONTIER_MIN_SIZE)
+    monkeypatch.setattr(Network, "reverse_adjacency", property(
+        lambda self: pytest.fail("the frontier route built reverse_adjacency")))
+    copy = net.with_srlgs([{0}])
+    trees = build_reverse_trees(copy, 0)
+    assert trees.min_cost_to_target == build_reverse_trees(net, 0).min_cost_to_target
+    assert net.reverse_arcs is copy.reverse_arcs
+    assert net.with_srlgs([]).reverse_arcs is net.reverse_arcs
 
 
 def test_many_nodes_tied_at_one_distance():
@@ -269,17 +319,14 @@ class _CountingRows(list):
 
 def test_stale_bucket_entry_is_skipped():
     # the costly parallel edge 1->2 puts node 1 in bucket 9 first; the
-    # cheap one moves it to bucket 1, and bucket 9 must not expand it again;
-    # checked on the heap (a limit of 20, below 4 * 21) and on the whole
-    # ring (a limit of 84, above every distance)
+    # cheap one moves it to bucket 1, and bucket 9 must not expand it again
     net = Network(4, [Edge(1, 2, 9, 1), Edge(1, 2, 1, 9), Edge(0, 1, 1, 1),
                       Edge(3, 2, 20, 20)])
-    for limit in (20, 84):
-        rows = _CountingRows(net.reverse_adjacency)
-        dist = trees_mod._reverse_dijkstra(rows, 2, trees_mod._COST, 20, limit)
-        assert dist == [2, 1, 0, 20]
-        assert rows.reads == [1, 1, 1, 1]
-        assert dist == bellman_ford_to_target(net, 2, "cost")
+    rows = _CountingRows(net.reverse_adjacency)
+    dist = trees_mod._heap_tree(rows, 2, trees_mod._COST)
+    assert dist == [2, 1, 0, 20]
+    assert rows.reads == [1, 1, 1, 1]
+    assert dist == bellman_ford_to_target(net, 2, "cost")
     assert build_reverse_trees(net, 2).min_delay_to_target == [2, 1, 0, 20]
 
 

@@ -15,7 +15,7 @@ from .pulse import (CostCorridor, SearchCancelled, SearchControl,
                     count_paths_capped, pulse_first_feasible, pulse_optimal,
                     scan_corridor_paths)
 from .report import INFEASIBLE, OPTIMAL, PAIR, TIMEOUT, SolveReport
-from .btbu import BTBU1, BTBU2, BtbuConfig, solve_btbu
+from .btbu import BTBU1, BTBU2, solve_btbu
 from .btcs import (BtcsConfig, DisjointPair, pp_delay_window, solve_btcs,
                    try_protect)
 from .netgen import (GenerationError, GenSpec, SrlgSpec, filter_tasks,
@@ -27,7 +27,7 @@ from .bench import BenchRecord, run_suite, summarize, sweep_alpha
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchRecord", "BtbuConfig", "BtcsConfig", "BTBU1", "BTBU2",
+    "BenchRecord", "BtcsConfig", "BTBU1", "BTBU2",
     "CostCorridor", "DisjointPair", "DrcrTask", "Edge", "GenerationError",
     "GenSpec", "Histogram", "INFEASIBLE", "IntegrityError", "Network",
     "NetworkView", "OPTIMAL", "OracleTooLargeError", "PAIR", "ParseError",

@@ -17,16 +17,15 @@ from dataclasses import asdict, dataclass
 from time import perf_counter
 from typing import IO, Iterable, Sequence
 
-from . import btbu, btcs, pulse
+from . import btbu, btcs
 from . import trees as trees_mod
-from .btbu import BTBU1, BTBU2
 from .btcs import BtcsConfig, DisjointPair
-from .network import Network, Path, SrlgTask, Task, check_task_nodes
-from .pulse import SearchControl, SearchInterrupted
-from .report import INFEASIBLE, OPTIMAL, PAIR, TIMEOUT, SolveReport
+from .network import Network, Path, SrlgTask, Task
+from .pulse import SearchControl
+from .report import INFEASIBLE, OPTIMAL, PAIR, SolveReport
 from .trees import ReverseTrees
 
-SOLVERS = ("pulse", "btbu1", "btbu2", "btcs")
+SOLVERS = btbu.SCHEDULES + ("btcs",)
 ERROR = "error"
 THRESHOLDS_MS = (20.0, 50.0)
 FEASIBLE_OUTCOMES = (OPTIMAL, PAIR)
@@ -58,12 +57,14 @@ def solve(net: Network, trees: ReverseTrees, task: Task, solver: str,
           ) -> tuple[SolveReport, Path | DisjointPair | None]:
     """One task under one named solver: its report and its path or pair.
 
-    ``pulse`` is the plain optimal search with an infinite bound; a deadline
-    or stop in ``control`` is the TIMEOUT outcome for every solver, and
-    every solver polls it once on entry, so one already passed or set ends
-    the solve before its first pulse.  Raises ValueError when the solver
-    does not take this kind of task, and IntegrityError (a ValueError) when
-    a task node is not a network node.
+    ``btcs`` takes disjoint-pair tasks; every other name is a schedule of
+    ``drcr.btbu.solve_btbu`` (pulse, btbu1, btbu2: first step f = inf,
+    shortest, 2 * min_edge_cost), which raises ValueError on a name it does
+    not know.  A deadline or stop in ``control`` is the TIMEOUT outcome for
+    every solver, and every solver polls it once on entry, so one already
+    passed or set ends the solve before its first pulse.  Raises ValueError
+    when the solver does not take this kind of task, and IntegrityError (a
+    ValueError) when a task node is not a network node.
     The solvers are looked up on their modules at call time, so a wrapper
     set on ``drcr.btcs.solve_btcs`` and the like sees every call.
     """
@@ -76,23 +77,7 @@ def solve(net: Network, trees: ReverseTrees, task: Task, solver: str,
         return report, pair
     if isinstance(task, SrlgTask):
         raise ValueError(f"solver {solver!r} needs single-path tasks, got {task!r}")
-    if solver == "pulse":
-        check_task_nodes(net, task)
-        report = SolveReport(TIMEOUT)
-        try:
-            if control is not None:
-                control.poll()
-            path = pulse.pulse_optimal(net, trees, task,
-                                       counters=report.counters,
-                                       control=control)
-        except SearchInterrupted:
-            path = None
-        else:
-            report.outcome = OPTIMAL if path is not None else INFEASIBLE
-        return report, path
-    path, report = btbu.solve_btbu(net, trees, task,
-                                   BTBU1 if solver == "btbu1" else BTBU2,
-                                   control=control)
+    path, report = btbu.solve_btbu(net, trees, task, solver, control=control)
     return report, path
 
 

@@ -2,28 +2,26 @@
 
 The plain optimal pulse search starts with an infinite incumbent, so the
 cost pruning is idle until the first feasible path turns up -- usually a
-path far up the cost distribution.  These schedules instead run the search
-under a deliberately tight artificial bound derived from the unconstrained
-shortest cost, doubling their way up on failure.  Failed probes scan the
-nearly empty left tail of the distribution and are cheap; the first
-successful probe returns the exact optimum, because a probe at bound B is
-exhaustive over all paths cheaper than B.
+path far up the cost distribution.  The bound schedules instead run the
+search under a deliberately tight artificial bound derived from the
+unconstrained shortest cost, doubling their way up on failure.  Failed
+probes scan the nearly empty left tail of the distribution and are cheap;
+the first successful probe returns the exact optimum, because a probe at
+bound B is exhaustive over all paths cheaper than B.
 
-Both schedules probe shortest + f, shortest + 3f, shortest + 7f, ...: the
-step starts at f and doubles after each failed probe.  They differ only in
-f:
+Every schedule probes shortest + f, shortest + 3f, shortest + 7f, ...: the
+step starts at f and doubles after each failed probe.  No elementary path
+can cost more than node_count * max_edge_cost, so once the bound passes
+that, one final unbounded probe settles the task.  The schedule's name
+picks f:
 
-* doubling-bound: f = shortest, so the probes are 2*shortest, 4*shortest,
-  8*shortest, ...
-* doubling-step:  f = twice the cheapest edge cost.
-
-No elementary path can cost more than node_count * max_edge_cost, so once
-the bound passes that, one final unbounded probe settles infeasibility.
+* pulse: f = inf.  The first bound is already past that ceiling, so the
+  one probe is the unbounded one: the plain pulse search.
+* btbu1: f = shortest, so the probes are 2*shortest, 4*shortest, ...
+* btbu2: f = twice the cheapest edge cost.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .network import Network, Path, DrcrTask, check_task_nodes
 from .pulse import (INF, SearchControl, SearchCounters, SearchInterrupted,
@@ -31,39 +29,27 @@ from .pulse import (INF, SearchControl, SearchCounters, SearchInterrupted,
 from .report import INFEASIBLE, OPTIMAL, TIMEOUT, SolveReport
 from .trees import ReverseTrees
 
-DOUBLING_BOUND = "doubling-bound"
-DOUBLING_STEP = "doubling-step"
-
-
-@dataclass(frozen=True)
-class BtbuConfig:
-    """Bound schedule selection: the first step f of shortest + f, + 3f, ...
-
-    ``DOUBLING_BOUND`` takes f = shortest (BTBU1), ``DOUBLING_STEP`` takes
-    f = 2 * min_edge_cost (BTBU2).
-    """
-
-    strategy: str = DOUBLING_BOUND
-
-    def __post_init__(self):
-        if self.strategy not in (DOUBLING_BOUND, DOUBLING_STEP):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-
-
-BTBU1 = BtbuConfig(strategy=DOUBLING_BOUND)
-BTBU2 = BtbuConfig(strategy=DOUBLING_STEP)
+PULSE = "pulse"
+BTBU1 = "btbu1"
+BTBU2 = "btbu2"
+SCHEDULES = (PULSE, BTBU1, BTBU2)
 
 
 def solve_btbu(net: Network, trees: ReverseTrees, task: DrcrTask,
-               cfg: BtbuConfig = BTBU1, *, order: SearchOrder | None = None,
+               schedule: str = BTBU1, *, order: SearchOrder | None = None,
                control: SearchControl | None = None) -> tuple[Path | None, SolveReport]:
-    """Exact optimum for the task via the configured bound schedule.
+    """Exact optimum for the task via the named schedule, one of SCHEDULES.
 
-    A deadline passed or a stop event set in ``control``, polled once on
+    The first step f is inf for ``pulse``, shortest for ``btbu1`` and
+    2 * min_edge_cost for ``btbu2``; any other name raises ValueError.  A
+    source that cannot reach the target is INFEASIBLE with no probe.  A
+    deadline passed or a stop event set in ``control``, polled once on
     entry and then between pulses, ends the run with the inexact TIMEOUT
     outcome and no path.  Raises IntegrityError when a task node is not a
     node of ``net``.
     """
+    if schedule not in SCHEDULES:
+        raise ValueError(f"unknown schedule {schedule!r}")
     check_task_nodes(net, task)
     counters = SearchCounters()
     report = SolveReport(INFEASIBLE, counters=counters)
@@ -77,7 +63,7 @@ def solve_btbu(net: Network, trees: ReverseTrees, task: DrcrTask,
         if order is None:
             order = build_search_order(net, trees)
         guard = net.max_elementary_path_cost()
-        step = (shortest if cfg.strategy == DOUBLING_BOUND
+        step = (INF if schedule == PULSE else shortest if schedule == BTBU1
                 else 2 * net.min_edge_cost)
         bound = shortest + step
         while path is None and bound <= guard:

@@ -16,6 +16,7 @@ from contextlib import contextmanager
 
 from . import bench as bench_mod
 from . import netgen
+from .btbu import BTBU1, SCHEDULES
 from .btcs import BtcsConfig
 from .network import (IntegrityError, ParseError, SrlgTask, format_task,
                       load_network, load_tasks, parse_task_line, save_network,
@@ -100,8 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-drcr", help="solve single-path tasks")
     p.add_argument("--graph", required=True)
     p.add_argument("--tasks", required=True)
-    p.add_argument("--solver", choices=("pulse", "btbu1", "btbu2"),
-                   default="btbu1")
+    p.add_argument("--solver", choices=SCHEDULES, default=BTBU1)
     p.add_argument("--time-limit-ms", type=float)
     p.add_argument("--out")
 

@@ -194,22 +194,29 @@ def build_histogram(net: Network, task: DrcrTask | SrlgTask, bin_width: int,
         ceiling = net.max_elementary_path_cost()
         if cost_ceiling is not None:
             ceiling = min(ceiling, cost_ceiling)
+        # a candidate that fails on connectivity spends no pulse, so the
+        # engine would never poll through a long run of them
+        poll_every = control.poll_every if control is not None else 0
         total = 0
         b = 0
         while b <= ceiling:
             try:
                 if control is not None:
                     control.poll()
+                # one path past the cap tells a full bin from a cut one
+                remaining = cap - total
                 candidates, more_above = scan_corridor_paths(
                     net, trees, base_task, CostCorridor(b, b + bin_width),
-                    order=order, control=control)
-                if total + len(candidates) > cap:
-                    candidates = candidates[:cap - total]
+                    cap=remaining + 1, order=order, control=control)
+                if len(candidates) > remaining:
+                    candidates = candidates[:remaining]
                     truncated = True
-                hits = sum(
-                    1 for ap in candidates
-                    if try_protect(net, trees, task, ap, order=order,
-                                   control=control) is not None)
+                hits = 0
+                for checked, ap in enumerate(candidates, 1):
+                    if poll_every and checked % poll_every == 0:
+                        control.poll()
+                    hits += try_protect(net, trees, task, ap, order=order,
+                                        control=control) is not None
             except SearchInterrupted:
                 truncated = True
                 break

@@ -14,10 +14,10 @@ every search; only the limit differs.  The optimal search keeps an
 incumbent and cuts at ``ceil(bound) - 1``, lowered to ``cost - 1`` on each
 new incumbent, which equals the non-strict ``>= incumbent`` cut.  The
 collecting search gathers the paths of cost in [lo, hi), cuts at ``hi`` and
-stops after ``cap`` of them: the corridor scan is [c_low, c_up) with no
-cap, and the first-feasible search is [0, inf) with cap 1.  The counting
-search is the collecting one without the paths, for the histograms.  The
-mode is consulted only at a terminal inside the window.
+stops after ``cap`` of them: the corridor scan is [c_low, c_up) with the
+caller's cap, and the first-feasible search is [0, inf) with cap 1.  The
+counting search is the collecting one without the paths, for the
+histograms.  The mode is consulted only at a terminal inside the window.
 
 Egress edges are explored cheapest-completion first (edge cost plus the
 cost-to-target bound, ties by EdgeId).  The order is deterministic so
@@ -73,10 +73,10 @@ class SearchControl:
     """Cooperative deadline/cancellation, polled between pulses.
 
     ``drcr.btcs`` also polls it once on entry, between protection attempts
-    and before each search of its SRLG-cut test, ``solve_btbu`` and the
-    ``pulse`` solver of ``drcr.bench.solve`` once on entry, and
-    ``count_paths_capped`` and ``build_histogram`` before each cost bin;
-    none of these spends pulses.
+    and before each search of its SRLG-cut test, ``solve_btbu`` once on
+    entry, ``count_paths_capped`` and ``build_histogram`` before each cost
+    bin, and ``build_histogram`` between protection attempts; none of these
+    spends pulses.
     """
 
     deadline: float | None = None
@@ -326,24 +326,25 @@ def pulse_optimal(net: NetLike, trees: ReverseTrees, task: DrcrTask,
 
 
 def scan_corridor_paths(net: NetLike, trees: ReverseTrees, task: DrcrTask,
-                        corridor: CostCorridor, *,
+                        corridor: CostCorridor, *, cap: float = INF,
                         order: SearchOrder | None = None,
                         counters: SearchCounters | None = None,
                         control: SearchControl | None = None
                         ) -> tuple[list[Path], bool]:
     """Exactly the corridor's paths, plus the can-anything-live-above bit.
 
-    The collecting walk with no cap: every elementary path with
-    d_low <= d(P) <= d_up and c_low <= c(P) < c_up, in discovery order.
-    No incumbent is kept and no bound is updated.  The second value is
-    False only when the scan proved no window-feasible path of cost >= c_up
-    exists, so ascending corridor consumers can stop early.  The corridor
+    The collecting walk: every elementary path with d_low <= d(P) <= d_up
+    and c_low <= c(P) < c_up, in discovery order, or the first ``cap`` of
+    them.  No incumbent is kept and no bound is updated.  The second value
+    is False only when the scan proved no window-feasible path of cost
+    >= c_up exists, so ascending corridor consumers can stop early; a walk
+    stopped at ``cap`` proves nothing and reports True.  The corridor
     cost pruning is strict (cut only when the optimistic completion exceeds
     c_up), mirroring the half-open collection test; boundary branches are
     explored and rejected at the terminal, where they set the proof bit.
     """
     paths, _, more_above = _pulse(net, trees, task, order, counters, control,
-                                  _COLLECT, corridor.c_low, corridor.c_up)
+                                  _COLLECT, corridor.c_low, corridor.c_up, cap)
     return paths, more_above
 
 

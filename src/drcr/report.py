@@ -17,9 +17,10 @@ class SolveReport:
     """What a solver decided and how much work it took.
 
     ``corridors_explored`` and ``ap_candidates_checked`` stay zero for
-    single-path solvers; ``iterations`` counts bound-schedule probes and
-    stays zero for the corridor solver.  ``srlg_cut`` is set only when the
-    corridor solver proved the task infeasible by a single-SRLG cut: a
+    single-path solvers; ``iterations`` counts bound-schedule probes (one
+    for a ``pulse`` solve, none when the source cannot reach the target)
+    and stays zero for the corridor solver.  ``srlg_cut`` is set only when
+    the corridor solver proved the task infeasible by a single-SRLG cut: a
     group whose removal alone leaves no source-target path.  It is the
     smallest group holding every egress edge of the source when there is
     one (then no AP was searched for, so a task without any window-feasible

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import io
+import random
 import threading
+from math import inf
 
 import pytest
 
@@ -12,13 +14,13 @@ import drcr.btcs
 import drcr.pulse
 import drcr.trees
 from drcr import (BenchRecord, DrcrTask, Edge, IntegrityError, Network,
-                  SearchControl, SrlgTask, build_reverse_trees, run_suite,
-                  summarize, sweep_alpha)
+                  SearchControl, SearchCounters, SrlgTask, build_reverse_trees,
+                  pulse_optimal, run_suite, summarize, sweep_alpha)
 from drcr import bench as bench_mod
 from drcr.bench import (read_records_jsonl, write_records_jsonl,
                         write_summary_csv, write_summary_text)
 
-from conftest import trap_network
+from conftest import random_network, random_task, trap_network
 
 
 def test_trivial_task_all_single_path_solvers():
@@ -177,6 +179,39 @@ def test_unknown_solver_rejected():
         run_suite(net, [DrcrTask(0, 1, 0, 10)], "magic")
 
 
+def test_unknown_solver_name_raises_in_solve():
+    # a name that is no schedule must not fall through to one of them
+    net = Network(2, [Edge(0, 1, 5, 7)])
+    trees = build_reverse_trees(net, 1)
+    for name in ("magic", "btcs2", "PULSE"):
+        with pytest.raises(ValueError, match=f"unknown schedule '{name}'"):
+            bench_mod.solve(net, trees, DrcrTask(0, 1, 0, 10), name)
+        with pytest.raises(ValueError, match=f"unknown schedule '{name}'"):
+            drcr.btbu.solve_btbu(net, trees, DrcrTask(0, 1, 0, 10), name)
+
+
+def test_pulse_solver_is_the_unbounded_pulse_search():
+    rng = random.Random(29)
+    reached = 0
+    for seed in range(80):
+        rng.seed(seed)
+        net = random_network(rng)
+        task = random_task(rng, net)
+        trees = build_reverse_trees(net, task.target)
+        counters = SearchCounters()
+        expected = pulse_optimal(net, trees, task, inf, counters=counters)
+        report, path = bench_mod.solve(net, trees, task, "pulse")
+        assert path == expected
+        assert report.outcome == ("infeasible" if expected is None else "optimal")
+        if trees.min_cost_to_target[task.source] == inf:
+            # no probe: the root pulse that pulse_optimal spends is saved
+            assert (report.iterations, report.counters) == (0, SearchCounters())
+        else:
+            assert report.iterations == 1 and report.counters == counters
+            reached += 1
+    assert reached > 40
+
+
 def test_solve_and_run_suite_look_solvers_up_on_their_modules(monkeypatch):
     # a wrapper on a module attribute (as a span tracer sets) sees every call
     calls = []
@@ -191,7 +226,7 @@ def test_solve_and_run_suite_look_solvers_up_on_their_modules(monkeypatch):
     net = trap_network()
     drcr_task = DrcrTask(0, 5, 0, 100)
     srlg_task = SrlgTask(drcr_task, 50)
-    expected = {"pulse": "pulse_optimal", "btbu1": "solve_btbu",
+    expected = {"pulse": "solve_btbu", "btbu1": "solve_btbu",
                 "btbu2": "solve_btbu", "btcs": "solve_btcs"}
     for solver, callee in expected.items():
         task = srlg_task if solver == "btcs" else drcr_task

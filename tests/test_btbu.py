@@ -9,10 +9,11 @@ from time import monotonic
 
 import pytest
 
-from drcr import (BTBU1, BTBU2, BtbuConfig, DrcrTask, Edge, GenSpec,
+from drcr import (BTBU1, BTBU2, DrcrTask, Edge, GenSpec,
                   IntegrityError, Network, build_reverse_trees, gen_graph,
                   gen_tasks, oracle_drcr, pulse_optimal, solve_btbu)
 import drcr.btbu
+from drcr.btbu import PULSE
 from drcr.pulse import SearchControl
 
 from conftest import random_network, random_task
@@ -36,9 +37,37 @@ def test_unconstrained_optimum_succeeds_first_probe(diamond_net):
         assert report.iterations == 1
 
 
-def test_step_bases():
-    with pytest.raises(ValueError):
-        BtbuConfig(strategy="tripling")
+def test_step_bases(diamond_net):
+    trees = build_reverse_trees(diamond_net, 3)
+    for name in ("tripling", "doubling-bound", "BTBU1", None):
+        with pytest.raises(ValueError, match="unknown schedule"):
+            solve_btbu(diamond_net, trees, DrcrTask(0, 3, 0, 15), name)
+
+
+def test_pulse_schedule_makes_one_unbounded_probe(monkeypatch, diamond_net):
+    # f = inf puts the first bound past the cost ceiling at once
+    trees = build_reverse_trees(diamond_net, 3)
+    bounds = []
+    probe = drcr.btbu.pulse_optimal
+
+    def recording(net, trees, task, bound, **kwargs):
+        bounds.append(bound)
+        return probe(net, trees, task, bound, **kwargs)
+
+    monkeypatch.setattr(drcr.btbu, "pulse_optimal", recording)
+    for task, cost in ((DrcrTask(0, 3, 0, 15), 10), (DrcrTask(0, 3, 50, 60), None)):
+        bounds.clear()
+        path, report = solve_btbu(diamond_net, trees, task, PULSE)
+        assert bounds == [inf] and report.iterations == 1
+        assert (path and path.total_cost) == cost
+
+
+def test_pulse_schedule_unreachable_source_spends_no_pulse():
+    net = Network(3, [Edge(0, 1, 1, 1)])
+    trees = build_reverse_trees(net, 2)
+    path, report = solve_btbu(net, trees, DrcrTask(0, 2, 0, 10), PULSE)
+    assert path is None and report.outcome == "infeasible"
+    assert (report.iterations, report.pulses) == (0, 0)
 
 
 def test_probe_bounds_of_both_schedules(monkeypatch):

@@ -9,6 +9,7 @@ from time import monotonic
 
 import pytest
 
+import drcr.oracle
 import drcr.pulse
 from drcr import (DrcrTask, Edge, Network, OracleTooLargeError, SearchControl,
                   SrlgTask, build_histogram, enumerate_paths, oracle_drcr,
@@ -111,6 +112,62 @@ def test_histogram_range_window_adds_upper_only_series(diamond_net):
 def test_histogram_truncation_flag(diamond_net):
     hist = build_histogram(diamond_net, DrcrTask(0, 3, 0, 15), 10, cap=1)
     assert hist.truncated
+
+
+def _egress_cut_complete(n: int = 7) -> Network:
+    """A complete digraph whose one SRLG holds every egress edge of node 0.
+
+    Every AP candidate from node 0 then fails its protection attempt on
+    connectivity: no pulse is spent and no path is built.
+    """
+    net = complete_digraph(n)
+    return Network(n, net.edges, [set(net.adjacency[0])])
+
+
+def test_pair_histogram_builds_at_most_cap_plus_one_paths(monkeypatch):
+    # one bin holds all 326 paths 0 -> 6; the scan must stop one path past
+    # the cap instead of building every path of the bin
+    net = _egress_cut_complete()
+    built = []
+    path = Network.path
+
+    def counting_path(self, edge_ids):
+        built.append(tuple(edge_ids))
+        return path(self, edge_ids)
+
+    monkeypatch.setattr(Network, "path", counting_path)
+    hist = build_histogram(net, SrlgTask(DrcrTask(0, 6, 0, 100), 100),
+                           10 ** 6, cap=3, include_all=False)
+    assert hist.truncated
+    assert hist.series == {"feasible": {0: 3}, "protected": {}}
+    assert len(built) <= 4
+
+
+def test_pair_histogram_polls_between_protection_attempts(monkeypatch):
+    net = _egress_cut_complete()
+
+    class CountingStop:  # never set; counts how often it is polled
+        polls = 0
+
+        def is_set(self):
+            self.polls += 1
+            return False
+
+    stop = CountingStop()
+    polls_at_protect = []
+    protect = drcr.oracle.try_protect
+
+    def recording_protect(*args, **kwargs):
+        polls_at_protect.append(stop.polls)
+        return protect(*args, **kwargs)
+
+    monkeypatch.setattr(drcr.oracle, "try_protect", recording_protect)
+    hist = build_histogram(net, SrlgTask(DrcrTask(0, 6, 0, 100), 100),
+                           10 ** 6, include_all=False,
+                           control=SearchControl(stop=stop, poll_every=1))
+    assert hist.series["feasible"] == {0: 326}
+    assert len(polls_at_protect) == 326
+    assert all(b > a for a, b in zip(polls_at_protect, polls_at_protect[1:]))
 
 
 def test_histogram_containment_on_random_srlg_instances():

@@ -10,16 +10,17 @@ order.  The first protected candidate is the exact min-min optimum,
 because corridors partition the cost axis in increasing order.
 
 Corridor k has width w * growth**k, where w = min_edge_cost * alpha is the
-first corridor's width, and starts where corridor k-1 ended.  growth=1 is
-the paper's fixed-width sweep.  Every corridor walks again the cheaper
-prefixes below it, so fixed widths cost about quadratically in the number
-of corridors; growing widths (the default doubles them) bound that by a
-constant factor of one scan, as BTBU's doubling bounds do for one path.
-The pulse search's cost pruning keeps a wide corridor cheap.
+first corridor's width.  growth=1 is the paper's fixed-width sweep.  Every
+corridor walks again the cheaper prefixes below it, so fixed widths cost
+about quadratically in the number of corridors; growing widths (the
+default doubles them) bound that by a constant factor of one scan, as
+BTBU's doubling bounds do for one path.  The pulse search's cost pruning
+keeps a wide corridor cheap.
 
-No elementary path can cost more than node_count * max_edge_cost; once a
-corridor starts above that, it is widened to infinity, run once, and a
-still-empty result proves infeasibility.
+Each corridor scan returns its floor: no window-feasible path costs
+between the corridor's top and the floor.  Corridor k+1 starts at the
+floor, at or above the end of corridor k, skipping a stretch proved empty,
+and a floor of inf proves that no AP is left, which ends the sweep.
 
 Two exact SRLG-cut tests settle the traps that no sweep could avoid (trap
 avoidance, Xu et al., JLT 2003): if removing the edges of one SRLG leaves
@@ -195,17 +196,16 @@ def _scan_corridor(net, trees, task, first_ap, c_low, c_up, order, counters,
                    control):
     """One corridor: enumerate candidates, protect in order.
 
-    Returns (pair_or_none, candidates_checked, more_above).  The stage-1 AP
-    is dropped by exact edge-sequence equality; it was already checked and
-    corridor 0 would re-enumerate it.  more_above False proves every
-    corridor above this one is empty, which settles infeasibility without
-    sweeping up to the worst-case cost bound.
+    Returns (pair_or_none, candidates_checked, floor).  The stage-1 AP is
+    dropped by exact edge-sequence equality; it was already checked and
+    corridor 0 would re-enumerate it.  ``floor`` is the corridor scan's:
+    no window-feasible path costs in [c_up, floor), and inf proves every
+    corridor above this one empty.
     """
     corridor = CostCorridor(c_low, c_up)
-    candidates, more_above = scan_corridor_paths(net, trees, task.base,
-                                                 corridor, order=order,
-                                                 counters=counters,
-                                                 control=control)
+    candidates, floor = scan_corridor_paths(net, trees, task.base, corridor,
+                                            order=order, counters=counters,
+                                            control=control)
     candidates.sort(key=lambda p: (p.total_cost, p.edges))
     # a candidate that fails on connectivity spends no pulse, so the engine
     # would never poll through a long run of them
@@ -220,8 +220,8 @@ def _scan_corridor(net, trees, task, first_ap, c_low, c_up, order, counters,
         pp = try_protect(net, trees, task, ap, order=order, counters=counters,
                          control=control)
         if pp is not None:
-            return DisjointPair(ap, pp), checked, more_above
-    return None, checked, more_above
+            return DisjointPair(ap, pp), checked, floor
+    return None, checked, floor
 
 
 def solve_btcs(net: Network, trees: ReverseTrees, task: SrlgTask,
@@ -273,20 +273,17 @@ def solve_btcs(net: Network, trees: ReverseTrees, task: SrlgTask,
         return None, report
 
     width = corridor_width(net, cfg.alpha)
-    guard = net.max_elementary_path_cost()
     c_low = first_ap.total_cost
 
     # corridors_explored counts completed corridors; the outcome stays
-    # INFEASIBLE unless a pair, the cap or an interruption ends the sweep.
-    # The first corridor whose lower end passes the guard is widened to
-    # infinity; its scan never reports more_above, so it ends the sweep.
+    # INFEASIBLE unless a pair, the cap or an interruption ends the sweep
     for k in count():
         if cfg.max_corridors is not None and k >= cfg.max_corridors:
             report.outcome = TIMEOUT
             break
-        c_up = inf if c_low > guard else c_low + width * cfg.growth ** k
+        c_up = c_low + width * cfg.growth ** k
         try:
-            pair, checked, more_above = _scan_corridor(
+            pair, checked, floor = _scan_corridor(
                 net, trees, task, first_ap, c_low, c_up, order, counters,
                 control)
         except SearchInterrupted:
@@ -297,7 +294,7 @@ def solve_btcs(net: Network, trees: ReverseTrees, task: SrlgTask,
         if pair is not None:
             report.outcome = PAIR
             return pair, report
-        if not more_above:
+        if floor == inf:
             break
-        c_low = c_up
+        c_low = max(c_up, floor)
     return None, report

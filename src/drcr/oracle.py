@@ -167,8 +167,15 @@ def build_histogram(net: Network, task: DrcrTask | SrlgTask, bin_width: int,
     the truncated flag.  A deadline or stop event in ``control`` ends the
     sweep the same way: every bin completed before it is kept, the bin cut
     short is dropped, every series not yet begun stays empty, and the
-    truncated flag is set.
+    truncated flag is set.  Every sweep jumps from a bin to the bin of its
+    walk's floor, past bins proved empty, and stops at a floor of inf or
+    past ``cost_ceiling``.  Raises ValueError when ``bin_width`` or ``cap``
+    is below 1.
     """
+    if bin_width < 1:
+        raise ValueError(f"bin width must be >= 1, got {bin_width}")
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
     is_pair_task = isinstance(task, SrlgTask)
     base_task = task.base if is_pair_task else task
     trees = build_reverse_trees(net, base_task.target)
@@ -191,21 +198,18 @@ def build_histogram(net: Network, task: DrcrTask | SrlgTask, bin_width: int,
     if is_pair_task:
         feasible: dict[int, int] = {}
         protected: dict[int, int] = {}
-        ceiling = net.max_elementary_path_cost()
-        if cost_ceiling is not None:
-            ceiling = min(ceiling, cost_ceiling)
         # a candidate that fails on connectivity spends no pulse, so the
         # engine would never poll through a long run of them
         poll_every = control.poll_every if control is not None else 0
         total = 0
         b = 0
-        while b <= ceiling:
+        while cost_ceiling is None or b <= cost_ceiling:
             try:
                 if control is not None:
                     control.poll()
                 # one path past the cap tells a full bin from a cut one
                 remaining = cap - total
-                candidates, more_above = scan_corridor_paths(
+                candidates, floor = scan_corridor_paths(
                     net, trees, base_task, CostCorridor(b, b + bin_width),
                     cap=remaining + 1, order=order, control=control)
                 if len(candidates) > remaining:
@@ -225,9 +229,9 @@ def build_histogram(net: Network, task: DrcrTask | SrlgTask, bin_width: int,
                 total += len(candidates)
                 if hits:
                     protected[b] = hits
-            if truncated or not more_above:
+            if truncated or floor == INF:
                 break
-            b += bin_width
+            b = floor - floor % bin_width
         hist.series["feasible"] = feasible
         hist.series["protected"] = protected
     else:

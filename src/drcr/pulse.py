@@ -19,6 +19,14 @@ caller's cap, and the first-feasible search is [0, inf) with cap 1.  The
 counting search is the collecting one without the paths, for the
 histograms.  The mode is consulted only at a terminal inside the window.
 
+Every walk also returns its floor, the least cost it cut: the smallest
+pruned ``cur_cost + cost_lb`` or in-window terminal cost at or above the
+walk's top.  It is the threshold of iterative deepening (Korf, Artificial
+Intelligence 27, 1985): no window-feasible path costs between the top and
+the floor, and a floor of INF proves that nothing lies above the top.  The
+bound schedules, the corridor sweep and the histograms all step to it, so
+none of them needs a worst-case cost ceiling to stop.
+
 Egress edges are explored cheapest-completion first (edge cost plus the
 cost-to-target bound, ties by EdgeId).  The order is deterministic so
 results are reproducible, and because it is sorted by exactly the quantity
@@ -190,13 +198,18 @@ def _pulse(net: NetLike, trees: ReverseTrees, task: DrcrTask,
     cost, ``_COLLECT`` appends it and ``_COUNT`` counts it, and both stop
     once ``cap`` terminals are taken.
 
-    Returns (result, capped, more_above).  ``result`` is the incumbent
-    (None if none), the collected paths, or the count.
-    ``capped`` is True when the walk stopped at ``cap`` terminals.
-    ``more_above`` False is a proof that no window-feasible path of cost
-    >= hi exists at all: nothing was cut by the cost pruning (so the walk
-    covered the complete delay-feasible space) and no in-window terminal
-    reached hi.  A capped walk proves nothing, so it reports True.
+    Returns (result, capped, floor).  ``result`` is the incumbent (None if
+    none), the collected paths, or the count.  ``capped`` is True when the
+    walk stopped at ``cap`` terminals.  ``floor`` is the least cost the
+    walk cut: the minimum over every cost-pruned ``cur_cost + cost_lb`` and
+    every in-window terminal cost >= hi, or INF when neither occurred.
+    Every window-feasible path of cost >= hi costs at least the floor (the
+    threshold of iterative deepening), so INF proves that no such path
+    exists.  A finite floor is a bound, not a witness: the branch it came
+    from may hold no window-feasible path.  The floor is >= hi.  For
+    ``_BEST`` all of this holds only when no incumbent was found, since an
+    incumbent lowers hi.  A capped walk proves nothing above its last
+    terminal, so it reports hi.
     """
     view = as_view(net)
     base = view.net
@@ -216,7 +229,7 @@ def _pulse(net: NetLike, trees: ReverseTrees, task: DrcrTask,
     best: list[int] | None = None
     found: list[Path] = []
     count = 0
-    more_above = False
+    floor = INF
     pulses = 1
     infeas = 0
     cost_prunes = 0
@@ -240,9 +253,11 @@ def _pulse(net: NetLike, trees: ReverseTrees, task: DrcrTask,
             while i < n_row:
                 c_lb, d_lb, ec, ed, to, eid = row[i]
                 i += 1
-                if cur_cost + c_lb > limit:
+                reach = cur_cost + c_lb
+                if reach > limit:
                     cost_prunes += n_row - i + 1
-                    more_above = True
+                    if reach < floor:
+                        floor = reach
                     break
                 if eid in excluded or visited[to]:
                     continue
@@ -261,7 +276,8 @@ def _pulse(net: NetLike, trees: ReverseTrees, task: DrcrTask,
                     if d_low <= new_delay <= d_up:
                         new_cost = cur_cost + ec
                         if new_cost >= hi:
-                            more_above = True  # lands on or above the top
+                            if new_cost < floor:  # lands on or above the top
+                                floor = new_cost
                         elif lo <= new_cost:
                             if mode == _BEST:
                                 best = path + [eid]
@@ -274,7 +290,7 @@ def _pulse(net: NetLike, trees: ReverseTrees, task: DrcrTask,
                                 count += 1
                                 if count >= cap:
                                     return (found if mode == _COLLECT
-                                            else count), True, True
+                                            else count), True, hi
                     continue
                 frame[2] = i
                 visited[to] = 1
@@ -301,10 +317,32 @@ def _pulse(net: NetLike, trees: ReverseTrees, task: DrcrTask,
             counters.infeasibility_prunes += infeas
             counters.cost_prunes += cost_prunes
     if mode == _COLLECT:
-        return found, False, more_above
+        return found, False, floor
     if mode == _COUNT:
-        return count, False, more_above
-    return (None if best is None else base.path(best)), False, more_above
+        return count, False, floor
+    return (None if best is None else base.path(best)), False, floor
+
+
+def pulse_probe(net: NetLike, trees: ReverseTrees, task: DrcrTask,
+                bound: float = INF, *, order: SearchOrder | None = None,
+                counters: SearchCounters | None = None,
+                control: SearchControl | None = None,
+                prune: bool = True) -> tuple[Path | None, float]:
+    """The cheapest window-feasible path below the bound, and the walk's floor.
+
+    Returns (path, floor).  ``path`` is the cheapest P with
+    d_low <= d(P) <= d_up and c(P) < bound, or None.  When it is None, no
+    window-feasible path costs less than ``floor`` (>= bound), and a floor
+    of INF proves the task infeasible; the next probe of a bound schedule
+    needs a bound above the floor to find anything.  The cost pruning is
+    non-strict (a branch that can at best tie the incumbent is cut), which
+    never loses a strictly better path.  ``prune=False`` runs the same
+    exhaustive walk without either pruning; it must return the same cost
+    and exists for the pruning-neutrality checks.
+    """
+    path, _, floor = _pulse(net, trees, task, order, counters, control, _BEST,
+                            hi=bound, prune=prune)
+    return path, floor
 
 
 def pulse_optimal(net: NetLike, trees: ReverseTrees, task: DrcrTask,
@@ -312,17 +350,9 @@ def pulse_optimal(net: NetLike, trees: ReverseTrees, task: DrcrTask,
                   counters: SearchCounters | None = None,
                   control: SearchControl | None = None,
                   prune: bool = True) -> Path | None:
-    """Minimum-cost elementary path within the delay window, below the bound.
-
-    Returns the cheapest path P with d_low <= d(P) <= d_up and
-    c(P) < initial_bound, or None when no such path exists.  The cost
-    pruning is non-strict (a branch that can at best tie the incumbent is
-    cut), which never loses a strictly better path.  ``prune=False`` runs
-    the same exhaustive walk without either pruning; it must return the
-    same cost and exists for the pruning-neutrality checks.
-    """
-    return _pulse(net, trees, task, order, counters, control, _BEST,
-                  hi=initial_bound, prune=prune)[0]
+    """``pulse_probe``'s path alone: the cheapest one below the bound."""
+    return pulse_probe(net, trees, task, initial_bound, order=order,
+                       counters=counters, control=control, prune=prune)[0]
 
 
 def scan_corridor_paths(net: NetLike, trees: ReverseTrees, task: DrcrTask,
@@ -330,22 +360,23 @@ def scan_corridor_paths(net: NetLike, trees: ReverseTrees, task: DrcrTask,
                         order: SearchOrder | None = None,
                         counters: SearchCounters | None = None,
                         control: SearchControl | None = None
-                        ) -> tuple[list[Path], bool]:
-    """Exactly the corridor's paths, plus the can-anything-live-above bit.
+                        ) -> tuple[list[Path], float]:
+    """Exactly the corridor's paths, plus the floor above it.
 
     The collecting walk: every elementary path with d_low <= d(P) <= d_up
     and c_low <= c(P) < c_up, in discovery order, or the first ``cap`` of
     them.  No incumbent is kept and no bound is updated.  The second value
-    is False only when the scan proved no window-feasible path of cost
-    >= c_up exists, so ascending corridor consumers can stop early; a walk
-    stopped at ``cap`` proves nothing and reports True.  The corridor
-    cost pruning is strict (cut only when the optimistic completion exceeds
-    c_up), mirroring the half-open collection test; boundary branches are
-    explored and rejected at the terminal, where they set the proof bit.
+    is the walk's floor (see ``_pulse``): no window-feasible path costs in
+    [c_up, floor), so an ascending consumer may start its next corridor at
+    the floor, and INF proves nothing lies above.  A walk stopped at
+    ``cap`` proves nothing and reports c_up.  The corridor cost pruning is
+    strict (cut only when the optimistic completion exceeds c_up),
+    mirroring the half-open collection test; boundary branches are explored
+    and rejected at the terminal, where they set the floor.
     """
-    paths, _, more_above = _pulse(net, trees, task, order, counters, control,
-                                  _COLLECT, corridor.c_low, corridor.c_up, cap)
-    return paths, more_above
+    paths, _, floor = _pulse(net, trees, task, order, counters, control,
+                             _COLLECT, corridor.c_low, corridor.c_up, cap)
+    return paths, floor
 
 
 def pulse_first_feasible(net: NetLike, trees: ReverseTrees, task: DrcrTask, *,
@@ -376,7 +407,9 @@ def count_paths_capped(net: NetLike, trees: ReverseTrees, task: DrcrTask,
     are half-open [b, b + bin_width) starting at 0 and are swept in
     ascending cost order, so when the cap stops the count early only the
     expensive bins are missing; the second return value reports that
-    truncation.  Zero bins are omitted from the result.  ``cost_ceiling``
+    truncation.  Zero bins are omitted from the result.  Each bin's walk
+    returns its floor, and the sweep jumps to the floor's bin, skipping the
+    empty bins below it; a floor of INF ends the sweep.  ``cost_ceiling``
     bounds the swept range for deliberately partial, low-cost-tail counts.
     A deadline or stop event in ``control``, polled before each bin and
     inside it, ends the sweep as the cap does: the bins completed so far
@@ -386,22 +419,18 @@ def count_paths_capped(net: NetLike, trees: ReverseTrees, task: DrcrTask,
         raise ValueError(f"bin width must be >= 1, got {bin_width}")
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    base = as_view(net).net
     if order is None:
-        order = build_search_order(base, trees)
-    ceiling = base.max_elementary_path_cost()
-    if cost_ceiling is not None:
-        ceiling = min(ceiling, cost_ceiling)
+        order = build_search_order(net, trees)
     bins: dict[int, int] = {}
     total = 0
     b = 0
-    while b <= ceiling:
+    while cost_ceiling is None or b <= cost_ceiling:
         try:
             if control is not None:
                 control.poll()
-            got, hit, more_above = _pulse(net, trees, task, order, counters,
-                                          control, _COUNT, b, b + bin_width,
-                                          cap - total)
+            got, hit, floor = _pulse(net, trees, task, order, counters,
+                                     control, _COUNT, b, b + bin_width,
+                                     cap - total)
         except SearchInterrupted:
             return bins, True
         if got:
@@ -409,7 +438,7 @@ def count_paths_capped(net: NetLike, trees: ReverseTrees, task: DrcrTask,
             total += got
         if hit:
             return bins, True
-        if not more_above:
+        if floor == INF:
             break
-        b += bin_width
+        b = floor - floor % bin_width
     return bins, False

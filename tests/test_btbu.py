@@ -20,13 +20,14 @@ from conftest import random_network, random_task
 
 
 def test_diamond_bound_schedule(diamond_net):
-    # shortest unconstrained cost 2; optimum 10 is delay-forced:
-    # probes 4 and 8 find nothing strictly below the bound, 16 succeeds
+    # shortest unconstrained cost 2; optimum 10 is delay-forced: probe 4
+    # finds nothing and cuts the fast route at 10, its floor, so the next
+    # bound is max(4 + 4, 10 + 1) = 11, which succeeds
     trees = build_reverse_trees(diamond_net, 3)
     path, report = solve_btbu(diamond_net, trees, DrcrTask(0, 3, 0, 15), BTBU1)
     assert path.total_cost == 10
     assert report.outcome == "optimal"
-    assert report.iterations == 3
+    assert report.iterations == 2
 
 
 def test_unconstrained_optimum_succeeds_first_probe(diamond_net):
@@ -44,17 +45,23 @@ def test_step_bases(diamond_net):
             solve_btbu(diamond_net, trees, DrcrTask(0, 3, 0, 15), name)
 
 
-def test_pulse_schedule_makes_one_unbounded_probe(monkeypatch, diamond_net):
-    # f = inf puts the first bound past the cost ceiling at once
-    trees = build_reverse_trees(diamond_net, 3)
+def _record_probes(monkeypatch) -> list:
+    """The bound of every probe ``solve_btbu`` makes, in order."""
     bounds = []
-    probe = drcr.btbu.pulse_optimal
+    probe = drcr.btbu.pulse_probe
 
     def recording(net, trees, task, bound, **kwargs):
         bounds.append(bound)
         return probe(net, trees, task, bound, **kwargs)
 
-    monkeypatch.setattr(drcr.btbu, "pulse_optimal", recording)
+    monkeypatch.setattr(drcr.btbu, "pulse_probe", recording)
+    return bounds
+
+
+def test_pulse_schedule_makes_one_unbounded_probe(monkeypatch, diamond_net):
+    # f = inf makes the first bound inf, and an unbounded walk cuts nothing
+    trees = build_reverse_trees(diamond_net, 3)
+    bounds = _record_probes(monkeypatch)
     for task, cost in ((DrcrTask(0, 3, 0, 15), 10), (DrcrTask(0, 3, 50, 60), None)):
         bounds.clear()
         path, report = solve_btbu(diamond_net, trees, task, PULSE)
@@ -71,43 +78,45 @@ def test_pulse_schedule_unreachable_source_spends_no_pulse():
 
 
 def test_probe_bounds_of_both_schedules(monkeypatch):
-    # cheap slow route 0-1-3 (s = 7), costly fast route 0-2-3 (cost 100);
+    # cheap slow route 0-1-3 (cost 7, delay 20), middle route 0-4-3 (cost
+    # 15, delay 30), costly fast route 0-2-3 (cost 100, delay 2); s = 7 and
     # m = 3, so 2m = 6 differs from s and the two schedules part at once
-    net = Network(4, [Edge(0, 1, 3, 10), Edge(1, 3, 4, 10),
-                      Edge(0, 2, 50, 1), Edge(2, 3, 50, 1)])
+    net = Network(5, [Edge(0, 1, 3, 10), Edge(1, 3, 4, 10),
+                      Edge(0, 2, 50, 1), Edge(2, 3, 50, 1),
+                      Edge(0, 4, 7, 15), Edge(4, 3, 8, 15)])
     trees = build_reverse_trees(net, 3)
     s, m = trees.min_cost_to_target[0], net.min_edge_cost
-    assert (s, m, net.max_elementary_path_cost()) == (7, 3, 200)
-    bounds = []
-    probe = drcr.btbu.pulse_optimal
-
-    def recording(net, trees, task, bound, **kwargs):
-        bounds.append(bound)
-        return probe(net, trees, task, bound, **kwargs)
-
-    monkeypatch.setattr(drcr.btbu, "pulse_optimal", recording)
+    assert (s, m) == (7, 3)
+    bounds = _record_probes(monkeypatch)
     fast_only, neither = DrcrTask(0, 3, 0, 5), DrcrTask(0, 3, 50, 60)
-    btbu1 = [2 * s, 4 * s, 8 * s, 16 * s]
-    btbu2 = [s + 2 * m, s + 6 * m, s + 14 * m, s + 30 * m, s + 62 * m]
-    assert btbu1 == [14, 28, 56, 112] and btbu2 == [13, 25, 49, 97, 193]
-    # the next bounds, 224 and 289, pass 200: one unbounded probe settles
+    # each bound is max(last bound + doubled step, floor + 1).  The first
+    # probe (btbu1 2s = 14, btbu2 s + 2m = 13) cuts the middle route at 15,
+    # so the doubled step wins: 14 + 14 = 28 and 13 + 12 = 25.  That probe
+    # cuts the fast route at 100, so floor + 1 = 101 wins over 56 and 49.
+    # Probe 101 finds the fast route, or, for a window that neither route
+    # meets, cuts nothing: a floor of inf settles the task with no
+    # unbounded probe.
+    btbu1, btbu2 = [14, 28, 101], [13, 25, 101]
     for cfg, task, expected in ((BTBU1, fast_only, btbu1),
                                 (BTBU2, fast_only, btbu2),
-                                (BTBU1, neither, btbu1 + [inf]),
-                                (BTBU2, neither, btbu2 + [inf])):
+                                (BTBU1, neither, btbu1),
+                                (BTBU2, neither, btbu2)):
         bounds.clear()
         path, report = solve_btbu(net, trees, task, cfg)
         assert bounds == expected
         assert report.iterations == len(expected)
         assert (path is None) == (task is neither)
+        assert task is neither or path.total_cost == 100
 
 
 def test_infeasible_reported_after_exhaustive_probe(diamond_net):
+    # probe 4 cuts the fast route at 10; probe 11 cuts nothing, and its
+    # floor of inf proves that no path meets the window
     trees = build_reverse_trees(diamond_net, 3)
     path, report = solve_btbu(diamond_net, trees, DrcrTask(0, 3, 50, 60), BTBU1)
     assert path is None
     assert report.outcome == "infeasible"
-    assert report.iterations >= 1  # ends with the unbounded settle probe
+    assert report.iterations == 2
 
 
 def test_unreachable_target_immediately_infeasible():

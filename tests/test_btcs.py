@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drcr import (BtcsConfig, DrcrTask, Edge, IntegrityError, Network,
-                  SearchCounters, SrlgTask, build_reverse_trees, check_path,
-                  oracle_minmin, pp_delay_window, pulse_optimal, solve_btcs,
-                  try_protect)
+from drcr import (BtcsConfig, CostCorridor, DrcrTask, Edge, IntegrityError,
+                  Network, SearchCounters, SrlgTask, build_reverse_trees,
+                  check_path, enumerate_paths, oracle_minmin,
+                  pp_delay_window, pulse_optimal, solve_btcs, try_protect)
 from drcr import btcs
 from drcr.btcs import corridor_width, find_srlg_cut
 from drcr.network import NetworkView, is_connected, remove_conflicting_edges
@@ -167,35 +167,50 @@ def test_matches_minmin_oracle_on_random_instances():
     assert pairs_seen > 15
 
 
-def _corridor_bounds(net, cfg, start, k):
-    """[c_low, c_up) of corridor k (0-based) under cfg's schedule."""
-    width = corridor_width(net, cfg.alpha)
-    guard = net.max_elementary_path_cost()
-    low = start
-    for j in range(k):
-        low += width * cfg.growth ** j
-    return low, (float("inf") if low > guard else low + width * cfg.growth ** k)
+def test_corridor_progression_invariant(monkeypatch):
+    scans = []
+    scan = btcs.scan_corridor_paths
 
+    def recording(net, trees, task, corridor, **kwargs):
+        scans.append(corridor)
+        return scan(net, trees, task, corridor, **kwargs)
 
-def test_corridor_progression_invariant():
-    beyond_first = 0
+    monkeypatch.setattr(btcs, "scan_corridor_paths", recording)
+    beyond_first = gaps = 0
     for seed, growth in product(range(50), (1, 2)):
         net, task = _golden_instance(seed)
         trees = build_reverse_trees(net, task.target)
         first_ap = pulse_optimal(net, trees, task.base)
         if first_ap is None:
             continue
+        costs = [p.total_cost
+                 for p in enumerate_paths(net, task.source, task.target)
+                 if task.d_low <= p.total_delay <= task.d_up]
         for alpha in (0.5, 1, 2, 10):
             cfg = BtcsConfig(alpha=alpha, growth=growth)
+            scans.clear()
             pair, report = solve_btcs(net, trees, task, cfg)
-            if pair is None or not report.corridors_explored:
+            assert len(scans) == report.corridors_explored
+            if not scans:
                 continue
-            # the accepted candidate lies inside the last explored corridor
-            low, up = _corridor_bounds(net, cfg, first_ap.total_cost,
-                                       report.corridors_explored - 1)
-            assert low <= pair.ap.total_cost < up
-            beyond_first += report.corridors_explored > 1
-    assert beyond_first >= 10
+            width = corridor_width(net, alpha)
+            assert scans[0].c_low == first_ap.total_cost
+            for k, corridor in enumerate(scans):
+                assert corridor.c_up - corridor.c_low == width * growth ** k
+            # each corridor starts at or above the last one's end, and the
+            # stretch it skips holds no window-feasible path
+            for last, corridor in zip(scans, scans[1:]):
+                assert corridor.c_low >= last.c_up
+                assert not any(last.c_up <= c < corridor.c_low for c in costs)
+                gaps += corridor.c_low > last.c_up
+            if pair is not None:
+                # the accepted candidate lies inside the last corridor
+                assert scans[-1].c_low <= pair.ap.total_cost < scans[-1].c_up
+            else:
+                # the last floor was inf: no AP lies at or above its top
+                assert all(c < scans[-1].c_up for c in costs)
+            beyond_first += len(scans) > 1
+    assert beyond_first >= 10 and gaps >= 10
 
 
 @st.composite
@@ -378,10 +393,10 @@ def test_stop_set_before_protection_loop_times_out_there(monkeypatch):
     corridors = []
 
     def scan_then_stop(*args, **kwargs):
-        candidates, more_above = scan(*args, **kwargs)
+        candidates, floor = scan(*args, **kwargs)
         corridors.append(candidates)
         stop.set()
-        return candidates, more_above
+        return candidates, floor
 
     monkeypatch.setattr(btcs, "scan_corridor_paths", scan_then_stop)
     protects = []
@@ -560,6 +575,26 @@ def _observe(net, trees, task, cfg, control) -> list:
             report.srlg_cut]
 
 
+_real_scan = btcs.scan_corridor_paths
+
+
+def _bit_scan(net, trees, task, corridor, **kwargs):
+    """``scan_corridor_paths`` with the floor switched off.
+
+    A corridor that starts above ``max_elementary_path_cost()`` is widened
+    to inf, and any finite floor reads as the corridor's top, so the sweep
+    runs as it did when a scan answered only whether anything lay above.
+    """
+    if corridor.c_low > net.max_elementary_path_cost():
+        corridor = CostCorridor(corridor.c_low, float("inf"))
+    paths, floor = _real_scan(net, trees, task, corridor, **kwargs)
+    return paths, corridor.c_up if floor < float("inf") else floor
+
+
+def _no_cut(*args) -> None:
+    return None
+
+
 def golden_observations() -> dict[str, list]:
     """Report of solve_btcs on 50 seeded instances, keyed "seed:config".
 
@@ -571,7 +606,9 @@ def golden_observations() -> dict[str, list]:
     SRLG-cut tests replaced by ones that never find a cut, so they pin the
     sweep alone; each "seed:config,cut" entry adds the cut test after
     stage 1, with ``srlg_cut`` appended, and each "seed:config,egress"
-    entry is the full solver's, with the source-egress rule as well.
+    entry adds the source-egress rule as well.  All three are taken with
+    the corridor floor switched off (``_bit_scan``); each
+    "seed:config+floor" entry is the full solver's.
     """
     seen: dict[str, list] = {}
     for seed in range(50):
@@ -583,14 +620,15 @@ def golden_observations() -> dict[str, list]:
         runs.append(("stop", BtcsConfig(alpha=10, growth=1),
                      SearchControl(stop=stop)))
         for name, cfg, control in runs:
-            with patch.object(btcs, "source_egress_cut", lambda *args: None):
-                with patch.object(btcs, "find_srlg_cut", lambda *args: None):
-                    seen[f"{seed}:{name}"] = _observe(net, trees, task, cfg,
-                                                      control)[:-1]
-                seen[f"{seed}:{name},cut"] = _observe(net, trees, task, cfg,
-                                                      control)
-            seen[f"{seed}:{name},egress"] = _observe(net, trees, task, cfg,
-                                                     control)
+            key = f"{seed}:{name}"
+            args = net, trees, task, cfg, control
+            with patch.object(btcs, "scan_corridor_paths", _bit_scan):
+                with patch.object(btcs, "source_egress_cut", _no_cut):
+                    with patch.object(btcs, "find_srlg_cut", _no_cut):
+                        seen[key] = _observe(*args)[:-1]
+                    seen[f"{key},cut"] = _observe(*args)
+                seen[f"{key},egress"] = _observe(*args)
+            seen[f"{key}+floor"] = _observe(*args)
     return seen
 
 
@@ -647,6 +685,27 @@ def test_reports_match_golden_table():
             assert cut[0] in ("infeasible", "timeout"), key
             settled += 1
     assert settled >= 10
+    # the floor changes no answer: a finished full-rule solve has the
+    # outcome, pair, checked count and cut of its twin with the floor off,
+    # or, where that twin ran out of corridors, of the uncapped sweep of
+    # the same growth; and no solve explores more corridors
+    past_cap = 0
+    for key, entry in expected.items():
+        if not key.endswith("+floor"):
+            continue
+        twin = expected[key[:-len("+floor")] + ",egress"]
+        assert entry[3] <= twin[3], key
+        if entry[0] == "timeout":
+            continue
+        if twin[0] == "timeout":
+            seed, name = key.split(":")
+            assert name.startswith("cap="), key
+            growth = ",growth=2" if "growth=2" in name else ""
+            twin = expected[f"{seed}:alpha=1{growth},egress"]
+            past_cap += 1
+        assert (entry[:3] + entry[4:5] + entry[6:]
+                == twin[:3] + twin[4:5] + twin[6:]), key
+    assert past_cap >= 1
     got = json.loads(json.dumps(golden_observations()))
     assert got.keys() == expected.keys()
     for key in expected:

@@ -189,6 +189,28 @@ def test_non_finite_alpha_or_nan_time_limit_exits_1(tmp_path, capsys,
     assert captured.err.startswith("drcr: ")
 
 
+@pytest.mark.parametrize("task", ["0,3,0,100", "0,3,0,100,100"])
+@pytest.mark.parametrize("option, value, message", [
+    ("--cap", "0", "cap must be >= 1, got 0"),
+    ("--cap", "-1", "cap must be >= 1, got -1"),
+    ("--bin", "0", "bin width must be >= 1, got 0"),
+    ("--bin", "-5", "bin width must be >= 1, got -5"),
+])
+def test_histogram_bad_cap_or_bin_exits_1_for_either_task_kind(
+        tmp_path, capsys, task, option, value, message):
+    graph = tmp_path / "g.csv"
+    graph.write_text("nodes,4\n0,1,1,1\n1,3,1,1\n0,2,5,1\n2,3,5,1\n")
+    srlg = tmp_path / "s.csv"
+    srlg.write_text("0:0\n1:2\n")
+    out = tmp_path / "hist.csv"
+    args = {"--bin": "5", "--cap": "10", option: value}
+    assert run("histogram", "--graph", str(graph), "--srlg", str(srlg),
+               "--task", task, "--no-all", "--out", str(out),
+               *(item for pair in args.items() for item in pair)) == 1
+    assert capsys.readouterr().err == f"drcr: {message}\n"
+    assert not out.exists()
+
+
 def test_sweep_alpha_rejects_a_bad_alpha_before_any_suite(tmp_path, capsys,
                                                           monkeypatch):
     graph = tmp_path / "g.csv"

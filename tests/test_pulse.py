@@ -8,17 +8,24 @@ import threading
 from math import inf
 from pathlib import Path
 from time import monotonic
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drcr import (CostCorridor, DrcrTask, Edge, Network, SearchCancelled,
-                  SearchControl, SearchCounters, SearchTimeout,
+import drcr.btbu
+from drcr import (BTBU2, CostCorridor, DrcrTask, Edge, Network,
+                  SearchCancelled, SearchControl, SearchCounters,
+                  SearchTimeout, SrlgTask, build_histogram,
                   build_reverse_trees, build_search_order, check_path,
                   count_paths_capped, enumerate_paths, oracle_drcr,
-                  pulse_first_feasible, pulse_optimal, scan_corridor_paths)
+                  pulse_first_feasible, pulse_optimal, scan_corridor_paths,
+                  solve_btbu)
+from drcr import oracle as oracle_mod
+from drcr import pulse as pulse_mod
 from drcr.network import NetworkView, as_view
+from drcr.pulse import pulse_probe
 
 from conftest import eager_search_rows, random_network, random_task
 
@@ -208,14 +215,90 @@ def test_property_corridor_scan_is_exactly_the_corridor(seed):
     c_low = rng.randint(0, 40)
     c_up = rng.choice([inf, c_low + rng.randint(1, 60)])
     trees = build_reverse_trees(net, task.target)
-    got, more_above = scan_corridor_paths(space, trees, task,
-                                          CostCorridor(c_low, c_up))
+    got, floor = scan_corridor_paths(space, trees, task,
+                                     CostCorridor(c_low, c_up))
     feasible = [p for p in enumerate_paths(space, task.source, task.target)
                 if task.d_low <= p.total_delay <= task.d_up]
     assert sorted(p.edges for p in got) == sorted(
         p.edges for p in feasible if c_low <= p.total_cost < c_up)
-    if not more_above:
-        assert all(p.total_cost < c_up for p in feasible)
+    # every window-feasible path at or above the top costs at least the
+    # floor, so a floor of inf proves there is none
+    assert floor >= c_up
+    assert all(p.total_cost >= floor for p in feasible if p.total_cost >= c_up)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_property_failed_probe_floor_bounds_the_optimum(seed):
+    rng = random.Random(seed)
+    net = random_network(rng, max_nodes=9, max_edges=36, min_edges=16)
+    task = random_task(rng, net)
+    trees = build_reverse_trees(net, task.target)
+    expected = oracle_drcr(net, task)
+    bound = rng.randint(1, 80) - rng.choice([0, 0.5])
+    path, floor = pulse_probe(net, trees, task, bound)
+    if path is not None:
+        assert path.total_cost == expected[0] < bound
+        return
+    # nothing lies below the bound, nor in [bound, floor), so a floor of
+    # inf proves the task infeasible
+    assert floor >= bound
+    assert expected is None or expected[0] >= floor
+
+
+def test_finite_floor_is_a_bound_not_a_witness():
+    # the cost cut at node 0 comes before the delay test, so the floor is
+    # 101 although the one path above the corridor misses the window
+    net = Network(3, [Edge(0, 1, 100, 1), Edge(1, 2, 1, 100)])
+    trees = build_reverse_trees(net, 2)
+    got, floor = scan_corridor_paths(net, trees, DrcrTask(0, 2, 0, 50),
+                                     CostCorridor(0, 10))
+    assert got == [] and floor == 101
+    assert oracle_drcr(net, DrcrTask(0, 2, 0, 50)) is None
+
+
+def test_wide_weights_skip_empty_bins_and_probes(monkeypatch):
+    # route A 0-1-3 costs 2000 (delay 2), route B 0-2-3 costs 6000 (delay
+    # 10); edge 3-0 only makes the cheapest edge cost 1, so btbu2's first
+    # step is 2, and no s-t path can use it
+    net = Network(4, [Edge(0, 1, 1000, 1), Edge(1, 3, 1000, 1),
+                      Edge(0, 2, 3000, 5), Edge(2, 3, 3000, 5),
+                      Edge(3, 0, 1, 1)], [{0}, {2}])
+    trees = build_reverse_trees(net, 3)
+    # bin 0 cuts at 2000 and bin 2000 at 6000, so three walks of 1, 3 and
+    # 5 pulses count both routes, not one walk for each of 6001 bins
+    counters = SearchCounters()
+    bins, truncated = count_paths_capped(net, trees, DrcrTask(0, 3, 0, inf),
+                                         1, 10, counters=counters)
+    assert bins == {2000: 1, 6000: 1} and not truncated
+    assert counters.pulses == 9
+    scans = []
+    scan = oracle_mod.scan_corridor_paths
+
+    def recording(net, trees, task, corridor, **kwargs):
+        scans.append((corridor.c_low, corridor.c_up))
+        return scan(net, trees, task, corridor, **kwargs)
+
+    monkeypatch.setattr(oracle_mod, "scan_corridor_paths", recording)
+    hist = build_histogram(net, SrlgTask(DrcrTask(0, 3, 0, 20), 20), 1,
+                           include_all=False)
+    assert hist.series == {"feasible": {2000: 1, 6000: 1},
+                           "protected": {2000: 1, 6000: 1}}
+    assert scans == [(0, 1), (2000, 2001), (6000, 6001)]
+    # neither route meets [50, 60]: btbu2 probes 2002, and its floor 6000
+    # lifts the next bound to 6001, whose walk cuts nothing, so the step
+    # of 2 never doubles its way up to 6000
+    bounds = []
+    probe = drcr.btbu.pulse_probe
+
+    def recording_probe(net, trees, task, bound, **kwargs):
+        bounds.append(bound)
+        return probe(net, trees, task, bound, **kwargs)
+
+    monkeypatch.setattr(drcr.btbu, "pulse_probe", recording_probe)
+    path, report = solve_btbu(net, trees, DrcrTask(0, 3, 50, 60), BTBU2)
+    assert path is None and report.outcome == "infeasible"
+    assert bounds == [2002, 6001] and report.iterations == 2
 
 
 @settings(max_examples=200, deadline=None)
@@ -401,13 +484,35 @@ def _edges(path):
     return None if path is None else list(path.edges)
 
 
+_real_pulse = pulse_mod._pulse
+
+
+def _bit_walk(net, trees, task, order, counters, control, mode, lo=0,
+              hi=inf, cap=inf, prune=True):
+    """``_pulse`` with the floor switched off: any finite floor reads as hi.
+
+    This is the yes/no answer the walk gave before it returned its floor,
+    so the histogram sweeps step one bin at a time again."""
+    result, capped, floor = _real_pulse(net, trees, task, order, counters,
+                                        control, mode, lo, hi, cap, prune)
+    return result, capped, hi if floor < inf else inf
+
+
+def _floor(value):
+    return None if value == inf else value
+
+
 def golden_observations() -> dict[str, list]:
     """Result and (pulses, infeasibility_prunes, cost_prunes) of every public
     engine entry point on 50 seeded small instances, keyed "seed:call".
 
     Bounds for pulse_optimal sit at and half a unit around the optimum c*
     (the unconstrained shortest cost when no feasible path exists), which
-    covers the integer and non-integer cases of the incumbent cut.
+    covers the integer and non-integer cases of the incumbent cut.  These
+    entries are taken with the walk's floor switched off (``_bit_walk``),
+    and a corridor records only whether its floor is finite; each
+    "seed:call+floor" entry is the full rule's, with the floor itself
+    (None for inf), and "seed:probe@c*" is pulse_probe's path and floor.
     """
     rng = random.Random()
     seen: dict[str, list] = {}
@@ -443,20 +548,47 @@ def golden_observations() -> dict[str, list]:
         }
         for name, (fn, *args) in calls.items():
             kw = {"prune": False} if name.startswith("unpruned") else {}
-            result, counts = _counted(fn, *args, **kw)
+            with patch.object(pulse_mod, "_pulse", _bit_walk):
+                result, counts = _counted(fn, *args, **kw)
             if fn is scan_corridor_paths:
-                result = [[_edges(p) for p in result[0]], result[1]]
+                result = [[_edges(p) for p in result[0]], result[1] < inf]
             elif fn is count_paths_capped:
                 result = [sorted(result[0].items()), result[1]]
             else:
                 result = _edges(result)
             seen[f"{seed}:{name}"] = [result, counts]
+        for name in ("corridor", "count", "count-relaxed"):
+            fn, *args = calls[name]
+            result, counts = _counted(fn, *args)
+            if fn is scan_corridor_paths:
+                result = [[_edges(p) for p in result[0]], _floor(result[1])]
+            else:
+                result = [sorted(result[0].items()), result[1]]
+            seen[f"{seed}:{name}+floor"] = [result, counts]
+        (path, floor), counts = _counted(pulse_probe, net, trees, task, c_star)
+        seen[f"{seed}:probe@c*"] = [[_edges(path), _floor(floor)], counts]
     return seen
 
 
 def test_work_counts_match_golden_table():
     # regenerate with: PYTHONPATH=src:tests python tests/test_pulse.py
     expected = json.loads(GOLDEN_COUNTS.read_text())
+    # the floor changes no result: a corridor's paths and a histogram's
+    # bins are its twin's, and only the sweeps' pulses may fall
+    for key, (result, counts) in expected.items():
+        seed, name = key.split(":")
+        if name.endswith("+floor"):
+            twin_result, twin_counts = expected[key[:-len("+floor")]]
+            if name == "corridor+floor":
+                assert result[0] == twin_result[0], key
+                assert (result[1] is not None) == twin_result[1], key
+                assert counts == twin_counts, key
+            else:
+                assert result == twin_result, key
+                assert counts[0] <= twin_counts[0], key
+        elif name == "probe@c*":
+            assert result[0] == expected[f"{seed}:optimal@c*"][0], key
+            assert counts == expected[f"{seed}:optimal@c*"][1], key
     got = json.loads(json.dumps(golden_observations()))
     assert got.keys() == expected.keys()
     for key in expected:

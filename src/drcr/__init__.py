@@ -10,7 +10,7 @@ from .network import (DrcrTask, Edge, IntegrityError, Network, NetworkView,
                       load_network, load_tasks, remove_conflicting_edges,
                       save_network, save_tasks)
 from .trees import ReverseTrees, TreeCache, build_reverse_trees
-from .pulse import (CostCorridor, SearchCancelled, SearchControl,
+from .pulse import (UNLIMITED, CostCorridor, SearchCancelled, SearchControl,
                     SearchCounters, SearchTimeout, build_search_order,
                     count_paths_capped, pulse_first_feasible, pulse_optimal,
                     scan_corridor_paths)
@@ -33,8 +33,9 @@ __all__ = [
     "NetworkView", "OPTIMAL", "OracleTooLargeError", "PAIR", "ParseError",
     "Path", "ReverseTrees", "SearchCancelled", "SearchControl",
     "SearchCounters", "SearchTimeout", "SolveReport", "SrlgSpec", "SrlgTask",
-    "TIMEOUT", "TreeCache", "build_histogram", "build_reverse_trees",
-    "build_search_order", "check_path", "count_paths_capped",
+    "TIMEOUT", "TreeCache", "UNLIMITED", "build_histogram",
+    "build_reverse_trees", "build_search_order", "check_path",
+    "count_paths_capped",
     "enumerate_paths", "filter_tasks", "gen_graph", "gen_srlg", "gen_tasks",
     "is_connected", "load_network", "load_tasks", "oracle_drcr",
     "oracle_minmin", "pp_delay_window", "pulse_first_feasible",

@@ -21,7 +21,7 @@ from . import btbu, btcs
 from . import trees as trees_mod
 from .btcs import BtcsConfig, DisjointPair
 from .network import Network, Path, SrlgTask, Task
-from .pulse import SearchControl
+from .pulse import UNLIMITED, SearchControl
 from .report import INFEASIBLE, OPTIMAL, PAIR, SolveReport
 from .trees import ReverseTrees
 
@@ -52,7 +52,7 @@ class BenchRecord:
 
 
 def solve(net: Network, trees: ReverseTrees, task: Task, solver: str,
-          control: SearchControl | None = None,
+          control: SearchControl = UNLIMITED,
           btcs_cfg: BtcsConfig | None = None
           ) -> tuple[SolveReport, Path | DisjointPair | None]:
     """One task under one named solver: its report and its path or pair.

@@ -25,8 +25,9 @@ infeasible with no further probe.  The schedule's name picks f:
 from __future__ import annotations
 
 from .network import Network, Path, DrcrTask, check_task_nodes
-from .pulse import (INF, SearchControl, SearchCounters, SearchInterrupted,
-                    SearchOrder, build_search_order, pulse_probe)
+from .pulse import (INF, UNLIMITED, SearchControl, SearchCounters,
+                    SearchInterrupted, SearchOrder, build_search_order,
+                    pulse_probe)
 # benchmark/tracing.py wraps this module attribute; no probe here calls it
 from .pulse import pulse_optimal  # noqa: F401
 from .report import INFEASIBLE, OPTIMAL, TIMEOUT, SolveReport
@@ -40,7 +41,7 @@ SCHEDULES = (PULSE, BTBU1, BTBU2)
 
 def solve_btbu(net: Network, trees: ReverseTrees, task: DrcrTask,
                schedule: str = BTBU1, *, order: SearchOrder | None = None,
-               control: SearchControl | None = None) -> tuple[Path | None, SolveReport]:
+               control: SearchControl = UNLIMITED) -> tuple[Path | None, SolveReport]:
     """Exact optimum for the task via the named schedule, one of SCHEDULES.
 
     The first step f is inf for ``pulse``, shortest for ``btbu1`` and
@@ -57,8 +58,7 @@ def solve_btbu(net: Network, trees: ReverseTrees, task: DrcrTask,
     counters = SearchCounters()
     report = SolveReport(INFEASIBLE, counters=counters)
     try:
-        if control is not None:
-            control.poll()
+        control.poll()
         shortest = trees.min_cost_to_target[task.source]
         if shortest == INF:
             return None, report

@@ -44,7 +44,7 @@ from math import ceil, inf
 from .network import (DrcrTask, Network, NetworkView, Path, SrlgTask,
                       check_task_nodes, find_path, is_connected,
                       remove_conflicting_edges)
-from .pulse import (CostCorridor, SearchControl, SearchCounters,
+from .pulse import (UNLIMITED, CostCorridor, SearchControl, SearchCounters,
                     SearchInterrupted, SearchOrder, build_search_order,
                     pulse_first_feasible, pulse_optimal, scan_corridor_paths)
 from .report import INFEASIBLE, PAIR, TIMEOUT, SolveReport
@@ -115,7 +115,7 @@ def corridor_width(net: Network, alpha: float) -> int:
 def try_protect(net: Network, trees: ReverseTrees, task: SrlgTask, ap: Path, *,
                 order: SearchOrder | None = None,
                 counters: SearchCounters | None = None,
-                control: SearchControl | None = None) -> Path | None:
+                control: SearchControl = UNLIMITED) -> Path | None:
     """Any feasible protection path for this AP candidate, or None.
 
     Strips the conflicting edges, short-circuits on lost s-t connectivity
@@ -140,7 +140,7 @@ def _srlgs_on(net: Network, edge_ids) -> set[int]:
 
 
 def source_egress_cut(net: Network, source: int,
-                      control: SearchControl | None = None) -> int | None:
+                      control: SearchControl = UNLIMITED) -> int | None:
     """The smallest SRLG holding every egress edge of ``source``, or None.
 
     Every path from the source leaves it by one of these edges, so such a
@@ -150,8 +150,7 @@ def source_egress_cut(net: Network, source: int,
     verdict that spends no pulse still honours a stop already set or a
     deadline already passed.
     """
-    if control is not None:
-        control.poll()
+    control.poll()
     edge_srlgs = net.edge_srlgs
     egress = net.adjacency[source]
     if not egress:
@@ -162,7 +161,7 @@ def source_egress_cut(net: Network, source: int,
 
 
 def find_srlg_cut(net: Network, task: SrlgTask, ap: Path,
-                  control: SearchControl | None = None) -> int | None:
+                  control: SearchControl = UNLIMITED) -> int | None:
     """An SRLG whose removal alone leaves no path from source to target.
 
     Every s-t path, ``ap`` included, crosses such a cut, so the candidates
@@ -179,8 +178,7 @@ def find_srlg_cut(net: Network, task: SrlgTask, ap: Path,
     candidates = _srlgs_on(net, ap.edges)
     avoid = sorted(candidates)
     while avoid:
-        if control is not None:
-            control.poll()
+        control.poll()
         excluded = frozenset().union(*(groups[g] for g in avoid))
         path = find_path(NetworkView(net, excluded), task.source, task.target)
         if path is None:
@@ -209,13 +207,12 @@ def _scan_corridor(net, trees, task, first_ap, c_low, c_up, order, counters,
     candidates.sort(key=lambda p: (p.total_cost, p.edges))
     # a candidate that fails on connectivity spends no pulse, so the engine
     # would never poll through a long run of them
-    poll_every = control.poll_every if control is not None else 0
     checked = 0
     for ap in candidates:
         if ap.edges == first_ap.edges:
             continue
         checked += 1
-        if poll_every and checked % poll_every == 0:
+        if checked % control.poll_every == 0:
             control.poll()
         pp = try_protect(net, trees, task, ap, order=order, counters=counters,
                          control=control)
@@ -226,7 +223,7 @@ def _scan_corridor(net, trees, task, first_ap, c_low, c_up, order, counters,
 
 def solve_btcs(net: Network, trees: ReverseTrees, task: SrlgTask,
                cfg: BtcsConfig = BtcsConfig(), *,
-               control: SearchControl | None = None
+               control: SearchControl = UNLIMITED
                ) -> tuple[DisjointPair | None, SolveReport]:
     """Cheapest protectable AP with a feasible PP, or an exact verdict.
 

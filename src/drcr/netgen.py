@@ -256,8 +256,8 @@ def filter_tasks(net: Network, tasks: list[Task], kind: str, *,
         if not isinstance(task, expected):
             raise ValueError(f"expected {noun} tasks, got {task!r}")
         trees = cache.get(task.target)
-        task_control = (control if time_limit_ms is None
-                        else SearchControl.from_time_limit_ms(time_limit_ms))
+        task_control = control or SearchControl.from_time_limit_ms(
+            time_limit_ms)
         try:
             if kind == "drcr":
                 found = pulse_first_feasible(net, trees, task,
@@ -275,7 +275,7 @@ def filter_tasks(net: Network, tasks: list[Task], kind: str, *,
 
 
 def _trap_label(net: Network, trees: ReverseTrees, task: SrlgTask,
-                cfg: BtcsConfig, control: SearchControl | None) -> str | None:
+                cfg: BtcsConfig, control: SearchControl) -> str | None:
     """The srlg label of ``filter_tasks``, or None to drop the task."""
     _, report = solve_btcs(net, trees, task, cfg, control=control)
     if report.outcome == INFEASIBLE and not report.ap_candidates_checked:

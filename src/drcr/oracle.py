@@ -19,9 +19,9 @@ from typing import IO
 
 from .btcs import DisjointPair, try_protect
 from .network import DrcrTask, NetLike, Network, Path, SrlgTask, as_view
-from .pulse import (INF, CostCorridor, SearchControl, SearchInterrupted,
+from .pulse import (INF, UNLIMITED, CostCorridor, SearchControl,
                     build_search_order, count_paths_capped,
-                    scan_corridor_paths)
+                    scan_corridor_paths, sweep_bins)
 from .trees import build_reverse_trees
 
 DEFAULT_PATH_CAP = 10 ** 8
@@ -155,7 +155,7 @@ def build_histogram(net: Network, task: DrcrTask | SrlgTask, bin_width: int,
                     cap: int = DEFAULT_PATH_CAP, *,
                     cost_ceiling: int | None = None,
                     include_all: bool = True,
-                    control: SearchControl | None = None) -> Histogram:
+                    control: SearchControl = UNLIMITED) -> Histogram:
     """Cost distribution of the task's search space.
 
     Single-path tasks get the ``all`` / ``feasible_up`` / ``feasible``
@@ -163,81 +163,54 @@ def build_histogram(net: Network, task: DrcrTask | SrlgTask, bin_width: int,
     where protected membership is decided by ``try_protect`` (exhaustive
     unless a protection exists).  ``include_all=False`` skips the unpruned
     all-paths count, which dominates the runtime on anything nontrivial.
-    Each series is capped at ``cap`` counted paths; hitting any cap sets
-    the truncated flag.  A deadline or stop event in ``control`` ends the
-    sweep the same way: every bin completed before it is kept, the bin cut
-    short is dropped, every series not yet begun stays empty, and the
-    truncated flag is set.  Every sweep jumps from a bin to the bin of its
-    walk's floor, past bins proved empty, and stops at a floor of inf or
-    past ``cost_ceiling``.  Raises ValueError when ``bin_width`` or ``cap``
-    is below 1.
+    Each series is one ``sweep_bins`` sweep under ``cap``, ``cost_ceiling``
+    and ``control``; ``protected`` is tallied in the sweep of the AP
+    candidates that ``feasible`` counts.  The truncated flag is set when
+    any sweep was cut short, and a series not yet begun when ``control``
+    ends the sweeps stays empty.
     """
-    if bin_width < 1:
-        raise ValueError(f"bin width must be >= 1, got {bin_width}")
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
     is_pair_task = isinstance(task, SrlgTask)
     base_task = task.base if is_pair_task else task
     trees = build_reverse_trees(net, base_task.target)
     order = build_search_order(net, trees)
-
     hist = Histogram(bin_width=bin_width)
-    truncated = False
 
     def swept(bins_task: DrcrTask) -> dict[int, int]:
-        nonlocal truncated
         bins, hit = count_paths_capped(net, trees, bins_task, bin_width, cap,
                                        cost_ceiling=cost_ceiling, order=order,
                                        control=control)
-        truncated = truncated or hit
+        hist.truncated = hist.truncated or hit
         return bins
 
     if include_all:
         hist.series["all"] = swept(_relaxed(base_task))
 
     if is_pair_task:
-        feasible: dict[int, int] = {}
         protected: dict[int, int] = {}
-        # a candidate that fails on connectivity spends no pulse, so the
-        # engine would never poll through a long run of them
-        poll_every = control.poll_every if control is not None else 0
-        total = 0
-        b = 0
-        while cost_ceiling is None or b <= cost_ceiling:
-            try:
-                if control is not None:
+
+        def protect_bin(lo: int, hi: int, left: int) -> tuple[int, float]:
+            candidates, floor = scan_corridor_paths(
+                net, trees, base_task, CostCorridor(lo, hi), cap=left,
+                order=order, control=control)
+            hits = 0
+            for checked, ap in enumerate(candidates, 1):
+                # a candidate that fails on connectivity spends no pulse, so
+                # the engine would never poll through a long run of them
+                if checked % control.poll_every == 0:
                     control.poll()
-                # one path past the cap tells a full bin from a cut one
-                remaining = cap - total
-                candidates, floor = scan_corridor_paths(
-                    net, trees, base_task, CostCorridor(b, b + bin_width),
-                    cap=remaining + 1, order=order, control=control)
-                if len(candidates) > remaining:
-                    candidates = candidates[:remaining]
-                    truncated = True
-                hits = 0
-                for checked, ap in enumerate(candidates, 1):
-                    if poll_every and checked % poll_every == 0:
-                        control.poll()
-                    hits += try_protect(net, trees, task, ap, order=order,
-                                        control=control) is not None
-            except SearchInterrupted:
-                truncated = True
-                break
-            if candidates:
-                feasible[b] = len(candidates)
-                total += len(candidates)
-                if hits:
-                    protected[b] = hits
-            if truncated or floor == INF:
-                break
-            b = floor - floor % bin_width
-        hist.series["feasible"] = feasible
+                hits += try_protect(net, trees, task, ap, order=order,
+                                    control=control) is not None
+            if hits:
+                protected[lo] = hits
+            return len(candidates), floor
+
+        hist.series["feasible"], hit = sweep_bins(
+            bin_width, cap, protect_bin, cost_ceiling=cost_ceiling,
+            control=control)
+        hist.truncated = hist.truncated or hit
         hist.series["protected"] = protected
     else:
         if base_task.d_low > 0:
             hist.series["feasible_up"] = swept(_upper_only(base_task))
         hist.series["feasible"] = swept(base_task)
-
-    hist.truncated = truncated
     return hist

@@ -41,6 +41,7 @@ writes is a missing row of the search order.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import ceil, inf, isnan
 from operator import itemgetter
@@ -76,25 +77,32 @@ class SearchCounters:
     cost_prunes: int = 0
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class SearchControl:
     """Cooperative deadline/cancellation, polled between pulses.
 
-    ``drcr.btcs`` also polls it once on entry, between protection attempts
-    and before each search of its SRLG-cut test, ``solve_btbu`` once on
-    entry, ``count_paths_capped`` and ``build_histogram`` before each cost
-    bin, and ``build_histogram`` between protection attempts; none of these
-    spends pulses.
+    Every walk polls it once per ``poll_every`` pulses.  It is also polled
+    where no pulse is spent: by ``drcr.btcs`` once on entry, between
+    protection attempts and before each search of its SRLG-cut test, by
+    ``solve_btbu`` once on entry, by ``sweep_bins`` before each cost bin,
+    and by ``build_histogram`` between protection attempts.  ``UNLIMITED``
+    is the control with no deadline and no stop; every search takes it by
+    default.  ``poll_every`` below 1 raises ValueError.
     """
 
     deadline: float | None = None
     stop: Event | None = None
     poll_every: int = 512
 
+    def __post_init__(self):
+        if self.poll_every < 1:
+            raise ValueError(f"poll_every must be >= 1, got {self.poll_every}")
+
     @classmethod
     def from_time_limit_ms(cls, time_limit_ms: float | None,
-                           stop: Event | None = None) -> "SearchControl | None":
-        """A deadline ``time_limit_ms`` from now and ``stop``; None if neither.
+                           stop: Event | None = None) -> "SearchControl":
+        """A deadline ``time_limit_ms`` from now and ``stop``; UNLIMITED if
+        neither.
 
         A zero or negative limit is a deadline already passed.  NaN raises
         ValueError: no clock reading is ever past a NaN deadline.
@@ -102,7 +110,7 @@ class SearchControl:
         if time_limit_ms is not None and isnan(time_limit_ms):
             raise ValueError("time limit must be a number of ms, got nan")
         if time_limit_ms is None and stop is None:
-            return None
+            return UNLIMITED
         deadline = None if time_limit_ms is None else monotonic() + time_limit_ms / 1000.0
         return cls(deadline=deadline, stop=stop)
 
@@ -112,6 +120,9 @@ class SearchControl:
             raise SearchCancelled()
         if self.deadline is not None and monotonic() > self.deadline:
             raise SearchTimeout()
+
+
+UNLIMITED = SearchControl()
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,7 +195,7 @@ _BEST, _COLLECT, _COUNT = range(3)
 
 def _pulse(net: NetLike, trees: ReverseTrees, task: DrcrTask,
            order: SearchOrder | None, counters: SearchCounters | None,
-           control: SearchControl | None, mode: int, lo: int = 0,
+           control: SearchControl, mode: int, lo: int = 0,
            hi: float = INF, cap: float = INF, prune: bool = True):
     """The one walk behind every search; the cuts are the module docstring's.
 
@@ -198,10 +209,10 @@ def _pulse(net: NetLike, trees: ReverseTrees, task: DrcrTask,
     cost, ``_COLLECT`` appends it and ``_COUNT`` counts it, and both stop
     once ``cap`` terminals are taken.
 
-    Returns (result, capped, floor).  ``result`` is the incumbent (None if
-    none), the collected paths, or the count.  ``capped`` is True when the
-    walk stopped at ``cap`` terminals.  ``floor`` is the least cost the
-    walk cut: the minimum over every cost-pruned ``cur_cost + cost_lb`` and
+    Returns (result, floor).  ``result`` is the incumbent (None if none),
+    the collected paths, or the count; the walk stopped at ``cap`` exactly
+    when it took ``cap`` terminals.  ``floor`` is the least cost the walk
+    cut: the minimum over every cost-pruned ``cur_cost + cost_lb`` and
     every in-window terminal cost >= hi, or INF when neither occurred.
     Every window-feasible path of cost >= hi costs at least the floor (the
     threshold of iterative deepening), so INF proves that no such path
@@ -233,8 +244,8 @@ def _pulse(net: NetLike, trees: ReverseTrees, task: DrcrTask,
     pulses = 1
     infeas = 0
     cost_prunes = 0
-    poll_every = control.poll_every if control is not None else 0
-    poll_left = poll_every
+    poll_every = control.poll_every
+    next_poll = 1 + poll_every
 
     visited = bytearray(base.node_count)
     visited[s] = 1
@@ -265,11 +276,9 @@ def _pulse(net: NetLike, trees: ReverseTrees, task: DrcrTask,
                     infeas += 1
                     continue
                 pulses += 1
-                if poll_every:
-                    poll_left -= 1
-                    if poll_left <= 0:
-                        poll_left = poll_every
-                        control.poll()
+                if pulses == next_poll:
+                    next_poll += poll_every
+                    control.poll()
                 new_delay = cur_delay + ed
                 if to == t:
                     # t is now on the path; no deeper pulse can end there again
@@ -290,7 +299,7 @@ def _pulse(net: NetLike, trees: ReverseTrees, task: DrcrTask,
                                 count += 1
                                 if count >= cap:
                                     return (found if mode == _COLLECT
-                                            else count), True, hi
+                                            else count), hi
                     continue
                 frame[2] = i
                 visited[to] = 1
@@ -317,16 +326,16 @@ def _pulse(net: NetLike, trees: ReverseTrees, task: DrcrTask,
             counters.infeasibility_prunes += infeas
             counters.cost_prunes += cost_prunes
     if mode == _COLLECT:
-        return found, False, floor
+        return found, floor
     if mode == _COUNT:
-        return count, False, floor
-    return (None if best is None else base.path(best)), False, floor
+        return count, floor
+    return (None if best is None else base.path(best)), floor
 
 
 def pulse_probe(net: NetLike, trees: ReverseTrees, task: DrcrTask,
                 bound: float = INF, *, order: SearchOrder | None = None,
                 counters: SearchCounters | None = None,
-                control: SearchControl | None = None,
+                control: SearchControl = UNLIMITED,
                 prune: bool = True) -> tuple[Path | None, float]:
     """The cheapest window-feasible path below the bound, and the walk's floor.
 
@@ -340,15 +349,14 @@ def pulse_probe(net: NetLike, trees: ReverseTrees, task: DrcrTask,
     exhaustive walk without either pruning; it must return the same cost
     and exists for the pruning-neutrality checks.
     """
-    path, _, floor = _pulse(net, trees, task, order, counters, control, _BEST,
-                            hi=bound, prune=prune)
-    return path, floor
+    return _pulse(net, trees, task, order, counters, control, _BEST,
+                  hi=bound, prune=prune)
 
 
 def pulse_optimal(net: NetLike, trees: ReverseTrees, task: DrcrTask,
                   initial_bound: float = INF, *, order: SearchOrder | None = None,
                   counters: SearchCounters | None = None,
-                  control: SearchControl | None = None,
+                  control: SearchControl = UNLIMITED,
                   prune: bool = True) -> Path | None:
     """``pulse_probe``'s path alone: the cheapest one below the bound."""
     return pulse_probe(net, trees, task, initial_bound, order=order,
@@ -359,7 +367,7 @@ def scan_corridor_paths(net: NetLike, trees: ReverseTrees, task: DrcrTask,
                         corridor: CostCorridor, *, cap: float = INF,
                         order: SearchOrder | None = None,
                         counters: SearchCounters | None = None,
-                        control: SearchControl | None = None
+                        control: SearchControl = UNLIMITED
                         ) -> tuple[list[Path], float]:
     """Exactly the corridor's paths, plus the floor above it.
 
@@ -374,15 +382,14 @@ def scan_corridor_paths(net: NetLike, trees: ReverseTrees, task: DrcrTask,
     mirroring the half-open collection test; boundary branches are explored
     and rejected at the terminal, where they set the floor.
     """
-    paths, _, floor = _pulse(net, trees, task, order, counters, control,
-                             _COLLECT, corridor.c_low, corridor.c_up, cap)
-    return paths, floor
+    return _pulse(net, trees, task, order, counters, control, _COLLECT,
+                  corridor.c_low, corridor.c_up, cap)
 
 
 def pulse_first_feasible(net: NetLike, trees: ReverseTrees, task: DrcrTask, *,
                          order: SearchOrder | None = None,
                          counters: SearchCounters | None = None,
-                         control: SearchControl | None = None) -> Path | None:
+                         control: SearchControl = UNLIMITED) -> Path | None:
     """Any elementary path satisfying the delay window, at first discovery.
 
     The collecting walk over [0, inf) with cap 1.  There is no cost bound,
@@ -395,50 +402,62 @@ def pulse_first_feasible(net: NetLike, trees: ReverseTrees, task: DrcrTask, *,
     return found[0] if found else None
 
 
-def count_paths_capped(net: NetLike, trees: ReverseTrees, task: DrcrTask,
-                       bin_width: int, cap: int, *,
-                       cost_ceiling: int | None = None,
-                       order: SearchOrder | None = None,
-                       counters: SearchCounters | None = None,
-                       control: SearchControl | None = None) -> tuple[dict[int, int], bool]:
-    """Per-cost-bin counts of paths satisfying the task's delay window.
+def sweep_bins(bin_width: int, cap: int,
+               walk: Callable[[int, int, int], tuple[int, float]], *,
+               cost_ceiling: int | None = None,
+               control: SearchControl = UNLIMITED
+               ) -> tuple[dict[int, int], bool]:
+    """Per-cost-bin path tallies in ascending bins, and whether they are cut.
 
-    Pass a delay-relaxed task (d_up = math.inf) to count every path.  Bins
-    are half-open [b, b + bin_width) starting at 0 and are swept in
-    ascending cost order, so when the cap stops the count early only the
-    expensive bins are missing; the second return value reports that
-    truncation.  Zero bins are omitted from the result.  Each bin's walk
-    returns its floor, and the sweep jumps to the floor's bin, skipping the
-    empty bins below it; a floor of INF ends the sweep.  ``cost_ceiling``
-    bounds the swept range for deliberately partial, low-cost-tail counts.
-    A deadline or stop event in ``control``, polled before each bin and
-    inside it, ends the sweep as the cap does: the bins completed so far
-    are returned, the bin cut short is dropped, and the flag is True.
+    Bins are half-open [b, b + bin_width) from 0, and zero bins are
+    omitted.  ``walk(lo, hi, left)`` tallies at most ``left`` paths of one
+    bin and returns the tally and its floor; the sweep jumps to the floor's
+    bin and ends at a floor of inf or past ``cost_ceiling``.  A tally equal
+    to ``left`` meets the cap: the sweep stops, missing only dearer bins,
+    and the flag is True.  ``control`` is polled before each bin, and an
+    interruption ends the sweep the same way but drops the bin it cut.  A
+    ``bin_width`` or ``cap`` below 1 raises ValueError.
     """
     if bin_width < 1:
         raise ValueError(f"bin width must be >= 1, got {bin_width}")
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    if order is None:
-        order = build_search_order(net, trees)
     bins: dict[int, int] = {}
-    total = 0
+    left = cap
     b = 0
     while cost_ceiling is None or b <= cost_ceiling:
         try:
-            if control is not None:
-                control.poll()
-            got, hit, floor = _pulse(net, trees, task, order, counters,
-                                     control, _COUNT, b, b + bin_width,
-                                     cap - total)
+            control.poll()
+            tally, floor = walk(b, b + bin_width, left)
         except SearchInterrupted:
             return bins, True
-        if got:
-            bins[b] = got
-            total += got
-        if hit:
+        if tally:
+            bins[b] = tally
+        if tally == left:
             return bins, True
         if floor == INF:
             break
+        left -= tally
         b = floor - floor % bin_width
     return bins, False
+
+
+def count_paths_capped(net: NetLike, trees: ReverseTrees, task: DrcrTask,
+                       bin_width: int, cap: int, *,
+                       cost_ceiling: int | None = None,
+                       order: SearchOrder | None = None,
+                       counters: SearchCounters | None = None,
+                       control: SearchControl = UNLIMITED) -> tuple[dict[int, int], bool]:
+    """``sweep_bins`` of the counting walk over the task's delay window.
+
+    Pass a delay-relaxed task (d_up = math.inf) to count every path.
+    """
+    if order is None:
+        order = build_search_order(net, trees)
+
+    def walk(lo: int, hi: int, left: int) -> tuple[int, float]:
+        return _pulse(net, trees, task, order, counters, control, _COUNT,
+                      lo, hi, left)
+
+    return sweep_bins(bin_width, cap, walk, cost_ceiling=cost_ceiling,
+                      control=control)

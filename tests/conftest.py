@@ -107,6 +107,17 @@ def eager_search_rows(net: Network, min_cost: list[float],
     return [sorted(row, key=lambda r: (r[0], r[5])) for row in rows]
 
 
+class CountingStop:
+    """A stop event that is never set and counts how often it is polled."""
+
+    def __init__(self):
+        self.polls = 0
+
+    def is_set(self) -> bool:
+        self.polls += 1
+        return False
+
+
 def reachable(net: Network, s: int, excluded: frozenset[int] = frozenset()) -> set[int]:
     """Reference reachability by naive fixpoint iteration."""
     seen = {s}

@@ -21,9 +21,9 @@ from drcr import (BtcsConfig, CostCorridor, DrcrTask, Edge, IntegrityError,
 from drcr import btcs
 from drcr.btcs import corridor_width, find_srlg_cut
 from drcr.network import NetworkView, is_connected, remove_conflicting_edges
-from drcr.pulse import SearchControl, SearchTimeout
+from drcr.pulse import UNLIMITED, SearchControl, SearchTimeout
 
-from conftest import random_network, random_task
+from conftest import CountingStop, random_network, random_task
 
 
 def _verify_pair(net, task, pair):
@@ -333,21 +333,10 @@ def test_stop_event_is_a_timeout_outcome(instance):
     assert pair is None and report.outcome == "timeout"
 
 
-class _CountingStop:
-    """A stop event that is never set and counts how often it is polled."""
-
-    def __init__(self):
-        self.polls = 0
-
-    def is_set(self) -> bool:
-        self.polls += 1
-        return False
-
-
 def test_stage_two_polls_at_the_callers_interval():
     net, task = _cross()
     trees = build_reverse_trees(net, task.target)
-    stop = _CountingStop()
+    stop = CountingStop()
     pair, report = solve_btcs(net, trees, task,
                               control=SearchControl(stop=stop, poll_every=1))
     assert pair is not None and report.corridors_explored >= 1
@@ -361,7 +350,7 @@ def test_stage_two_polls_at_the_callers_interval():
 def test_protection_loop_polls_between_candidates(monkeypatch):
     net, task = _cross()
     trees = build_reverse_trees(net, task.target)
-    stop = _CountingStop()
+    stop = CountingStop()
     polls_at_protect = []
     protect = btcs.try_protect
 
@@ -616,7 +605,8 @@ def golden_observations() -> dict[str, list]:
         trees = build_reverse_trees(net, task.target)
         stop = threading.Event()
         stop.set()
-        runs = [(name, cfg, None) for name, cfg in GOLDEN_CONFIGS.items()]
+        runs = [(name, cfg, UNLIMITED)
+                for name, cfg in GOLDEN_CONFIGS.items()]
         runs.append(("stop", BtcsConfig(alpha=10, growth=1),
                      SearchControl(stop=stop)))
         for name, cfg, control in runs:

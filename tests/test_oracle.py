@@ -15,7 +15,7 @@ from drcr import (DrcrTask, Edge, Network, OracleTooLargeError, SearchControl,
                   SrlgTask, build_histogram, enumerate_paths, oracle_drcr,
                   oracle_minmin)
 
-from conftest import random_network, random_task
+from conftest import CountingStop, diamond, random_network, random_task
 
 
 def complete_digraph(n: int) -> Network:
@@ -114,6 +114,20 @@ def test_histogram_truncation_flag(diamond_net):
     assert hist.truncated
 
 
+@pytest.mark.parametrize("task", [DrcrTask(0, 3, 0, 100),
+                                  SrlgTask(DrcrTask(0, 3, 0, 100), 100)])
+def test_histogram_at_exactly_cap_paths_is_truncated(task):
+    # both diamond routes are feasible and protect each other; the sweep
+    # cannot tell a series of exactly cap paths from a longer one it cut
+    net = Network(4, diamond().edges, [{0}, {2}])
+    full = build_histogram(net, task, 10, include_all=False)
+    assert sum(full.series["feasible"].values()) == 2
+    at_cap = build_histogram(net, task, 10, cap=2, include_all=False)
+    assert at_cap.truncated and at_cap.series == full.series
+    above = build_histogram(net, task, 10, cap=3, include_all=False)
+    assert not above.truncated and above.series == full.series
+
+
 def _egress_cut_complete(n: int = 7) -> Network:
     """A complete digraph whose one SRLG holds every egress edge of node 0.
 
@@ -125,8 +139,8 @@ def _egress_cut_complete(n: int = 7) -> Network:
 
 
 def test_pair_histogram_builds_at_most_cap_plus_one_paths(monkeypatch):
-    # one bin holds all 326 paths 0 -> 6; the scan must stop one path past
-    # the cap instead of building every path of the bin
+    # one bin holds all 326 paths 0 -> 6; the scan must stop at the cap
+    # instead of building every path of the bin
     net = _egress_cut_complete()
     built = []
     path = Network.path
@@ -140,18 +154,11 @@ def test_pair_histogram_builds_at_most_cap_plus_one_paths(monkeypatch):
                            10 ** 6, cap=3, include_all=False)
     assert hist.truncated
     assert hist.series == {"feasible": {0: 3}, "protected": {}}
-    assert len(built) <= 4
+    assert len(built) == 3
 
 
 def test_pair_histogram_polls_between_protection_attempts(monkeypatch):
     net = _egress_cut_complete()
-
-    class CountingStop:  # never set; counts how often it is polled
-        polls = 0
-
-        def is_set(self):
-            self.polls += 1
-            return False
 
     stop = CountingStop()
     polls_at_protect = []

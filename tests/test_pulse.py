@@ -25,7 +25,7 @@ from drcr import (BTBU2, CostCorridor, DrcrTask, Edge, Network,
 from drcr import oracle as oracle_mod
 from drcr import pulse as pulse_mod
 from drcr.network import NetworkView, as_view
-from drcr.pulse import pulse_probe
+from drcr.pulse import UNLIMITED, pulse_probe
 
 from conftest import eager_search_rows, random_network, random_task
 
@@ -388,6 +388,28 @@ def test_nan_time_limit_is_rejected_and_a_negative_one_has_passed():
         SearchControl.from_time_limit_ms(-1).poll()
 
 
+def test_no_time_limit_and_no_stop_is_unlimited():
+    assert SearchControl.from_time_limit_ms(None) is UNLIMITED
+    assert (UNLIMITED.deadline, UNLIMITED.stop) == (None, None)
+
+
+def test_poll_interval_below_one_is_rejected():
+    # under a passed deadline this walk ends at its first poll; poll_every=0
+    # once switched off every in-walk poll, and it ran 2476 pulses to a path
+    n = 8
+    net = Network(n, [Edge(u, v, 1, 1) for u in range(n) for v in range(n) if u != v])
+    task = DrcrTask(0, n - 1, n - 1, n - 1)
+    trees = build_reverse_trees(net, task.target)
+    counters = SearchCounters()
+    with pytest.raises(SearchTimeout):
+        pulse_optimal(net, trees, task, counters=counters,
+                      control=SearchControl(deadline=monotonic() - 1.0))
+    assert counters.pulses == 1 + 512
+    for poll_every in (0, -1):
+        with pytest.raises(ValueError, match="poll_every"):
+            SearchControl(deadline=monotonic() - 1.0, poll_every=poll_every)
+
+
 def test_preset_stop_event_cancels_search():
     # complete digraph, delay window only met by Hamiltonian paths: the
     # unpruned walk runs far past the 512-pulse poll interval
@@ -493,9 +515,9 @@ def _bit_walk(net, trees, task, order, counters, control, mode, lo=0,
 
     This is the yes/no answer the walk gave before it returned its floor,
     so the histogram sweeps step one bin at a time again."""
-    result, capped, floor = _real_pulse(net, trees, task, order, counters,
-                                        control, mode, lo, hi, cap, prune)
-    return result, capped, hi if floor < inf else inf
+    result, floor = _real_pulse(net, trees, task, order, counters, control,
+                                mode, lo, hi, cap, prune)
+    return result, hi if floor < inf else inf
 
 
 def _floor(value):

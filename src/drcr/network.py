@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -64,9 +63,9 @@ class Network:
         adjacency: per-node tuple of egress EdgeIds.
         min_edge_cost, max_edge_cost, max_edge_delay: weight extremes, None
             without edges.
-        reverse_arcs: the ``(head, tail, weight)`` int64 arrays of the
-            stacked reverse graph that the numpy tree route reads, built on
-            first use.
+        reverse_arcs: the ``(first, count, tail, weight)`` int64 arrays of
+            the stacked reverse graph, sorted by head, that the numpy tree
+            route reads, built on first use.
         reverse_adjacency: per-node tuple of ingress ``(src, cost, delay)``
             triples that the heap tree route reads, built on first use.
         srlg_groups: tuple of frozensets of EdgeId, indexed by SrlgId.
@@ -129,31 +128,39 @@ class Network:
         self.edge_srlgs = tuple(edge_srlgs)
 
     @property
-    def reverse_arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only int64 arrays ``(head, tail, weight)`` of the stacked
-        reverse graph: the input of the numpy route of the reverse trees.
+    def reverse_arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                    np.ndarray]:
+        """Read-only int64 arrays ``(first, count, tail, weight)`` of the
+        stacked reverse graph, grouped by head: the input of the numpy route
+        of the reverse trees.
 
         The stacked graph has 2 * node_count nodes: nodes 0..n-1 carry cost
-        and nodes n..2n-1 carry delay.  Edge ``eid`` from u to v gives arc
-        ``eid`` from v to u weighted by its cost and arc ``m + eid`` from
-        v + n to u + n weighted by its delay, so a tree relaxes the label of
-        ``tail`` from the label of ``head`` and the metrics never meet.  The
-        weights must fit int64; the trees build the arrays only when they
-        do.  Built at most once per network and shared with ``with_srlgs``
-        copies.
+        and nodes n..2n-1 carry delay.  An edge from u to v gives an arc from
+        v to u weighted by its cost and an arc from v + n to u + n weighted
+        by its delay, so a tree relaxes the label of the tail from the label
+        of the head and the metrics never meet.  The arcs whose head is
+        stacked node h are ``first[h]`` up to ``first[h] + count[h]`` of
+        ``tail`` and ``weight`` (2n entries each in ``first`` and ``count``,
+        2m in ``tail`` and ``weight``); within a head they keep edge order,
+        and the delay arcs of head v + n mirror the cost arcs of head v, m
+        arcs up.  The weights must fit int64; the trees build the arrays only
+        when they do.  Built at most once per network and shared with
+        ``with_srlgs`` copies.
         """
         arcs = self._memo.get("reverse_arcs")
         if arcs is None:
-            edges, n = self.edges, self.node_count
-            size = 2 * len(edges)
-            # filled from the edges in place: a 2-D array of the edges first
-            # would hold twice the memory while it is copied
-            arcs = (np.fromiter(chain((e.dst for e in edges),
-                                      (e.dst + n for e in edges)), np.int64, size),
-                    np.fromiter(chain((e.src for e in edges),
-                                      (e.src + n for e in edges)), np.int64, size),
-                    np.fromiter(chain((e.cost for e in edges),
-                                      (e.delay for e in edges)), np.int64, size))
+            edges, n, m = self.edges, self.node_count, len(self.edges)
+            dst = np.fromiter((e.dst for e in edges), np.int64, m)
+            order = np.argsort(dst, kind="stable")
+            count = np.bincount(dst, minlength=n)
+            first = np.cumsum(count) - count
+            tail = np.fromiter((e.src for e in edges), np.int64, m)[order]
+            cost = np.fromiter((e.cost for e in edges), np.int64, m)[order]
+            delay = np.fromiter((e.delay for e in edges), np.int64, m)[order]
+            arcs = (np.concatenate((first, first + m)),
+                    np.concatenate((count, count)),
+                    np.concatenate((tail, tail + n)),
+                    np.concatenate((cost, delay)))
             for a in arcs:
                 a.flags.writeable = False
             self._memo["reverse_arcs"] = arcs

@@ -15,13 +15,17 @@ weight of either metric.
 * The frontier route: both trees in one vectorised relaxation (Bellman, "On
   a routing problem", 1958, run as a frontier walk) over
   ``Network.reverse_arcs``, a stacked graph of 2n nodes whose nodes
-  0..n-1 carry cost and n..2n-1 carry delay.  Each round relaxes the arcs
-  whose head fell in the last round, keeps the arcs that improve a label
-  and takes per-node minima over them with ``np.minimum.at``, and makes
-  the nodes whose label fell the next frontier; the walk ends when a round
-  finds no arc to relax.  A label is always the length of a simple path,
-  so it stays below n * W; the route runs only while n * W < 2**62, so
-  int64 sums and their sentinel cannot overflow.
+  0..n-1 carry cost and n..2n-1 carry delay, its arcs grouped by head.
+  The frontier is the sorted array of the nodes whose label fell in the
+  last round, at first the target in both halves.  A round lays the
+  frontier's arc ranges end to end (``np.repeat`` of their first arcs over
+  their counts, plus ``np.arange``), relaxes every gathered arc with
+  ``np.minimum.at`` and takes the nodes whose label fell as the next
+  frontier, so its work follows the frontier's own arcs and not all 2m.
+  The walk ends when a round finds no arc to relax.  A label is always
+  the length of a simple path, so it stays below n * W; the route runs
+  only while n * W < 2**62, so int64 sums and their sentinel cannot
+  overflow.
 * The heap route: one Dijkstra per metric over ``Network.reverse_adjacency``,
   whose queue is a dict from distance to the nodes reached at it and a heap
   of the distinct distances, so many nodes at one distance cost one heap
@@ -30,18 +34,45 @@ weight of either metric.
   smaller distance is stale and skipped.  Python ints keep it exact at any
   magnitude.
 
-The frontier route runs when n + m is at least FRONTIER_MIN_SIZE: below
-it numpy's fixed cost per call loses to the heap (on generated ER and
-scale-free graphs the two tie between n + m of 350 and 450).  Its round
-count follows the hop depth of the trees, the last round finding nothing
-to relax.  Generated graphs of up to 5000 nodes need at most 33 rounds
-from a mean out-degree of 2 up, and ER graphs at mean out-degree 1 up to
-62; a 1000-node chain needs 1000, at about 18 us a round against about
-1.6 ms for the heap's whole pair.  So a walk not done after
-FRONTIER_MAX_ROUNDS rounds is dropped and the heap restarts from the
-target; the 1000-node chain then takes 1.8 times the heap alone.  Dial's
-bucket ring, once a third route, was 3-15% faster than the frontier route
-on dense graphs of 60 to 100 nodes and lost to it from 200 nodes up
+A walk not done after FRONTIER_MAX_ROUNDS rounds hands its labels and its
+last frontier to the heap, which goes on from there: only the arcs leaving
+the frontier can still break the triangle inequality, and a node is queued
+again on every fall of its label, so the trees stay exact (the generic
+label-correcting method).
+
+Both constants were measured per tree pair on a shared 2-core VM (CPython
+3.11.7, numpy 2.4.6).  The frontier route runs when n + m is at least
+FRONTIER_MIN_SIZE: below it numpy's fixed cost per call loses to the heap.
+Frontier time over heap time on generated graphs (median over 12 targets,
+best of 7 interleaved passes):
+
+    graph        n + m: frontier / heap                 crossover
+    ER k=2       735: 1.08   913: 0.97    1220: 0.83     about 850
+    ER k=3       639: 1.03   795: 0.93    1192: 0.71     about 700
+    ER k=5       742: 1.01   976: 0.91    1226: 0.78     about 750
+    ER k=7       637: 1.23   782: 0.99    1297: 0.75     about 780
+    SF m=1       298: 1.42   388: 1.00     598: 0.80     about 400
+    SF m=2       392: 1.21   492: 0.99     992: 0.91     500 to 800
+    SF m=4       508: 1.04   688: 0.95    1138: 0.81     about 600
+
+A walk's round count follows the hop depth of the trees.  Generated
+graphs of 5000 nodes need up to 28 rounds at ER mean out-degree 2 and up
+to 19 on scale-free m=1; at 20 000 nodes up to 35 and 23.  A 1000-node
+chain needs 1000, at about 12 us a round against 0.67 ms for the heap's
+whole pair.  Milliseconds per pair by FRONTIER_MAX_ROUNDS (10 spread
+targets, the chain rooted at its end; best of 15 interleaved passes, 7 at
+20 000 nodes):
+
+    graph           heap    16      24      32      48
+    chain-1000      0.67    0.95    1.04    1.14    1.33
+    ER-5000 k=2     2.99    1.76    1.39    1.38    1.40
+    ER-20000 k=2    23.0    15.7    6.90    6.20    6.11
+    SF-20000 m=1    24.2    4.02    3.99    3.99    3.88
+
+32 rounds is within 2% of the best on each generated graph and saves the
+chain 14% against 48; the chain still takes 1.7 times the heap alone.
+Dial's bucket ring, once a third route, was 3-15% faster than the frontier
+route on dense graphs of 60 to 100 nodes and lost to it from 200 nodes up
 (``BENCH_14.json``), too little to keep a third route for.
 
 Trees computed on the full network stay valid lower bounds on any
@@ -51,7 +82,7 @@ so protection-path searches reuse them unchanged.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import inf
 
 import numpy as np
@@ -59,11 +90,9 @@ import numpy as np
 from .network import Network
 
 # n + m from which the frontier route runs (measured crossover)
-FRONTIER_MIN_SIZE = 400
-# rounds after which a frontier walk gives way to the heap: past every
-# generated graph from mean out-degree 2 up, and 48 rounds cost a 1000-node
-# chain less than the heap's own time (measured)
-FRONTIER_MAX_ROUNDS = 48
+FRONTIER_MIN_SIZE = 700
+# rounds after which a frontier walk hands over to the heap (measured)
+FRONTIER_MAX_ROUNDS = 32
 # the frontier route runs while n * W is below this
 _INT64_GUARD = 2 ** 62
 _UNREACHED = np.iinfo(np.int64).max
@@ -84,43 +113,69 @@ class ReverseTrees:
         self.min_delay_to_target = min_delay_to_target
 
 
-def _frontier_trees(arcs: tuple[np.ndarray, np.ndarray, np.ndarray], n: int,
-                    target: int) -> ReverseTrees | None:
-    """Both trees by the frontier route over the stacked ``arcs``, or None
-    if the walk is not done after FRONTIER_MAX_ROUNDS rounds."""
-    head, tail, weight = arcs
+def _frontier_walk(arcs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+                   n: int, target: int, rounds: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked labels after at most ``rounds`` frontier rounds over
+    ``arcs`` from ``target``, and the frontier left: the sorted nodes whose
+    label fell in the last round, empty once a round finds no arc to relax."""
+    first, count, tail, weight = arcs
     dist = np.full(2 * n, _UNREACHED, dtype=np.int64)
     dist[target] = dist[n + target] = 0
-    frontier = dist == 0
-    for _ in range(FRONTIER_MAX_ROUNDS):
-        live = np.flatnonzero(frontier[head])
-        if not live.size:
-            cost, delay = dist[:n].tolist(), dist[n:].tolist()
-            # both metrics share the edges, so they share the unreached nodes
-            for v in np.flatnonzero(dist[:n] == _UNREACHED).tolist():
-                cost[v] = delay[v] = inf
-            return ReverseTrees(cost, delay)
-        # in place, so that a round holds fewer arc-sized temporaries
-        tails = tail[live]
-        relaxed = dist[head[live]]
-        relaxed += weight[live]
-        better = relaxed < dist[tails]
-        tails = tails[better]
-        np.minimum.at(dist, tails, relaxed[better])
-        frontier = np.zeros(2 * n, dtype=bool)
-        frontier[tails] = True
-    return None
+    frontier = np.array([target, n + target])
+    for _ in range(rounds):
+        counts = count[frontier]
+        ends = np.cumsum(counts)
+        if not ends.size or not ends[-1]:
+            return dist, frontier[:0]
+        # the frontier's arc ranges laid end to end: gathered arc i of node
+        # j is arc first[j] + i - (ends[j] - counts[j])
+        arc = np.repeat(first[frontier] - ends + counts, counts)
+        arc += np.arange(ends[-1])
+        relaxed = np.repeat(dist[frontier], counts)
+        relaxed += weight[arc]
+        before = dist.copy()
+        np.minimum.at(dist, tail[arc], relaxed)
+        frontier = np.flatnonzero(dist < before)
+    return dist, frontier
 
 
-def _heap_tree(rev: tuple[tuple[tuple[int, int, int], ...], ...],
-               target: int, weight: int) -> list[float]:
-    """Distances to ``target``; ``weight`` indexes the (src, cost, delay)
-    triples.  ``level`` maps each queued distance to the nodes reached at
-    it, and ``keys`` is a heap of those distances."""
-    dist: list[float] = [inf] * len(rev)
-    dist[target] = 0
-    level = {0: [target]}
-    keys = [0]
+def _frontier_trees(net: Network, target: int) -> ReverseTrees:
+    """Both trees by the frontier route; a walk not done after
+    FRONTIER_MAX_ROUNDS rounds goes on in the heap from its frontier."""
+    n = net.node_count
+    dist, frontier = _frontier_walk(net.reverse_arcs, n, target,
+                                    FRONTIER_MAX_ROUNDS)
+    labels = dist.tolist()
+    # a node's label turns finite in the round of its hop count to the
+    # target, in both halves, so the halves share the unreached nodes
+    for v in np.flatnonzero(dist[:n] == _UNREACHED).tolist():
+        labels[v] = labels[n + v] = inf
+    cost, delay = labels[:n], labels[n:]
+    if frontier.size:
+        rev = net.reverse_adjacency
+        split = int(np.searchsorted(frontier, n))
+        cost = _heap_tree(rev, _COST, cost, frontier[:split].tolist())
+        delay = _heap_tree(rev, _DELAY, delay, (frontier[split:] - n).tolist())
+    return ReverseTrees(cost, delay)
+
+
+def _heap_tree(rev: tuple[tuple[tuple[int, int, int], ...], ...], weight: int,
+               dist: list[float], start: list[int]) -> list[float]:
+    """Distances to the target, in place in ``dist``, from its labels and the
+    queued nodes ``start``; ``weight`` indexes the (src, cost, delay) triples.
+
+    Every arc that leaves a node outside ``start`` must already hold (the
+    label of its source is at most the label of its head plus its weight):
+    a fresh tree queues the target alone at 0 with inf elsewhere, and a
+    frontier walk hands over its last frontier.  A node is queued again on
+    every fall of its label, so the result is exact.  ``level`` maps each
+    queued distance to the nodes reached at it, and ``keys`` is a heap of
+    those distances."""
+    level: dict[float, list[int]] = {}
+    for v in start:
+        level.setdefault(dist[v], []).append(v)
+    keys = list(level)
+    heapify(keys)
     while keys:
         d = heappop(keys)
         for v in level.pop(d):
@@ -147,12 +202,14 @@ def build_reverse_trees(net: Network, target: int) -> ReverseTrees:
         raise ValueError(f"target {target} out of range")
     top = max(net.max_edge_cost or 0, net.max_edge_delay or 0)
     if n + len(net.edges) >= FRONTIER_MIN_SIZE and n * top < _INT64_GUARD:
-        trees = _frontier_trees(net.reverse_arcs, n, target)
-        if trees is not None:
-            return trees
+        return _frontier_trees(net, target)
     rev = net.reverse_adjacency
-    return ReverseTrees(_heap_tree(rev, target, _COST),
-                        _heap_tree(rev, target, _DELAY))
+    trees = []
+    for weight in (_COST, _DELAY):
+        dist: list[float] = [inf] * n
+        dist[target] = 0
+        trees.append(_heap_tree(rev, weight, dist, [target]))
+    return ReverseTrees(*trees)
 
 
 class TreeCache:

@@ -245,12 +245,22 @@ def test_adjacency_and_inverse_invariants():
         assert sorted((src, node, cost, delay)
                       for node, arcs in enumerate(net.reverse_adjacency)
                       for src, cost, delay in arcs) == ingress
-        # the stacked arcs: edge i is cost arc i and, n nodes up, delay arc m + i
-        head, tail, weight = (a.tolist() for a in net.reverse_arcs)
+        # the stacked arcs, grouped by head: head h's arcs are first[h] up to
+        # first[h] + count[h], the ranges follow one another in head order,
+        # and the counts sum to 2m
+        first, count, tail, weight = (a.tolist() for a in net.reverse_arcs)
         n, m = net.node_count, len(net.edges)
-        assert [(tail[i], head[i], weight[i], weight[m + i])
-                for i in range(m)] == [tuple(e) for e in net.edges]
-        assert head[m:] == [v + n for v in head[:m]]
+        assert len(first) == len(count) == 2 * n
+        assert len(tail) == len(weight) == sum(count) == 2 * m
+        assert first == [sum(count[:h]) for h in range(2 * n)]
+        # every edge once as a cost arc at its head v and once, n nodes and
+        # m arcs up, as a delay arc at v + n; within a head in edge order
+        arcs = [(tail[first[v] + j], v, weight[first[v] + j],
+                 weight[first[v + n] + j])
+                for v in range(n) for j in range(count[v])]
+        assert arcs == [tuple(e) for e in sorted(net.edges, key=lambda e: e.dst)]
+        assert count[n:] == count[:n]
+        assert first[n:] == [f + m for f in first[:n]]
         assert tail[m:] == [u + n for u in tail[:m]]
         for gid, group in enumerate(net.srlg_groups):
             for eid in group:

@@ -14,6 +14,8 @@ from drcr import trees as trees_mod
 
 from conftest import bellman_ford_to_target, random_network
 
+_UNREACHED = trees_mod._UNREACHED
+
 
 def test_single_edge():
     net = Network(2, [Edge(0, 1, 5, 7)])
@@ -120,14 +122,28 @@ def test_property_both_routes_match_bellman_ford(case):
     net, target = case
     cost = bellman_ford_to_target(net, target, "cost")
     delay = bellman_ford_to_target(net, target, "delay")
-    trees = trees_mod._frontier_trees(net.reverse_arcs, net.node_count, target)
+    trees = trees_mod._frontier_trees(net, target)
     assert trees.min_cost_to_target == cost
     assert trees.min_delay_to_target == delay
     _assert_python_ints(trees)
     for weight, expected in ((trees_mod._COST, cost), (trees_mod._DELAY, delay)):
         rows = _CountingRows(net.reverse_adjacency)
-        assert trees_mod._heap_tree(rows, target, weight) == expected
+        assert _heap(rows, target, weight) == expected
         assert rows.reads == [int(d != inf) for d in expected]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_network_and_target(), st.integers(0, 12))
+def test_property_walk_cut_anywhere_matches_bellman_ford(case, cut):
+    # the frontier route with its walk cut after ``cut`` rounds: the heap
+    # goes on from the frontier left, whatever the labels handed over
+    net, target = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trees_mod, "FRONTIER_MAX_ROUNDS", cut)
+        trees = trees_mod._frontier_trees(net, target)
+    assert trees.min_cost_to_target == bellman_ford_to_target(net, target, "cost")
+    assert trees.min_delay_to_target == bellman_ford_to_target(net, target, "delay")
+    _assert_python_ints(trees)
 
 
 @settings(max_examples=200, deadline=None)
@@ -153,20 +169,27 @@ def _assert_python_ints(trees):
                if d != inf)
 
 
+def _heap(rev, target, weight) -> list[float]:
+    """A fresh heap tree: the target alone queued, at 0."""
+    dist = [inf] * len(rev)
+    dist[target] = 0
+    return trees_mod._heap_tree(rev, weight, dist, [target])
+
+
 def _routes(monkeypatch) -> list[str]:
     """Record which route each tree pair took: ``frontier``, or ``heap``
-    (one entry per pair, after any frontier walk that gave up)."""
+    (one entry per pair, after any frontier walk that handed over)."""
     calls: list[str] = []
     frontier, heap = trees_mod._frontier_trees, trees_mod._heap_tree
 
-    def frontier_recording(arcs, n, target):
+    def frontier_recording(net, target):
         calls.append("frontier")
-        return frontier(arcs, n, target)
+        return frontier(net, target)
 
-    def heap_recording(rev, target, weight):
+    def heap_recording(rev, weight, dist, start):
         if weight == trees_mod._COST:
             calls.append("heap")
-        return heap(rev, target, weight)
+        return heap(rev, weight, dist, start)
 
     monkeypatch.setattr(trees_mod, "_frontier_trees", frontier_recording)
     monkeypatch.setattr(trees_mod, "_heap_tree", heap_recording)
@@ -224,27 +247,106 @@ def test_int64_guard_below_and_at_2_62(monkeypatch):
         calls.clear()
 
 
-def test_long_walk_restarts_on_the_heap(monkeypatch):
+def test_long_walk_goes_on_in_the_heap(monkeypatch):
     # a chain above the size threshold: rooted at node k, the walk takes
     # k + 1 rounds, the last finding nothing to relax.  At k = MAX - 1 the
-    # frontier route ends it; at k = MAX it gives up and the heap restarts
-    # from the target, with the heap's own values
+    # frontier route ends it; at k = MAX and beyond the heap goes on from
+    # the walk's last frontier, node k - MAX, and keeps the walk's labels
     bound = trees_mod.FRONTIER_MAX_ROUNDS
     n = trees_mod.FRONTIER_MIN_SIZE
     net = Network(n, [Edge(i, i + 1, 10, 1 + i % 3) for i in range(n - 1)])
-    heap = trees_mod._heap_tree
     calls = _routes(monkeypatch)
     for root, route in ((bound - 1, ["frontier"]), (bound, ["frontier", "heap"]),
                         (n - 1, ["frontier", "heap"])):
+        calls.clear()
         trees = build_reverse_trees(net, root)
         assert calls == route
-        calls.clear()
         assert trees.min_cost_to_target == (
             [10 * (root - i) for i in range(root + 1)] + [inf] * (n - root - 1))
-        assert trees.min_cost_to_target == heap(net.reverse_adjacency, root, trees_mod._COST)
-        assert trees.min_delay_to_target == heap(net.reverse_adjacency, root, trees_mod._DELAY)
+        assert trees.min_cost_to_target == _heap(net.reverse_adjacency, root, trees_mod._COST)
+        assert trees.min_delay_to_target == _heap(net.reverse_adjacency, root, trees_mod._DELAY)
         _assert_python_ints(trees)
-    assert trees_mod._frontier_trees(net.reverse_arcs, n, bound) is None
+        _, frontier = trees_mod._frontier_walk(net.reverse_arcs, n, root, bound)
+        left = root - bound
+        assert frontier.tolist() == ([left, n + left] if left >= 0 else [])
+    assert trees.min_cost_to_target == bellman_ford_to_target(net, n - 1, "cost")
+    assert trees.min_delay_to_target == bellman_ford_to_target(net, n - 1, "delay")
+
+
+def _deep_graph(n: int, seed: int) -> Network:
+    """An ER digraph at mean out-degree 1 (n edges between random distinct
+    nodes, weights 1..100): near the critical degree, so some reverse trees
+    are deep, with long paths whose labels keep falling."""
+    rng = random.Random(seed)
+    edges = []
+    for _ in range(n):
+        u, v = rng.randrange(n), rng.randrange(n - 1)
+        edges.append(Edge(u, v + (v >= u), rng.randint(1, 100), rng.randint(1, 100)))
+    return Network(n, edges)
+
+
+def test_walk_handed_to_the_heap_at_any_round_is_exact(monkeypatch):
+    # the walk to target 510 takes 39 rounds, more than FRONTIER_MAX_ROUNDS.
+    # Cut after any of them, it hands over labels that are not all final
+    # yet, and from every cut the heap must end at Bellman-Ford's distances
+    net, target = _deep_graph(1000, seed=4), 510
+    n = net.node_count
+    cost = bellman_ford_to_target(net, target, "cost")
+    delay = bellman_ford_to_target(net, target, "delay")
+    rounds = 0
+    while trees_mod._frontier_walk(net.reverse_arcs, n, target, rounds)[1].size:
+        rounds += 1
+    assert rounds == 39 > trees_mod.FRONTIER_MAX_ROUNDS
+    unsettled = 0
+    for cut in range(rounds + 1):
+        monkeypatch.setattr(trees_mod, "FRONTIER_MAX_ROUNDS", cut)
+        trees = build_reverse_trees(net, target)
+        assert trees.min_cost_to_target == cost
+        assert trees.min_delay_to_target == delay
+        _assert_python_ints(trees)
+        dist, _ = trees_mod._frontier_walk(net.reverse_arcs, n, target, cut)
+        unsettled += sum(d != c for d, c in zip(dist[:n].tolist(), cost)
+                         if c != inf)
+    assert unsettled
+
+
+def test_a_label_that_falls_twice_reenters_the_frontier():
+    # cost: node 1 reaches the target 0 at 10 directly, then at 2 through
+    # node 2, one round later; node 3, behind node 1, falls with it.
+    # delay: every label is final when first set
+    n = 4
+    net = Network(n, [Edge(1, 0, 10, 1), Edge(2, 0, 1, 1), Edge(1, 2, 1, 1),
+                      Edge(3, 1, 2, 1)])
+    walks = [trees_mod._frontier_walk(net.reverse_arcs, n, 0, r) for r in range(5)]
+    assert [f.tolist() for _, f in walks] == [
+        [0, n], [1, 2, n + 1, n + 2], [1, 3, n + 3], [3], []]
+    assert [d[:n].tolist() for d, _ in walks[1:]] == [
+        [0, 10, 1, _UNREACHED], [0, 2, 1, 12], [0, 2, 1, 4], [0, 2, 1, 4]]
+    assert walks[-1][0][n:].tolist() == [0, 1, 1, 2]
+    trees = trees_mod._frontier_trees(net, 0)
+    assert trees.min_cost_to_target == bellman_ford_to_target(net, 0, "cost")
+    assert trees.min_delay_to_target == bellman_ford_to_target(net, 0, "delay")
+
+
+def test_frontier_nodes_without_ingress_arcs():
+    # the second round's frontier, nodes 1..3 in both halves, gathers arc
+    # ranges of 2, 0 and 1 arcs; the third's, nodes 5..7, has no arc at all
+    # and ends the walk, as does a target without ingress arcs at once
+    n = 8
+    net = Network(n, [Edge(1, 0, 1, 2), Edge(2, 0, 3, 4), Edge(3, 0, 5, 6),
+                      Edge(5, 1, 7, 8), Edge(6, 1, 9, 10), Edge(7, 3, 11, 12)])
+    assert net.reverse_arcs[1].tolist() == [3, 2, 0, 1, 0, 0, 0, 0] * 2
+    walks = [trees_mod._frontier_walk(net.reverse_arcs, n, 0, r) for r in range(4)]
+    assert [f.tolist() for _, f in walks] == [
+        [0, n], [1, 2, 3, n + 1, n + 2, n + 3], [5, 6, 7, n + 5, n + 6, n + 7], []]
+    trees = trees_mod._frontier_trees(net, 0)
+    assert trees.min_cost_to_target == [0, 1, 3, 5, inf, 8, 10, 16]
+    assert trees.min_delay_to_target == [0, 2, 4, 6, inf, 10, 12, 18]
+    assert trees.min_cost_to_target == bellman_ford_to_target(net, 0, "cost")
+    dist, frontier = trees_mod._frontier_walk(net.reverse_arcs, n, 5, 1)
+    assert frontier.size == 0
+    assert trees_mod._frontier_trees(net, 5).min_cost_to_target == (
+        [inf] * 5 + [0, inf, inf])
 
 
 def test_frontier_route_builds_only_the_shared_arcs(monkeypatch):
@@ -323,7 +425,7 @@ def test_stale_bucket_entry_is_skipped():
     net = Network(4, [Edge(1, 2, 9, 1), Edge(1, 2, 1, 9), Edge(0, 1, 1, 1),
                       Edge(3, 2, 20, 20)])
     rows = _CountingRows(net.reverse_adjacency)
-    dist = trees_mod._heap_tree(rows, 2, trees_mod._COST)
+    dist = _heap(rows, 2, trees_mod._COST)
     assert dist == [2, 1, 0, 20]
     assert rows.reads == [1, 1, 1, 1]
     assert dist == bellman_ford_to_target(net, 2, "cost")

@@ -134,6 +134,20 @@ def try_protect(net: Network, trees: ReverseTrees, task: SrlgTask, ap: Path, *,
                                 counters=counters, control=control)
 
 
+def protect_candidates(net, trees, task, candidates, *,
+                       control: SearchControl = UNLIMITED, **search):
+    """``(ap, try_protect(...))`` for each AP candidate in turn, polling
+    ``control`` before every ``poll_every``-th try: a candidate that fails on
+    connectivity spends no pulse, so the engine would never poll through a
+    long run of them.  ``search`` (``order``, ``counters``) goes on to
+    ``try_protect``, looked up at each call, so a wrapper set on this
+    module sees every attempt."""
+    for attempt, ap in enumerate(candidates, 1):
+        if attempt % control.poll_every == 0:
+            control.poll()
+        yield ap, try_protect(net, trees, task, ap, control=control, **search)
+
+
 def _srlgs_on(net: Network, edge_ids) -> set[int]:
     edge_srlgs = net.edge_srlgs
     return set().union(*(edge_srlgs[eid] for eid in edge_ids))
@@ -205,17 +219,11 @@ def _scan_corridor(net, trees, task, first_ap, c_low, c_up, order, counters,
                                             order=order, counters=counters,
                                             control=control)
     candidates.sort(key=lambda p: (p.total_cost, p.edges))
-    # a candidate that fails on connectivity spends no pulse, so the engine
-    # would never poll through a long run of them
+    fresh = (ap for ap in candidates if ap.edges != first_ap.edges)
     checked = 0
-    for ap in candidates:
-        if ap.edges == first_ap.edges:
-            continue
-        checked += 1
-        if checked % control.poll_every == 0:
-            control.poll()
-        pp = try_protect(net, trees, task, ap, order=order, counters=counters,
-                         control=control)
+    for checked, (ap, pp) in enumerate(protect_candidates(
+            net, trees, task, fresh, order=order, counters=counters,
+            control=control), 1):
         if pp is not None:
             return DisjointPair(ap, pp), checked, floor
     return None, checked, floor

@@ -35,7 +35,7 @@ import networkx as nx
 import numpy as np
 
 from .btcs import BtcsConfig, solve_btcs
-from .network import DrcrTask, Edge, Network, SrlgTask, Task
+from .network import DrcrTask, Edge, Network, SrlgTask, Task, check_task_nodes
 from .pulse import SearchControl, SearchInterrupted, pulse_first_feasible
 from .report import INFEASIBLE, PAIR
 from .trees import ReverseTrees, TreeCache
@@ -241,7 +241,8 @@ def filter_tasks(net: Network, tasks: list[Task], kind: str, *,
     searches before a verdict, and srlg also when the ``btcs_cfg`` corridor
     cap does.  ``control`` is shared by every task; ``time_limit_ms`` gives
     each task its own deadline instead, counted from the start of its
-    searches.  Give at most one of them.
+    searches.  Give at most one of them.  Raises IntegrityError when a
+    task node is not a node of ``net``.
     """
     if kind not in ("drcr", "srlg"):
         raise ValueError(f"unknown task kind {kind!r}")
@@ -255,6 +256,7 @@ def filter_tasks(net: Network, tasks: list[Task], kind: str, *,
     for task in tasks:
         if not isinstance(task, expected):
             raise ValueError(f"expected {noun} tasks, got {task!r}")
+        check_task_nodes(net, task)
         trees = cache.get(task.target)
         task_control = control or SearchControl.from_time_limit_ms(
             time_limit_ms)

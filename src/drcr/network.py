@@ -66,8 +66,9 @@ class Network:
         reverse_arcs: the ``(first, count, tail, weight)`` int64 arrays of
             the stacked reverse graph, sorted by head, that the numpy tree
             route reads, built on first use.
-        reverse_adjacency: per-node tuple of ingress ``(src, cost, delay)``
-            triples that the heap tree route reads, built on first use.
+        reverse_adjacency: the same arcs as ``(tail, weight)`` tuples in
+            Python ints, per stacked node, that the heap tree route reads,
+            built on first use.
         srlg_groups: tuple of frozensets of EdgeId, indexed by SrlgId.
         edge_srlgs: per-edge frozenset of SrlgIds (inverse of srlg_groups);
             every edge in no group holds the same shared empty frozenset.
@@ -167,21 +168,22 @@ class Network:
         return arcs
 
     @property
-    def reverse_adjacency(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-        """Per-node tuple of ``(src, cost, delay)``, one per ingress edge.
-
-        The input of the heap route of the reverse trees, for both metrics:
-        a tree reads the source and its metric's weight from each triple.
-        Built at most once per network, only when that route runs, and
-        shared with ``with_srlgs`` copies.
+    def reverse_adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per stacked node, the ``(tail, weight)`` pairs of its arcs in
+        ``reverse_arcs``, in the same order: the heap route's input.  An edge
+        from u to v is ``(u, cost)`` at v and ``(u + n, delay)`` at v + n, in
+        Python ints, so weights past int64 stay exact.  Built at most once
+        per network, only when the heap runs, and shared with ``with_srlgs``
+        copies.
         """
         rev = self._memo.get("reverse_adjacency")
         if rev is None:
-            lists: list[list[tuple[int, int, int]]] = [
-                [] for _ in range(self.node_count)]
-            for e in self.edges:
-                lists[e.dst].append((e.src, e.cost, e.delay))
-            rev = self._memo["reverse_adjacency"] = tuple(tuple(r) for r in lists)
+            n = self.node_count
+            rows: list[list[tuple[int, int]]] = [[] for _ in range(2 * n)]
+            for u, v, cost, delay in self.edges:
+                rows[v].append((u, cost))
+                rows[n + v].append((n + u, delay))
+            rev = self._memo["reverse_adjacency"] = tuple(map(tuple, rows))
         return rev
 
     def with_srlgs(self, srlg_groups: Iterable[Iterable[int]]) -> "Network":

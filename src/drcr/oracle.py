@@ -17,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import IO
 
-from .btcs import DisjointPair, try_protect
-from .network import DrcrTask, NetLike, Network, Path, SrlgTask, as_view
+from .btcs import DisjointPair, protect_candidates
+from .network import (DrcrTask, NetLike, Network, Path, SrlgTask, as_view,
+                      check_task_nodes)
 from .pulse import (INF, UNLIMITED, CostCorridor, SearchControl,
                     build_search_order, count_paths_capped,
                     scan_corridor_paths, sweep_bins)
@@ -32,7 +33,8 @@ class OracleTooLargeError(RuntimeError):
 
 
 def enumerate_paths(net: NetLike, s: int, t: int, limit: int = 200_000) -> list[Path]:
-    """Every elementary s->t path, by exhaustive DFS.
+    """Every elementary s->t path, by exhaustive DFS on an explicit stack
+    (one egress-edge iterator per node on the path), so at any path length.
 
     Raises OracleTooLargeError beyond ``limit`` paths: ground truth must be
     total, so the caller has to shrink the instance instead.
@@ -43,13 +45,15 @@ def enumerate_paths(net: NetLike, s: int, t: int, limit: int = 200_000) -> list[
     edges = base.edges
     adjacency = base.adjacency
     found: list[Path] = []
+    if s == t:
+        return found
 
     on_path = bytearray(base.node_count)
     on_path[s] = 1
     path: list[int] = []
-
-    def walk(u: int) -> None:
-        for eid in adjacency[u]:
+    stack = [iter(adjacency[s])]
+    while stack:
+        for eid in stack[-1]:
             if eid in excluded:
                 continue
             v = edges[eid].dst
@@ -65,12 +69,13 @@ def enumerate_paths(net: NetLike, s: int, t: int, limit: int = 200_000) -> list[
                 continue
             on_path[v] = 1
             path.append(eid)
-            walk(v)
-            path.pop()
-            on_path[v] = 0
-
-    if s != t:
-        walk(s)
+            stack.append(iter(adjacency[v]))
+            break
+        else:
+            # every egress edge of the path's last node is done: step back
+            stack.pop()
+            if path:
+                on_path[edges[path.pop()].dst] = 0
     return found
 
 
@@ -167,8 +172,10 @@ def build_histogram(net: Network, task: DrcrTask | SrlgTask, bin_width: int,
     and ``control``; ``protected`` is tallied in the sweep of the AP
     candidates that ``feasible`` counts.  The truncated flag is set when
     any sweep was cut short, and a series not yet begun when ``control``
-    ends the sweeps stays empty.
+    ends the sweeps stays empty.  Raises IntegrityError when a task node is
+    not a node of ``net``.
     """
+    check_task_nodes(net, task)
     is_pair_task = isinstance(task, SrlgTask)
     base_task = task.base if is_pair_task else task
     trees = build_reverse_trees(net, base_task.target)
@@ -192,14 +199,8 @@ def build_histogram(net: Network, task: DrcrTask | SrlgTask, bin_width: int,
             candidates, floor = scan_corridor_paths(
                 net, trees, base_task, CostCorridor(lo, hi), cap=left,
                 order=order, control=control)
-            hits = 0
-            for checked, ap in enumerate(candidates, 1):
-                # a candidate that fails on connectivity spends no pulse, so
-                # the engine would never poll through a long run of them
-                if checked % control.poll_every == 0:
-                    control.poll()
-                hits += try_protect(net, trees, task, ap, order=order,
-                                    control=control) is not None
+            hits = sum(pp is not None for _, pp in protect_candidates(
+                net, trees, task, candidates, order=order, control=control))
             if hits:
                 protected[lo] = hits
             return len(candidates), floor

@@ -26,19 +26,20 @@ weight of either metric.
   the length of a simple path, so it stays below n * W; the route runs
   only while n * W < 2**62, so int64 sums and their sentinel cannot
   overflow.
-* The heap route: one Dijkstra per metric over ``Network.reverse_adjacency``,
-  whose queue is a dict from distance to the nodes reached at it and a heap
-  of the distinct distances, so many nodes at one distance cost one heap
-  operation.  Costs and delays are positive integers, so a bucket is never
-  extended while it is drained; an entry whose node has since moved to a
-  smaller distance is stale and skipped.  Python ints keep it exact at any
-  magnitude.
+* The heap route: Dijkstra over ``Network.reverse_adjacency``, the same
+  stacked graph in Python tuples, both trees in one queue: a dict from
+  distance to the nodes reached at it and a heap of the distinct
+  distances, so many nodes at one distance cost one heap operation.  Costs
+  and delays are positive integers, so a bucket is never extended while it
+  is drained; an entry whose node has since moved to a smaller distance is
+  stale and skipped.  Python ints keep it exact at any magnitude.
 
-A walk not done after FRONTIER_MAX_ROUNDS rounds hands its labels and its
-last frontier to the heap, which goes on from there: only the arcs leaving
-the frontier can still break the triangle inequality, and a node is queued
+The heap starts from the target's two stacked nodes at 0, or goes on from
+a frontier walk not done after FRONTIER_MAX_ROUNDS rounds, with the walk's
+labels and its last frontier as its queue: only the arcs leaving the
+frontier can still break the triangle inequality, and a node is queued
 again on every fall of its label, so the trees stay exact (the generic
-label-correcting method).
+label-correcting method).  The trees are the two halves of the labels.
 
 Both constants were measured per tree pair on a shared 2-core VM (CPython
 3.11.7, numpy 2.4.6).  The frontier route runs when n + m is at least
@@ -97,10 +98,6 @@ FRONTIER_MAX_ROUNDS = 32
 _INT64_GUARD = 2 ** 62
 _UNREACHED = np.iinfo(np.int64).max
 
-# positions of the weights in a reverse_adjacency triple (src, cost, delay)
-_COST = 1
-_DELAY = 2
-
 
 class ReverseTrees:
     """Minimum cost-to-target and delay-to-target for every node."""
@@ -139,60 +136,36 @@ def _frontier_walk(arcs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     return dist, frontier
 
 
-def _frontier_trees(net: Network, target: int) -> ReverseTrees:
-    """Both trees by the frontier route; a walk not done after
-    FRONTIER_MAX_ROUNDS rounds goes on in the heap from its frontier."""
-    n = net.node_count
-    dist, frontier = _frontier_walk(net.reverse_arcs, n, target,
-                                    FRONTIER_MAX_ROUNDS)
-    labels = dist.tolist()
-    # a node's label turns finite in the round of its hop count to the
-    # target, in both halves, so the halves share the unreached nodes
-    for v in np.flatnonzero(dist[:n] == _UNREACHED).tolist():
-        labels[v] = labels[n + v] = inf
-    cost, delay = labels[:n], labels[n:]
-    if frontier.size:
-        rev = net.reverse_adjacency
-        split = int(np.searchsorted(frontier, n))
-        cost = _heap_tree(rev, _COST, cost, frontier[:split].tolist())
-        delay = _heap_tree(rev, _DELAY, delay, (frontier[split:] - n).tolist())
-    return ReverseTrees(cost, delay)
-
-
-def _heap_tree(rev: tuple[tuple[tuple[int, int, int], ...], ...], weight: int,
-               dist: list[float], start: list[int]) -> list[float]:
-    """Distances to the target, in place in ``dist``, from its labels and the
-    queued nodes ``start``; ``weight`` indexes the (src, cost, delay) triples.
+def _heap_walk(rev: tuple[tuple[tuple[int, int], ...], ...],
+               labels: list[float], start: list[int]) -> None:
+    """Exact stacked distances to the target over the rows ``rev``, in
+    place in ``labels``, from those labels and the queued nodes ``start``.
 
     Every arc that leaves a node outside ``start`` must already hold (the
-    label of its source is at most the label of its head plus its weight):
-    a fresh tree queues the target alone at 0 with inf elsewhere, and a
-    frontier walk hands over its last frontier.  A node is queued again on
-    every fall of its label, so the result is exact.  ``level`` maps each
-    queued distance to the nodes reached at it, and ``keys`` is a heap of
-    those distances."""
+    label of its tail is at most the label of its head plus its weight).
+    A node is queued again on every fall of its label, so the result is
+    exact.  ``level`` maps each queued distance to the nodes reached at
+    it, and ``keys`` is a heap of those distances."""
     level: dict[float, list[int]] = {}
     for v in start:
-        level.setdefault(dist[v], []).append(v)
+        level.setdefault(labels[v], []).append(v)
     keys = list(level)
     heapify(keys)
     while keys:
         d = heappop(keys)
         for v in level.pop(d):
-            if dist[v] != d:
+            if labels[v] != d:
                 continue
-            for arc in rev[v]:
-                nd = d + arc[weight]
-                u = arc[0]
-                if nd < dist[u]:
-                    dist[u] = nd
+            for u, w in rev[v]:
+                nd = d + w
+                if nd < labels[u]:
+                    labels[u] = nd
                     bucket = level.get(nd)
                     if bucket is None:
                         level[nd] = [u]
                         heappush(keys, nd)
                     else:
                         bucket.append(u)
-    return dist
 
 
 def build_reverse_trees(net: Network, target: int) -> ReverseTrees:
@@ -202,14 +175,21 @@ def build_reverse_trees(net: Network, target: int) -> ReverseTrees:
         raise ValueError(f"target {target} out of range")
     top = max(net.max_edge_cost or 0, net.max_edge_delay or 0)
     if n + len(net.edges) >= FRONTIER_MIN_SIZE and n * top < _INT64_GUARD:
-        return _frontier_trees(net, target)
-    rev = net.reverse_adjacency
-    trees = []
-    for weight in (_COST, _DELAY):
-        dist: list[float] = [inf] * n
-        dist[target] = 0
-        trees.append(_heap_tree(rev, weight, dist, [target]))
-    return ReverseTrees(*trees)
+        dist, frontier = _frontier_walk(net.reverse_arcs, n, target,
+                                        FRONTIER_MAX_ROUNDS)
+        labels = dist.tolist()
+        # a node's label turns finite in the round of its hop count to the
+        # target, in both halves, so the halves share the unreached nodes
+        for v in np.flatnonzero(dist[:n] == _UNREACHED).tolist():
+            labels[v] = labels[n + v] = inf
+        start = frontier.tolist()
+    else:
+        labels = [inf] * (2 * n)
+        labels[target] = labels[n + target] = 0
+        start = [target, n + target]
+    if start:
+        _heap_walk(net.reverse_adjacency, labels, start)
+    return ReverseTrees(labels[:n], labels[n:])
 
 
 class TreeCache:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drcr import (BtcsConfig, DrcrTask, Edge, GenerationError, GenSpec,
-                  Network, SearchControl, SrlgSpec, SrlgTask,
+                  IntegrityError, Network, SearchControl, SrlgSpec, SrlgTask,
                   build_reverse_trees, check_path, filter_tasks, gen_graph,
                   gen_srlg, gen_tasks, oracle_drcr, pulse_first_feasible,
                   pulse_optimal, save_network, save_tasks, try_protect)
@@ -280,6 +280,19 @@ def test_filter_tasks_kind_mismatch():
     net = Network(2, [Edge(0, 1, 1, 1)])
     with pytest.raises(ValueError):
         filter_tasks(net, [SrlgTask(DrcrTask(0, 1, 0, 5), 1)], "drcr")
+
+
+@pytest.mark.parametrize("base, message", [
+    (DrcrTask(5, 1, 0, 10), "source 5 is not a node"),
+    (DrcrTask(0, 3, 0, 10), "target 3 is not a node"),
+])
+@pytest.mark.parametrize("kind", ["drcr", "srlg"])
+def test_filter_tasks_rejects_a_task_node_outside_the_network(base, message,
+                                                              kind):
+    net = Network(2, [Edge(0, 1, 1, 1)])
+    task = base if kind == "drcr" else SrlgTask(base, 5)
+    with pytest.raises(IntegrityError, match=message):
+        filter_tasks(net, [task], kind)
 
 
 GOLDEN_DIGESTS = Path(__file__).with_name("netgen_golden.json")

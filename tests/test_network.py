@@ -7,6 +7,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drcr import (DrcrTask, Edge, GenSpec, IntegrityError, Network,
                   ParseError, Path, SrlgTask, build_reverse_trees, check_path,
@@ -241,10 +243,14 @@ def test_adjacency_and_inverse_invariants():
         assert sorted(listed) == list(range(len(net.edges)))
         for node, adj in enumerate(net.adjacency):
             assert all(net.edges[eid].src == node for eid in adj)
-        ingress = sorted((e.src, e.dst, e.cost, e.delay) for e in net.edges)
-        assert sorted((src, node, cost, delay)
-                      for node, arcs in enumerate(net.reverse_adjacency)
-                      for src, cost, delay in arcs) == ingress
+        # the heap's stacked rows: each edge u->v once as (u, cost) at v and
+        # once as (u + n, delay) at v + n
+        n = net.node_count
+        stacked = sorted([(e.src, e.dst, e.cost) for e in net.edges]
+                         + [(n + e.src, n + e.dst, e.delay) for e in net.edges])
+        assert sorted((tail, head, weight)
+                      for head, row in enumerate(net.reverse_adjacency)
+                      for tail, weight in row) == stacked
         # the stacked arcs, grouped by head: head h's arcs are first[h] up to
         # first[h] + count[h], the ranges follow one another in head order,
         # and the counts sum to 2m
@@ -270,6 +276,22 @@ def test_adjacency_and_inverse_invariants():
                 assert eid in net.srlg_groups[gid]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from((20, 10 ** 15)))
+def test_property_reverse_adjacency_is_reverse_arcs_range_by_range(rng, top):
+    # the heap's rows and the frontier's arrays are one stacked graph: the
+    # row of stacked node h holds exactly the tails and weights of arcs
+    # first[h] up to first[h] + count[h], in that order
+    net = random_network(rng, max_cost=top, max_delay=top)
+    first, count, tail, weight = (a.tolist() for a in net.reverse_arcs)
+    rows = net.reverse_adjacency
+    assert len(rows) == len(first) == 2 * net.node_count
+    for h, row in enumerate(rows):
+        arcs = range(first[h], first[h] + count[h])
+        assert row == tuple((tail[a], weight[a]) for a in arcs)
+        assert all(type(u) is int and type(w) is int for u, w in row)
+
+
 def test_check_path_catches_violations():
     net = diamond()
     good = net.path([0, 1])
@@ -292,7 +314,8 @@ def test_reverse_adjacency_built_once_and_shared_by_srlg_copies():
     net = Network(3, [Edge(0, 1, 2, 5), Edge(0, 1, 3, 4), Edge(2, 1, 1, 1),
                       Edge(1, 2, 7, 7)])
     rev = net.reverse_adjacency
-    assert rev == ((), ((0, 2, 5), (0, 3, 4), (2, 1, 1)), ((1, 7, 7),))
+    assert rev == ((), ((0, 2), (0, 3), (2, 1)), ((1, 7),),
+                   (), ((3, 5), (3, 4), (5, 1)), ((4, 7),))
     build_reverse_trees(net, 1)
     build_reverse_trees(net, 2)
     assert net.reverse_adjacency is rev

@@ -9,10 +9,12 @@ from time import monotonic
 
 import pytest
 
+import drcr.btcs
 import drcr.oracle
 import drcr.pulse
-from drcr import (DrcrTask, Edge, Network, OracleTooLargeError, SearchControl,
-                  SrlgTask, build_histogram, enumerate_paths, oracle_drcr,
+from drcr import (DrcrTask, Edge, IntegrityError, Network,
+                  OracleTooLargeError, SearchControl, SrlgTask,
+                  build_histogram, enumerate_paths, oracle_drcr,
                   oracle_minmin)
 
 from conftest import CountingStop, diamond, random_network, random_task
@@ -41,6 +43,17 @@ def test_disconnected_is_empty():
 def test_limit_exceeded_raises():
     with pytest.raises(OracleTooLargeError):
         enumerate_paths(complete_digraph(5), 0, 4, limit=10)
+
+
+def test_path_longer_than_the_recursion_limit():
+    # 1499 hops, past CPython's default recursion limit of 1000, and a
+    # dead-end branch at every node that the walk must step back out of
+    n = 1500
+    edges = [Edge(i, i + 1, 1, 2) for i in range(n - 1)]
+    edges += [Edge(i, i - 1, 1, 1) for i in range(1, n - 1)]
+    paths = enumerate_paths(Network(n, edges), 0, n - 1)
+    assert [p.edges for p in paths] == [tuple(range(n - 1))]
+    assert (paths[0].total_cost, paths[0].total_delay) == (n - 1, 2 * (n - 1))
 
 
 def test_oracle_drcr_windows(diamond_net):
@@ -162,19 +175,31 @@ def test_pair_histogram_polls_between_protection_attempts(monkeypatch):
 
     stop = CountingStop()
     polls_at_protect = []
-    protect = drcr.oracle.try_protect
+    protect = drcr.btcs.try_protect
 
     def recording_protect(*args, **kwargs):
         polls_at_protect.append(stop.polls)
         return protect(*args, **kwargs)
 
-    monkeypatch.setattr(drcr.oracle, "try_protect", recording_protect)
+    monkeypatch.setattr(drcr.btcs, "try_protect", recording_protect)
     hist = build_histogram(net, SrlgTask(DrcrTask(0, 6, 0, 100), 100),
                            10 ** 6, include_all=False,
                            control=SearchControl(stop=stop, poll_every=1))
     assert hist.series["feasible"] == {0: 326}
     assert len(polls_at_protect) == 326
     assert all(b > a for a, b in zip(polls_at_protect, polls_at_protect[1:]))
+
+
+@pytest.mark.parametrize("task, message", [
+    (DrcrTask(7, 1, 0, 10), "source 7 is not a node"),
+    (DrcrTask(0, 4, 0, 10), "target 4 is not a node"),
+    (SrlgTask(DrcrTask(7, 1, 0, 10), 5), "source 7 is not a node"),
+    (SrlgTask(DrcrTask(0, 4, 0, 10), 5), "target 4 is not a node"),
+])
+def test_histogram_rejects_a_task_node_outside_the_network(diamond_net, task,
+                                                           message):
+    with pytest.raises(IntegrityError, match=message):
+        build_histogram(diamond_net, task, 10)
 
 
 def test_histogram_containment_on_random_srlg_instances():

@@ -116,20 +116,19 @@ def test_property_matches_bellman_ford(case):
 @settings(max_examples=300, deadline=None)
 @given(_network_and_target())
 def test_property_both_routes_match_bellman_ford(case):
-    # each route called directly, whatever the size: the frontier route on
-    # the stacked arcs, the heap once per metric, reading each reachable
-    # node's ingress row exactly once (a stale entry is skipped)
+    # each route taken whatever the size: the frontier route on the stacked
+    # arcs, and the heap on the stacked rows in one queue, reading each
+    # reachable stacked node's row exactly once (a stale entry is skipped)
     net, target = case
     cost = bellman_ford_to_target(net, target, "cost")
     delay = bellman_ford_to_target(net, target, "delay")
-    trees = trees_mod._frontier_trees(net, target)
+    trees = _frontier(net, target)
     assert trees.min_cost_to_target == cost
     assert trees.min_delay_to_target == delay
     _assert_python_ints(trees)
-    for weight, expected in ((trees_mod._COST, cost), (trees_mod._DELAY, delay)):
-        rows = _CountingRows(net.reverse_adjacency)
-        assert _heap(rows, target, weight) == expected
-        assert rows.reads == [int(d != inf) for d in expected]
+    rows = _CountingRows(net.reverse_adjacency)
+    assert _heap(rows, target) == cost + delay
+    assert rows.reads == [int(d != inf) for d in cost + delay]
 
 
 @settings(max_examples=300, deadline=None)
@@ -138,9 +137,7 @@ def test_property_walk_cut_anywhere_matches_bellman_ford(case, cut):
     # the frontier route with its walk cut after ``cut`` rounds: the heap
     # goes on from the frontier left, whatever the labels handed over
     net, target = case
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(trees_mod, "FRONTIER_MAX_ROUNDS", cut)
-        trees = trees_mod._frontier_trees(net, target)
+    trees = _frontier(net, target, rounds=cut)
     assert trees.min_cost_to_target == bellman_ford_to_target(net, target, "cost")
     assert trees.min_delay_to_target == bellman_ford_to_target(net, target, "delay")
     _assert_python_ints(trees)
@@ -169,30 +166,43 @@ def _assert_python_ints(trees):
                if d != inf)
 
 
-def _heap(rev, target, weight) -> list[float]:
-    """A fresh heap tree: the target alone queued, at 0."""
-    dist = [inf] * len(rev)
-    dist[target] = 0
-    return trees_mod._heap_tree(rev, weight, dist, [target])
+def _frontier(net, target, rounds=None):
+    """Both trees by the frontier route whatever the network's size, its
+    walk cut after ``rounds`` rounds (FRONTIER_MAX_ROUNDS if None) and
+    handed to the heap if not done by then."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trees_mod, "FRONTIER_MIN_SIZE", 0)
+        if rounds is not None:
+            patch.setattr(trees_mod, "FRONTIER_MAX_ROUNDS", rounds)
+        return build_reverse_trees(net, target)
+
+
+def _heap(rev, target) -> list[float]:
+    """A fresh heap walk over the stacked rows ``rev``: the target's two
+    stacked nodes queued, at 0.  Returns the 2n stacked labels."""
+    n = len(rev) // 2
+    labels = [inf] * (2 * n)
+    labels[target] = labels[n + target] = 0
+    trees_mod._heap_walk(rev, labels, [target, n + target])
+    return labels
 
 
 def _routes(monkeypatch) -> list[str]:
-    """Record which route each tree pair took: ``frontier``, or ``heap``
-    (one entry per pair, after any frontier walk that handed over)."""
+    """Record which route each tree pair took: ``frontier``, then ``heap``
+    if the walk handed over, or ``heap`` alone."""
     calls: list[str] = []
-    frontier, heap = trees_mod._frontier_trees, trees_mod._heap_tree
+    frontier, heap = trees_mod._frontier_walk, trees_mod._heap_walk
 
-    def frontier_recording(net, target):
+    def frontier_recording(*args):
         calls.append("frontier")
-        return frontier(net, target)
+        return frontier(*args)
 
-    def heap_recording(rev, weight, dist, start):
-        if weight == trees_mod._COST:
-            calls.append("heap")
-        return heap(rev, weight, dist, start)
+    def heap_recording(*args):
+        calls.append("heap")
+        return heap(*args)
 
-    monkeypatch.setattr(trees_mod, "_frontier_trees", frontier_recording)
-    monkeypatch.setattr(trees_mod, "_heap_tree", heap_recording)
+    monkeypatch.setattr(trees_mod, "_frontier_walk", frontier_recording)
+    monkeypatch.setattr(trees_mod, "_heap_walk", heap_recording)
     return calls
 
 
@@ -255,6 +265,7 @@ def test_long_walk_goes_on_in_the_heap(monkeypatch):
     bound = trees_mod.FRONTIER_MAX_ROUNDS
     n = trees_mod.FRONTIER_MIN_SIZE
     net = Network(n, [Edge(i, i + 1, 10, 1 + i % 3) for i in range(n - 1)])
+    walk = trees_mod._frontier_walk
     calls = _routes(monkeypatch)
     for root, route in ((bound - 1, ["frontier"]), (bound, ["frontier", "heap"]),
                         (n - 1, ["frontier", "heap"])):
@@ -263,10 +274,10 @@ def test_long_walk_goes_on_in_the_heap(monkeypatch):
         assert calls == route
         assert trees.min_cost_to_target == (
             [10 * (root - i) for i in range(root + 1)] + [inf] * (n - root - 1))
-        assert trees.min_cost_to_target == _heap(net.reverse_adjacency, root, trees_mod._COST)
-        assert trees.min_delay_to_target == _heap(net.reverse_adjacency, root, trees_mod._DELAY)
+        assert (trees.min_cost_to_target + trees.min_delay_to_target
+                == _heap(net.reverse_adjacency, root))
         _assert_python_ints(trees)
-        _, frontier = trees_mod._frontier_walk(net.reverse_arcs, n, root, bound)
+        _, frontier = walk(net.reverse_arcs, n, root, bound)
         left = root - bound
         assert frontier.tolist() == ([left, n + left] if left >= 0 else [])
     assert trees.min_cost_to_target == bellman_ford_to_target(net, n - 1, "cost")
@@ -323,7 +334,7 @@ def test_a_label_that_falls_twice_reenters_the_frontier():
     assert [d[:n].tolist() for d, _ in walks[1:]] == [
         [0, 10, 1, _UNREACHED], [0, 2, 1, 12], [0, 2, 1, 4], [0, 2, 1, 4]]
     assert walks[-1][0][n:].tolist() == [0, 1, 1, 2]
-    trees = trees_mod._frontier_trees(net, 0)
+    trees = _frontier(net, 0)
     assert trees.min_cost_to_target == bellman_ford_to_target(net, 0, "cost")
     assert trees.min_delay_to_target == bellman_ford_to_target(net, 0, "delay")
 
@@ -339,19 +350,19 @@ def test_frontier_nodes_without_ingress_arcs():
     walks = [trees_mod._frontier_walk(net.reverse_arcs, n, 0, r) for r in range(4)]
     assert [f.tolist() for _, f in walks] == [
         [0, n], [1, 2, 3, n + 1, n + 2, n + 3], [5, 6, 7, n + 5, n + 6, n + 7], []]
-    trees = trees_mod._frontier_trees(net, 0)
+    trees = _frontier(net, 0)
     assert trees.min_cost_to_target == [0, 1, 3, 5, inf, 8, 10, 16]
     assert trees.min_delay_to_target == [0, 2, 4, 6, inf, 10, 12, 18]
     assert trees.min_cost_to_target == bellman_ford_to_target(net, 0, "cost")
     dist, frontier = trees_mod._frontier_walk(net.reverse_arcs, n, 5, 1)
     assert frontier.size == 0
-    assert trees_mod._frontier_trees(net, 5).min_cost_to_target == (
+    assert _frontier(net, 5).min_cost_to_target == (
         [inf] * 5 + [0, inf, inf])
 
 
 def test_frontier_route_builds_only_the_shared_arcs(monkeypatch):
-    # the frontier route reads the arcs, never the ingress triples, and a
-    # with_srlgs copy shares the arcs whichever network builds them first
+    # the frontier route reads the arcs, never the heap's tuple rows, and
+    # a with_srlgs copy shares the arcs whichever network builds them first
     net = _star(trees_mod.FRONTIER_MIN_SIZE)
     monkeypatch.setattr(Network, "reverse_adjacency", property(
         lambda self: pytest.fail("the frontier route built reverse_adjacency")))
@@ -408,7 +419,7 @@ def test_weights_near_and_above_2_63_are_exact():
 
 
 class _CountingRows(list):
-    """Ingress rows that count how often each node's row is read."""
+    """Stacked rows that count how often each stacked node's row is read."""
 
     def __init__(self, rows):
         super().__init__(rows)
@@ -420,15 +431,16 @@ class _CountingRows(list):
 
 
 def test_stale_bucket_entry_is_skipped():
-    # the costly parallel edge 1->2 puts node 1 in bucket 9 first; the
-    # cheap one moves it to bucket 1, and bucket 9 must not expand it again
+    # the costly parallel edge 1->2 puts cost node 1 in bucket 9 first; the
+    # cheap one moves it to bucket 1, and bucket 9 must not expand it again.
+    # The delay nodes share the queue, the first delay arc already cheapest
     net = Network(4, [Edge(1, 2, 9, 1), Edge(1, 2, 1, 9), Edge(0, 1, 1, 1),
                       Edge(3, 2, 20, 20)])
     rows = _CountingRows(net.reverse_adjacency)
-    dist = _heap(rows, 2, trees_mod._COST)
-    assert dist == [2, 1, 0, 20]
-    assert rows.reads == [1, 1, 1, 1]
-    assert dist == bellman_ford_to_target(net, 2, "cost")
+    dist = _heap(rows, 2)
+    assert dist == [2, 1, 0, 20] * 2
+    assert rows.reads == [1] * 8
+    assert dist[:4] == bellman_ford_to_target(net, 2, "cost")
     assert build_reverse_trees(net, 2).min_delay_to_target == [2, 1, 0, 20]
 
 

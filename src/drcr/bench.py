@@ -53,7 +53,7 @@ class BenchRecord:
 
 def solve(net: Network, trees: ReverseTrees, task: Task, solver: str,
           control: SearchControl = UNLIMITED,
-          btcs_cfg: BtcsConfig | None = None
+          btcs_cfg: BtcsConfig = BtcsConfig()
           ) -> tuple[SolveReport, Path | DisjointPair | None]:
     """One task under one named solver: its report and its path or pair.
 
@@ -71,8 +71,7 @@ def solve(net: Network, trees: ReverseTrees, task: Task, solver: str,
     if solver == "btcs":
         if not isinstance(task, SrlgTask):
             raise ValueError(f"btcs needs disjoint-pair tasks, got {task!r}")
-        pair, report = btcs.solve_btcs(net, trees, task,
-                                       btcs_cfg or BtcsConfig(),
+        pair, report = btcs.solve_btcs(net, trees, task, btcs_cfg,
                                        control=control)
         return report, pair
     if isinstance(task, SrlgTask):
@@ -239,11 +238,11 @@ def write_summary_text(rows: Sequence[SolverSummary], f: IO[str],
 
 
 def sweep_alpha(net: Network, tasks: Sequence[Task],
-                alphas: Sequence[float], *, time_limit_ms: float | None = None,
-                repetitions: int = 1) -> dict[float, list[BenchRecord]]:
+                alphas: Sequence[float], *, time_limit_ms: float | None = None
+                ) -> dict[float, list[BenchRecord]]:
     """Corridor-width sweep: one btcs suite per alpha value."""
     for alpha in alphas:
         BtcsConfig(alpha=alpha)  # a bad alpha fails before the first suite
     return {alpha: run_suite(net, tasks, "btcs", time_limit_ms=time_limit_ms,
-                             repetitions=repetitions, alpha=alpha)
+                             alpha=alpha)
             for alpha in alphas}

@@ -204,50 +204,33 @@ def find_srlg_cut(net: Network, task: SrlgTask, ap: Path,
     return None
 
 
-def _scan_corridor(net, trees, task, first_ap, c_low, c_up, order, counters,
-                   control):
-    """One corridor: enumerate candidates, protect in order.
-
-    Returns (pair_or_none, candidates_checked, floor).  The stage-1 AP is
-    dropped by exact edge-sequence equality; it was already checked and
-    corridor 0 would re-enumerate it.  ``floor`` is the corridor scan's:
-    no window-feasible path costs in [c_up, floor), and inf proves every
-    corridor above this one empty.
-    """
-    corridor = CostCorridor(c_low, c_up)
-    candidates, floor = scan_corridor_paths(net, trees, task.base, corridor,
-                                            order=order, counters=counters,
-                                            control=control)
-    candidates.sort(key=lambda p: (p.total_cost, p.edges))
-    fresh = (ap for ap in candidates if ap.edges != first_ap.edges)
-    checked = 0
-    for checked, (ap, pp) in enumerate(protect_candidates(
-            net, trees, task, fresh, order=order, counters=counters,
-            control=control), 1):
-        if pp is not None:
-            return DisjointPair(ap, pp), checked, floor
-    return None, checked, floor
-
-
 def solve_btcs(net: Network, trees: ReverseTrees, task: SrlgTask,
                cfg: BtcsConfig = BtcsConfig(), *,
                control: SearchControl = UNLIMITED
                ) -> tuple[DisjointPair | None, SolveReport]:
     """Cheapest protectable AP with a feasible PP, or an exact verdict.
 
-    ``source_egress_cut`` runs first, after one poll of ``control``: a
-    group holding every egress edge of the source is the INFEASIBLE
-    verdict with that group in ``srlg_cut`` and no corridor, candidate or
-    pulse spent; the search order is not even built.  Otherwise stage 1
-    runs, and when it finds no PP, ``find_srlg_cut`` runs next: a
-    single-SRLG cut is the INFEASIBLE verdict with ``corridors_explored`` 0
-    and the cut in ``srlg_cut``.  Otherwise stage-2 corridors are scanned
-    one after another in ascending cost order, each ``cfg.growth`` times
-    wider than the one before.  ``corridors_explored`` in the report counts
-    the corridors completed, up to and including the winning one (0 when
-    stage 1 or a cut test already decides).  A deadline passed or a stop
-    event set in ``control`` ends the run, on entry, in either stage or the
-    cut test, with the inexact TIMEOUT outcome and no pair; ``control`` is
+    One pass: ``source_egress_cut``, stage 1, ``find_srlg_cut``, then the
+    corridor sweep.  The egress cut runs first, after one poll of
+    ``control``: a group holding every egress edge of the source is the
+    INFEASIBLE verdict with that group in ``srlg_cut`` and no corridor,
+    candidate or pulse spent; the search order is not even built.
+    Otherwise stage 1 runs, and when it finds no PP, ``find_srlg_cut`` runs
+    next: a single-SRLG cut is the INFEASIBLE verdict with
+    ``corridors_explored`` 0 and the cut in ``srlg_cut``.  Otherwise stage-2
+    corridors are scanned one after another in ascending cost order, each
+    ``cfg.growth`` times wider than the one before.  A corridor's candidates
+    are tried in (cost, edge sequence) order; the stage-1 AP, already
+    tried, is dropped from them by edge-sequence equality (corridor 0 would
+    enumerate it again).  A corridor's floor of inf proves every corridor
+    above it empty: the verdict is INFEASIBLE, on the last corridor
+    ``cfg.max_corridors`` allows too.  ``corridors_explored`` and
+    ``ap_candidates_checked`` (the stage-1 AP included) count completed
+    corridors only, up to and including the winning one
+    (``corridors_explored`` is 0 when stage 1 or a cut test already
+    decides).  Running out of corridors under the cap,
+    a deadline passed or a stop event set in ``control`` ends the run, in
+    any phase, with the inexact TIMEOUT outcome and no pair; ``control`` is
     polled as given, ``poll_every`` included.  Raises IntegrityError when a
     task node is not a node of ``net``.
     """
@@ -259,47 +242,44 @@ def solve_btcs(net: Network, trees: ReverseTrees, task: SrlgTask,
         report.srlg_cut = source_egress_cut(net, task.source, control)
         if report.srlg_cut is not None:
             return None, report
-        order = build_search_order(net, trees)
-        first_ap = pulse_optimal(net, trees, task.base, order=order,
-                                 counters=counters, control=control)
+        search = {"order": build_search_order(net, trees),
+                  "counters": counters, "control": control}
+        first_ap = pulse_optimal(net, trees, task.base, **search)
         if first_ap is None:
             return None, report
         report.ap_candidates_checked = 1
-        pp = try_protect(net, trees, task, first_ap, order=order,
-                         counters=counters, control=control)
+        pp = try_protect(net, trees, task, first_ap, **search)
         if pp is not None:
             report.outcome = PAIR
             return DisjointPair(first_ap, pp), report
         report.srlg_cut = find_srlg_cut(net, task, first_ap, control)
         if report.srlg_cut is not None:
             return None, report
+
+        width = corridor_width(net, cfg.alpha)
+        c_low = first_ap.total_cost
+        corridors = (count() if cfg.max_corridors is None
+                     else range(cfg.max_corridors))
+        for k in corridors:
+            c_up = c_low + width * cfg.growth ** k
+            candidates, floor = scan_corridor_paths(
+                net, trees, task.base, CostCorridor(c_low, c_up), **search)
+            candidates.sort(key=lambda p: (p.total_cost, p.edges))
+            fresh = (ap for ap in candidates if ap.edges != first_ap.edges)
+            checked, pp = 0, None
+            for checked, (ap, pp) in enumerate(protect_candidates(
+                    net, trees, task, fresh, **search), 1):
+                if pp is not None:
+                    break
+            report.ap_candidates_checked += checked
+            report.corridors_explored = k + 1
+            if pp is not None:
+                report.outcome = PAIR
+                return DisjointPair(ap, pp), report
+            if floor == inf:
+                return None, report
+            c_low = max(c_up, floor)
     except SearchInterrupted:
-        report.outcome = TIMEOUT
-        return None, report
-
-    width = corridor_width(net, cfg.alpha)
-    c_low = first_ap.total_cost
-
-    # corridors_explored counts completed corridors; the outcome stays
-    # INFEASIBLE unless a pair, the cap or an interruption ends the sweep
-    for k in count():
-        if cfg.max_corridors is not None and k >= cfg.max_corridors:
-            report.outcome = TIMEOUT
-            break
-        c_up = c_low + width * cfg.growth ** k
-        try:
-            pair, checked, floor = _scan_corridor(
-                net, trees, task, first_ap, c_low, c_up, order, counters,
-                control)
-        except SearchInterrupted:
-            report.outcome = TIMEOUT
-            break
-        report.ap_candidates_checked += checked
-        report.corridors_explored = k + 1
-        if pair is not None:
-            report.outcome = PAIR
-            return pair, report
-        if floor == inf:
-            break
-        c_low = max(c_up, floor)
+        pass
+    report.outcome = TIMEOUT
     return None, report

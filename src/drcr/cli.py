@@ -212,15 +212,25 @@ def _cmd_filter_tasks(args) -> int:
     return 0
 
 
+def _tasks_of_kind(args, node_count: int, srlg: bool) -> list:
+    """The tasks of ``args.tasks``, each checked before any is solved to be
+    of the kind the command solves, so a wrong-kind task writes no result."""
+    tasks = load_tasks(args.tasks, node_count)
+    want, got = (5, 4) if srlg else (4, 5)
+    for number, task in enumerate(tasks, 1):
+        if isinstance(task, SrlgTask) != srlg:
+            raise IntegrityError(
+                f"{args.tasks}: task {number} ({format_task(task)}) has {got} "
+                f"columns; {args.command} expects {want}-column tasks")
+    return tasks
+
+
 def _cmd_solve_drcr(args) -> int:
     net = load_network(args.graph)
-    tasks = load_tasks(args.tasks, net.node_count)
+    tasks = _tasks_of_kind(args, net.node_count, srlg=False)
     cache = TreeCache(net)
     with _out_stream(args.out) as out:
         for task in tasks:
-            if isinstance(task, SrlgTask):
-                raise ParseError(args.tasks, 0,
-                                 "solve-drcr expects 4-column tasks")
             control = SearchControl.from_time_limit_ms(args.time_limit_ms)
             report, path = bench_mod.solve(net, cache.get(task.target), task,
                                            args.solver, control)
@@ -234,14 +244,11 @@ def _cmd_solve_drcr(args) -> int:
 
 def _cmd_solve_srlg(args) -> int:
     net = load_network(args.graph, args.srlg)
-    tasks = load_tasks(args.tasks, net.node_count)
+    tasks = _tasks_of_kind(args, net.node_count, srlg=True)
     cache = TreeCache(net)
     cfg = BtcsConfig(alpha=args.alpha, max_corridors=args.max_corridors)
     with _out_stream(args.out) as out:
         for task in tasks:
-            if not isinstance(task, SrlgTask):
-                raise ParseError(args.tasks, 0,
-                                 "solve-srlg expects 5-column tasks")
             control = SearchControl.from_time_limit_ms(args.time_limit_ms)
             report, pair = bench_mod.solve(net, cache.get(task.target), task,
                                            "btcs", control, cfg)

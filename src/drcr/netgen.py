@@ -219,7 +219,7 @@ UNKNOWN = "unknown"
 
 def filter_tasks(net: Network, tasks: list[Task], kind: str, *,
                  cache: TreeCache | None = None,
-                 btcs_cfg: BtcsConfig | None = None,
+                 btcs_cfg: BtcsConfig = BtcsConfig(),
                  control: SearchControl | None = None,
                  time_limit_ms: float | None = None
                  ) -> tuple[list[Task], list[str]]:
@@ -266,8 +266,7 @@ def filter_tasks(net: Network, tasks: list[Task], kind: str, *,
                                              control=task_control)
                 label = None if found is None else FEASIBLE
             else:
-                label = _trap_label(net, trees, task, btcs_cfg or BtcsConfig(),
-                                    task_control)
+                label = _trap_label(net, trees, task, btcs_cfg, task_control)
         except SearchInterrupted:
             label = UNKNOWN
         if label is not None:

@@ -18,7 +18,7 @@ File formats (UTF-8 text, decimal integers):
 
 from __future__ import annotations
 
-import math
+import copy
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -189,20 +189,14 @@ class Network:
     def with_srlgs(self, srlg_groups: Iterable[Iterable[int]]) -> "Network":
         """A copy of this network with the SRLG index replaced.
 
-        SRLGs do not change the edges, so the copy shares this network's
-        node count, edges, adjacency, edge-weight extremes and the memo of
-        its reverse layouts; only the SRLG index is built and validated.
+        SRLGs do not change the edges, so the copy is shallow: it shares
+        this network's node count, edges, adjacency, edge-weight extremes
+        and the memo of its reverse layouts; only the SRLG index is built
+        and validated.
         """
-        copy = Network.__new__(Network)
-        copy.node_count = self.node_count
-        copy.edges = self.edges
-        copy.adjacency = self.adjacency
-        copy.min_edge_cost = self.min_edge_cost
-        copy.max_edge_cost = self.max_edge_cost
-        copy.max_edge_delay = self.max_edge_delay
-        copy._memo = self._memo
-        copy._index_srlgs(srlg_groups)
-        return copy
+        twin = copy.copy(self)
+        twin._index_srlgs(srlg_groups)
+        return twin
 
     def path(self, edge_ids: Sequence[int]) -> "Path":
         """Build a Path from EdgeIds, computing the cached totals."""
@@ -549,5 +543,3 @@ def format_task(task: Task) -> str:
         return f"{b.source},{b.target},{b.d_low},{b.d_up},{task.d_diff}"
     return f"{task.source},{task.target},{task.d_low},{task.d_up}"
 
-
-INF = math.inf

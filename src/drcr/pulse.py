@@ -99,20 +99,19 @@ class SearchControl:
             raise ValueError(f"poll_every must be >= 1, got {self.poll_every}")
 
     @classmethod
-    def from_time_limit_ms(cls, time_limit_ms: float | None,
-                           stop: Event | None = None) -> "SearchControl":
-        """A deadline ``time_limit_ms`` from now and ``stop``; UNLIMITED if
-        neither.
+    def from_time_limit_ms(cls, time_limit_ms: float | None
+                           ) -> "SearchControl":
+        """A deadline ``time_limit_ms`` from now, or UNLIMITED for None.
 
         A zero or negative limit is a deadline already passed.  NaN raises
-        ValueError: no clock reading is ever past a NaN deadline.
+        ValueError: no clock reading is ever past a NaN deadline.  A stop
+        event is given to the constructor: ``SearchControl(stop=event)``.
         """
-        if time_limit_ms is not None and isnan(time_limit_ms):
-            raise ValueError("time limit must be a number of ms, got nan")
-        if time_limit_ms is None and stop is None:
+        if time_limit_ms is None:
             return UNLIMITED
-        deadline = None if time_limit_ms is None else monotonic() + time_limit_ms / 1000.0
-        return cls(deadline=deadline, stop=stop)
+        if isnan(time_limit_ms):
+            raise ValueError("time limit must be a number of ms, got nan")
+        return cls(deadline=monotonic() + time_limit_ms / 1000.0)
 
     def poll(self) -> None:
         """Raise SearchCancelled or SearchTimeout if the search must end."""

@@ -276,6 +276,27 @@ def test_wrong_task_arity_exits_2(tmp_path, capsys):
     assert run("solve-drcr", "--graph", str(graph), "--tasks", str(tasks)) == 2
 
 
+@pytest.mark.parametrize("command, good, wrong", [
+    ("solve-drcr", "0,2,0,20", "0,1,0,20,10"),
+    ("solve-srlg", "0,2,0,20,10", "0,1,0,20"),
+])
+def test_wrong_kind_task_after_good_ones_writes_no_result(tmp_path, capsys,
+                                                          command, good, wrong):
+    graph = tmp_path / "g.csv"
+    graph.write_text("nodes,3\n0,1,1,5\n1,2,1,5\n0,2,3,1\n")
+    srlg = tmp_path / "s.csv"
+    srlg.write_text("0:0\n")
+    tasks = tmp_path / "mixed.csv"
+    tasks.write_text(f"{good}\n\n{good}\n{wrong}\n")
+    groups = ("--srlg", str(srlg)) if command == "solve-srlg" else ()
+    assert run(command, "--graph", str(graph), *groups,
+               "--tasks", str(tasks)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"mixed.csv: task 3 ({wrong}) has " in captured.err
+    assert f"{command} expects" in captured.err
+
+
 def test_inline_task_on_stdout(tmp_path, capsys):
     graph = tmp_path / "g.csv"
     graph.write_text("nodes,2\n0,1,2,3\n")

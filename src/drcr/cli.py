@@ -198,7 +198,7 @@ def _cmd_gen_tasks(args) -> int:
 
 def _cmd_filter_tasks(args) -> int:
     net = load_network(args.graph, args.srlg)
-    tasks = load_tasks(args.tasks, net.node_count)
+    tasks = _tasks_of_kind(args, net.node_count, srlg=args.kind == "srlg")
     cfg = BtcsConfig(alpha=args.alpha, max_corridors=args.max_corridors)
     kept, labels = netgen.filter_tasks(net, tasks, args.kind, btcs_cfg=cfg,
                                        time_limit_ms=args.time_limit_ms)
@@ -281,8 +281,12 @@ def _cmd_histogram(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    srlg = "btcs" in args.solver
+    if srlg and set(args.solver) != {"btcs"}:
+        raise ValueError("btcs takes 5-column tasks and the other solvers "
+                         "4-column tasks; bench them in separate runs")
     net = load_network(args.graph, args.srlg)
-    tasks = load_tasks(args.tasks, net.node_count)
+    tasks = _tasks_of_kind(args, net.node_count, srlg)
     meta = {"graph": args.graph, "tasks": args.tasks,
             "time_limit_ms": args.time_limit_ms,
             "repetitions": args.repetitions, "alpha": args.alpha,
@@ -308,7 +312,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_sweep_alpha(args) -> int:
     net = load_network(args.graph, args.srlg)
-    tasks = load_tasks(args.tasks, net.node_count)
+    tasks = _tasks_of_kind(args, net.node_count, srlg=True)
     sweeps = bench_mod.sweep_alpha(net, tasks, args.alphas,
                                    time_limit_ms=args.time_limit_ms)
     with _out_stream(args.out) as out:

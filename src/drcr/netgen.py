@@ -2,9 +2,11 @@
 
 Two topology families: directed Erdos-Renyi graphs with an edge probability
 calibrated to a target mean out-degree, and scale-free graphs from the
-NetworkX Barabasi-Albert generator, made directed by emitting both
-directions of every attachment edge.  Costs and delays are independent
-uniform integers (default range 1..100).
+package's own Barabasi-Albert generator (Science 286, 1999), made directed
+by emitting both directions of every attachment edge.  The generator
+reproduces NetworkX 3.x's ``barabasi_albert_graph`` link for link, in its
+edge order.  Costs and delays are independent uniform integers (default
+range 1..100).
 
 SRLG assignment covers every edge, in one of two patterns: ``random``
 groups draw a size in 1..40 and that many edges from the whole graph;
@@ -28,10 +30,10 @@ always inside the window) and draw d_diff uniformly from
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass
 from math import ceil
 
-import networkx as nx
 import numpy as np
 
 from .btcs import BtcsConfig, solve_btcs
@@ -91,6 +93,25 @@ class SrlgSpec:
             raise ValueError(f"size range must lie within [1, 40], got [{lo}, {hi}]")
 
 
+def _barabasi_albert_links(n: int, m: int, seed: int) -> list[tuple[int, int]]:
+    """Links of a Barabasi-Albert graph, 1 <= m < n: a star on nodes 0..m, then
+    each new node links to m distinct nodes drawn from ``repeated`` (one entry
+    per link end).  The draws, their set and the link order are NetworkX's."""
+    rng = random.Random(seed)
+    # later[u]: the nodes after u that link to u, in the order they link
+    later = [list(range(1, m + 1))] + [[] for _ in range(n - 1)]
+    repeated = [0] * m + list(range(1, m + 1))
+    for source in range(m + 1, n):
+        targets = set()
+        while len(targets) < m:
+            targets.add(rng.choice(repeated))
+        for t in targets:
+            later[t].append(source)
+        # the set's iteration order is the order of its ends in ``repeated``
+        repeated += [*targets, *[source] * m]
+    return [(u, v) for u in range(n) for v in later[u]]
+
+
 def gen_graph(spec: GenSpec) -> Network:
     """A seeded random network per the spec; identical spec, identical graph."""
     rng = np.random.default_rng(spec.seed)
@@ -113,7 +134,7 @@ def gen_graph(spec: GenSpec) -> Network:
         m = spec.density_param
         if m >= n:
             raise GenerationError(f"attachment parameter {m} needs more than {n} nodes")
-        links = list(nx.barabasi_albert_graph(n, m, seed=spec.seed).edges())
+        links = _barabasi_albert_links(n, m, spec.seed)
         # one (cost, delay) row per arc, drawn in the order and from the
         # stream that one scalar draw per weight would use
         weights = rng.integers(np.array([clo, dlo]), np.array([chi + 1, dhi + 1]),

@@ -253,6 +253,11 @@ def test_alpha_past_the_largest_path_cost_sweeps_one_corridor(tmp_path, capsys):
 def test_usage_error_exits_1(capsys):
     assert run("solve-drcr") == 1
     assert run("no-such-command") == 1
+    # no task file serves btcs and a single-path solver, so this exits 1
+    # before it reads a file (a missing one would exit 2)
+    assert run("bench", "--graph", "nope.csv", "--tasks", "nope.csv",
+               "--solver", "btcs", "--solver", "pulse") == 1
+    assert "separate runs" in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(tmp_path, capsys):
@@ -276,23 +281,37 @@ def test_wrong_task_arity_exits_2(tmp_path, capsys):
     assert run("solve-drcr", "--graph", str(graph), "--tasks", str(tasks)) == 2
 
 
-@pytest.mark.parametrize("command, good, wrong", [
-    ("solve-drcr", "0,2,0,20", "0,1,0,20,10"),
-    ("solve-srlg", "0,2,0,20,10", "0,1,0,20"),
-])
+WRONG_KIND_CASES = [
+    ("solve-drcr", "0,2,0,20", "0,1,0,20,10", ()),
+    ("solve-srlg", "0,2,0,20,10", "0,1,0,20", ("--srlg={srlg}",)),
+    ("filter-tasks", "0,2,0,20,10", "0,1,0,20",
+     ("--srlg={srlg}", "--kind=srlg", "--out={out}")),
+    ("filter-tasks", "0,2,0,20", "0,1,0,20,10", ("--kind=drcr", "--out={out}")),
+    ("sweep-alpha", "0,2,0,20,10", "0,1,0,20", ("--srlg={srlg}", "--out={out}")),
+    ("bench", "0,2,0,20,10", "0,1,0,20",
+     ("--srlg={srlg}", "--solver=btcs", "--records={out}")),
+    ("bench", "0,2,0,20", "0,1,0,20,10",
+     ("--solver=pulse", "--solver=btbu2", "--records={out}")),
+]
+
+
+@pytest.mark.parametrize("command, good, wrong, options", WRONG_KIND_CASES,
+                         ids=[f"{c}-{g}-{w}" for c, g, w, _ in WRONG_KIND_CASES])
 def test_wrong_kind_task_after_good_ones_writes_no_result(tmp_path, capsys,
-                                                          command, good, wrong):
+                                                          command, good, wrong,
+                                                          options):
     graph = tmp_path / "g.csv"
     graph.write_text("nodes,3\n0,1,1,5\n1,2,1,5\n0,2,3,1\n")
     srlg = tmp_path / "s.csv"
     srlg.write_text("0:0\n")
     tasks = tmp_path / "mixed.csv"
     tasks.write_text(f"{good}\n\n{good}\n{wrong}\n")
-    groups = ("--srlg", str(srlg)) if command == "solve-srlg" else ()
-    assert run(command, "--graph", str(graph), *groups,
+    out = tmp_path / "out"
+    assert run(command, "--graph", str(graph),
+               *(o.format(srlg=srlg, out=out) for o in options),
                "--tasks", str(tasks)) == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
+    assert captured.out == "" and not out.exists()
     assert f"mixed.csv: task 3 ({wrong}) has " in captured.err
     assert f"{command} expects" in captured.err
 

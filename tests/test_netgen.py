@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import count
 from pathlib import Path
 from time import monotonic
@@ -19,8 +22,10 @@ from drcr import (BtcsConfig, DrcrTask, Edge, GenerationError, GenSpec,
                   gen_srlg, gen_tasks, oracle_drcr, pulse_first_feasible,
                   pulse_optimal, save_network, save_tasks, try_protect)
 import drcr.pulse
+from drcr.cli import main
 from drcr.network import format_task
-from drcr.netgen import AVOIDABLE, FEASIBLE, UNAVOIDABLE, UNKNOWN
+from drcr.netgen import (AVOIDABLE, FEASIBLE, UNAVOIDABLE, UNKNOWN,
+                         _barabasi_albert_links)
 
 from conftest import random_network, random_task
 
@@ -37,6 +42,47 @@ def test_scale_free_minimal_graph():
     net = gen_graph(GenSpec("scale-free", 2, 1, seed=5))
     assert len(net.edges) == 2
     assert {(e.src, e.dst) for e in net.edges} == {(0, 1), (1, 0)}
+
+
+def test_barabasi_albert_links_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2024)
+    cases = [(1000, 2, 1), (300, 2, 11), (500, 2, 2), (2, 1, 0), (9, 8, 3)]
+    for _ in range(200):
+        n = rng.randint(2, 120)
+        m = rng.choice((n - 1, rng.randint(1, n - 1), rng.randint(1, min(4, n - 1))))
+        cases.append((n, m, rng.randrange(2**32)))
+    assert any(n == m + 1 for n, m, _ in cases)
+    for n, m, seed in cases:
+        assert _barabasi_albert_links(n, m, seed) == list(
+            nx.barabasi_albert_graph(n, m, seed=seed).edges()), (n, m, seed)
+
+
+def _python(code: str, cwd: Path) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this drcr."""
+    src = str(Path(drcr.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_package_runs_without_networkx(tmp_path):
+    argv = ["gen-graph", "--topology", "scale-free", "--nodes", "300",
+            "--density", "2", "--seed", "11", "--out"]
+    blocked = _python("import sys\n"
+                      "sys.modules['networkx'] = None  # any import of it fails\n"
+                      "from drcr.cli import main\n"
+                      f"sys.exit(main({argv + ['blocked.csv']!r}))", tmp_path)
+    assert blocked.returncode == 0, blocked.stderr
+    assert main(argv + [str(tmp_path / "here.csv")]) == 0
+    assert ((tmp_path / "blocked.csv").read_bytes()
+            == (tmp_path / "here.csv").read_bytes())
+
+    plain = _python("import sys, drcr, drcr.cli\n"
+                    "print('networkx' in sys.modules)", tmp_path)
+    assert plain.returncode == 0, plain.stderr
+    assert plain.stdout == "False\n"
 
 
 def test_er_link_count_near_target():

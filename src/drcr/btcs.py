@@ -22,17 +22,16 @@ between the corridor's top and the floor.  Corridor k+1 starts at the
 floor, at or above the end of corridor k, skipping a stretch proved empty,
 and a floor of inf proves that no AP is left, which ends the sweep.
 
-Two exact SRLG-cut tests settle the traps that no sweep could avoid (trap
-avoidance, Xu et al., JLT 2003): if removing the edges of one SRLG leaves
-no source-target path, every AP uses that SRLG, stripping the AP removes
-it, and no PP can exist.  Before anything else, ``source_egress_cut``
-intersects the SRLGs of the source's egress edges: a group holding all of
-them is such a cut, found in O(out-degree) with no search order, no
-stage 1 and no pulse.  After stage 1 finds no PP, ``find_srlg_cut`` looks
-for any other single-SRLG cut with a few plain DFS, before the first
-corridor.  Either way the trap is INFEASIBLE with no corridor scanned and
-the proving group in the report's ``srlg_cut``; a trap without a
-single-SRLG cut goes on to the sweep unchanged.
+One exact SRLG-cut test settles the traps that no sweep could avoid (trap
+avoidance, Xu et al., JLT 2003), before anything else: a group that lies
+on every source-target path of delay at most ``d_up`` lies on every AP and
+every PP, so no pair can be SRLG-disjoint.  ``find_srlg_cut`` tries the
+groups of the least-delay path, read off the delay tree, one at a time,
+each with one delay-bounded ``find_path`` search that avoids it.  A cut
+is INFEASIBLE with no search order, no corridor and no pulse, and the
+group is the report's ``srlg_cut``; a trap without one goes on to stage 1
+and the sweep unchanged.  The same search, bounded by the protection
+window's top, is the connectivity check of every protection attempt.
 """
 
 from __future__ import annotations
@@ -118,16 +117,19 @@ def try_protect(net: Network, trees: ReverseTrees, task: SrlgTask, ap: Path, *,
                 control: SearchControl = UNLIMITED) -> Path | None:
     """Any feasible protection path for this AP candidate, or None.
 
-    Strips the conflicting edges, short-circuits on lost s-t connectivity
-    (cheap full DFS, no pulses spent), then runs the first-feasible search
-    in the adjusted window.  The reverse trees of the full network are
-    reused on the stripped view: they stay valid lower bounds, just looser.
+    Strips the conflicting edges, short-circuits when no path of the
+    stripped view keeps to the adjusted window's top (one ``find_path``
+    search through ``is_connected``, no pulses spent), then runs the
+    first-feasible search in that window.  The reverse trees of the full
+    network are reused on the stripped view: they stay valid lower bounds,
+    just looser, and the delay tree is the search's potential.
     """
     window = pp_delay_window(task, ap.total_delay)
     if window is None:
         return None
     view = remove_conflicting_edges(net, ap)
-    if not is_connected(view, task.source, task.target):
+    if not is_connected(view, task.source, task.target,
+                        trees.min_delay_to_target, window[1]):
         return None
     pp_task = DrcrTask(task.source, task.target, window[0], window[1])
     return pulse_first_feasible(view, trees, pp_task, order=order,
@@ -148,59 +150,47 @@ def protect_candidates(net, trees, task, candidates, *,
         yield ap, try_protect(net, trees, task, ap, control=control, **search)
 
 
-def _srlgs_on(net: Network, edge_ids) -> set[int]:
-    edge_srlgs = net.edge_srlgs
-    return set().union(*(edge_srlgs[eid] for eid in edge_ids))
+def find_srlg_cut(net: Network, trees: ReverseTrees, task: SrlgTask,
+                  control: SearchControl = UNLIMITED) -> int | None:
+    """An SRLG on every s-t path of delay at most ``d_up``, or None.
 
-
-def source_egress_cut(net: Network, source: int,
-                      control: SearchControl = UNLIMITED) -> int | None:
-    """The smallest SRLG holding every egress edge of ``source``, or None.
-
-    Every path from the source leaves it by one of these edges, so such a
-    group lies on every AP and every PP: removing it alone leaves no path
-    to any target, and no SRLG-disjoint pair can exist.  A source without
-    egress edges has no such group.  ``control`` is polled first, so a
-    verdict that spends no pulse still honours a stop already set or a
-    deadline already passed.
+    Every AP and every PP keeps to that bound, so such a group lies on both
+    paths of any pair and no SRLG-disjoint pair exists.  None when no path
+    keeps to the bound at all: stage 1 then finds no AP.  The candidates
+    are the groups of the least-delay path, read off the delay tree, in the
+    order the path meets them, so on a trap whose source has all its
+    egress edges in one group that group is tried first.  Each is tried
+    alone: a ``find_path`` search that avoids it and finds no path within
+    the bound proves it a cut, and a path it finds shrinks the candidates
+    to the groups of that path.  ``control`` is polled before the walk and
+    before each search.
     """
     control.poll()
-    edge_srlgs = net.edge_srlgs
-    egress = net.adjacency[source]
-    if not egress:
+    lb = trees.min_delay_to_target
+    s, t, d_up = task.source, task.target, task.d_up
+    if lb[s] == inf or lb[s] > d_up:
         return None
-    shared = edge_srlgs[egress[0]].intersection(
-        *(edge_srlgs[eid] for eid in egress[1:]))
-    return min(shared, default=None)
-
-
-def find_srlg_cut(net: Network, task: SrlgTask, ap: Path,
-                  control: SearchControl = UNLIMITED) -> int | None:
-    """An SRLG whose removal alone leaves no path from source to target.
-
-    Every s-t path, ``ap`` included, crosses such a cut, so the candidates
-    start as the SRLGs of ``ap``.  A path found while avoiding some of them
-    crosses every cut too, so the candidates shrink to its SRLGs, which
-    drops the avoided ones.  The first search avoids all candidates at once,
-    and a path found then rules out every single group; after that the
-    smallest candidate is tried alone.  Returns the smallest cut, or None
-    when no single SRLG is one.  ``control`` is polled before each search.
-    ``solve_btcs`` runs it after stage 1 finds no PP, and only when
-    ``source_egress_cut`` found no group.
-    """
-    groups = net.srlg_groups
-    candidates = _srlgs_on(net, ap.edges)
-    avoid = sorted(candidates)
-    while avoid:
+    edges, edge_srlgs = net.edges, net.edge_srlgs
+    walk, u = [], s
+    while u != t:
+        for eid in net.adjacency[u]:  # the first edge tight on u's delay
+            e = edges[eid]
+            if e.delay + lb[e.dst] == lb[u]:
+                break
+        else:  # only trees of another target leave u without one
+            raise ValueError(f"trees do not lead from {u} to target {t}")
+        walk.append(eid)
+        u = e.dst
+    candidates = list(dict.fromkeys(
+        g for eid in walk for g in sorted(edge_srlgs[eid])))
+    while candidates:
+        g = candidates[0]
         control.poll()
-        excluded = frozenset().union(*(groups[g] for g in avoid))
-        path = find_path(NetworkView(net, excluded), task.source, task.target)
+        path = find_path(NetworkView(net, net.srlg_groups[g]), s, t, lb, d_up)
         if path is None:
-            if len(avoid) == 1:
-                return avoid[0]
-        else:
-            candidates &= _srlgs_on(net, path)
-        avoid = sorted(candidates)[:1]
+            return g
+        on = set().union(*(edge_srlgs[eid] for eid in path))
+        candidates = [c for c in candidates[1:] if c in on]
     return None
 
 
@@ -210,14 +200,11 @@ def solve_btcs(net: Network, trees: ReverseTrees, task: SrlgTask,
                ) -> tuple[DisjointPair | None, SolveReport]:
     """Cheapest protectable AP with a feasible PP, or an exact verdict.
 
-    One pass: ``source_egress_cut``, stage 1, ``find_srlg_cut``, then the
-    corridor sweep.  The egress cut runs first, after one poll of
-    ``control``: a group holding every egress edge of the source is the
-    INFEASIBLE verdict with that group in ``srlg_cut`` and no corridor,
-    candidate or pulse spent; the search order is not even built.
-    Otherwise stage 1 runs, and when it finds no PP, ``find_srlg_cut`` runs
-    next: a single-SRLG cut is the INFEASIBLE verdict with
-    ``corridors_explored`` 0 and the cut in ``srlg_cut``.  Otherwise stage-2
+    One pass: ``find_srlg_cut``, stage 1, then the corridor sweep.  The
+    cut test runs first: a group on every s-t path of delay at most ``d_up``
+    is the INFEASIBLE verdict with that group in ``srlg_cut`` and no
+    corridor, candidate or pulse spent; the search order is not even
+    built.  Otherwise stage 1 runs, and when it finds no PP, stage-2
     corridors are scanned one after another in ascending cost order, each
     ``cfg.growth`` times wider than the one before.  A corridor's candidates
     are tried in (cost, edge sequence) order; the stage-1 AP, already
@@ -227,7 +214,7 @@ def solve_btcs(net: Network, trees: ReverseTrees, task: SrlgTask,
     ``cfg.max_corridors`` allows too.  ``corridors_explored`` and
     ``ap_candidates_checked`` (the stage-1 AP included) count completed
     corridors only, up to and including the winning one
-    (``corridors_explored`` is 0 when stage 1 or a cut test already
+    (``corridors_explored`` is 0 when the cut test or stage 1 already
     decides).  Running out of corridors under the cap,
     a deadline passed or a stop event set in ``control`` ends the run, in
     any phase, with the inexact TIMEOUT outcome and no pair; ``control`` is
@@ -239,7 +226,7 @@ def solve_btcs(net: Network, trees: ReverseTrees, task: SrlgTask,
     report = SolveReport(INFEASIBLE, counters=counters)
 
     try:
-        report.srlg_cut = source_egress_cut(net, task.source, control)
+        report.srlg_cut = find_srlg_cut(net, trees, task, control)
         if report.srlg_cut is not None:
             return None, report
         search = {"order": build_search_order(net, trees),
@@ -252,9 +239,6 @@ def solve_btcs(net: Network, trees: ReverseTrees, task: SrlgTask,
         if pp is not None:
             report.outcome = PAIR
             return DisjointPair(first_ap, pp), report
-        report.srlg_cut = find_srlg_cut(net, task, first_ap, control)
-        if report.srlg_cut is not None:
-            return None, report
 
         width = corridor_width(net, cfg.alpha)
         c_low = first_ap.total_cost

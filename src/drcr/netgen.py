@@ -255,8 +255,8 @@ def filter_tasks(net: Network, tasks: list[Task], kind: str, *,
     finds a pair.  One ``solve_btcs`` run per task decides it: a task with
     no AP (no candidate checked and no cut) or whose stage-1 AP is
     protected (a pair with no corridor explored) is dropped.  When the
-    source-egress cut settles a task before any AP search, one
-    first-feasible search decides whether an AP exists: the task is kept as
+    cut test settles a task before any AP search, one first-feasible
+    search decides whether an AP exists: the task is kept as
     ``unavoidable`` if one does and dropped otherwise.
     Either kind keeps a task labelled ``unknown`` when ``control`` ends its
     searches before a verdict, and srlg also when the ``btcs_cfg`` corridor
@@ -303,7 +303,7 @@ def _trap_label(net: Network, trees: ReverseTrees, task: SrlgTask,
     if report.outcome == INFEASIBLE and not report.ap_candidates_checked:
         if report.srlg_cut is None:
             return None  # no active path at all
-        # the source-egress cut settled it before any AP search
+        # the cut test settled it before any AP search
         ap = pulse_first_feasible(net, trees, task.base, control=control)
         return None if ap is None else UNAVOIDABLE
     if report.outcome == PAIR:

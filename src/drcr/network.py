@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from math import inf
 from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -377,48 +379,64 @@ def remove_conflicting_edges(net: Network, ap: Path) -> NetworkView:
     return NetworkView(net, frozenset(excluded))
 
 
-def find_path(net: NetLike, s: int, t: int) -> list[int] | None:
-    """EdgeIds of some directed path s -> t, ignoring all constraints, or None.
+def find_path(net: NetLike, s: int, t: int,
+              delay_lb: Sequence[float] | None = None,
+              d_up: float = inf) -> list[int] | None:
+    """EdgeIds of a least-delay path s -> t of delay at most ``d_up``, or None.
 
-    One depth-first search; the path it returns is elementary (a search tree
-    branch) and empty when s == t.
+    A* on delay (Hart, Nilsson and Raphael, 1968) with ``delay_lb`` as the
+    potential: a lower bound on each node's delay to ``t`` that no edge
+    breaks (``delay_lb[u] <= delay + delay_lb[dst]``), such as the delay
+    tree of the full network, which stays one on every view of it.  None
+    means all zeros, a plain Dijkstra.  A node whose delay from ``s`` plus
+    its bound passes ``d_up`` is never queued, so the search stays inside
+    the delay window.  The path is elementary, and empty when s == t.
     """
     view = as_view(net)
     base = view.net
     if not (0 <= s < base.node_count and 0 <= t < base.node_count):
         raise IntegrityError(f"node out of range: s={s}, t={t}")
+    lb = [0] * base.node_count if delay_lb is None else delay_lb
+    if lb[s] > d_up:
+        return None
     if s == t:
         return []
-    excluded = view.excluded
-    edges = base.edges
-    adjacency = base.adjacency
-    via = [-1] * base.node_count  # EdgeId that first reached each node
-    via[s] = -2
-    stack = [s]
-    while stack:
-        u = stack.pop()
+    excluded, edges, adjacency = view.excluded, base.edges, base.adjacency
+    dist = {s: 0}
+    via = {}  # EdgeId of each reached node's best arrival
+    heap = [(lb[s], s)]
+    while heap:
+        f, u = heappop(heap)
+        if u == t:
+            path = []
+            while u != s:
+                path.append(via[u])
+                u = edges[via[u]].src
+            return path[::-1]
+        du = dist[u]
+        if f != du + lb[u]:
+            continue  # stale: u was queued again at a smaller delay
         for eid in adjacency[u]:
             if eid in excluded:
                 continue
-            v = edges[eid].dst
-            if via[v] != -1:
-                continue
-            via[v] = eid
-            if v == t:
-                path = []
-                while v != s:
-                    eid = via[v]
-                    path.append(eid)
-                    v = edges[eid].src
-                path.reverse()
-                return path
-            stack.append(v)
+            e = edges[eid]
+            v = e.dst
+            nd = du + e.delay
+            if nd < dist.get(v, inf):
+                f = nd + lb[v]
+                if f <= d_up:
+                    dist[v] = nd
+                    via[v] = eid
+                    heappush(heap, (f, v))
     return None
 
 
-def is_connected(net: NetLike, s: int, t: int) -> bool:
-    """True iff a directed path s -> t exists, ignoring all constraints."""
-    return find_path(net, s, t) is not None
+def is_connected(net: NetLike, s: int, t: int,
+                 delay_lb: Sequence[float] | None = None,
+                 d_up: float = inf) -> bool:
+    """True iff a path s -> t of delay at most ``d_up`` exists; see
+    ``find_path`` for ``delay_lb``.  The defaults ignore every constraint."""
+    return find_path(net, s, t, delay_lb, d_up) is not None
 
 
 # ---- file formats ----------------------------------------------------------

@@ -19,13 +19,10 @@ class SolveReport:
     ``corridors_explored`` and ``ap_candidates_checked`` stay zero for
     single-path solvers; ``iterations`` counts bound-schedule probes (one
     for a ``pulse`` solve, none when the source cannot reach the target)
-    and stays zero for the corridor solver.  ``srlg_cut`` is set only when
-    the corridor solver proved the task infeasible by a single-SRLG cut: a
-    group whose removal alone leaves no source-target path.  It is the
-    smallest group holding every egress edge of the source when there is
-    one (then no AP was searched for, so a task without any window-feasible
-    AP reports it too), and otherwise the smallest cut among the stage-1
-    AP's groups.  It is None for every other verdict.
+    and stays zero for the corridor solver.  ``srlg_cut`` is a group that
+    every source-target path of delay at most ``d_up`` uses, the corridor
+    solver's proof of infeasibility before any AP search.  It is set only
+    when such a path exists, and is None for every other verdict.
     """
 
     outcome: str

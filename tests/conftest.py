@@ -1,13 +1,14 @@
 """Shared instance builders and reference implementations for the tests.
 
 The reference implementations here (Bellman-Ford distances, plain
-reachability) are deliberately written independently of the package
-internals so the comparisons mean something.
+reachability, a plain Dijkstra on delay) are deliberately written
+independently of the package internals so the comparisons mean something.
 """
 
 from __future__ import annotations
 
 import random
+from heapq import heappop, heappush
 from math import inf
 
 import pytest
@@ -129,6 +130,26 @@ def reachable(net: Network, s: int, excluded: frozenset[int] = frozenset()) -> s
                 grew = True
         if not grew:
             return seen
+
+
+def least_delay(net: Network, s: int, t: int,
+                excluded: frozenset[int] = frozenset()) -> float:
+    """Reference least delay of a path s -> t avoiding ``excluded``, or inf:
+    a plain Dijkstra that scans every edge at each settled node."""
+    dist = {s: 0}
+    heap = [(0, s)]
+    while heap:
+        d, u = heappop(heap)
+        if u == t:
+            return d
+        if d > dist[u]:
+            continue
+        for eid, e in enumerate(net.edges):
+            if e.src == u and eid not in excluded and \
+                    d + e.delay < dist.get(e.dst, inf):
+                dist[e.dst] = d + e.delay
+                heappush(heap, (d + e.delay, e.dst))
+    return inf
 
 
 @pytest.fixture

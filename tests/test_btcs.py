@@ -6,6 +6,7 @@ import json
 import random
 import threading
 from itertools import product
+from math import inf
 from pathlib import Path
 from time import monotonic
 from unittest.mock import patch
@@ -23,7 +24,7 @@ from drcr.btcs import corridor_width, find_srlg_cut
 from drcr.network import NetworkView, is_connected, remove_conflicting_edges
 from drcr.pulse import UNLIMITED, SearchControl, SearchTimeout
 
-from conftest import CountingStop, random_network, random_task
+from conftest import CountingStop, least_delay, random_network, random_task
 
 
 def _verify_pair(net, task, pair):
@@ -247,14 +248,12 @@ def test_property_every_schedule_matches_minmin_oracle(case, alpha):
         pair, report = solve_btcs(net, trees, task,
                                   BtcsConfig(alpha=alpha, growth=growth))
         if report.srlg_cut is not None:
-            assert expected is None and report.corridors_explored == 0
+            # a path keeps to d_up, and none of them avoids the group
             cut = net.srlg_groups[report.srlg_cut]
-            assert not is_connected(NetworkView(net, cut), task.source,
-                                    task.target)
-        egress_cut = btcs.source_egress_cut(net, task.source)
-        if egress_cut is not None:
-            assert expected is None and report.srlg_cut == egress_cut
-            assert set(net.adjacency[task.source]) <= net.srlg_groups[egress_cut]
+            assert least_delay(net, task.source, task.target) <= task.d_up
+            assert least_delay(net, task.source, task.target,
+                               cut) > task.d_up
+            assert expected is None and report.corridors_explored == 0
             assert report.ap_candidates_checked == 0 and report.pulses == 0
         if expected is None:
             assert pair is None and report.outcome == "infeasible"
@@ -294,9 +293,8 @@ def _corridor_heavy() -> tuple[Network, SrlgTask]:
     """Stage 1 is a few pulses, the first corridor holds ~2000 paths.
 
     One SRLG holds every egress edge of the source, so no active path can
-    be protected: an unavoidable trap, which the source-egress rule settles
-    before stage 1 (and, with the rule off, the SRLG-cut test before any
-    corridor).
+    be protected: an unavoidable trap, which the SRLG-cut test settles
+    before stage 1.
     """
     n = 8
     edges = [Edge(u, v, 1, 1) for u in range(n) for v in range(n) if u != v]
@@ -377,7 +375,7 @@ def test_stop_set_before_protection_loop_times_out_there(monkeypatch):
     cfg = BtcsConfig(alpha=2.0)
     stop = threading.Event()
     first_ap = pulse_optimal(net, trees, task.base)
-    assert find_srlg_cut(net, task, first_ap) is None
+    assert find_srlg_cut(net, trees, task) is None
     scan = btcs.scan_corridor_paths
     corridors = []
 
@@ -407,17 +405,31 @@ def test_stop_set_before_protection_loop_times_out_there(monkeypatch):
                                 task.source, task.target) for ap in stage2)
 
 
+def _target_ingress_cut() -> tuple[Network, SrlgTask]:
+    """A trap whose one cut lies at the target, found after narrowing.
+
+    Complete 8-node digraph, unit weights.  SRLG 1 holds every ingress edge
+    of the target 7, so it is on every path; SRLG 0 holds 0->7 and 0->1.
+    The least-delay path 0->7 meets group 0 first, and a path avoiding it,
+    0->2->7, narrows the candidates to group 1.
+    """
+    n = 8
+    edges = [Edge(u, v, 1, 1) for u in range(n) for v in range(n) if u != v]
+    eid = {(e.src, e.dst): i for i, e in enumerate(edges)}
+    groups = [{eid[0, 7], eid[0, 1]}, {eid[u, 7] for u in range(7)}]
+    return (Network(n, edges, groups),
+            SrlgTask(DrcrTask(0, n - 1, 0, 10 ** 9), 10 ** 9))
+
+
 def test_single_srlg_cut_is_infeasible_before_any_corridor(monkeypatch):
-    net, task = _corridor_heavy()
+    net, task = _target_ingress_cut()
     trees = build_reverse_trees(net, task.target)
-    # the source-egress rule would settle this trap before stage 1
-    monkeypatch.setattr(btcs, "source_egress_cut", lambda *args: None)
     pair, report = solve_btcs(net, trees, task)
     assert pair is None and report.outcome == "infeasible"
-    assert report.srlg_cut == 0 and report.corridors_explored == 0
-    assert report.ap_candidates_checked == 1 and report.pulses < 10
+    assert report.srlg_cut == 1 and report.corridors_explored == 0
+    assert report.ap_candidates_checked == 0 and report.pulses == 0
     # the sweep without the test reaches the same verdict the long way
-    monkeypatch.setattr(btcs, "find_srlg_cut", lambda *args: None)
+    monkeypatch.setattr(btcs, "find_srlg_cut", _no_cut)
     pair, swept = solve_btcs(net, trees, task)
     assert pair is None and swept.outcome == "infeasible"
     assert swept.srlg_cut is None and swept.pulses > 1000
@@ -426,7 +438,11 @@ def test_single_srlg_cut_is_infeasible_before_any_corridor(monkeypatch):
 def test_source_egress_cut_settles_the_trap_before_stage_one(monkeypatch):
     net, task = _corridor_heavy()
     trees = build_reverse_trees(net, task.target)
-    assert btcs.source_egress_cut(net, task.source) == 0
+    assert find_srlg_cut(net, trees, task) == 0
+    # a window no path meets names no group: stage 1 finds no AP
+    no_ap = SrlgTask(DrcrTask(0, task.target, 0, 0), 0)
+    assert find_srlg_cut(net, trees, no_ap) is None
+    assert solve_btcs(net, trees, no_ap)[1].srlg_cut is None
 
     def no_search(*args):
         raise AssertionError("stage 1 ran")
@@ -437,49 +453,91 @@ def test_source_egress_cut_settles_the_trap_before_stage_one(monkeypatch):
     assert report.srlg_cut == 0 and report.corridors_explored == 0
     assert report.ap_candidates_checked == 0
     assert report.counters == SearchCounters()
-    # a window no path meets: still the cut, where stage 1 would find no AP
-    no_ap = SrlgTask(DrcrTask(0, task.target, 0, 0), 0)
-    assert solve_btcs(net, trees, no_ap)[1].srlg_cut == 0
 
 
-def test_source_egress_cut_is_the_smallest_group_on_every_egress_edge():
-    # egress of 0: edges 0 (0->1) and 2 (0->2)
+def test_find_srlg_cut_tries_groups_in_path_order():
+    # least-delay path 0->1->3: edge 0 (0->1) then edge 1 (1->3); the
+    # egress of 0 is edges 0 and 2 (0->2)
     edges = [Edge(0, 1, 1, 1), Edge(1, 3, 1, 1),
              Edge(0, 2, 5, 1), Edge(2, 3, 5, 1)]
-    net = Network(4, edges, [{1, 3}, {0, 2, 1}, {0}, {0, 2}])
-    assert btcs.source_egress_cut(net, 0) == 1
-    assert btcs.source_egress_cut(net.with_srlgs([{0}, {2}]), 0) is None
-    assert btcs.source_egress_cut(net.with_srlgs([{0}]), 0) is None
-    assert btcs.source_egress_cut(net, 3) is None  # no egress edge
+    net = Network(4, edges, [{1, 3}, {0}, {0, 2}])
+    task = SrlgTask(DrcrTask(0, 3, 0, 100), 100)
+    trees = build_reverse_trees(net, 3)
+    # group 1 is avoided by 0->2->3, which narrows the candidates to group
+    # 2, on every egress edge; group 0, every ingress edge of 3, is a cut
+    # too, but the path meets it last
+    assert find_srlg_cut(net, trees, task) == 2
+    assert find_srlg_cut(net.with_srlgs([{0}, {2}]), trees, task) is None
+    assert find_srlg_cut(net.with_srlgs([{0}]), trees, task) is None
+    # no path from 3 at all
+    back = SrlgTask(DrcrTask(3, 0, 0, 100), 100)
+    assert find_srlg_cut(net, build_reverse_trees(net, 0), back) is None
+    # the trees of another target are refused, not walked forever
+    with pytest.raises(ValueError, match="trees do not lead"):
+        find_srlg_cut(net, build_reverse_trees(net, 2), task)
 
 
 def test_source_without_shared_egress_group_runs_stage_one():
     # 0->1 lies in A alone and 0->4 in B alone; 0->7 in both
     net, task = _cross()
-    assert btcs.source_egress_cut(net, task.source) is None
     trees = build_reverse_trees(net, task.target)
+    assert find_srlg_cut(net, trees, task) is None
     pair, report = solve_btcs(net, trees, task)
     assert pair is not None and report.srlg_cut is None
     assert report.ap_candidates_checked > 1 and report.pulses > 1000
 
 
 def test_find_srlg_cut_narrows_to_the_cut():
-    # SRLG 0 = {0->1}, SRLG 1 = {1->3, 2->3}: avoiding both leaves no path,
-    # avoiding 0 alone leaves 0->2->3, which crosses 1, and avoiding 1
-    # alone leaves no path
+    # SRLG 0 = {0->1}, SRLG 1 = {1->3, 2->3}: avoiding 0 leaves 0->2->3,
+    # which crosses 1, and avoiding 1 leaves no path
     edges = [Edge(0, 1, 1, 1), Edge(1, 3, 1, 1),
              Edge(0, 2, 5, 1), Edge(2, 3, 5, 1)]
     net = Network(4, edges, [{0}, {1, 3}])
     task = SrlgTask(DrcrTask(0, 3, 0, 100), 100)
-    ap = net.path([0, 1])
-    assert find_srlg_cut(net, task, ap) == 1
-    assert find_srlg_cut(net.with_srlgs([{0}, {1}]), task, ap) is None
+    trees = build_reverse_trees(net, 3)
+    assert find_srlg_cut(net, trees, task) == 1
+    assert find_srlg_cut(net.with_srlgs([{0}, {1}]), trees, task) is None
     cross, cross_task = _cross()
-    trees = build_reverse_trees(cross, cross_task.target)
-    first_ap = pulse_optimal(cross, trees, cross_task.base)
-    assert find_srlg_cut(cross, cross_task, first_ap) is None
+    cross_trees = build_reverse_trees(cross, cross_task.target)
+    assert find_srlg_cut(cross, cross_trees, cross_task) is None
     with pytest.raises(SearchTimeout):
-        find_srlg_cut(net, task, ap, SearchControl(deadline=monotonic() - 1.0))
+        find_srlg_cut(net, trees, task,
+                      SearchControl(deadline=monotonic() - 1.0))
+
+
+def test_delay_bounded_cut_depends_on_d_up():
+    # A = 0->1->3 (cost 2, delay 2), B = 0->2->3 (cost 4, delay 10) and
+    # C = 0->4->3 (cost 6, delay 10); G = {0->1, 0->2} and H = {1->3, 4->3}.
+    # Below delay 10 every path is A, so G is a cut; from 10 up, C avoids
+    # G and B avoids H, and (B, C) is the pair the sweep finds
+    edges = [Edge(0, 1, 1, 1), Edge(1, 3, 1, 1), Edge(0, 2, 2, 5),
+             Edge(2, 3, 2, 5), Edge(0, 4, 3, 5), Edge(4, 3, 3, 5)]
+    net = Network(5, edges, [{0, 2}, {1, 5}])
+    trees = build_reverse_trees(net, 3)
+    tight = SrlgTask(DrcrTask(0, 3, 0, 9), 100)
+    pair, report = solve_btcs(net, trees, tight)
+    assert pair is None and report.outcome == "infeasible"
+    assert report.srlg_cut == 0 and report.corridors_explored == 0
+    assert oracle_minmin(net, tight) is None
+    loose = SrlgTask(DrcrTask(0, 3, 0, 100), 100)
+    assert find_srlg_cut(net, trees, loose) is None
+    pair, report = solve_btcs(net, trees, loose, BtcsConfig(alpha=1))
+    assert report.outcome == "pair" and report.corridors_explored > 0
+    assert pair.ap.total_cost == oracle_minmin(net, loose)[0] == 4
+    _verify_pair(net, loose, pair)
+
+
+def test_unreachable_target_without_a_delay_bound_is_infeasible():
+    # d_up = inf: the delay-tree walk must not follow the tight arcs
+    # 1->2->1 between nodes that cannot reach the target
+    net = Network(4, [Edge(0, 1, 1, 1), Edge(1, 2, 1, 1), Edge(2, 1, 1, 1)],
+                  [{0}, {1, 2}])
+    task = SrlgTask(DrcrTask(0, 3, 0, inf), 5)
+    trees = build_reverse_trees(net, 3)
+    assert find_srlg_cut(net, trees, task) is None
+    pair, report = solve_btcs(net, trees, task)
+    assert pair is None and report.outcome == "infeasible"
+    assert report.srlg_cut is None
 
 
 def test_only_one_corridor_worker_is_accepted():
@@ -584,6 +642,11 @@ def _no_cut(*args) -> None:
     return None
 
 
+def _unbounded(view, s, t, delay_lb, d_up):
+    """``is_connected`` with the delay bound dropped: plain reachability."""
+    return is_connected(view, s, t, delay_lb)
+
+
 def golden_observations() -> dict[str, list]:
     """Report of solve_btcs on 50 seeded instances, keyed "seed:config".
 
@@ -591,13 +654,13 @@ def golden_observations() -> dict[str, list]:
     ap_candidates_checked, (pulses, infeasibility_prunes, cost_prunes)]
     under three first-corridor widths and two corridor caps, each with
     fixed and doubling widths (no cap=1 for doubling: corridor 0 is the
-    same), and a preset stop event.  These entries are taken with both
-    SRLG-cut tests replaced by ones that never find a cut, so they pin the
-    sweep alone; each "seed:config,cut" entry adds the cut test after
-    stage 1, with ``srlg_cut`` appended, and each "seed:config,egress"
-    entry adds the source-egress rule as well.  All three are taken with
-    the corridor floor switched off (``_bit_scan``); each
-    "seed:config+floor" entry is the full solver's.
+    same), and a preset stop event.  These entries are taken with the
+    SRLG-cut test replaced by one that never finds a cut and with the
+    protection check's delay bound dropped, so they pin the sweep alone;
+    each "seed:config,dcut" entry adds the cut test and the bounded check,
+    with ``srlg_cut`` appended.  Both are taken with the corridor floor
+    switched off (``_bit_scan``); each "seed:config+floor" entry is the
+    full solver's.
     """
     seen: dict[str, list] = {}
     for seed in range(50):
@@ -613,11 +676,10 @@ def golden_observations() -> dict[str, list]:
             key = f"{seed}:{name}"
             args = net, trees, task, cfg, control
             with patch.object(btcs, "scan_corridor_paths", _bit_scan):
-                with patch.object(btcs, "source_egress_cut", _no_cut):
-                    with patch.object(btcs, "find_srlg_cut", _no_cut):
-                        seen[key] = _observe(*args)[:-1]
-                    seen[f"{key},cut"] = _observe(*args)
-                seen[f"{key},egress"] = _observe(*args)
+                with patch.object(btcs, "find_srlg_cut", _no_cut), \
+                        patch.object(btcs, "is_connected", _unbounded):
+                    seen[key] = _observe(*args)[:-1]
+                seen[f"{key},dcut"] = _observe(*args)
             seen[f"{key}+floor"] = _observe(*args)
     return seen
 
@@ -638,9 +700,7 @@ def test_reports_match_golden_table():
             ("cap=2,growth=2", "timeout", True),
             ("stop", "timeout", False),        # cut in stage 2, corridor 0
             ("stop", "timeout", True),
-            ("alpha=1,cut", "infeasible", False),  # single-SRLG cut
-            ("alpha=1,cut", "infeasible", True),   # swept: no single cut
-            ("cap=1,cut", "infeasible", False)} <= kinds
+            ("alpha=1,dcut", "infeasible", True)} <= kinds  # swept: no cut
     # a finished solve gives the same outcome, pair and checked count under
     # either schedule; only corridors and pulse counters may differ
     for key, entry in expected.items():
@@ -649,31 +709,24 @@ def test_reports_match_golden_table():
             alpha = GOLDEN_CONFIGS[name].alpha
             fixed = expected[f"{seed}:alpha={alpha:g}"]
             assert entry[:3] + entry[4:5] == fixed[:3] + fixed[4:5], key
-    # the cut test settles some traps before any corridor and leaves every
-    # other solve as the sweep alone runs it
-    for key, entry in expected.items():
-        if not key.endswith(",cut"):
-            continue
-        sweep = expected[key[:-len(",cut")]]
-        if entry[6] is not None:
-            assert entry[0] == "infeasible" and entry[3] == 0, key
-            assert sweep[0] in ("infeasible", "timeout"), key
-        elif entry[0] != "timeout":
-            assert entry[:6] == sweep, key
-    # the egress rule settles some of those before stage 1, a preset stop
-    # is a timeout on entry, and every other solve runs as before
+    # the cut test settles some traps before stage 1, a preset stop is a
+    # timeout on entry, and every other finished solve runs as the sweep
+    # alone does, with no more pulses or prunes: the bounded check only
+    # skips protection searches that would find nothing
     settled = 0
     for key, entry in expected.items():
-        if not key.endswith(",egress"):
+        if not key.endswith(",dcut"):
             continue
-        cut = expected[key[:-len(",egress")] + ",cut"]
-        if key.endswith(":stop,egress"):
+        sweep = expected[key[:-len(",dcut")]]
+        if key.endswith(":stop,dcut"):
             assert entry == ["timeout", None, None, 0, 0, [0, 0, 0], None], key
-        elif entry != cut:
+        elif entry[6] is not None:
             assert entry[:6] == ["infeasible", None, None, 0, 0, [0, 0, 0]], key
-            assert entry[6] is not None, key
-            assert cut[0] in ("infeasible", "timeout"), key
+            assert sweep[0] in ("infeasible", "timeout"), key
             settled += 1
+        elif entry[0] != "timeout":
+            assert entry[:5] == sweep[:5], key
+            assert all(a <= b for a, b in zip(entry[5], sweep[5])), key
     assert settled >= 10
     # the floor changes no answer: a finished full-rule solve has the
     # outcome, pair, checked count and cut of its twin with the floor off,
@@ -683,7 +736,7 @@ def test_reports_match_golden_table():
     for key, entry in expected.items():
         if not key.endswith("+floor"):
             continue
-        twin = expected[key[:-len("+floor")] + ",egress"]
+        twin = expected[key[:-len("+floor")] + ",dcut"]
         assert entry[3] <= twin[3], key
         if entry[0] == "timeout":
             continue
@@ -691,7 +744,7 @@ def test_reports_match_golden_table():
             seed, name = key.split(":")
             assert name.startswith("cap="), key
             growth = ",growth=2" if "growth=2" in name else ""
-            twin = expected[f"{seed}:alpha=1{growth},egress"]
+            twin = expected[f"{seed}:alpha=1{growth},dcut"]
             past_cap += 1
         assert (entry[:3] + entry[4:5] + entry[6:]
                 == twin[:3] + twin[4:5] + twin[6:]), key

@@ -268,7 +268,8 @@ def test_filter_tasks_srlg_egress_cut_keeps_only_tasks_with_an_ap():
     no_ap = SrlgTask(DrcrTask(0, 3, 0, 1), 1)  # every route has delay 2
     kept, labels = filter_tasks(net, [no_ap, trap], "srlg")
     assert kept == [trap] and labels == [UNAVOIDABLE]
-    # the stop is seen by the AP search, after the solver's entry poll
+    # the stop is seen before the cut test's first search, after its
+    # entry poll
     control = SearchControl(stop=_StopAfter(1), poll_every=1)
     kept, labels = filter_tasks(net, [trap], "srlg", control=control)
     assert kept == [trap] and labels == [UNKNOWN]

@@ -5,6 +5,8 @@ from __future__ import annotations
 import gc
 import random
 import tracemalloc
+from itertools import product
+from math import inf
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from drcr import (DrcrTask, Edge, GenSpec, IntegrityError, Network,
 from drcr.network import (NetworkView, find_path, format_task,
                           parse_task_line)
 
-from conftest import diamond, random_network, reachable
+from conftest import diamond, least_delay, random_network, reachable
 
 
 def test_single_edge_roundtrip(tmp_path):
@@ -188,6 +190,13 @@ def test_star_srlg_disconnects_source():
     assert view.excluded == frozenset({0, 1, 2})
     assert sorted(set(range(4)) - view.excluded) == [3]
     assert not is_connected(view, 0, 3)
+    # every route has delay 2: the bound decides on the full network, and
+    # no bound reconnects the stripped view
+    lb = build_reverse_trees(net, 3).min_delay_to_target
+    for potential in (lb, [0] * 4):
+        assert not is_connected(view, 0, 3, potential, inf)
+        assert is_connected(net, 0, 3, potential, 2)
+        assert not is_connected(net, 0, 3, potential, 1)
 
 
 def test_removed_view_never_shares_srlg_with_ap():
@@ -213,6 +222,13 @@ def test_is_connected_trivial_cases():
     assert not is_connected(net, 1, 0)  # directed
     assert is_connected(net, 2, 2)
     assert find_path(net, 2, 2) == []
+    # 0 -> 1 has delay 1, under the delay tree and under all zeros
+    lb = build_reverse_trees(net, 1).min_delay_to_target
+    for potential in (lb, [0] * 3):
+        assert find_path(net, 0, 1, potential, 1) == [0]
+        assert find_path(net, 0, 1, potential, inf) == [0]
+        assert find_path(net, 0, 1, potential, 0) is None
+        assert find_path(net, 2, 1, potential, inf) is None
 
 
 def test_is_connected_matches_reference_reachability():
@@ -232,6 +248,20 @@ def test_is_connected_matches_reference_reachability():
             if path:
                 assert not excluded & set(path)
                 check_path(net, net.path(path), s, t)
+            # the delay tree of the full network and all zeros as the
+            # potential, each below, at and without the least delay
+            least = least_delay(net, s, t, excluded)
+            lb = build_reverse_trees(net, t).min_delay_to_target
+            for potential, d_up in product((lb, [0] * net.node_count),
+                                           (least - 1, least, inf)):
+                path = find_path(view, s, t, potential, d_up)
+                assert (path is not None) == (least <= d_up and least < inf)
+                assert is_connected(view, s, t, potential, d_up) == \
+                    (path is not None)
+                if path:
+                    assert not excluded & set(path)
+                    check_path(net, net.path(path), s, t)
+                    assert net.path(path).total_delay == least
 
 
 def test_adjacency_and_inverse_invariants():

@@ -82,7 +82,7 @@ def solve(net: Network, trees: ReverseTrees, task: Task, solver: str,
 
 def run_suite(net: Network, tasks: Sequence[Task], solver: str, *,
               time_limit_ms: float | None = None, repetitions: int = 1,
-              alpha: float = 10.0) -> list[BenchRecord]:
+              alpha: float = BtcsConfig.alpha) -> list[BenchRecord]:
     """Time every task under one solver; repetitions keep the fastest run.
 
     A solver crash on a task is recorded with outcome ``error`` and the
@@ -136,8 +136,7 @@ class SolverSummary:
     feasible_under_ms: dict[float, int]
 
 
-def summarize(records: Iterable[BenchRecord],
-              thresholds_ms: Sequence[float] = THRESHOLDS_MS) -> list[SolverSummary]:
+def summarize(records: Iterable[BenchRecord]) -> list[SolverSummary]:
     """Per-solver metric rows; a pure function of the records."""
     by_solver: dict[str, list[BenchRecord]] = {}
     for r in records:
@@ -157,9 +156,9 @@ def summarize(records: Iterable[BenchRecord],
             mean_ms=statistics.fmean(times) if times else 0.0,
             median_ms=statistics.median(times) if times else 0.0,
             solved_under_ms={t: sum(1 for r in resolved if r.wall_time_ms < t)
-                             for t in thresholds_ms},
+                             for t in THRESHOLDS_MS},
             feasible_under_ms={t: sum(1 for r in feasible if r.wall_time_ms < t)
-                               for t in thresholds_ms},
+                               for t in THRESHOLDS_MS},
         ))
     return rows
 

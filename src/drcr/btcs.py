@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from itertools import count
 from math import ceil, inf
 
+from . import pulse
 from .network import (DrcrTask, Network, NetworkView, Path, SrlgTask,
                       check_task_nodes, find_path, is_connected,
                       remove_conflicting_edges)
@@ -139,13 +140,14 @@ def try_protect(net: Network, trees: ReverseTrees, task: SrlgTask, ap: Path, *,
 def protect_candidates(net, trees, task, candidates, *,
                        control: SearchControl = UNLIMITED, **search):
     """``(ap, try_protect(...))`` for each AP candidate in turn, polling
-    ``control`` before every ``poll_every``-th try: a candidate that fails on
-    connectivity spends no pulse, so the engine would never poll through a
-    long run of them.  ``search`` (``order``, ``counters``) goes on to
-    ``try_protect``, looked up at each call, so a wrapper set on this
-    module sees every attempt."""
+    ``control`` before every ``drcr.pulse.POLL_EVERY``-th try: a candidate
+    that fails on connectivity spends no pulse, so the engine would never
+    poll through a long run of them.  ``search`` (``order``, ``counters``)
+    goes on to ``try_protect``, looked up at each call, so a wrapper set on
+    this module sees every attempt."""
+    poll_every = pulse.POLL_EVERY
     for attempt, ap in enumerate(candidates, 1):
-        if attempt % control.poll_every == 0:
+        if attempt % poll_every == 0:
             control.poll()
         yield ap, try_protect(net, trees, task, ap, control=control, **search)
 
@@ -217,9 +219,8 @@ def solve_btcs(net: Network, trees: ReverseTrees, task: SrlgTask,
     (``corridors_explored`` is 0 when the cut test or stage 1 already
     decides).  Running out of corridors under the cap,
     a deadline passed or a stop event set in ``control`` ends the run, in
-    any phase, with the inexact TIMEOUT outcome and no pair; ``control`` is
-    polled as given, ``poll_every`` included.  Raises IntegrityError when a
-    task node is not a node of ``net``.
+    any phase, with the inexact TIMEOUT outcome and no pair.  Raises
+    IntegrityError when a task node is not a node of ``net``.
     """
     check_task_nodes(net, task)
     counters = SearchCounters()

@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--srlg")
     p.add_argument("--tasks", required=True)
     p.add_argument("--kind", choices=("drcr", "srlg"), required=True)
-    p.add_argument("--alpha", type=float, default=10.0)
+    p.add_argument("--alpha", type=float, default=BtcsConfig.alpha)
     p.add_argument("--max-corridors", type=int)
     p.add_argument("--time-limit-ms", type=float,
                    help="per-task deadline; a task it ends is kept as unknown")
@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--srlg", required=True)
     p.add_argument("--tasks", required=True)
-    p.add_argument("--alpha", type=float, default=10.0)
+    p.add_argument("--alpha", type=float, default=BtcsConfig.alpha)
     p.add_argument("--max-corridors", type=int)
     p.add_argument("--time-limit-ms", type=float)
     p.add_argument("--out")
@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="repeatable; each solver runs the whole suite")
     p.add_argument("--time-limit-ms", type=float)
     p.add_argument("--repetitions", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=10.0)
+    p.add_argument("--alpha", type=float, default=BtcsConfig.alpha)
     p.add_argument("--records", help="write per-task records (JSON lines)")
     p.add_argument("--summary-csv")
     p.add_argument("--out", help="aligned-text summary (default stdout)")
@@ -225,44 +225,34 @@ def _tasks_of_kind(args, node_count: int, srlg: bool) -> list:
     return tasks
 
 
-def _cmd_solve_drcr(args) -> int:
-    net = load_network(args.graph)
-    tasks = _tasks_of_kind(args, net.node_count, srlg=False)
+def _cmd_solve(args) -> int:
+    srlg = args.command == "solve-srlg"
+    net = load_network(args.graph, args.srlg if srlg else None)
+    tasks = _tasks_of_kind(args, net.node_count, srlg)
     cache = TreeCache(net)
+    solver = "btcs" if srlg else args.solver
+    cfg = (BtcsConfig(alpha=args.alpha, max_corridors=args.max_corridors)
+           if srlg else BtcsConfig())
     with _out_stream(args.out) as out:
         for task in tasks:
             control = SearchControl.from_time_limit_ms(args.time_limit_ms)
-            report, path = bench_mod.solve(net, cache.get(task.target), task,
-                                           args.solver, control)
+            report, result = bench_mod.solve(net, cache.get(task.target), task,
+                                             solver, control, cfg)
             row = {"task": format_task(task), "outcome": report.outcome}
-            if path is not None:
-                row.update(cost=path.total_cost, delay=path.total_delay,
-                           edges=list(path.edges))
-            out.write(json.dumps(row) + "\n")
-    return 0
-
-
-def _cmd_solve_srlg(args) -> int:
-    net = load_network(args.graph, args.srlg)
-    tasks = _tasks_of_kind(args, net.node_count, srlg=True)
-    cache = TreeCache(net)
-    cfg = BtcsConfig(alpha=args.alpha, max_corridors=args.max_corridors)
-    with _out_stream(args.out) as out:
-        for task in tasks:
-            control = SearchControl.from_time_limit_ms(args.time_limit_ms)
-            report, pair = bench_mod.solve(net, cache.get(task.target), task,
-                                           "btcs", control, cfg)
-            row = {"task": format_task(task), "outcome": report.outcome,
-                   "corridors_explored": report.corridors_explored,
-                   "ap_candidates_checked": report.ap_candidates_checked}
-            if report.srlg_cut is not None:
-                row["srlg_cut"] = report.srlg_cut
-            if pair is not None:
-                row.update(ap_cost=pair.ap.total_cost,
-                           ap_delay=pair.ap.total_delay,
-                           ap_edges=list(pair.ap.edges),
-                           pp_delay=pair.pp.total_delay,
-                           pp_edges=list(pair.pp.edges))
+            if srlg:
+                row.update(corridors_explored=report.corridors_explored,
+                           ap_candidates_checked=report.ap_candidates_checked)
+                if report.srlg_cut is not None:
+                    row["srlg_cut"] = report.srlg_cut
+                if result is not None:
+                    row.update(ap_cost=result.ap.total_cost,
+                               ap_delay=result.ap.total_delay,
+                               ap_edges=list(result.ap.edges),
+                               pp_delay=result.pp.total_delay,
+                               pp_edges=list(result.pp.edges))
+            elif result is not None:
+                row.update(cost=result.total_cost, delay=result.total_delay,
+                           edges=list(result.edges))
             out.write(json.dumps(row) + "\n")
     return 0
 
@@ -315,18 +305,22 @@ def _cmd_sweep_alpha(args) -> int:
     tasks = _tasks_of_kind(args, net.node_count, srlg=True)
     sweeps = bench_mod.sweep_alpha(net, tasks, args.alphas,
                                    time_limit_ms=args.time_limit_ms)
+    thresholds = bench_mod.THRESHOLDS_MS
     with _out_stream(args.out) as out:
-        out.write("alpha,tasks,feasible_found,feasible_under_20ms,"
-                  "feasible_under_50ms,max_ms,mean_ms,median_ms\n")
+        out.write(",".join(["alpha", "tasks", "feasible_found",
+                            *(f"feasible_under_{t:g}ms" for t in thresholds),
+                            "max_ms", "mean_ms", "median_ms"]) + "\n")
         for alpha in args.alphas:
             rows = bench_mod.summarize(sweeps[alpha])
-            if not rows:  # no tasks, so no btcs records to summarize
-                out.write(f"{alpha:g},0,0,0,0,0.000,0.000,0.000\n")
-                continue
-            row = rows[0]
-            out.write(f"{alpha:g},{row.tasks},{row.feasible_found},"
-                      f"{row.feasible_under_ms[20.0]},{row.feasible_under_ms[50.0]},"
-                      f"{row.max_ms:.3f},{row.mean_ms:.3f},{row.median_ms:.3f}\n")
+            if rows:
+                row = rows[0]
+                counts = [row.tasks, row.feasible_found,
+                          *(row.feasible_under_ms[t] for t in thresholds)]
+                times = [row.max_ms, row.mean_ms, row.median_ms]
+            else:  # no tasks, so no btcs records to summarize
+                counts, times = [0] * (2 + len(thresholds)), [0.0] * 3
+            out.write(",".join([f"{alpha:g}", *map(str, counts),
+                                *(f"{ms:.3f}" for ms in times)]) + "\n")
     return 0
 
 
@@ -335,8 +329,8 @@ _COMMANDS = {
     "gen-srlg": _cmd_gen_srlg,
     "gen-tasks": _cmd_gen_tasks,
     "filter-tasks": _cmd_filter_tasks,
-    "solve-drcr": _cmd_solve_drcr,
-    "solve-srlg": _cmd_solve_srlg,
+    "solve-drcr": _cmd_solve,
+    "solve-srlg": _cmd_solve,
     "histogram": _cmd_histogram,
     "bench": _cmd_bench,
     "sweep-alpha": _cmd_sweep_alpha,
@@ -350,6 +344,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
+        # a NaN limit exits 1 before any output, even with no task to solve
+        SearchControl.from_time_limit_ms(getattr(args, "time_limit_ms", None))
         return _COMMANDS[args.command](args)
     except (ParseError, IntegrityError, netgen.GenerationError, OSError) as exc:
         print(f"drcr: {exc}", file=sys.stderr)

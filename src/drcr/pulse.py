@@ -52,6 +52,7 @@ from .network import DrcrTask, NetLike, Path, as_view
 from .trees import ReverseTrees
 
 INF = inf
+POLL_EVERY = 512
 
 _COST_LB = itemgetter(0)  # sort key of a SearchOrder row entry
 
@@ -81,22 +82,17 @@ class SearchCounters:
 class SearchControl:
     """Cooperative deadline/cancellation, polled between pulses.
 
-    Every walk polls it once per ``poll_every`` pulses.  It is also polled
-    where no pulse is spent: by ``drcr.btcs`` once on entry, between
-    protection attempts and before each search of its SRLG-cut test, by
-    ``solve_btbu`` once on entry, by ``sweep_bins`` before each cost bin,
-    and by ``build_histogram`` between protection attempts.  ``UNLIMITED``
-    is the control with no deadline and no stop; every search takes it by
-    default.  ``poll_every`` below 1 raises ValueError.
+    Every walk polls it once per ``POLL_EVERY`` pulses, a module constant
+    read once per walk.  It is also polled where no pulse is spent: by
+    ``drcr.btcs`` once on entry, between protection attempts and before
+    each search of its SRLG-cut test, by ``solve_btbu`` once on entry, by
+    ``sweep_bins`` before each cost bin, and by ``build_histogram`` between
+    protection attempts.  ``UNLIMITED`` is the control with no deadline and
+    no stop; every search takes it by default.
     """
 
     deadline: float | None = None
     stop: Event | None = None
-    poll_every: int = 512
-
-    def __post_init__(self):
-        if self.poll_every < 1:
-            raise ValueError(f"poll_every must be >= 1, got {self.poll_every}")
 
     @classmethod
     def from_time_limit_ms(cls, time_limit_ms: float | None
@@ -243,7 +239,7 @@ def _pulse(net: NetLike, trees: ReverseTrees, task: DrcrTask,
     pulses = 1
     infeas = 0
     cost_prunes = 0
-    poll_every = control.poll_every
+    poll_every = POLL_EVERY
     next_poll = 1 + poll_every
 
     visited = bytearray(base.node_count)

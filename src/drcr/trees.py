@@ -88,7 +88,7 @@ from math import inf
 
 import numpy as np
 
-from .network import Network
+from .network import IntegrityError, Network
 
 # n + m from which the frontier route runs (measured crossover)
 FRONTIER_MIN_SIZE = 700
@@ -169,10 +169,12 @@ def _heap_walk(rev: tuple[tuple[tuple[int, int], ...], ...],
 
 
 def build_reverse_trees(net: Network, target: int) -> ReverseTrees:
-    """Exact shortest distances to ``target``, for cost and delay separately."""
+    """Exact shortest distances to ``target``, for cost and delay separately;
+    IntegrityError when ``target`` is not a node of ``net``."""
     n = net.node_count
     if not 0 <= target < n:
-        raise ValueError(f"target {target} out of range")
+        raise IntegrityError(f"target {target} is not a node of the "
+                             f"{n}-node network")
     top = max(net.max_edge_cost or 0, net.max_edge_delay or 0)
     if n + len(net.edges) >= FRONTIER_MIN_SIZE and n * top < _INT64_GUARD:
         dist, frontier = _frontier_walk(net.reverse_arcs, n, target,

@@ -13,6 +13,7 @@ from math import inf
 
 import pytest
 
+import drcr.pulse
 from drcr import DrcrTask, Edge, Network, SrlgTask
 
 
@@ -150,6 +151,13 @@ def least_delay(net: Network, s: int, t: int,
                 dist[e.dst] = d + e.delay
                 heappush(heap, (d + e.delay, e.dst))
     return inf
+
+
+@pytest.fixture
+def poll_each_pulse(monkeypatch):
+    """Every walk polls its SearchControl at each pulse, and the protection
+    loop before each attempt: ``drcr.pulse.POLL_EVERY`` is 1."""
+    monkeypatch.setattr(drcr.pulse, "POLL_EVERY", 1)
 
 
 @pytest.fixture

@@ -50,23 +50,26 @@ def test_solver_task_kind_mismatch_is_error_outcome():
         "ValueError: solver 'pulse' needs single-path tasks")
 
 
-def test_solve_reports_stop_event_as_timeout_for_every_solver():
-    # unstopped, pulse takes 2 pulses, fewer than the default poll_every:
+def test_solve_reports_stop_event_as_timeout_for_every_solver(request):
+    # unstopped, pulse takes 2 pulses, fewer than the default POLL_EVERY:
     # only a poll on entry ends every solver before its first pulse
     net = Network(4, [Edge(u, v, 1, 1) for u in range(4) for v in range(4) if u != v])
     trees = build_reverse_trees(net, 3)
     report, path = bench_mod.solve(net, trees, DrcrTask(0, 3, 0, 10), "pulse")
     assert (report.outcome, report.pulses) == ("optimal", 2)
+    assert drcr.pulse.POLL_EVERY > 2
     stop = threading.Event()
     stop.set()
-    for control in (SearchControl(stop=stop, poll_every=1), SearchControl(stop=stop)):
+    control = SearchControl(stop=stop)
+    for each_pulse in (False, True):
+        if each_pulse:  # the same at a poll on every pulse
+            request.getfixturevalue("poll_each_pulse")
         for solver, task in (("pulse", DrcrTask(0, 3, 0, 10)),
                              ("btbu1", DrcrTask(0, 3, 0, 10)),
                              ("btbu2", DrcrTask(0, 3, 0, 10)),
                              ("btcs", SrlgTask(DrcrTask(0, 3, 0, 10), 5))):
             report, result = bench_mod.solve(net, trees, task, solver, control)
             assert (report.outcome, result, report.pulses) == ("timeout", None, 0)
-    assert control.poll_every > 2
 
 
 def test_timeout_enforced():
@@ -90,14 +93,15 @@ def test_repetitions_keep_minimum():
 
 
 def test_summarize_median_and_strict_thresholds():
-    records = [BenchRecord(i, "pulse", "optimal", wall_time_us=t * 1000)
-               for i, t in enumerate((1, 2, 3))]
-    rows = summarize(records, thresholds_ms=(2.0, 50.0))
+    low, high = bench_mod.THRESHOLDS_MS
+    records = [BenchRecord(i, "pulse", "optimal", wall_time_us=int(t * 1000))
+               for i, t in enumerate((low - 1, low, high - 1))]
+    rows = summarize(records)
     row = rows[0]
-    assert row.median_ms == 2.0
-    assert row.max_ms == 3.0
-    assert row.solved_under_ms[2.0] == 1  # strict less-than: the 2 ms one is out
-    assert row.solved_under_ms[50.0] == 3
+    assert row.median_ms == low
+    assert row.max_ms == high - 1
+    assert row.solved_under_ms[low] == 1  # strict less-than: low itself is out
+    assert row.solved_under_ms[high] == 3
 
 
 def test_summarize_feasible_vs_resolved_split():
@@ -171,6 +175,14 @@ def test_task_node_outside_network_is_rejected_by_every_solver():
             bench_mod.solve(net, trees, DrcrTask(7, 2, 0, 20), solver)
     with pytest.raises(IntegrityError, match="target 5 is not a node"):
         bench_mod.solve(net, trees, SrlgTask(DrcrTask(0, 5, 0, 20), 5), "btcs")
+    # run_suite builds the trees first, so a bad target fails there
+    for base, message in ((DrcrTask(7, 2, 0, 20), "task source 7"),
+                          (DrcrTask(0, 5, 0, 20), "target 5")):
+        for solver, task in (("btbu1", base), ("btcs", SrlgTask(base, 5))):
+            record, = run_suite(net, [task], solver)
+            assert (record.outcome, record.error) == (
+                "error", f"IntegrityError: {message} is not a node of the "
+                         "3-node network")
 
 
 def test_unknown_solver_rejected():

@@ -169,12 +169,12 @@ def test_agreement_on_er_graph_tasks():
     assert feasible >= 25
 
 
-def test_timeout_outcome():
+def test_timeout_outcome(poll_each_pulse):
     n = 9
     edges = [Edge(u, v, 1, 1) for u in range(n) for v in range(n) if u != v]
     net = Network(n, edges)
     trees = build_reverse_trees(net, n - 1)
-    control = SearchControl(deadline=monotonic() - 1.0, poll_every=1)
+    control = SearchControl(deadline=monotonic() - 1.0)
     path, report = solve_btbu(net, trees, DrcrTask(0, n - 1, 0, 10 ** 9), BTBU1,
                               control=control)
     assert path is None and report.outcome == "timeout"

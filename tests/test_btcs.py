@@ -271,13 +271,13 @@ def test_max_corridors_cap_times_out(trap_net):
     assert pair is None and report.outcome == "timeout"
 
 
-def test_deadline_times_out():
+def test_deadline_times_out(poll_each_pulse):
     n = 9
     edges = [Edge(u, v, 1, 1) for u in range(n) for v in range(n) if u != v]
     net = Network(n, edges, [{0}])
     task = SrlgTask(DrcrTask(0, n - 1, 0, 10 ** 9), 10 ** 9)
     trees = build_reverse_trees(net, n - 1)
-    control = SearchControl(deadline=monotonic() - 1.0, poll_every=1)
+    control = SearchControl(deadline=monotonic() - 1.0)
     pair, report = solve_btcs(net, trees, task, control=control)
     assert pair is None and report.outcome == "timeout"
 
@@ -331,21 +331,22 @@ def test_stop_event_is_a_timeout_outcome(instance):
     assert pair is None and report.outcome == "timeout"
 
 
-def test_stage_two_polls_at_the_callers_interval():
+def test_stage_two_polls_at_the_callers_interval(poll_each_pulse):
     net, task = _cross()
     trees = build_reverse_trees(net, task.target)
     stop = CountingStop()
     pair, report = solve_btcs(net, trees, task,
-                              control=SearchControl(stop=stop, poll_every=1))
+                              control=SearchControl(stop=stop))
     assert pair is not None and report.corridors_explored >= 1
     stage1 = SearchCounters()
     first_ap = pulse_optimal(net, trees, task.base, counters=stage1)
     assert try_protect(net, trees, task, first_ap, counters=stage1) is None
-    # every pulse but a search's root is polled at poll_every=1
+    # every pulse but a search's root is polled at POLL_EVERY = 1
     assert stop.polls >= report.pulses - stage1.pulses > 1000
 
 
-def test_protection_loop_polls_between_candidates(monkeypatch):
+def test_protection_loop_polls_between_candidates(monkeypatch,
+                                                 poll_each_pulse):
     net, task = _cross()
     trees = build_reverse_trees(net, task.target)
     stop = CountingStop()
@@ -358,7 +359,7 @@ def test_protection_loop_polls_between_candidates(monkeypatch):
 
     monkeypatch.setattr(btcs, "try_protect", recording_protect)
     pair, report = solve_btcs(net, trees, task,
-                              control=SearchControl(stop=stop, poll_every=1))
+                              control=SearchControl(stop=stop))
     assert pair is not None and report.ap_candidates_checked == 10
     # stage 2's candidates, most of which fail on connectivity (no pulses)
     stage2 = polls_at_protect[1:]
@@ -366,7 +367,8 @@ def test_protection_loop_polls_between_candidates(monkeypatch):
     assert all(b > a for a, b in zip(stage2, stage2[1:]))
 
 
-def test_stop_set_before_protection_loop_times_out_there(monkeypatch):
+def test_stop_set_before_protection_loop_times_out_there(monkeypatch,
+                                                        poll_each_pulse):
     # alpha 2: corridor 0 is [1, 3), the six two-hop paths 0->k->7, each
     # crossing both SRLGs, so every candidate fails on connectivity and
     # spends no pulse; only the protection-loop poll can see the stop
@@ -395,7 +397,7 @@ def test_stop_set_before_protection_loop_times_out_there(monkeypatch):
 
     monkeypatch.setattr(btcs, "try_protect", recording_protect)
     pair, report = solve_btcs(net, trees, task, cfg,
-                              control=SearchControl(stop=stop, poll_every=1))
+                              control=SearchControl(stop=stop))
     assert pair is None and report.outcome == "timeout"
     assert report.corridors_explored == 0 and report.ap_candidates_checked == 1
     assert protects == [first_ap]

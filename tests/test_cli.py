@@ -84,7 +84,9 @@ def test_sweep_alpha_on_empty_task_file(tmp_path):
     assert run("sweep-alpha", "--graph", str(graph), "--srlg", str(srlg),
                "--tasks", str(tasks), "--alphas", "5,10",
                "--out", str(sweep)) == 0
-    assert sweep.read_text().splitlines()[1:] == [
+    assert sweep.read_text().splitlines() == [
+        "alpha,tasks,feasible_found,feasible_under_20ms,feasible_under_50ms,"
+        "max_ms,mean_ms,median_ms",
         "5,0,0,0,0,0.000,0.000,0.000", "10,0,0,0,0,0.000,0.000,0.000"]
 
 
@@ -168,6 +170,19 @@ def test_histogram_time_limit_keeps_completed_bins_only(tmp_path, capsys):
     ("solve-drcr", "--tasks", "{tasks}", "--time-limit-ms", "nan"),
     ("histogram", "--task", "0,3,0,100", "--bin", "5",
      "--time-limit-ms", "nan"),
+    # a NaN limit exits 1 even when there is no task to give it to
+    ("solve-drcr", "--tasks", "{empty}", "--out", "{out}",
+     "--time-limit-ms", "nan"),
+    ("solve-srlg", "--srlg", "{srlg}", "--tasks", "{empty}", "--out", "{out}",
+     "--time-limit-ms", "nan"),
+    ("filter-tasks", "--tasks", "{empty}", "--kind", "drcr", "--out", "{out}",
+     "--time-limit-ms", "nan"),
+    ("filter-tasks", "--srlg", "{srlg}", "--tasks", "{empty}", "--kind",
+     "srlg", "--out", "{out}", "--time-limit-ms", "nan"),
+    ("bench", "--tasks", "{empty}", "--solver", "pulse", "--out", "{out}",
+     "--time-limit-ms", "nan"),
+    ("sweep-alpha", "--srlg", "{srlg}", "--tasks", "{empty}", "--out", "{out}",
+     "--time-limit-ms", "nan"),
 ])
 def test_non_finite_alpha_or_nan_time_limit_exits_1(tmp_path, capsys,
                                                      command):
@@ -180,13 +195,16 @@ def test_non_finite_alpha_or_nan_time_limit_exits_1(tmp_path, capsys,
     srlg_tasks = tmp_path / "t5.csv"
     # a stage-1 pair, then a task that reaches the corridor sweep
     srlg_tasks.write_text("0,3,0,100,100\n1,3,0,100,100\n")
-    names = dict(srlg=srlg, tasks=tasks, srlg_tasks=srlg_tasks,
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    names = dict(srlg=srlg, tasks=tasks, srlg_tasks=srlg_tasks, empty=empty,
                  out=tmp_path / "out.csv")
     argv = [arg.format(**names) for arg in command]
     assert run(argv[0], "--graph", str(graph), *argv[1:]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("drcr: ")
+    assert not names["out"].exists()
 
 
 @pytest.mark.parametrize("task", ["0,3,0,100", "0,3,0,100,100"])
@@ -350,6 +368,37 @@ def test_task_node_out_of_range_exits_2(tmp_path, capsys, task):
     assert run("histogram", "--graph", str(graph), f"--task={task}",
                "--bin", "5") == 2
     assert "t.csv:1: " in capsys.readouterr().err
+
+
+def test_solve_rows_keep_their_keys_and_order(tmp_path):
+    # the conftest diamond: the cheap route 0->1->3 takes delay 20
+    graph = tmp_path / "g.csv"
+    graph.write_text("nodes,4\n0,1,1,10\n1,3,1,10\n0,2,5,1\n2,3,5,1\n")
+    tasks = tmp_path / "t.csv"
+    tasks.write_text("0,3,0,15\n0,3,0,1\n")
+    for solver in ("pulse", "btbu1", "btbu2"):
+        out = tmp_path / f"{solver}.jsonl"
+        assert run("solve-drcr", "--graph", str(graph), "--tasks", str(tasks),
+                   "--solver", solver, "--out", str(out)) == 0
+        assert out.read_text().splitlines() == [
+            '{"task": "0,3,0,15", "outcome": "optimal", "cost": 10, '
+            '"delay": 2, "edges": [2, 3]}',
+            '{"task": "0,3,0,1", "outcome": "infeasible"}']
+    # the conftest trap network: the pair (B, C) is found in corridor 0
+    trap = tmp_path / "trap.csv"
+    trap.write_text("nodes,6\n0,1,1,1\n1,5,1,1\n0,2,2,1\n2,5,2,1\n"
+                    "0,3,10,1\n3,4,10,1\n4,5,10,1\n")
+    srlg = tmp_path / "trap-s.csv"
+    srlg.write_text("0:0,2\n1:1,4\n")
+    srlg_tasks = tmp_path / "trap-t.csv"
+    srlg_tasks.write_text("0,5,0,100,100\n")
+    out = tmp_path / "pairs.jsonl"
+    assert run("solve-srlg", "--graph", str(trap), "--srlg", str(srlg),
+               "--tasks", str(srlg_tasks), "--out", str(out)) == 0
+    assert out.read_text().splitlines() == [
+        '{"task": "0,5,0,100,100", "outcome": "pair", "corridors_explored": 1, '
+        '"ap_candidates_checked": 2, "ap_cost": 4, "ap_delay": 2, '
+        '"ap_edges": [2, 3], "pp_delay": 3, "pp_edges": [4, 5, 6]}']
 
 
 def test_solve_srlg_reports_the_cut_only_when_set(tmp_path):

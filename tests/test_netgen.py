@@ -253,14 +253,15 @@ def test_filter_tasks_srlg_runs_stage_one_once(trap_net, monkeypatch):
     assert calls.count(drcr.pulse._BEST) == 2
 
 
-def test_filter_tasks_srlg_deadline_labels_unknown(trap_net):
+def test_filter_tasks_srlg_deadline_labels_unknown(trap_net, poll_each_pulse):
     trap = SrlgTask(DrcrTask(0, 5, 0, 100), 50)
-    control = SearchControl(deadline=monotonic() - 1, poll_every=1)
+    control = SearchControl(deadline=monotonic() - 1)
     kept, labels = filter_tasks(trap_net, [trap], "srlg", control=control)
     assert kept == [trap] and labels == [UNKNOWN]
 
 
-def test_filter_tasks_srlg_egress_cut_keeps_only_tasks_with_an_ap():
+def test_filter_tasks_srlg_egress_cut_keeps_only_tasks_with_an_ap(
+        poll_each_pulse):
     # both egress edges of node 0 lie in SRLG 0: settled before any AP search
     net = Network(4, [Edge(0, 1, 1, 1), Edge(1, 3, 1, 1),
                       Edge(0, 2, 5, 1), Edge(2, 3, 5, 1)], [{0, 2}])
@@ -270,7 +271,7 @@ def test_filter_tasks_srlg_egress_cut_keeps_only_tasks_with_an_ap():
     assert kept == [trap] and labels == [UNAVOIDABLE]
     # the stop is seen before the cut test's first search, after its
     # entry poll
-    control = SearchControl(stop=_StopAfter(1), poll_every=1)
+    control = SearchControl(stop=_StopAfter(1))
     kept, labels = filter_tasks(net, [trap], "srlg", control=control)
     assert kept == [trap] and labels == [UNKNOWN]
 
@@ -286,10 +287,10 @@ class _StopAfter:
         return self.left < 0
 
 
-def test_filter_tasks_drcr_deadline_labels_unknown():
+def test_filter_tasks_drcr_deadline_labels_unknown(poll_each_pulse):
     net = Network(3, [Edge(0, 1, 1, 5), Edge(1, 2, 1, 5)])
     task = DrcrTask(0, 2, 0, 20)
-    control = SearchControl(deadline=monotonic() - 1, poll_every=1)
+    control = SearchControl(deadline=monotonic() - 1)
     kept, labels = filter_tasks(net, [task], "drcr", control=control)
     assert kept == [task] and labels == [UNKNOWN]
 

@@ -170,7 +170,8 @@ def test_pair_histogram_builds_at_most_cap_plus_one_paths(monkeypatch):
     assert len(built) == 3
 
 
-def test_pair_histogram_polls_between_protection_attempts(monkeypatch):
+def test_pair_histogram_polls_between_protection_attempts(monkeypatch,
+                                                         poll_each_pulse):
     net = _egress_cut_complete()
 
     stop = CountingStop()
@@ -184,7 +185,7 @@ def test_pair_histogram_polls_between_protection_attempts(monkeypatch):
     monkeypatch.setattr(drcr.btcs, "try_protect", recording_protect)
     hist = build_histogram(net, SrlgTask(DrcrTask(0, 6, 0, 100), 100),
                            10 ** 6, include_all=False,
-                           control=SearchControl(stop=stop, poll_every=1))
+                           control=SearchControl(stop=stop))
     assert hist.series["feasible"] == {0: 326}
     assert len(polls_at_protect) == 326
     assert all(b > a for a, b in zip(polls_at_protect, polls_at_protect[1:]))
@@ -257,8 +258,8 @@ def test_histogram_passed_deadline_keeps_no_bin(task):
 
 
 @pytest.mark.parametrize("task", _HISTOGRAM_TASKS)
-def test_histogram_deadline_mid_sweep_keeps_the_completed_bins(task,
-                                                               monkeypatch):
+def test_histogram_deadline_mid_sweep_keeps_the_completed_bins(
+        task, monkeypatch, poll_each_pulse):
     net = _weighted_complete(0)
     full = build_histogram(net, task, 4)
     assert not full.truncated
@@ -269,15 +270,14 @@ def test_histogram_deadline_mid_sweep_keeps_the_completed_bins(task,
         return ticks[0]
 
     monkeypatch.setattr(drcr.pulse, "monotonic", clock)
-    build_histogram(net, task, 4, control=SearchControl(deadline=inf,
-                                                        poll_every=1))
+    build_histogram(net, task, 4, control=SearchControl(deadline=inf))
     polls = ticks[0]
     assert polls > 1000
     partial = 0
     for deadline in range(0, polls + 1, polls // 60):
         ticks[0] = 0
         hist = build_histogram(net, task, 4, control=SearchControl(
-            deadline=deadline + 0.5, poll_every=1))
+            deadline=deadline + 0.5))
         assert list(hist.series) == list(full.series)
         assert hist.truncated == (deadline < polls)
         ended = None  # the sweep the deadline cut short

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drcr.btbu
+import drcr.pulse
 from drcr import (BTBU2, CostCorridor, DrcrTask, Edge, Network,
                   SearchCancelled, SearchControl, SearchCounters,
                   SearchTimeout, SrlgTask, build_histogram,
@@ -368,13 +369,13 @@ def test_deep_chain_does_not_hit_recursion_limit():
     assert path is not None and len(path.edges) == n - 1
 
 
-def test_deadline_raises_timeout():
+def test_deadline_raises_timeout(poll_each_pulse):
     n = 8
     edges = [Edge(u, v, 1, 1) for u in range(n) for v in range(n) if u != v]
     net = Network(n, edges)
     task = DrcrTask(0, n - 1, 0, 10 ** 9)
     trees = build_reverse_trees(net, task.target)
-    control = SearchControl(deadline=monotonic() - 1.0, poll_every=1)
+    control = SearchControl(deadline=monotonic() - 1.0)
     with pytest.raises(SearchTimeout):
         pulse_optimal(net, trees, task, control=control, prune=False)
 
@@ -393,38 +394,27 @@ def test_no_time_limit_and_no_stop_is_unlimited():
     assert (UNLIMITED.deadline, UNLIMITED.stop) == (None, None)
 
 
-def test_poll_interval_below_one_is_rejected():
-    # under a passed deadline this walk ends at its first poll; poll_every=0
-    # once switched off every in-walk poll, and it ran 2476 pulses to a path
-    n = 8
-    net = Network(n, [Edge(u, v, 1, 1) for u in range(n) for v in range(n) if u != v])
-    task = DrcrTask(0, n - 1, n - 1, n - 1)
-    trees = build_reverse_trees(net, task.target)
-    counters = SearchCounters()
-    with pytest.raises(SearchTimeout):
-        pulse_optimal(net, trees, task, counters=counters,
-                      control=SearchControl(deadline=monotonic() - 1.0))
-    assert counters.pulses == 1 + 512
-    for poll_every in (0, -1):
-        with pytest.raises(ValueError, match="poll_every"):
-            SearchControl(deadline=monotonic() - 1.0, poll_every=poll_every)
-
-
 def test_preset_stop_event_cancels_search():
     # complete digraph, delay window only met by Hamiltonian paths: the
-    # unpruned walk runs far past the 512-pulse poll interval
+    # unpruned walk runs far past the 512-pulse poll interval, and so does
+    # the pruned one (2476 pulses to a path); a set stop and a passed
+    # deadline each end both walks at their first poll
     n = 8
     net = Network(n, [Edge(u, v, 1, 1) for u in range(n) for v in range(n) if u != v])
     task = DrcrTask(0, n - 1, n - 1, n - 1)
     trees = build_reverse_trees(net, task.target)
     stop = threading.Event()
     stop.set()
-    counters = SearchCounters()
-    with pytest.raises(SearchCancelled):
-        pulse_optimal(net, trees, task, counters=counters,
-                      control=SearchControl(stop=stop), prune=False)
-    # the root pulse, then the poll_every pulses up to the first poll
-    assert counters.pulses == 1 + SearchControl().poll_every
+    for control, interruption in (
+            (SearchControl(stop=stop), SearchCancelled),
+            (SearchControl(deadline=monotonic() - 1.0), SearchTimeout)):
+        for prune in (False, True):
+            counters = SearchCounters()
+            with pytest.raises(interruption):
+                pulse_optimal(net, trees, task, counters=counters,
+                              control=control, prune=prune)
+            # the root pulse, then the POLL_EVERY pulses up to the first poll
+            assert counters.pulses == 1 + drcr.pulse.POLL_EVERY == 513
 
 
 def test_lazy_rows_match_eager_reference():

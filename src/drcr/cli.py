@@ -53,7 +53,10 @@ def _int_pair(text: str) -> tuple[int, int]:
 
 
 def _alpha_list(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p]
+    alphas = [float(p) for p in text.split(",") if p]
+    if not alphas or len(set(alphas)) < len(alphas):
+        raise argparse.ArgumentTypeError(f"expected distinct alphas, got {text!r}")
+    return alphas
 
 
 def build_parser() -> argparse.ArgumentParser:

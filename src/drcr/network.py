@@ -65,8 +65,8 @@ class Network:
         adjacency: per-node tuple of egress EdgeIds.
         min_edge_cost, max_edge_cost, max_edge_delay: weight extremes, None
             without edges.
-        reverse_arcs: the ``(first, count, tail, weight)`` int64 arrays of
-            the stacked reverse graph, sorted by head, that the numpy tree
+        reverse_arcs: the ``(head, tail, weight)`` int64 arrays of the
+            stacked reverse graph's arcs, sorted by head, that the numpy tree
             route reads, built on first use.
         reverse_adjacency: the same arcs as ``(tail, weight)`` tuples in
             Python ints, per stacked node, that the heap tree route reads,
@@ -131,37 +131,31 @@ class Network:
         self.edge_srlgs = tuple(edge_srlgs)
 
     @property
-    def reverse_arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                    np.ndarray]:
-        """Read-only int64 arrays ``(first, count, tail, weight)`` of the
-        stacked reverse graph, grouped by head: the input of the numpy route
+    def reverse_arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only int64 arrays ``(head, tail, weight)`` of the stacked
+        reverse graph, 2m arcs grouped by head: the input of the numpy route
         of the reverse trees.
 
         The stacked graph has 2 * node_count nodes: nodes 0..n-1 carry cost
         and nodes n..2n-1 carry delay.  An edge from u to v gives an arc from
         v to u weighted by its cost and an arc from v + n to u + n weighted
         by its delay, so a tree relaxes the label of the tail from the label
-        of the head and the metrics never meet.  The arcs whose head is
-        stacked node h are ``first[h]`` up to ``first[h] + count[h]`` of
-        ``tail`` and ``weight`` (2n entries each in ``first`` and ``count``,
-        2m in ``tail`` and ``weight``); within a head they keep edge order,
-        and the delay arcs of head v + n mirror the cost arcs of head v, m
-        arcs up.  The weights must fit int64; the trees build the arrays only
-        when they do.  Built at most once per network and shared with
-        ``with_srlgs`` copies.
+        of the head and the metrics never meet.  The arcs are sorted by head,
+        within a head in edge order, and the delay arcs (the last m) mirror
+        the cost arcs, n nodes up.  The weights must fit int64; the trees
+        build the arrays only when they do.  Built at most once per network
+        and shared with ``with_srlgs`` copies.
         """
         arcs = self._memo.get("reverse_arcs")
         if arcs is None:
             edges, n, m = self.edges, self.node_count, len(self.edges)
             dst = np.fromiter((e.dst for e in edges), np.int64, m)
             order = np.argsort(dst, kind="stable")
-            count = np.bincount(dst, minlength=n)
-            first = np.cumsum(count) - count
+            head = dst[order]
             tail = np.fromiter((e.src for e in edges), np.int64, m)[order]
             cost = np.fromiter((e.cost for e in edges), np.int64, m)[order]
             delay = np.fromiter((e.delay for e in edges), np.int64, m)[order]
-            arcs = (np.concatenate((first, first + m)),
-                    np.concatenate((count, count)),
+            arcs = (np.concatenate((head, head + n)),
                     np.concatenate((tail, tail + n)),
                     np.concatenate((cost, delay)))
             for a in arcs:
@@ -171,12 +165,12 @@ class Network:
 
     @property
     def reverse_adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per stacked node, the ``(tail, weight)`` pairs of its arcs in
-        ``reverse_arcs``, in the same order: the heap route's input.  An edge
-        from u to v is ``(u, cost)`` at v and ``(u + n, delay)`` at v + n, in
-        Python ints, so weights past int64 stay exact.  Built at most once
-        per network, only when the heap runs, and shared with ``with_srlgs``
-        copies.
+        """Per stacked node h, the ``(tail, weight)`` pairs of the arcs in
+        ``reverse_arcs`` whose head is h, in the same order: the heap route's
+        input.  An edge from u to v is ``(u, cost)`` at v and ``(u + n,
+        delay)`` at v + n, in Python ints, so weights past int64 stay exact.
+        Built at most once per network, only when the heap runs, and shared
+        with ``with_srlgs`` copies.
         """
         rev = self._memo.get("reverse_adjacency")
         if rev is None:

@@ -14,15 +14,15 @@ weight of either metric.
 
 * The frontier route: both trees in one vectorised relaxation (Bellman, "On
   a routing problem", 1958, run as a frontier walk) over
-  ``Network.reverse_arcs``, a stacked graph of 2n nodes whose nodes
-  0..n-1 carry cost and n..2n-1 carry delay, its arcs grouped by head.
-  The frontier is the sorted array of the nodes whose label fell in the
-  last round, at first the target in both halves.  A round lays the
-  frontier's arc ranges end to end (``np.repeat`` of their first arcs over
-  their counts, plus ``np.arange``), relaxes every gathered arc with
-  ``np.minimum.at`` and takes the nodes whose label fell as the next
-  frontier, so its work follows the frontier's own arcs and not all 2m.
-  The walk ends when a round finds no arc to relax.  A label is always
+  ``Network.reverse_arcs``, the heads, tails and weights of the arcs of a
+  stacked graph of 2n nodes whose nodes 0..n-1 carry cost and n..2n-1
+  carry delay.  The frontier is the mask of the nodes whose label fell in
+  the last round, at first the target in both halves.  A round selects
+  the arcs whose head is in the mask with one gather of the mask over the
+  2m heads, relaxes every selected arc with ``np.minimum.at`` and takes
+  the mask of the labels that fell as the next frontier: ten numpy calls,
+  whose only work over all 2m arcs is that gather and its scan.  The walk
+  ends when a round finds no arc to relax.  A label is always
   the length of a simple path, so it stays below n * W; the route runs
   only while n * W < 2**62, so int64 sums and their sentinel cannot
   overflow.
@@ -44,34 +44,35 @@ label-correcting method).  The trees are the two halves of the labels.
 Both constants were measured per tree pair on a shared 2-core VM (CPython
 3.11.7, numpy 2.4.6).  The frontier route runs when n + m is at least
 FRONTIER_MIN_SIZE: below it numpy's fixed cost per call loses to the heap.
-Frontier time over heap time on generated graphs (median over 12 targets,
-best of 7 interleaved passes):
+Frontier time over heap time on generated graphs (median over 12 targets on
+each of three graphs, best of 7 interleaved passes):
 
     graph        n + m: frontier / heap                 crossover
-    ER k=2       735: 1.08   913: 0.97    1220: 0.83     about 850
-    ER k=3       639: 1.03   795: 0.93    1192: 0.71     about 700
-    ER k=5       742: 1.01   976: 0.91    1226: 0.78     about 750
-    ER k=7       637: 1.23   782: 0.99    1297: 0.75     about 780
-    SF m=1       298: 1.42   388: 1.00     598: 0.80     about 400
-    SF m=2       392: 1.21   492: 0.99     992: 0.91     500 to 800
-    SF m=4       508: 1.04   688: 0.95    1138: 0.81     about 600
+    ER k=2       388: 1.12   509: 0.83     601: 0.75    about 450
+    ER k=3       286: 1.01   400: 0.91     528: 0.80    about 300
+    ER k=5       197: 1.27   324: 1.00     399: 0.93    about 320
+    ER k=7       321: 1.18   423: 0.96     510: 0.92    about 410
+    SF m=1       298: 0.70   448: 0.62     598: 0.55    below 300
+    SF m=2       327: 0.89   492: 0.78     657: 0.71    below 330
+    SF m=4       328: 1.02   508: 0.91     688: 0.86    about 340
 
 A walk's round count follows the hop depth of the trees.  Generated
 graphs of 5000 nodes need up to 28 rounds at ER mean out-degree 2 and up
 to 19 on scale-free m=1; at 20 000 nodes up to 35 and 23.  A 1000-node
-chain needs 1000, at about 12 us a round against 0.67 ms for the heap's
-whole pair.  Milliseconds per pair by FRONTIER_MAX_ROUNDS (10 spread
+chain needs 1000, each about a ninetieth of the heap's whole pair (21 us
+against 1.9 ms).  Milliseconds per pair by FRONTIER_MAX_ROUNDS (10 spread
 targets, the chain rooted at its end; best of 15 interleaved passes, 7 at
 20 000 nodes):
 
     graph           heap    16      24      32      48
-    chain-1000      0.67    0.95    1.04    1.14    1.33
-    ER-5000 k=2     2.99    1.76    1.39    1.38    1.40
-    ER-20000 k=2    23.0    15.7    6.90    6.20    6.11
-    SF-20000 m=1    24.2    4.02    3.99    3.99    3.88
+    chain-1000      0.91    1.12    1.20    1.42    2.75
+    ER-5000 k=2     9.96    5.22    2.99    3.01    2.99
+    ER-20000 k=2    47.9    36.3    13.0    13.3    13.6
+    SF-20000 m=1    66.0    11.5    12.4    12.4    12.6
 
-32 rounds is within 2% of the best on each generated graph and saves the
-chain 14% against 48; the chain still takes 1.7 times the heap alone.
+32 rounds is within 2% of the best from 24 to 48 on each generated graph
+(16 takes 7% off SF-20000 m=1 but 2.7 times as long on ER-20000 k=2) and
+saves the chain 48% against 48; the chain takes 1.6 times the heap alone.
 Dial's bucket ring, once a third route, was 3-15% faster than the frontier
 route on dense graphs of 60 to 100 nodes and lost to it from 200 nodes up
 (``BENCH_14.json``), too little to keep a third route for.
@@ -91,7 +92,7 @@ import numpy as np
 from .network import IntegrityError, Network
 
 # n + m from which the frontier route runs (measured crossover)
-FRONTIER_MIN_SIZE = 700
+FRONTIER_MIN_SIZE = 450
 # rounds after which a frontier walk hands over to the heap (measured)
 FRONTIER_MAX_ROUNDS = 32
 # the frontier route runs while n * W is below this
@@ -110,30 +111,24 @@ class ReverseTrees:
         self.min_delay_to_target = min_delay_to_target
 
 
-def _frontier_walk(arcs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+def _frontier_walk(arcs: tuple[np.ndarray, np.ndarray, np.ndarray],
                    n: int, target: int, rounds: int) -> tuple[np.ndarray, np.ndarray]:
     """The stacked labels after at most ``rounds`` frontier rounds over
     ``arcs`` from ``target``, and the frontier left: the sorted nodes whose
     label fell in the last round, empty once a round finds no arc to relax."""
-    first, count, tail, weight = arcs
+    head, tail, weight = arcs
     dist = np.full(2 * n, _UNREACHED, dtype=np.int64)
     dist[target] = dist[n + target] = 0
-    frontier = np.array([target, n + target])
+    fell = dist == 0
     for _ in range(rounds):
-        counts = count[frontier]
-        ends = np.cumsum(counts)
-        if not ends.size or not ends[-1]:
-            return dist, frontier[:0]
-        # the frontier's arc ranges laid end to end: gathered arc i of node
-        # j is arc first[j] + i - (ends[j] - counts[j])
-        arc = np.repeat(first[frontier] - ends + counts, counts)
-        arc += np.arange(ends[-1])
-        relaxed = np.repeat(dist[frontier], counts)
-        relaxed += weight[arc]
+        arc = np.flatnonzero(fell.take(head))
+        if not arc.size:
+            return dist, arc
+        relaxed = dist.take(head.take(arc)) + weight.take(arc)
         before = dist.copy()
-        np.minimum.at(dist, tail[arc], relaxed)
-        frontier = np.flatnonzero(dist < before)
-    return dist, frontier
+        np.minimum.at(dist, tail.take(arc), relaxed)
+        fell = dist < before
+    return dist, np.flatnonzero(fell)
 
 
 def _heap_walk(rev: tuple[tuple[tuple[int, int], ...], ...],
@@ -179,11 +174,18 @@ def build_reverse_trees(net: Network, target: int) -> ReverseTrees:
     if n + len(net.edges) >= FRONTIER_MIN_SIZE and n * top < _INT64_GUARD:
         dist, frontier = _frontier_walk(net.reverse_arcs, n, target,
                                         FRONTIER_MAX_ROUNDS)
-        labels = dist.tolist()
-        # a node's label turns finite in the round of its hop count to the
-        # target, in both halves, so the halves share the unreached nodes
-        for v in np.flatnonzero(dist[:n] == _UNREACHED).tolist():
-            labels[v] = labels[n + v] = inf
+        # the halves share the unreached nodes (a label turns finite in the
+        # round of its hop count); the list is filled from the smaller side
+        unreached = np.flatnonzero(dist[:n] == _UNREACHED)
+        if 2 * unreached.size <= n:
+            labels = dist.tolist()
+            for v in unreached.tolist():
+                labels[v] = labels[n + v] = inf
+        else:
+            labels = [inf] * (2 * n)
+            reached = np.flatnonzero(dist != _UNREACHED)
+            for v, d in zip(reached.tolist(), dist.take(reached).tolist()):
+                labels[v] = d
         start = frontier.tolist()
     else:
         labels = [inf] * (2 * n)

@@ -248,6 +248,28 @@ def test_sweep_alpha_rejects_a_bad_alpha_before_any_suite(tmp_path, capsys,
     assert suites == []
 
 
+@pytest.mark.parametrize("alphas", [",", "5,5"])
+def test_sweep_alpha_rejects_an_empty_or_repeated_alpha_list(
+        tmp_path, capsys, monkeypatch, alphas):
+    graph = tmp_path / "g.csv"
+    graph.write_text("nodes,4\n0,1,1,1\n1,3,1,1\n0,2,5,1\n2,3,5,1\n")
+    srlg = tmp_path / "s.csv"
+    srlg.write_text("0:0\n1:2\n")
+    tasks = tmp_path / "t.csv"
+    tasks.write_text("1,3,0,100,100\n")
+    out = tmp_path / "sweep.csv"
+    monkeypatch.setattr(bench_mod, "run_suite", lambda *a, **kw: pytest.fail(
+        "a suite ran"))
+    assert run("sweep-alpha", "--graph", str(graph), "--srlg", str(srlg),
+               "--tasks", str(tasks), "--alphas", alphas,
+               "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"error: argument --alphas: expected distinct alphas, got {alphas!r}\n")
+    assert not out.exists()
+
+
 def test_alpha_past_the_largest_path_cost_sweeps_one_corridor(tmp_path, capsys):
     # node 1's only route 1->3 lies in no SRLG, so the task reaches the
     # sweep; a width of 2 * 1e308 overflows a float, and is clamped to

@@ -281,22 +281,16 @@ def test_adjacency_and_inverse_invariants():
         assert sorted((tail, head, weight)
                       for head, row in enumerate(net.reverse_adjacency)
                       for tail, weight in row) == stacked
-        # the stacked arcs, grouped by head: head h's arcs are first[h] up to
-        # first[h] + count[h], the ranges follow one another in head order,
-        # and the counts sum to 2m
-        first, count, tail, weight = (a.tolist() for a in net.reverse_arcs)
+        # the stacked arcs, 2m of them, sorted by head: every edge once as
+        # a cost arc at its head v and once, n nodes and m arcs up, as a
+        # delay arc at v + n; within a head in edge order
+        head, tail, weight = (a.tolist() for a in net.reverse_arcs)
         n, m = net.node_count, len(net.edges)
-        assert len(first) == len(count) == 2 * n
-        assert len(tail) == len(weight) == sum(count) == 2 * m
-        assert first == [sum(count[:h]) for h in range(2 * n)]
-        # every edge once as a cost arc at its head v and once, n nodes and
-        # m arcs up, as a delay arc at v + n; within a head in edge order
-        arcs = [(tail[first[v] + j], v, weight[first[v] + j],
-                 weight[first[v + n] + j])
-                for v in range(n) for j in range(count[v])]
-        assert arcs == [tuple(e) for e in sorted(net.edges, key=lambda e: e.dst)]
-        assert count[n:] == count[:n]
-        assert first[n:] == [f + m for f in first[:n]]
+        assert len(head) == len(tail) == len(weight) == 2 * m
+        assert head == sorted(head)
+        assert list(zip(tail[:m], head[:m], weight[:m], weight[m:])) == [
+            tuple(e) for e in sorted(net.edges, key=lambda e: e.dst)]
+        assert head[m:] == [v + n for v in head[:m]]
         assert tail[m:] == [u + n for u in tail[:m]]
         for gid, group in enumerate(net.srlg_groups):
             for eid in group:
@@ -310,15 +304,15 @@ def test_adjacency_and_inverse_invariants():
 @given(st.randoms(use_true_random=False), st.sampled_from((20, 10 ** 15)))
 def test_property_reverse_adjacency_is_reverse_arcs_range_by_range(rng, top):
     # the heap's rows and the frontier's arrays are one stacked graph: the
-    # row of stacked node h holds exactly the tails and weights of arcs
-    # first[h] up to first[h] + count[h], in that order
+    # row of stacked node h holds exactly the tails and weights of the arcs
+    # whose head is h, in arc order
     net = random_network(rng, max_cost=top, max_delay=top)
-    first, count, tail, weight = (a.tolist() for a in net.reverse_arcs)
+    head, tail, weight = (a.tolist() for a in net.reverse_arcs)
     rows = net.reverse_adjacency
-    assert len(rows) == len(first) == 2 * net.node_count
+    assert len(rows) == 2 * net.node_count
     for h, row in enumerate(rows):
-        arcs = range(first[h], first[h] + count[h])
-        assert row == tuple((tail[a], weight[a]) for a in arcs)
+        assert row == tuple((tail[a], weight[a])
+                            for a in range(len(head)) if head[a] == h)
         assert all(type(u) is int and type(w) is int for u, w in row)
 
 

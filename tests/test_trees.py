@@ -321,6 +321,26 @@ def test_walk_handed_to_the_heap_at_any_round_is_exact(monkeypatch):
     assert unsettled
 
 
+def test_frontier_route_with_most_nodes_unreached():
+    # at mean out-degree 1 every sampled target is reached from at most 225
+    # of the 1000 nodes, so the labels are filled in from the reached side
+    net = _deep_graph(1000, seed=4)
+    for target in range(0, net.node_count, 37):
+        trees = _frontier(net, target)
+        cost = bellman_ford_to_target(net, target, "cost")
+        assert trees.min_cost_to_target == cost
+        assert trees.min_delay_to_target == bellman_ford_to_target(
+            net, target, "delay")
+        assert 2 * sum(c != inf for c in cost) < net.node_count
+        _assert_python_ints(trees)
+    # either side of the switch: half the nodes reached, then fewer
+    for n in (4, 5):
+        trees = _frontier(Network(n, [Edge(1, 0, 2, 3)]), 0)
+        assert trees.min_cost_to_target == [0, 2] + [inf] * (n - 2)
+        assert trees.min_delay_to_target == [0, 3] + [inf] * (n - 2)
+        _assert_python_ints(trees)
+
+
 def test_a_label_that_falls_twice_reenters_the_frontier():
     # cost: node 1 reaches the target 0 at 10 directly, then at 2 through
     # node 2, one round later; node 3, behind node 1, falls with it.
@@ -340,13 +360,14 @@ def test_a_label_that_falls_twice_reenters_the_frontier():
 
 
 def test_frontier_nodes_without_ingress_arcs():
-    # the second round's frontier, nodes 1..3 in both halves, gathers arc
-    # ranges of 2, 0 and 1 arcs; the third's, nodes 5..7, has no arc at all
-    # and ends the walk, as does a target without ingress arcs at once
+    # the second round's frontier, nodes 1..3 in both halves, heads 2, 0
+    # and 1 arcs; the third's, nodes 5..7, heads no arc at all and ends the
+    # walk, as does a target without ingress arcs at once
     n = 8
     net = Network(n, [Edge(1, 0, 1, 2), Edge(2, 0, 3, 4), Edge(3, 0, 5, 6),
                       Edge(5, 1, 7, 8), Edge(6, 1, 9, 10), Edge(7, 3, 11, 12)])
-    assert net.reverse_arcs[1].tolist() == [3, 2, 0, 1, 0, 0, 0, 0] * 2
+    heads = [0, 0, 0, 1, 1, 3]
+    assert net.reverse_arcs[0].tolist() == heads + [n + h for h in heads]
     walks = [trees_mod._frontier_walk(net.reverse_arcs, n, 0, r) for r in range(4)]
     assert [f.tolist() for _, f in walks] == [
         [0, n], [1, 2, 3, n + 1, n + 2, n + 3], [5, 6, 7, n + 5, n + 6, n + 7], []]

@@ -177,16 +177,6 @@ def write_records_jsonl(records: Iterable[BenchRecord], f: IO[str],
         f.write(json.dumps(asdict(r), sort_keys=True) + "\n")
 
 
-def read_records_jsonl(f: IO[str]) -> list[BenchRecord]:
-    records = []
-    for line in f:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        records.append(BenchRecord(**json.loads(line)))
-    return records
-
-
 def write_summary_csv(rows: Sequence[SolverSummary], f: IO[str],
                       meta: dict | None = None) -> None:
     for line in _meta_lines(meta):

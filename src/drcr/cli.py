@@ -139,7 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tasks", required=True)
     p.add_argument("--solver", action="append", required=True,
                    choices=bench_mod.SOLVERS,
-                   help="repeatable; each solver runs the whole suite")
+                   help="repeatable, each solver once; each runs the "
+                        "whole suite")
     p.add_argument("--time-limit-ms", type=float)
     p.add_argument("--repetitions", type=int, default=1)
     p.add_argument("--alpha", type=float, default=BtcsConfig.alpha)
@@ -274,6 +275,9 @@ def _cmd_histogram(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if len(set(args.solver)) < len(args.solver):
+        raise ValueError(f"each --solver may be given once, got "
+                         f"{', '.join(args.solver)}")
     srlg = "btcs" in args.solver
     if srlg and set(args.solver) != {"btcs"}:
         raise ValueError("btcs takes 5-column tasks and the other solvers "

@@ -169,8 +169,10 @@ class Network:
         ``reverse_arcs`` whose head is h, in the same order: the heap route's
         input.  An edge from u to v is ``(u, cost)`` at v and ``(u + n,
         delay)`` at v + n, in Python ints, so weights past int64 stay exact.
-        Built at most once per network, only when the heap runs, and shared
-        with ``with_srlgs`` copies.
+        Built at most once per network, only when the heap runs (for n * W
+        at or past 2**62, or for the rest of a walk past
+        ``FRONTIER_MAX_ROUNDS`` rounds), and shared with ``with_srlgs``
+        copies.
         """
         rev = self._memo.get("reverse_adjacency")
         if rev is None:
@@ -204,15 +206,6 @@ class Network:
     def max_elementary_path_cost(self) -> int:
         """Upper bound on the cost of any elementary path."""
         return self.node_count * (self.max_edge_cost or 0)
-
-    def __eq__(self, other):
-        return (isinstance(other, Network)
-                and self.node_count == other.node_count
-                and self.edges == other.edges
-                and self.srlg_groups == other.srlg_groups)
-
-    def __hash__(self):
-        return hash((self.node_count, self.edges, self.srlg_groups))
 
     def __repr__(self):
         return (f"Network(nodes={self.node_count}, edges={len(self.edges)}, "

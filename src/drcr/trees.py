@@ -8,31 +8,28 @@ preprocessing covers all of its target-dependent work; their inputs depend
 on the edges alone and are built once per network.  Unreachable nodes carry
 math.inf, and every finite distance is a Python int.
 
-Two routes compute the same trees, chosen from the data with no option to
-set.  Let n be the node count, m the edge count and W the largest edge
+Two routes compute the same trees, chosen from the weights with no option
+to set.  Let n be the node count, m the edge count and W the largest edge
 weight of either metric.
 
-* The frontier route: both trees in one vectorised relaxation (Bellman, "On
-  a routing problem", 1958, run as a frontier walk) over
-  ``Network.reverse_arcs``, the heads, tails and weights of the arcs of a
-  stacked graph of 2n nodes whose nodes 0..n-1 carry cost and n..2n-1
-  carry delay.  The frontier is the mask of the nodes whose label fell in
-  the last round, at first the target in both halves.  A round selects
-  the arcs whose head is in the mask with one gather of the mask over the
-  2m heads, relaxes every selected arc with ``np.minimum.at`` and takes
-  the mask of the labels that fell as the next frontier: ten numpy calls,
-  whose only work over all 2m arcs is that gather and its scan.  The walk
-  ends when a round finds no arc to relax.  A label is always
-  the length of a simple path, so it stays below n * W; the route runs
-  only while n * W < 2**62, so int64 sums and their sentinel cannot
-  overflow.
-* The heap route: Dijkstra over ``Network.reverse_adjacency``, the same
-  stacked graph in Python tuples, both trees in one queue: a dict from
-  distance to the nodes reached at it and a heap of the distinct
-  distances, so many nodes at one distance cost one heap operation.  Costs
-  and delays are positive integers, so a bucket is never extended while it
-  is drained; an entry whose node has since moved to a smaller distance is
-  stale and skipped.  Python ints keep it exact at any magnitude.
+* The frontier route, whenever n * W < 2**62, whatever the graph's size:
+  both trees in one vectorised relaxation (Bellman, "On a routing
+  problem", 1958, run as a frontier walk) over ``Network.reverse_arcs``,
+  the heads, tails and weights of the arcs of a stacked graph of 2n nodes
+  whose nodes 0..n-1 carry cost and n..2n-1 carry delay.  The frontier is
+  the mask of the nodes whose label fell in the last round, at first the
+  target in both halves.  A round selects the arcs whose head is in the
+  mask with one gather of the mask over the 2m heads, relaxes every
+  selected arc with ``np.minimum.at`` and takes the mask of the labels that
+  fell as the next frontier: ten numpy calls, whose only work over all 2m
+  arcs is that gather and its scan.  The walk ends when a round finds no
+  arc to relax.  A label is always the length of a simple path, so it
+  stays below n * W, and int64 sums and their sentinel cannot overflow.
+* The heap route, for n * W at or past 2**62: a lazy-deletion Dijkstra
+  over ``Network.reverse_adjacency``, the same stacked graph in Python
+  tuples, both trees in one heap of ``(label, node)`` pairs that skips an
+  entry whose label has since fallen.  Python ints keep it exact at any
+  magnitude.
 
 The heap starts from the target's two stacked nodes at 0, or goes on from
 a frontier walk not done after FRONTIER_MAX_ROUNDS rounds, with the walk's
@@ -41,20 +38,31 @@ frontier can still break the triangle inequality, and a node is queued
 again on every fall of its label, so the trees stay exact (the generic
 label-correcting method).  The trees are the two halves of the labels.
 
-Both constants were measured per tree pair on a shared 2-core VM (CPython
-3.11.7, numpy 2.4.6).  The frontier route runs when n + m is at least
-FRONTIER_MIN_SIZE: below it numpy's fixed cost per call loses to the heap.
-Frontier time over heap time on generated graphs (median over 12 targets on
-each of three graphs, best of 7 interleaved passes):
+Times below are per tree pair on a shared 2-core VM (CPython 3.11.7, numpy
+2.4.6).  Small graphs pay numpy's fixed cost per call, which the heap does
+not (weights 1..100, 10-12 spread targets; the median over 10 processes of
+the best of 10 interleaved passes, and of the per-process ratios):
 
-    graph        n + m: frontier / heap                 crossover
-    ER k=2       388: 1.12   509: 0.83     601: 0.75    about 450
-    ER k=3       286: 1.01   400: 0.91     528: 0.80    about 300
-    ER k=5       197: 1.27   324: 1.00     399: 0.93    about 320
-    ER k=7       321: 1.18   423: 0.96     510: 0.92    about 410
-    SF m=1       298: 0.70   448: 0.62     598: 0.55    below 300
-    SF m=2       327: 0.89   492: 0.78     657: 0.71    below 330
-    SF m=4       328: 1.02   508: 0.91     688: 0.86    about 340
+    graph        n + m   heap us   frontier us   frontier / heap
+    ER-10 k=3       43      21.2          73.3              3.18
+    ER-20 k=3       81      40.5          98.5              2.32
+    SF-30 m=1       88      46.6          97.2              1.78
+    ER-30 k=3      105      50.9         119.0              2.20
+    SF-50 m=1      148      72.8         106.7              1.26
+    ER-90 k=3      337     158.7         195.1              0.99
+    ER-60 k=5      363     175.1         148.2              0.80
+    ER-100 k=3     383     154.7         132.9              0.84
+
+That is some 35-70 us a pair below n + m of 150 and nothing from about 340
+up; no benchmark workload is that small, so the size does not choose the
+route.  The heap is a plain binary heap: measured the same way, it took
+0.87-0.95 times the time of a bucket queue (a heap of the distinct
+distances and a dict of the nodes at each) on ER-30 k=3, ER-200 k=5,
+ER-1000 k=7 and SF-1000 m=2 at weights 1..10**17, and 0.76 (chain-1000),
+0.88 (ladder-300) and 0.99 (ER-20000 k=2) of it on walks handed over after
+32 rounds.  The bucket queue wins only where many nodes tie at one
+distance: 1.05-1.22 times faster on the ER graphs of n + m 337-383 above,
+which take the frontier route.
 
 A walk's round count follows the hop depth of the trees.  Generated
 graphs of 5000 nodes need up to 28 rounds at ER mean out-degree 2 and up
@@ -73,8 +81,9 @@ targets, the chain rooted at its end; best of 15 interleaved passes, 7 at
 32 rounds is within 2% of the best from 24 to 48 on each generated graph
 (16 takes 7% off SF-20000 m=1 but 2.7 times as long on ER-20000 k=2) and
 saves the chain 48% against 48; the chain takes 1.6 times the heap alone.
-Dial's bucket ring, once a third route, was 3-15% faster than the frontier
-route on dense graphs of 60 to 100 nodes and lost to it from 200 nodes up
+That table was taken with the bucket queue as the heap.  Dial's bucket
+ring, once a third route, was 3-15% faster than the frontier route on
+dense graphs of 60 to 100 nodes and lost to it from 200 nodes up
 (``BENCH_14.json``), too little to keep a third route for.
 
 Trees computed on the full network stay valid lower bounds on any
@@ -91,8 +100,6 @@ import numpy as np
 
 from .network import IntegrityError, Network
 
-# n + m from which the frontier route runs (measured crossover)
-FRONTIER_MIN_SIZE = 450
 # rounds after which a frontier walk hands over to the heap (measured)
 FRONTIER_MAX_ROUNDS = 32
 # the frontier route runs while n * W is below this
@@ -138,29 +145,19 @@ def _heap_walk(rev: tuple[tuple[tuple[int, int], ...], ...],
 
     Every arc that leaves a node outside ``start`` must already hold (the
     label of its tail is at most the label of its head plus its weight).
-    A node is queued again on every fall of its label, so the result is
-    exact.  ``level`` maps each queued distance to the nodes reached at
-    it, and ``keys`` is a heap of those distances."""
-    level: dict[float, list[int]] = {}
-    for v in start:
-        level.setdefault(labels[v], []).append(v)
-    keys = list(level)
-    heapify(keys)
-    while keys:
-        d = heappop(keys)
-        for v in level.pop(d):
-            if labels[v] != d:
-                continue
-            for u, w in rev[v]:
-                nd = d + w
-                if nd < labels[u]:
-                    labels[u] = nd
-                    bucket = level.get(nd)
-                    if bucket is None:
-                        level[nd] = [u]
-                        heappush(keys, nd)
-                    else:
-                        bucket.append(u)
+    A node is queued again on every fall of its label, and an entry whose
+    label has since fallen is skipped, so the result is exact."""
+    heap = [(labels[v], v) for v in start]
+    heapify(heap)
+    while heap:
+        d, v = heappop(heap)
+        if d != labels[v]:
+            continue
+        for u, w in rev[v]:
+            nd = d + w
+            if nd < labels[u]:
+                labels[u] = nd
+                heappush(heap, (nd, u))
 
 
 def build_reverse_trees(net: Network, target: int) -> ReverseTrees:
@@ -171,7 +168,7 @@ def build_reverse_trees(net: Network, target: int) -> ReverseTrees:
         raise IntegrityError(f"target {target} is not a node of the "
                              f"{n}-node network")
     top = max(net.max_edge_cost or 0, net.max_edge_delay or 0)
-    if n + len(net.edges) >= FRONTIER_MIN_SIZE and n * top < _INT64_GUARD:
+    if n * top < _INT64_GUARD:
         dist, frontier = _frontier_walk(net.reverse_arcs, n, target,
                                         FRONTIER_MAX_ROUNDS)
         # the halves share the unreached nodes (a label turns finite in the

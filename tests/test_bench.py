@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import io
+import json
 import random
 import threading
+from dataclasses import asdict
 from math import inf
 
 import pytest
@@ -17,8 +19,8 @@ from drcr import (BenchRecord, DrcrTask, Edge, IntegrityError, Network,
                   SearchControl, SearchCounters, SrlgTask, build_reverse_trees,
                   pulse_optimal, run_suite, summarize, sweep_alpha)
 from drcr import bench as bench_mod
-from drcr.bench import (read_records_jsonl, write_records_jsonl,
-                        write_summary_csv, write_summary_text)
+from drcr.bench import (write_records_jsonl, write_summary_csv,
+                        write_summary_text)
 
 from conftest import random_network, random_task, trap_network
 
@@ -134,17 +136,11 @@ def test_records_jsonl_roundtrip():
     records = [BenchRecord(0, "pulse", "optimal", 1234, pulses=5, ap_cost=7)]
     buf = io.StringIO()
     write_records_jsonl(records, buf, meta={"seed": 1})
-    buf.seek(0)
-    assert buf.getvalue().startswith("# seed=1\n")
-    assert read_records_jsonl(buf) == records
-
-
-def test_records_jsonl_without_error_field_still_read():
-    old = ('{"ap_candidates_checked": 0, "ap_cost": 7, "corridors_explored": 0, '
-           '"outcome": "optimal", "pulses": 5, "solver": "pulse", '
-           '"task_id": 0, "wall_time_us": 1234}\n')
-    [record] = read_records_jsonl(io.StringIO(old))
-    assert record.error is None and record.ap_cost == 7
+    meta, line = buf.getvalue().splitlines()
+    assert meta == "# seed=1"
+    fields = json.loads(line)
+    assert list(fields) == sorted(asdict(records[0]))
+    assert BenchRecord(**fields) == records[0]
 
 
 def test_summary_writers_include_meta():

@@ -270,6 +270,24 @@ def test_sweep_alpha_rejects_an_empty_or_repeated_alpha_list(
     assert not out.exists()
 
 
+def test_bench_rejects_a_repeated_solver_before_any_file(tmp_path, capsys,
+                                                        monkeypatch):
+    # the files do not exist: a repeated solver exits 1 before they are
+    # read (a missing file would exit 2), and no suite runs
+    out = tmp_path / "summary.txt"
+    monkeypatch.setattr(bench_mod, "run_suite", lambda *a, **kw: pytest.fail(
+        "a suite ran"))
+    assert run("bench", "--graph", str(tmp_path / "nope.csv"),
+               "--tasks", str(tmp_path / "nope-t.csv"), "--solver", "pulse",
+               "--solver", "btbu1", "--solver", "pulse",
+               "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("drcr: each --solver may be given once, "
+                            "got pulse, btbu1, pulse\n")
+    assert not out.exists()
+
+
 def test_alpha_past_the_largest_path_cost_sweeps_one_corridor(tmp_path, capsys):
     # node 1's only route 1->3 lies in no SRLG, so the task reaches the
     # sweep; a width of 2 * 1e308 overflows a float, and is clamped to

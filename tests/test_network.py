@@ -118,7 +118,8 @@ def test_roundtrip_bit_exact(tmp_path):
         g1, s1 = tmp_path / "a.csv", tmp_path / "a_srlg.csv"
         save_network(net, g1, s1)
         loaded = load_network(g1, s1)
-        assert loaded == net
+        assert (loaded.node_count, loaded.edges, loaded.srlg_groups) == (
+            net.node_count, net.edges, net.srlg_groups)
         g2, s2 = tmp_path / "b.csv", tmp_path / "b_srlg.csv"
         save_network(loaded, g2, s2)
         assert g1.read_bytes() == g2.read_bytes()
@@ -376,7 +377,10 @@ def test_with_srlgs_shares_everything_but_the_srlg_index():
             copy.max_edge_delay) == (3, 2, 9, 5)
     assert copy.srlg_groups == (frozenset({0, 2}), frozenset({1}))
     assert copy.edge_srlgs == (frozenset({0}), frozenset({1}), frozenset({0}))
-    assert net.srlg_groups == () and copy == Network(3, net.edges, [{0, 2}, {1}])
+    fresh = Network(3, net.edges, [{0, 2}, {1}])
+    assert (copy.srlg_groups, copy.edge_srlgs) == (fresh.srlg_groups,
+                                                   fresh.edge_srlgs)
+    assert net.srlg_groups == ()
 
 
 @pytest.mark.parametrize("groups, message", [

@@ -116,9 +116,9 @@ def test_property_matches_bellman_ford(case):
 @settings(max_examples=300, deadline=None)
 @given(_network_and_target())
 def test_property_both_routes_match_bellman_ford(case):
-    # each route taken whatever the size: the frontier route on the stacked
-    # arcs, and the heap on the stacked rows in one queue, reading each
-    # reachable stacked node's row exactly once (a stale entry is skipped)
+    # each route on its own: the frontier route on the stacked arcs, and
+    # the heap on the stacked rows in one queue, reading each reachable
+    # stacked node's row exactly once (a stale entry is skipped)
     net, target = case
     cost = bellman_ford_to_target(net, target, "cost")
     delay = bellman_ford_to_target(net, target, "delay")
@@ -146,13 +146,16 @@ def test_property_walk_cut_anywhere_matches_bellman_ford(case, cut):
 @settings(max_examples=200, deadline=None)
 @given(_network_and_target(caps=(3, 20)), st.integers(1, 10 ** 12))
 def test_scaled_weights_scale_the_distances_through_the_heap(case, j):
-    # k exceeds n + m, so the scaled trees sum only large weights, on the
-    # heap since the graphs are below FRONTIER_MIN_SIZE: they must be
-    # exactly k times the originals
+    # n * k exceeds 2**62, so the scaled trees sum only large weights, on
+    # the heap once there is an edge: they must be exactly k times the
+    # originals
     net, target = case
-    k = net.node_count + len(net.edges) + j
-    scaled = Network(net.node_count, [Edge(e.src, e.dst, e.cost * k, e.delay * k)
-                                      for e in net.edges])
+    n = net.node_count
+    k = 2 ** 62 // n + j
+    scaled = Network(n, [Edge(e.src, e.dst, e.cost * k, e.delay * k)
+                         for e in net.edges])
+    if net.edges:
+        assert n * scaled.max_edge_cost >= trees_mod._INT64_GUARD
     small = build_reverse_trees(net, target)
     large = build_reverse_trees(scaled, target)
     assert large.min_cost_to_target == [d * k for d in small.min_cost_to_target]
@@ -167,11 +170,12 @@ def _assert_python_ints(trees):
 
 
 def _frontier(net, target, rounds=None):
-    """Both trees by the frontier route whatever the network's size, its
-    walk cut after ``rounds`` rounds (FRONTIER_MAX_ROUNDS if None) and
-    handed to the heap if not done by then."""
+    """Both trees by the frontier route (the weights must be below the
+    int64 guard), its walk cut after ``rounds`` rounds (FRONTIER_MAX_ROUNDS
+    if None) and handed to the heap if not done by then."""
+    top = max(net.max_edge_cost or 0, net.max_edge_delay or 0)
+    assert net.node_count * top < trees_mod._INT64_GUARD
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(trees_mod, "FRONTIER_MIN_SIZE", 0)
         if rounds is not None:
             patch.setattr(trees_mod, "FRONTIER_MAX_ROUNDS", rounds)
         return build_reverse_trees(net, target)
@@ -206,30 +210,28 @@ def _routes(monkeypatch) -> list[str]:
     return calls
 
 
-def _star(nodes: int) -> Network:
-    """Node 0 as the target of an edge from each of nodes 1..leaves, and a
-    second hop from each leaf but the first, with ``nodes - 1 - leaves``
-    isolated nodes after them: n + m = nodes + 2 * leaves - 1."""
-    leaves = (nodes + 1) // 3
-    edges = [Edge(i, 0, 3, 2) for i in range(1, leaves + 1)]
-    edges += [Edge(i + 1, i, 1, 1) for i in range(1, leaves)]
-    return Network(nodes, edges)
-
-
-def test_frontier_from_a_network_size_then_heap_below(monkeypatch):
+def test_route_by_weight_range_then_heap_past_the_rounds(monkeypatch):
+    # whatever the size: a 3-node graph takes the frontier route, the same
+    # graph with one weight at ceil(2**62 / n) the heap, and a 34-node
+    # chain, whose walk needs 34 rounds, the frontier and then the heap
     calls = _routes(monkeypatch)
-    for nodes in range(100, trees_mod.FRONTIER_MIN_SIZE):
-        net = _star(nodes)
-        size = net.node_count + len(net.edges)
-        if size in (trees_mod.FRONTIER_MIN_SIZE - 1, trees_mod.FRONTIER_MIN_SIZE):
-            trees = build_reverse_trees(net, 0)
-            leaves = (nodes + 1) // 3
-            assert trees.min_cost_to_target == (
-                [0] + [3] * leaves + [inf] * (nodes - 1 - leaves))
-            assert trees.min_delay_to_target == (
-                [0] + [2] * leaves + [inf] * (nodes - 1 - leaves))
-            _assert_python_ints(trees)
-    assert calls == ["heap", "frontier"]
+    n, big = 3, -(-2 ** 62 // 3)
+    for weight, route in ((1, ["frontier"]), (big, ["heap"])):
+        calls.clear()
+        net = Network(n, [Edge(1, 0, 2, 3), Edge(2, 1, weight, 1)])
+        trees = build_reverse_trees(net, 0)
+        assert calls == route
+        assert trees.min_cost_to_target == [0, 2, 2 + weight]
+        assert trees.min_delay_to_target == [0, 3, 4]
+        _assert_python_ints(trees)
+    n = trees_mod.FRONTIER_MAX_ROUNDS + 2
+    calls.clear()
+    chain = Network(n, [Edge(i, i + 1, 2, 1) for i in range(n - 1)])
+    trees = build_reverse_trees(chain, n - 1)
+    assert calls == ["frontier", "heap"]
+    assert trees.min_cost_to_target == [2 * (n - 1 - i) for i in range(n)]
+    assert trees.min_delay_to_target == [n - 1 - i for i in range(n)]
+    _assert_python_ints(trees)
 
 
 def test_int64_guard_below_and_at_2_62(monkeypatch):
@@ -245,7 +247,6 @@ def test_int64_guard_below_and_at_2_62(monkeypatch):
         net = Network(n, [Edge(1, 0, half + 1, top)]
                       + [Edge(i, 1, half - i, 1) for i in range(2, n)]
                       + [Edge(i, 0, top, 2) for i in range(2, n)])
-        assert net.node_count + len(net.edges) >= trees_mod.FRONTIER_MIN_SIZE
         trees = build_reverse_trees(net, 0)
         assert calls == [route]
         cost = [0, half + 1] + [2 * half + 1 - i for i in range(2, n)]
@@ -258,12 +259,12 @@ def test_int64_guard_below_and_at_2_62(monkeypatch):
 
 
 def test_long_walk_goes_on_in_the_heap(monkeypatch):
-    # a chain above the size threshold: rooted at node k, the walk takes
-    # k + 1 rounds, the last finding nothing to relax.  At k = MAX - 1 the
-    # frontier route ends it; at k = MAX and beyond the heap goes on from
-    # the walk's last frontier, node k - MAX, and keeps the walk's labels
+    # a 450-node chain: rooted at node k, the walk takes k + 1 rounds, the
+    # last finding nothing to relax.  At k = MAX - 1 the frontier route
+    # ends it; at k = MAX and beyond the heap goes on from the walk's last
+    # frontier, node k - MAX, and keeps the walk's labels
     bound = trees_mod.FRONTIER_MAX_ROUNDS
-    n = trees_mod.FRONTIER_MIN_SIZE
+    n = 450
     net = Network(n, [Edge(i, i + 1, 10, 1 + i % 3) for i in range(n - 1)])
     walk = trees_mod._frontier_walk
     calls = _routes(monkeypatch)
@@ -384,7 +385,7 @@ def test_frontier_nodes_without_ingress_arcs():
 def test_frontier_route_builds_only_the_shared_arcs(monkeypatch):
     # the frontier route reads the arcs, never the heap's tuple rows, and
     # a with_srlgs copy shares the arcs whichever network builds them first
-    net = _star(trees_mod.FRONTIER_MIN_SIZE)
+    net = Network(3, [Edge(1, 0, 3, 2), Edge(2, 1, 1, 1)])
     monkeypatch.setattr(Network, "reverse_adjacency", property(
         lambda self: pytest.fail("the frontier route built reverse_adjacency")))
     copy = net.with_srlgs([{0}])
@@ -396,7 +397,7 @@ def test_frontier_route_builds_only_the_shared_arcs(monkeypatch):
 
 def test_many_nodes_tied_at_one_distance():
     # 300 nodes reach the target at cost 5; 300 more reach it at cost 8
-    # both through them and by a direct edge: two crowded buckets, and a
+    # both through them and by a direct edge: two crowded distances, and a
     # tie at every node of the second
     width = 300
     edges = [Edge(i, 0, 5, 2) for i in range(1, width + 1)]
@@ -452,8 +453,8 @@ class _CountingRows(list):
 
 
 def test_stale_bucket_entry_is_skipped():
-    # the costly parallel edge 1->2 puts cost node 1 in bucket 9 first; the
-    # cheap one moves it to bucket 1, and bucket 9 must not expand it again.
+    # the costly parallel edge 1->2 queues cost node 1 at 9 first; the
+    # cheap one queues it again at 1, and the entry at 9 must not expand it.
     # The delay nodes share the queue, the first delay arc already cheapest
     net = Network(4, [Edge(1, 2, 9, 1), Edge(1, 2, 1, 9), Edge(0, 1, 1, 1),
                       Edge(3, 2, 20, 20)])

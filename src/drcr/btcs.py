@@ -28,10 +28,11 @@ on every source-target path of delay at most ``d_up`` lies on every AP and
 every PP, so no pair can be SRLG-disjoint.  ``find_srlg_cut`` tries the
 groups of the least-delay path, read off the delay tree, one at a time,
 each with one delay-bounded ``find_path`` search that avoids it.  A cut
-is INFEASIBLE with no search order, no corridor and no pulse, and the
-group is the report's ``srlg_cut``; a trap without one goes on to stage 1
-and the sweep unchanged.  The same search, bounded by the protection
-window's top, is the connectivity check of every protection attempt.
+is INFEASIBLE with no cost tree, no search order, no corridor and no
+pulse, and the group is the report's ``srlg_cut``; a trap without one goes
+on to stage 1 and the sweep unchanged.  The same search, bounded by the
+protection window's top, is the connectivity check of every protection
+attempt.
 """
 
 from __future__ import annotations
@@ -165,7 +166,8 @@ def find_srlg_cut(net: Network, trees: ReverseTrees, task: SrlgTask,
     alone: a ``find_path`` search that avoids it and finds no path within
     the bound proves it a cut, and a path it finds shrinks the candidates
     to the groups of that path.  ``control`` is polled before the walk and
-    before each search.
+    before each search.  Only the delay tree is read: on trees not read
+    before, the test walks the delay half alone (see ``drcr.trees``).
     """
     control.poll()
     lb = trees.min_delay_to_target
@@ -205,13 +207,14 @@ def solve_btcs(net: Network, trees: ReverseTrees, task: SrlgTask,
     One pass: ``find_srlg_cut``, stage 1, then the corridor sweep.  The
     cut test runs first: a group on every s-t path of delay at most ``d_up``
     is the INFEASIBLE verdict with that group in ``srlg_cut`` and no
-    corridor, candidate or pulse spent; the search order is not even
-    built.  Otherwise stage 1 runs, and when it finds no PP, stage-2
-    corridors are scanned one after another in ascending cost order, each
-    ``cfg.growth`` times wider than the one before.  A corridor's candidates
-    are tried in (cost, edge sequence) order; the stage-1 AP, already
-    tried, is dropped from them by edge-sequence equality (corridor 0 would
-    enumerate it again).  A corridor's floor of inf proves every corridor
+    corridor, candidate or pulse spent; neither the cost tree nor the
+    search order is even built.  Otherwise stage 1 runs, its search order
+    reading the cost tree, and when it finds no PP, stage-2 corridors are
+    scanned one after another in ascending cost order, each ``cfg.growth``
+    times wider than the one before.  A corridor's candidates are tried in
+    (cost, edge sequence) order; the stage-1 AP, already tried, is dropped
+    from them by edge-sequence equality (corridor 0 would enumerate it
+    again).  A corridor's floor of inf proves every corridor
     above it empty: the verdict is INFEASIBLE, on the last corridor
     ``cfg.max_corridors`` allows too.  ``corridors_explored`` and
     ``ap_candidates_checked`` (the stage-1 AP included) count completed

@@ -139,12 +139,10 @@ class Histogram:
     def to_csv(self, f: IO[str]) -> None:
         names = list(self.series)
         f.write("bin_low," + ",".join(names) + "\n")
-        occupied = [b for bins in self.series.values() for b in bins]
-        if occupied:
-            lo, hi = min(occupied), max(occupied)
-            for b in range(lo, hi + self.bin_width, self.bin_width):
-                row = ",".join(str(self.series[n].get(b, 0)) for n in names)
-                f.write(f"{b},{row}\n")
+        occupied = sorted({b for bins in self.series.values() for b in bins})
+        for b in occupied:
+            row = ",".join(str(self.series[n].get(b, 0)) for n in names)
+            f.write(f"{b},{row}\n")
         f.write(f"# truncated={'true' if self.truncated else 'false'}\n")
 
 

@@ -179,7 +179,8 @@ def build_search_order(net: NetLike, trees: ReverseTrees) -> SearchOrder:
     """The egress order for one task's searches; rows are built on demand.
 
     Creating it costs one list of node_count Nones, so engines called
-    without an order just make their own.
+    without an order just make their own.  It reads the cost tree before
+    the delay tree, so on trees not read before it walks both at once.
     """
     return SearchOrder(net, trees)
 

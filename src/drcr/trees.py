@@ -3,40 +3,60 @@
 Both prunings of the pulse search need, for every node u, the minimum cost
 and the minimum delay of any path from u to the task target: two
 single-criterion shortest-path trees on the reversed edge orientation.  The
-trees depend on the target and are built afresh on every call, so a task's
-preprocessing covers all of its target-dependent work; their inputs depend
-on the edges alone and are built once per network.  Unreachable nodes carry
-math.inf, and every finite distance is a Python int.
+trees depend on the target and are built afresh for every task, so a
+task's preprocessing covers all of its target-dependent work; their inputs
+depend on the edges alone and are built once per network.  Unreachable
+nodes carry math.inf, and every finite distance is a Python int.
+
+``build_reverse_trees`` checks the target and walks nothing: each tree is
+walked on its first read, so a task pays only for the trees it reads.
+
+* Reading the delay tree first walks the delay half alone.  The SRLG-cut
+  test reads only the delay tree (the delay-bounded trap test of
+  ``drcr.btcs``), so a cut verdict builds no cost tree.
+* Any other first read walks every tree still missing in one walk.  Read
+  first, the cost tree walks both trees together, as the single-path
+  solvers and the search order do; read after the delay tree, it walks the
+  cost half alone, as stage 1 of the corridor solver does.
+
+Every walk goes through ``build_halves``, which ``ReverseTrees`` looks up
+on this module at call time, so a wrapper set there sees every walk.  A
+delay half alone takes 0.55-0.73 and a cost half alone 0.62-0.70 of the
+pair's time (SF-200 m=4, SF-500 m=2, SF-1000 m=2, ER-1000 k=7 at weights
+1..100, ``BENCH_26.json``), since the pair shares every numpy call of a
+round; a task that reads delay and then cost pays 1.17-1.44 pairs.
 
 Two routes compute the same trees, chosen from the weights with no option
 to set.  Let n be the node count, m the edge count and W the largest edge
 weight of either metric.
 
 * The frontier route, whenever n * W < 2**62, whatever the graph's size:
-  both trees in one vectorised relaxation (Bellman, "On a routing
-  problem", 1958, run as a frontier walk) over ``Network.reverse_arcs``,
-  the heads, tails and weights of the arcs of a stacked graph of 2n nodes
-  whose nodes 0..n-1 carry cost and n..2n-1 carry delay.  The frontier is
-  the mask of the nodes whose label fell in the last round, at first the
-  target in both halves.  A round selects the arcs whose head is in the
-  mask with one gather of the mask over the 2m heads, relaxes every
-  selected arc with ``np.minimum.at`` and takes the mask of the labels that
-  fell as the next frontier: ten numpy calls, whose only work over all 2m
-  arcs is that gather and its scan.  The walk ends when a round finds no
-  arc to relax.  A label is always the length of a simple path, so it
-  stays below n * W, and int64 sums and their sentinel cannot overflow.
+  one vectorised relaxation (Bellman, "On a routing problem", 1958, run as
+  a frontier walk) over ``Network.reverse_arcs``, the heads, tails and
+  weights of the arcs of a stacked graph of 2n nodes whose nodes 0..n-1
+  carry cost and n..2n-1 carry delay: all 2m arcs for both trees, the
+  first m for the cost tree alone and the last m for the delay tree alone.
+  The frontier is the mask of the nodes whose label fell in the last
+  round, at first the target in each half walked.  A round selects the
+  arcs whose head is in the mask with one gather of the mask over the
+  walk's heads, relaxes every selected arc with ``np.minimum.at`` and takes
+  the mask of the labels that fell as the next frontier: ten numpy calls,
+  whose only work over all the walk's arcs is that gather and its scan.
+  The walk ends when a round finds no arc to relax.  A label is always the
+  length of a simple path, so it stays below n * W, and int64 sums and
+  their sentinel cannot overflow.
 * The heap route, for n * W at or past 2**62: a lazy-deletion Dijkstra
   over ``Network.reverse_adjacency``, the same stacked graph in Python
-  tuples, both trees in one heap of ``(label, node)`` pairs that skips an
-  entry whose label has since fallen.  Python ints keep it exact at any
-  magnitude.
+  tuples, every half walked in one heap of ``(label, node)`` pairs that
+  skips an entry whose label has since fallen.  Python ints keep it exact
+  at any magnitude.
 
-The heap starts from the target's two stacked nodes at 0, or goes on from
-a frontier walk not done after FRONTIER_MAX_ROUNDS rounds, with the walk's
-labels and its last frontier as its queue: only the arcs leaving the
-frontier can still break the triangle inequality, and a node is queued
-again on every fall of its label, so the trees stay exact (the generic
-label-correcting method).  The trees are the two halves of the labels.
+The heap starts from the target's stacked node in each half walked, at 0,
+or goes on from a frontier walk not done after FRONTIER_MAX_ROUNDS rounds,
+with the walk's labels and its last frontier as its queue: only the arcs
+leaving the frontier can still break the triangle inequality, and a node
+is queued again on every fall of its label, so the trees stay exact (the
+generic label-correcting method).  The trees are the halves of the labels.
 
 Times below are per tree pair on a shared 2-core VM (CPython 3.11.7, numpy
 2.4.6).  Small graphs pay numpy's fixed cost per call, which the heap does
@@ -105,27 +125,61 @@ FRONTIER_MAX_ROUNDS = 32
 # the frontier route runs while n * W is below this
 _INT64_GUARD = 2 ** 62
 _UNREACHED = np.iinfo(np.int64).max
+# the halves of the stacked graph: stacked node h * n + v is node v of half h
+COST, DELAY = 0, 1
 
 
 class ReverseTrees:
-    """Minimum cost-to-target and delay-to-target for every node."""
+    """Minimum cost-to-target and delay-to-target for every node, each half
+    walked on its first read.
 
-    __slots__ = ("min_cost_to_target", "min_delay_to_target")
+    Reading ``min_delay_to_target`` first walks the delay half alone.  Any
+    other first read walks every half still missing in one walk: cost read
+    first walks the stacked pair, cost read after delay the cost half alone.
+    Each walk goes through the module's ``build_halves``, looked up at call
+    time.  Both reads then return the same list every time.
+    """
 
-    def __init__(self, min_cost_to_target: list[float],
-                 min_delay_to_target: list[float]):
-        self.min_cost_to_target = min_cost_to_target
-        self.min_delay_to_target = min_delay_to_target
+    __slots__ = ("_net", "_target", "_cost", "_delay")
+
+    def __init__(self, net: Network, target: int):
+        self._net = net
+        self._target = target
+        self._cost: list[float] | None = None
+        self._delay: list[float] | None = None
+
+    @property
+    def min_cost_to_target(self) -> list[float]:
+        cost = self._cost
+        if cost is None:
+            if self._delay is None:
+                cost, self._delay = build_halves(self._net, self._target,
+                                                 (COST, DELAY))
+            else:
+                cost, = build_halves(self._net, self._target, (COST,))
+            self._cost = cost
+        return cost
+
+    @property
+    def min_delay_to_target(self) -> list[float]:
+        delay = self._delay
+        if delay is None:  # then cost is unbuilt too: cost builds the pair
+            delay, = build_halves(self._net, self._target, (DELAY,))
+            self._delay = delay
+        return delay
 
 
 def _frontier_walk(arcs: tuple[np.ndarray, np.ndarray, np.ndarray],
-                   n: int, target: int, rounds: int) -> tuple[np.ndarray, np.ndarray]:
-    """The stacked labels after at most ``rounds`` frontier rounds over
-    ``arcs`` from ``target``, and the frontier left: the sorted nodes whose
-    label fell in the last round, empty once a round finds no arc to relax."""
+                   n: int, seeds: list[int], rounds: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The 2n stacked labels after at most ``rounds`` frontier rounds over
+    ``arcs`` from the stacked nodes ``seeds`` at 0, and the frontier left:
+    the sorted nodes whose label fell in the last round, empty once a round
+    finds no arc to relax."""
     head, tail, weight = arcs
     dist = np.full(2 * n, _UNREACHED, dtype=np.int64)
-    dist[target] = dist[n + target] = 0
+    for v in seeds:
+        dist[v] = 0
     fell = dist == 0
     for _ in range(rounds):
         arc = np.flatnonzero(fell.take(head))
@@ -160,37 +214,64 @@ def _heap_walk(rev: tuple[tuple[tuple[int, int], ...], ...],
                 heappush(heap, (nd, u))
 
 
+def _as_labels(dist: np.ndarray) -> list[float]:
+    """``dist`` as a list of Python ints, math.inf where unreached, filled
+    from the smaller side."""
+    unreached = np.flatnonzero(dist == _UNREACHED)
+    if 2 * unreached.size <= dist.size:
+        labels = dist.tolist()
+        for v in unreached.tolist():
+            labels[v] = inf
+    else:
+        labels = [inf] * dist.size
+        reached = np.flatnonzero(dist != _UNREACHED)
+        for v, d in zip(reached.tolist(), dist.take(reached).tolist()):
+            labels[v] = d
+    return labels
+
+
+def build_halves(net: Network, target: int,
+                 halves: tuple[int, ...]) -> list[list[float]]:
+    """Exact shortest distances to ``target`` in each of ``halves`` (COST,
+    DELAY or both, ascending), all in one walk, one list per half.
+
+    One half walks its own m arcs of ``Network.reverse_arcs`` (cost the
+    first, delay the last) from its own stacked copy of the target; both
+    walk all 2m from both.  ``target`` must be a node of ``net``."""
+    n = net.node_count
+    lo, hi = halves[0] * n, (halves[-1] + 1) * n
+    seeds = [h * n + target for h in halves]
+    top = max(net.max_edge_cost or 0, net.max_edge_delay or 0)
+    if n * top < _INT64_GUARD:
+        arcs = net.reverse_arcs
+        if len(halves) == 1:
+            m = len(net.edges)
+            arcs = [a[halves[0] * m:(halves[0] + 1) * m] for a in arcs]
+        dist, frontier = _frontier_walk(arcs, n, seeds, FRONTIER_MAX_ROUNDS)
+        labels = _as_labels(dist[lo:hi])
+        start = frontier.tolist()
+        if start:  # the heap goes on over all 2n stacked nodes
+            labels = [inf] * lo + labels + [inf] * (2 * n - hi)
+    else:
+        labels = [inf] * (2 * n)
+        for v in seeds:
+            labels[v] = 0
+        start = seeds
+    if start:
+        _heap_walk(net.reverse_adjacency, labels, start)
+        labels = labels[lo:hi]
+    return [labels[k * n:(k + 1) * n] for k in range(len(halves))]
+
+
 def build_reverse_trees(net: Network, target: int) -> ReverseTrees:
-    """Exact shortest distances to ``target``, for cost and delay separately;
-    IntegrityError when ``target`` is not a node of ``net``."""
+    """The reverse trees of ``target``, each half walked on its first read
+    (see ``ReverseTrees``); IntegrityError when ``target`` is not a node of
+    ``net``."""
     n = net.node_count
     if not 0 <= target < n:
         raise IntegrityError(f"target {target} is not a node of the "
                              f"{n}-node network")
-    top = max(net.max_edge_cost or 0, net.max_edge_delay or 0)
-    if n * top < _INT64_GUARD:
-        dist, frontier = _frontier_walk(net.reverse_arcs, n, target,
-                                        FRONTIER_MAX_ROUNDS)
-        # the halves share the unreached nodes (a label turns finite in the
-        # round of its hop count); the list is filled from the smaller side
-        unreached = np.flatnonzero(dist[:n] == _UNREACHED)
-        if 2 * unreached.size <= n:
-            labels = dist.tolist()
-            for v in unreached.tolist():
-                labels[v] = labels[n + v] = inf
-        else:
-            labels = [inf] * (2 * n)
-            reached = np.flatnonzero(dist != _UNREACHED)
-            for v, d in zip(reached.tolist(), dist.take(reached).tolist()):
-                labels[v] = d
-        start = frontier.tolist()
-    else:
-        labels = [inf] * (2 * n)
-        labels[target] = labels[n + target] = 0
-        start = [target, n + target]
-    if start:
-        _heap_walk(net.reverse_adjacency, labels, start)
-    return ReverseTrees(labels[:n], labels[n:])
+    return ReverseTrees(net, target)
 
 
 class TreeCache:
@@ -201,6 +282,11 @@ class TreeCache:
     through it.  Every solver takes its trees once per task, so the cache
     saves work only across tasks.  Benchmark timing deliberately bypasses
     it so every task pays its own preprocessing.
+
+    ``get`` reads the cost half before it returns new trees, so a target is
+    one stacked walk whatever its callers read: the task generator reads
+    delay and the filter then cost, and walking the two halves apart would
+    cost more than the pair.
     """
 
     def __init__(self, net: Network):
@@ -211,5 +297,6 @@ class TreeCache:
         trees = self._by_target.get(target)
         if trees is None:
             trees = build_reverse_trees(self.net, target)
+            trees.min_cost_to_target  # the stacked pair, in one walk
             self._by_target[target] = trees
         return trees

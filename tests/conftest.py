@@ -14,6 +14,7 @@ from math import inf
 import pytest
 
 import drcr.pulse
+import drcr.trees
 from drcr import DrcrTask, Edge, Network, SrlgTask
 
 
@@ -158,6 +159,21 @@ def poll_each_pulse(monkeypatch):
     """Every walk polls its SearchControl at each pulse, and the protection
     loop before each attempt: ``drcr.pulse.POLL_EVERY`` is 1."""
     monkeypatch.setattr(drcr.pulse, "POLL_EVERY", 1)
+
+
+@pytest.fixture
+def tree_walks(monkeypatch) -> list[tuple[int, ...]]:
+    """The halves of every reverse-tree walk, in order, recorded through
+    ``drcr.trees.build_halves`` as ``ReverseTrees`` looks it up."""
+    walks: list[tuple[int, ...]] = []
+    build = drcr.trees.build_halves
+
+    def recording(net, target, halves):
+        walks.append(halves)
+        return build(net, target, halves)
+
+    monkeypatch.setattr(drcr.trees, "build_halves", recording)
+    return walks
 
 
 @pytest.fixture

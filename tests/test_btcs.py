@@ -23,6 +23,7 @@ from drcr import btcs
 from drcr.btcs import corridor_width, find_srlg_cut
 from drcr.network import NetworkView, is_connected, remove_conflicting_edges
 from drcr.pulse import UNLIMITED, SearchControl, SearchTimeout
+from drcr.trees import COST, DELAY
 
 from conftest import CountingStop, least_delay, random_network, random_task
 
@@ -455,6 +456,19 @@ def test_source_egress_cut_settles_the_trap_before_stage_one(monkeypatch):
     assert report.srlg_cut == 0 and report.corridors_explored == 0
     assert report.ap_candidates_checked == 0
     assert report.counters == SearchCounters()
+
+
+def test_a_cut_verdict_walks_the_delay_half_only(tree_walks):
+    # the cut test reads the delay tree alone, so a verdict walks no cost
+    # half; a task that goes on to stage 1 then walks the cost half alone
+    for instance, cut, expected in ((_corridor_heavy, 0, [(DELAY,)]),
+                                    (_cross, None, [(DELAY,), (COST,)])):
+        tree_walks.clear()
+        net, task = instance()
+        pair, report = solve_btcs(net, build_reverse_trees(net, task.target),
+                                  task)
+        assert report.srlg_cut == cut and (pair is None) == (cut is not None)
+        assert tree_walks == expected
 
 
 def test_find_srlg_cut_tries_groups_in_path_order():

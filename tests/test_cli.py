@@ -154,6 +154,17 @@ def test_histogram_time_limit_keeps_completed_bins_only(tmp_path, capsys):
         "bin_low,all,feasible", "# truncated=true"]
 
 
+def test_histogram_csv_writes_occupied_bins_only(tmp_path, capsys):
+    # paths at cost 2 and 40: bins 10, 20 and 30 are empty and get no row,
+    # so the rows never outnumber the bins that hold a path
+    graph = tmp_path / "g.csv"
+    graph.write_text("nodes,4\n0,1,1,1\n1,3,1,1\n0,2,20,1\n2,3,20,1\n")
+    assert run("histogram", "--graph", str(graph), "--task", "0,3,0,100",
+               "--bin", "10") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "bin_low,all,feasible", "0,1,1", "40,1,1", "# truncated=false"]
+
+
 @pytest.mark.parametrize("command", [
     ("solve-srlg", "--srlg", "{srlg}", "--tasks", "{srlg_tasks}",
      "--alpha", "inf"),

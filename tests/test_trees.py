@@ -9,12 +9,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drcr import Edge, Network, TreeCache, build_reverse_trees, enumerate_paths
+from drcr import (DrcrTask, Edge, IntegrityError, Network, TreeCache,
+                  build_reverse_trees, build_search_order, enumerate_paths,
+                  pulse_optimal)
 from drcr import trees as trees_mod
+from drcr.bench import run_suite
+from drcr.netgen import GenSpec, gen_graph
+from drcr.trees import COST, DELAY
 
-from conftest import bellman_ford_to_target, random_network
+from conftest import bellman_ford_to_target, diamond, random_network
 
 _UNREACHED = trees_mod._UNREACHED
+
+# read orders: cost first walks the stacked pair, delay first the delay
+# half and then the cost half, each alone
+_ORDERS = (("cost", "delay"), ("delay", "cost"))
+
+
+def _read(trees, order=_ORDERS[0]):
+    """The trees, with both halves read in ``order``."""
+    for metric in order:
+        getattr(trees, f"min_{metric}_to_target")
+    return trees
 
 
 def test_single_edge():
@@ -132,23 +148,25 @@ def test_property_both_routes_match_bellman_ford(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_network_and_target(), st.integers(0, 12))
-def test_property_walk_cut_anywhere_matches_bellman_ford(case, cut):
+@given(_network_and_target(), st.integers(0, 12), st.sampled_from(_ORDERS))
+def test_property_walk_cut_anywhere_matches_bellman_ford(case, cut, order):
     # the frontier route with its walk cut after ``cut`` rounds: the heap
-    # goes on from the frontier left, whatever the labels handed over
+    # goes on from the frontier left, whatever the labels handed over, for
+    # the pair and for each half walked alone
     net, target = case
-    trees = _frontier(net, target, rounds=cut)
+    trees = _frontier(net, target, rounds=cut, order=order)
     assert trees.min_cost_to_target == bellman_ford_to_target(net, target, "cost")
     assert trees.min_delay_to_target == bellman_ford_to_target(net, target, "delay")
     _assert_python_ints(trees)
 
 
 @settings(max_examples=200, deadline=None)
-@given(_network_and_target(caps=(3, 20)), st.integers(1, 10 ** 12))
-def test_scaled_weights_scale_the_distances_through_the_heap(case, j):
+@given(_network_and_target(caps=(3, 20)), st.integers(1, 10 ** 12),
+       st.sampled_from(_ORDERS))
+def test_scaled_weights_scale_the_distances_through_the_heap(case, j, order):
     # n * k exceeds 2**62, so the scaled trees sum only large weights, on
-    # the heap once there is an edge: they must be exactly k times the
-    # originals
+    # the heap once there is an edge, whichever half is read first: they
+    # must be exactly k times the originals
     net, target = case
     n = net.node_count
     k = 2 ** 62 // n + j
@@ -157,7 +175,7 @@ def test_scaled_weights_scale_the_distances_through_the_heap(case, j):
     if net.edges:
         assert n * scaled.max_edge_cost >= trees_mod._INT64_GUARD
     small = build_reverse_trees(net, target)
-    large = build_reverse_trees(scaled, target)
+    large = _read(build_reverse_trees(scaled, target), order)
     assert large.min_cost_to_target == [d * k for d in small.min_cost_to_target]
     assert large.min_delay_to_target == [d * k for d in small.min_delay_to_target]
     _assert_python_ints(large)
@@ -169,16 +187,25 @@ def _assert_python_ints(trees):
                if d != inf)
 
 
-def _frontier(net, target, rounds=None):
+def _frontier(net, target, rounds=None, order=_ORDERS[0]):
     """Both trees by the frontier route (the weights must be below the
     int64 guard), its walk cut after ``rounds`` rounds (FRONTIER_MAX_ROUNDS
-    if None) and handed to the heap if not done by then."""
+    if None) and handed to the heap if not done by then, read in
+    ``order``."""
     top = max(net.max_edge_cost or 0, net.max_edge_delay or 0)
     assert net.node_count * top < trees_mod._INT64_GUARD
     with pytest.MonkeyPatch.context() as patch:
         if rounds is not None:
             patch.setattr(trees_mod, "FRONTIER_MAX_ROUNDS", rounds)
-        return build_reverse_trees(net, target)
+        return _read(build_reverse_trees(net, target), order)
+
+
+def _pair_walk(net, target, rounds):
+    """The frontier walk of the stacked pair: all 2m arcs, from the
+    target's two stacked nodes."""
+    n = net.node_count
+    return trees_mod._frontier_walk(net.reverse_arcs, n, [target, n + target],
+                                    rounds)
 
 
 def _heap(rev, target) -> list[float]:
@@ -220,16 +247,17 @@ def test_route_by_weight_range_then_heap_past_the_rounds(monkeypatch):
         calls.clear()
         net = Network(n, [Edge(1, 0, 2, 3), Edge(2, 1, weight, 1)])
         trees = build_reverse_trees(net, 0)
-        assert calls == route
+        assert calls == []
         assert trees.min_cost_to_target == [0, 2, 2 + weight]
+        assert calls == route
         assert trees.min_delay_to_target == [0, 3, 4]
         _assert_python_ints(trees)
     n = trees_mod.FRONTIER_MAX_ROUNDS + 2
     calls.clear()
     chain = Network(n, [Edge(i, i + 1, 2, 1) for i in range(n - 1)])
     trees = build_reverse_trees(chain, n - 1)
-    assert calls == ["frontier", "heap"]
     assert trees.min_cost_to_target == [2 * (n - 1 - i) for i in range(n)]
+    assert calls == ["frontier", "heap"]
     assert trees.min_delay_to_target == [n - 1 - i for i in range(n)]
     _assert_python_ints(trees)
 
@@ -248,9 +276,9 @@ def test_int64_guard_below_and_at_2_62(monkeypatch):
                       + [Edge(i, 1, half - i, 1) for i in range(2, n)]
                       + [Edge(i, 0, top, 2) for i in range(2, n)])
         trees = build_reverse_trees(net, 0)
-        assert calls == [route]
         cost = [0, half + 1] + [2 * half + 1 - i for i in range(2, n)]
         assert trees.min_cost_to_target == cost
+        assert calls == [route]
         assert trees.min_delay_to_target == [0, top] + [2] * (n - 2)
         assert cost == bellman_ford_to_target(net, 0, "cost")
         assert any(float(d) != d for d in cost)
@@ -272,17 +300,91 @@ def test_long_walk_goes_on_in_the_heap(monkeypatch):
                         (n - 1, ["frontier", "heap"])):
         calls.clear()
         trees = build_reverse_trees(net, root)
-        assert calls == route
         assert trees.min_cost_to_target == (
             [10 * (root - i) for i in range(root + 1)] + [inf] * (n - root - 1))
+        assert calls == route
         assert (trees.min_cost_to_target + trees.min_delay_to_target
                 == _heap(net.reverse_adjacency, root))
         _assert_python_ints(trees)
-        _, frontier = walk(net.reverse_arcs, n, root, bound)
+        _, frontier = walk(net.reverse_arcs, n, [root, n + root], bound)
         left = root - bound
         assert frontier.tolist() == ([left, n + left] if left >= 0 else [])
     assert trees.min_cost_to_target == bellman_ford_to_target(net, n - 1, "cost")
     assert trees.min_delay_to_target == bellman_ford_to_target(net, n - 1, "delay")
+
+
+def test_each_half_is_walked_on_its_first_read(tree_walks):
+    # delay first walks the delay half alone and cost then the cost half
+    # alone; cost first walks the pair, after which delay walks nothing.
+    # A read walks at most once, and the target is checked before any walk
+    net = diamond()
+    with pytest.raises(IntegrityError):
+        build_reverse_trees(net, 4)
+    for order, expected in zip(_ORDERS, ([(COST, DELAY)],
+                                         [(DELAY,), (COST,)])):
+        tree_walks.clear()
+        trees = build_reverse_trees(net, 3)
+        assert tree_walks == []
+        first = getattr(trees, f"min_{order[0]}_to_target")
+        assert tree_walks == expected[:1]
+        second = getattr(trees, f"min_{order[1]}_to_target")
+        assert tree_walks == expected
+        assert getattr(trees, f"min_{order[0]}_to_target") is first
+        assert getattr(trees, f"min_{order[1]}_to_target") is second
+        assert tree_walks == expected
+        assert trees.min_cost_to_target == [2, 1, 5, 0]
+        assert trees.min_delay_to_target == [2, 10, 1, 0]
+    # the cache walks the pair before it hands new trees out
+    tree_walks.clear()
+    cache = TreeCache(net)
+    _read(cache.get(3), _ORDERS[1])
+    _read(cache.get(3), _ORDERS[0])
+    assert tree_walks == [(COST, DELAY)]
+
+
+@pytest.mark.parametrize("order", _ORDERS)
+def test_every_read_order_matches_bellman_ford_on_every_route(
+        monkeypatch, tree_walks, order):
+    # each walk takes its route as the pair does: the frontier below the
+    # int64 guard, the heap at it (n * W = 2**62), and the frontier handed
+    # to the heap on a chain deeper than FRONTIER_MAX_ROUNDS
+    calls = _routes(monkeypatch)
+    net = gen_graph(GenSpec("er", 30, 3, seed=1))
+    k = trees_mod._INT64_GUARD // (net.node_count * net.max_edge_cost) + 1
+    scaled = Network(net.node_count, [
+        Edge(e.src, e.dst, e.cost * k, e.delay * k) for e in net.edges])
+    n = trees_mod.FRONTIER_MAX_ROUNDS + 5
+    chain = Network(n, [Edge(i, i + 1, 1 + i % 4, 1 + i % 3)
+                        for i in range(n - 1)])
+    for graph, target, route in ((net, 0, ["frontier"]),
+                                 (scaled, 0, ["heap"]),
+                                 (chain, n - 1, ["frontier", "heap"])):
+        tree_walks.clear()
+        trees = build_reverse_trees(graph, target)
+        for metric in order:
+            calls.clear()
+            assert getattr(trees, f"min_{metric}_to_target") == (
+                bellman_ford_to_target(graph, target, metric))
+            assert calls == (route if (metric, order[0]) != ("delay", "cost")
+                             else [])
+        assert tree_walks == (
+            [(COST, DELAY)] if order[0] == "cost" else [(DELAY,), (COST,)])
+        _assert_python_ints(trees)
+
+
+@pytest.mark.parametrize("solver", ["pulse", "btbu1", "btbu2"])
+def test_a_single_path_solve_makes_one_stacked_walk(tree_walks, solver):
+    # every single-path solver reads cost first, through the search order
+    # or the bound of its first probe: the pair in one walk, and nothing more
+    task = DrcrTask(0, 3, 0, 15)
+    records = run_suite(diamond(), [task], solver)
+    assert records[0].outcome == "optimal" and records[0].ap_cost == 10
+    assert tree_walks == [(COST, DELAY)]
+    tree_walks.clear()
+    trees = build_reverse_trees(diamond(), 3)
+    order = build_search_order(diamond(), trees)
+    assert pulse_optimal(diamond(), trees, task, order=order).total_cost == 10
+    assert tree_walks == [(COST, DELAY)]
 
 
 def _deep_graph(n: int, seed: int) -> Network:
@@ -306,7 +408,7 @@ def test_walk_handed_to_the_heap_at_any_round_is_exact(monkeypatch):
     cost = bellman_ford_to_target(net, target, "cost")
     delay = bellman_ford_to_target(net, target, "delay")
     rounds = 0
-    while trees_mod._frontier_walk(net.reverse_arcs, n, target, rounds)[1].size:
+    while _pair_walk(net, target, rounds)[1].size:
         rounds += 1
     assert rounds == 39 > trees_mod.FRONTIER_MAX_ROUNDS
     unsettled = 0
@@ -316,7 +418,7 @@ def test_walk_handed_to_the_heap_at_any_round_is_exact(monkeypatch):
         assert trees.min_cost_to_target == cost
         assert trees.min_delay_to_target == delay
         _assert_python_ints(trees)
-        dist, _ = trees_mod._frontier_walk(net.reverse_arcs, n, target, cut)
+        dist, _ = _pair_walk(net, target, cut)
         unsettled += sum(d != c for d, c in zip(dist[:n].tolist(), cost)
                          if c != inf)
     assert unsettled
@@ -349,7 +451,7 @@ def test_a_label_that_falls_twice_reenters_the_frontier():
     n = 4
     net = Network(n, [Edge(1, 0, 10, 1), Edge(2, 0, 1, 1), Edge(1, 2, 1, 1),
                       Edge(3, 1, 2, 1)])
-    walks = [trees_mod._frontier_walk(net.reverse_arcs, n, 0, r) for r in range(5)]
+    walks = [_pair_walk(net, 0, r) for r in range(5)]
     assert [f.tolist() for _, f in walks] == [
         [0, n], [1, 2, n + 1, n + 2], [1, 3, n + 3], [3], []]
     assert [d[:n].tolist() for d, _ in walks[1:]] == [
@@ -369,14 +471,14 @@ def test_frontier_nodes_without_ingress_arcs():
                       Edge(5, 1, 7, 8), Edge(6, 1, 9, 10), Edge(7, 3, 11, 12)])
     heads = [0, 0, 0, 1, 1, 3]
     assert net.reverse_arcs[0].tolist() == heads + [n + h for h in heads]
-    walks = [trees_mod._frontier_walk(net.reverse_arcs, n, 0, r) for r in range(4)]
+    walks = [_pair_walk(net, 0, r) for r in range(4)]
     assert [f.tolist() for _, f in walks] == [
         [0, n], [1, 2, 3, n + 1, n + 2, n + 3], [5, 6, 7, n + 5, n + 6, n + 7], []]
     trees = _frontier(net, 0)
     assert trees.min_cost_to_target == [0, 1, 3, 5, inf, 8, 10, 16]
     assert trees.min_delay_to_target == [0, 2, 4, 6, inf, 10, 12, 18]
     assert trees.min_cost_to_target == bellman_ford_to_target(net, 0, "cost")
-    dist, frontier = trees_mod._frontier_walk(net.reverse_arcs, n, 5, 1)
+    dist, frontier = _pair_walk(net, 5, 1)
     assert frontier.size == 0
     assert _frontier(net, 5).min_cost_to_target == (
         [inf] * 5 + [0, inf, inf])

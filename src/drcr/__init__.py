@@ -10,10 +10,9 @@ from .network import (DrcrTask, Edge, IntegrityError, Network, NetworkView,
                       load_network, load_tasks, remove_conflicting_edges,
                       save_network, save_tasks)
 from .trees import ReverseTrees, TreeCache, build_reverse_trees
-from .pulse import (UNLIMITED, CostCorridor, SearchCancelled, SearchControl,
-                    SearchCounters, SearchTimeout, build_search_order,
-                    count_paths_capped, pulse_first_feasible, pulse_optimal,
-                    scan_corridor_paths)
+from .pulse import (UNLIMITED, SearchCancelled, SearchControl, SearchCounters,
+                    SearchTimeout, build_search_order, count_paths_capped,
+                    pulse_first_feasible, pulse_optimal, scan_corridor_paths)
 from .report import INFEASIBLE, OPTIMAL, PAIR, TIMEOUT, SolveReport
 from .btbu import BTBU1, BTBU2, solve_btbu
 from .btcs import (BtcsConfig, DisjointPair, pp_delay_window, solve_btcs,
@@ -28,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchRecord", "BtcsConfig", "BTBU1", "BTBU2",
-    "CostCorridor", "DisjointPair", "DrcrTask", "Edge", "GenerationError",
+    "DisjointPair", "DrcrTask", "Edge", "GenerationError",
     "GenSpec", "Histogram", "INFEASIBLE", "IntegrityError", "Network",
     "NetworkView", "OPTIMAL", "OracleTooLargeError", "PAIR", "ParseError",
     "Path", "ReverseTrees", "SearchCancelled", "SearchControl",

@@ -45,9 +45,9 @@ from . import pulse
 from .network import (DrcrTask, Network, NetworkView, Path, SrlgTask,
                       check_task_nodes, find_path, is_connected,
                       remove_conflicting_edges)
-from .pulse import (UNLIMITED, CostCorridor, SearchControl, SearchCounters,
-                    SearchInterrupted, SearchOrder, build_search_order,
-                    pulse_first_feasible, pulse_optimal, scan_corridor_paths)
+from .pulse import (UNLIMITED, SearchControl, SearchCounters, SearchInterrupted,
+                    SearchOrder, build_search_order, pulse_first_feasible,
+                    pulse_optimal, scan_corridor_paths)
 from .report import INFEASIBLE, PAIR, TIMEOUT, SolveReport
 from .trees import ReverseTrees
 
@@ -235,7 +235,7 @@ def solve_btcs(net: Network, trees: ReverseTrees, task: SrlgTask,
             return None, report
         search = {"order": build_search_order(net, trees),
                   "counters": counters, "control": control}
-        first_ap = pulse_optimal(net, trees, task.base, **search)
+        first_ap = pulse_optimal(net, trees, task, **search)
         if first_ap is None:
             return None, report
         report.ap_candidates_checked = 1
@@ -251,7 +251,7 @@ def solve_btcs(net: Network, trees: ReverseTrees, task: SrlgTask,
         for k in corridors:
             c_up = c_low + width * cfg.growth ** k
             candidates, floor = scan_corridor_paths(
-                net, trees, task.base, CostCorridor(c_low, c_up), **search)
+                net, trees, task, c_low, c_up, **search)
             candidates.sort(key=lambda p: (p.total_cost, p.edges))
             fresh = (ap for ap in candidates if ap.edges != first_ap.edges)
             checked, pp = 0, None

@@ -128,8 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="only sweep cost bins up to this value")
     p.add_argument("--no-all", action="store_true",
                    help="skip the unpruned all-paths series")
-    p.add_argument("--time-limit-ms", type=float,
-                   help="deadline for the whole histogram; the bins it "
+    p.add_argument("--time-limit-ms", type=float, default=60_000.0,
+                   help="deadline for the whole histogram (default "
+                        "%(default)g ms, 'inf' for none); the bins it "
                         "completed are written, marked truncated")
     p.add_argument("--out")
 

@@ -228,7 +228,7 @@ def gen_tasks(net: Network, count: int, kind: str, seed: int = 0, *,
         else:
             d_up = ceil(float(rng.uniform(1.2, 2.0)) * min_delay)
             d_diff = int(rng.integers(ceil(0.1 * d_up), int(0.5 * d_up) + 1))
-            tasks.append(SrlgTask(DrcrTask(s, t, 0, d_up), d_diff))
+            tasks.append(SrlgTask(s, t, 0, d_up, d_diff))
     return tasks
 
 
@@ -241,7 +241,6 @@ UNKNOWN = "unknown"
 def filter_tasks(net: Network, tasks: list[Task], kind: str, *,
                  cache: TreeCache | None = None,
                  btcs_cfg: BtcsConfig = BtcsConfig(),
-                 control: SearchControl | None = None,
                  time_limit_ms: float | None = None
                  ) -> tuple[list[Task], list[str]]:
     """Keep the evaluation-worthy tasks, with a label per kept task.
@@ -258,36 +257,32 @@ def filter_tasks(net: Network, tasks: list[Task], kind: str, *,
     cut test settles a task before any AP search, one first-feasible
     search decides whether an AP exists: the task is kept as
     ``unavoidable`` if one does and dropped otherwise.
-    Either kind keeps a task labelled ``unknown`` when ``control`` ends its
-    searches before a verdict, and srlg also when the ``btcs_cfg`` corridor
-    cap does.  ``control`` is shared by every task; ``time_limit_ms`` gives
-    each task its own deadline instead, counted from the start of its
-    searches.  Give at most one of them.  Raises IntegrityError when a
-    task node is not a node of ``net``.
+    Each task gets its own deadline, ``time_limit_ms`` from the start of
+    its searches (None for none; zero or less is a deadline already
+    passed).  Either kind keeps a task labelled ``unknown`` when its
+    deadline ends its searches before a verdict, and srlg also when the
+    ``btcs_cfg`` corridor cap does.  Raises IntegrityError when a task
+    node is not a node of ``net``.
     """
     if kind not in ("drcr", "srlg"):
         raise ValueError(f"unknown task kind {kind!r}")
-    if control is not None and time_limit_ms is not None:
-        raise ValueError("give control or time_limit_ms, not both")
     cache = cache or TreeCache(net)
-    expected, noun = ((DrcrTask, "single-path") if kind == "drcr"
-                      else (SrlgTask, "disjoint-pair"))
+    srlg = kind == "srlg"
+    noun = "disjoint-pair" if srlg else "single-path"
     kept: list[Task] = []
     labels: list[str] = []
     for task in tasks:
-        if not isinstance(task, expected):
+        if isinstance(task, SrlgTask) != srlg:
             raise ValueError(f"expected {noun} tasks, got {task!r}")
         check_task_nodes(net, task)
         trees = cache.get(task.target)
-        task_control = control or SearchControl.from_time_limit_ms(
-            time_limit_ms)
+        control = SearchControl.from_time_limit_ms(time_limit_ms)
         try:
-            if kind == "drcr":
-                found = pulse_first_feasible(net, trees, task,
-                                             control=task_control)
-                label = None if found is None else FEASIBLE
+            if srlg:
+                label = _trap_label(net, trees, task, btcs_cfg, control)
             else:
-                label = _trap_label(net, trees, task, btcs_cfg, task_control)
+                found = pulse_first_feasible(net, trees, task, control=control)
+                label = None if found is None else FEASIBLE
         except SearchInterrupted:
             label = UNKNOWN
         if label is not None:
@@ -304,7 +299,7 @@ def _trap_label(net: Network, trees: ReverseTrees, task: SrlgTask,
         if report.srlg_cut is None:
             return None  # no active path at all
         # the cut test settled it before any AP search
-        ap = pulse_first_feasible(net, trees, task.base, control=control)
+        ap = pulse_first_feasible(net, trees, task, control=control)
         return None if ap is None else UNAVOIDABLE
     if report.outcome == PAIR:
         # stage 1 protected its active path: no trap

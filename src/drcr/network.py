@@ -290,7 +290,9 @@ class DrcrTask:
     """A single-path routing request: min-cost path with delay in [d_low, d_up].
 
     d_up may be math.inf for internal delay-relaxed searches; tasks read from
-    files always carry finite integers.
+    files always carry finite integers.  A NaN bound raises IntegrityError:
+    every delay comparison with it is false, so a search would prove a
+    false "infeasible".
     """
 
     source: int
@@ -304,36 +306,26 @@ class DrcrTask:
                                  f"{self.source} -> {self.target}")
         if self.source == self.target:
             raise IntegrityError("task source equals target")
-        if self.d_low < 0 or self.d_low > self.d_up:
+        if not 0 <= self.d_low <= self.d_up:  # also false for NaN
             raise IntegrityError(f"bad delay window [{self.d_low}, {self.d_up}]")
 
 
 @dataclass(frozen=True, slots=True)
-class SrlgTask:
-    """A disjoint-pair request: the base window plus the delay-difference limit."""
+class SrlgTask(DrcrTask):
+    """A disjoint-pair request: its window, plus the delay-difference limit.
 
-    base: DrcrTask
+    The active path is a DRCR path of this window, so the task goes as it
+    is to every single-path search.  A task never equals the DrcrTask of
+    its window.
+    """
+
     d_diff: int
 
     def __post_init__(self):
-        if self.d_diff < 0:
+        # by name: a zero-argument super() fails in a slots dataclass
+        DrcrTask.__post_init__(self)
+        if not self.d_diff >= 0:  # also true for NaN
             raise IntegrityError(f"d_diff must be >= 0, got {self.d_diff}")
-
-    @property
-    def source(self) -> int:
-        return self.base.source
-
-    @property
-    def target(self) -> int:
-        return self.base.target
-
-    @property
-    def d_low(self) -> int:
-        return self.base.d_low
-
-    @property
-    def d_up(self) -> int:
-        return self.base.d_up
 
 
 Task = Union[DrcrTask, SrlgTask]
@@ -522,10 +514,7 @@ def parse_task_line(line: str, path="<string>", line_no: int = 0,
             raise ParseError(path, line_no, f"{name} {node} is not a node of "
                              f"the {node_count}-node network")
     try:
-        base = DrcrTask(values[0], values[1], values[2], values[3])
-        if len(values) == 5:
-            return SrlgTask(base, values[4])
-        return base
+        return (SrlgTask if len(values) == 5 else DrcrTask)(*values)
     except IntegrityError as exc:
         raise ParseError(path, line_no, str(exc)) from None
 
@@ -543,8 +532,6 @@ def save_tasks(tasks: Iterable[Task], path) -> None:
 
 
 def format_task(task: Task) -> str:
-    if isinstance(task, SrlgTask):
-        b = task.base
-        return f"{b.source},{b.target},{b.d_low},{b.d_up},{task.d_diff}"
-    return f"{task.source},{task.target},{task.d_low},{task.d_up}"
+    line = f"{task.source},{task.target},{task.d_low},{task.d_up}"
+    return f"{line},{task.d_diff}" if isinstance(task, SrlgTask) else line
 

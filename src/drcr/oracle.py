@@ -20,9 +20,8 @@ from typing import IO
 from .btcs import DisjointPair, protect_candidates
 from .network import (DrcrTask, NetLike, Network, Path, SrlgTask, as_view,
                       check_task_nodes)
-from .pulse import (INF, UNLIMITED, CostCorridor, SearchControl,
-                    build_search_order, count_paths_capped,
-                    scan_corridor_paths, sweep_bins)
+from .pulse import (INF, UNLIMITED, SearchControl, build_search_order,
+                    count_paths_capped, scan_corridor_paths, sweep_bins)
 from .trees import build_reverse_trees
 
 DEFAULT_PATH_CAP = 10 ** 8
@@ -154,7 +153,7 @@ def _upper_only(task: DrcrTask) -> DrcrTask:
     return DrcrTask(task.source, task.target, 0, task.d_up)
 
 
-def build_histogram(net: Network, task: DrcrTask | SrlgTask, bin_width: int,
+def build_histogram(net: Network, task: DrcrTask, bin_width: int,
                     cap: int = DEFAULT_PATH_CAP, *,
                     cost_ceiling: int | None = None,
                     include_all: bool = True,
@@ -174,9 +173,7 @@ def build_histogram(net: Network, task: DrcrTask | SrlgTask, bin_width: int,
     not a node of ``net``.
     """
     check_task_nodes(net, task)
-    is_pair_task = isinstance(task, SrlgTask)
-    base_task = task.base if is_pair_task else task
-    trees = build_reverse_trees(net, base_task.target)
+    trees = build_reverse_trees(net, task.target)
     order = build_search_order(net, trees)
     hist = Histogram(bin_width=bin_width)
 
@@ -188,15 +185,15 @@ def build_histogram(net: Network, task: DrcrTask | SrlgTask, bin_width: int,
         return bins
 
     if include_all:
-        hist.series["all"] = swept(_relaxed(base_task))
+        hist.series["all"] = swept(_relaxed(task))
 
-    if is_pair_task:
+    if isinstance(task, SrlgTask):
         protected: dict[int, int] = {}
 
         def protect_bin(lo: int, hi: int, left: int) -> tuple[int, float]:
             candidates, floor = scan_corridor_paths(
-                net, trees, base_task, CostCorridor(lo, hi), cap=left,
-                order=order, control=control)
+                net, trees, task, lo, hi, cap=left, order=order,
+                control=control)
             hits = sum(pp is not None for _, pp in protect_candidates(
                 net, trees, task, candidates, order=order, control=control))
             if hits:
@@ -209,7 +206,7 @@ def build_histogram(net: Network, task: DrcrTask | SrlgTask, bin_width: int,
         hist.truncated = hist.truncated or hit
         hist.series["protected"] = protected
     else:
-        if base_task.d_low > 0:
-            hist.series["feasible_up"] = swept(_upper_only(base_task))
-        hist.series["feasible"] = swept(base_task)
+        if task.d_low > 0:
+            hist.series["feasible_up"] = swept(_upper_only(task))
+        hist.series["feasible"] = swept(task)
     return hist

@@ -120,18 +120,6 @@ class SearchControl:
 UNLIMITED = SearchControl()
 
 
-@dataclass(frozen=True, slots=True)
-class CostCorridor:
-    """Half-open cost interval [c_low, c_up); c_up may be math.inf."""
-
-    c_low: int
-    c_up: float
-
-    def __post_init__(self):
-        if not self.c_low < self.c_up:
-            raise ValueError(f"empty corridor [{self.c_low}, {self.c_up})")
-
-
 class SearchOrder:
     """Per-node egress rows (cost_lb, delay_lb, cost, delay, dst, eid).
 
@@ -349,28 +337,30 @@ def pulse_probe(net: NetLike, trees: ReverseTrees, task: DrcrTask,
                   hi=bound, prune=prune)
 
 
-def pulse_optimal(net: NetLike, trees: ReverseTrees, task: DrcrTask,
-                  initial_bound: float = INF, *, order: SearchOrder | None = None,
+def pulse_optimal(net: NetLike, trees: ReverseTrees, task: DrcrTask, *,
+                  order: SearchOrder | None = None,
                   counters: SearchCounters | None = None,
                   control: SearchControl = UNLIMITED,
                   prune: bool = True) -> Path | None:
-    """``pulse_probe``'s path alone: the cheapest one below the bound."""
-    return pulse_probe(net, trees, task, initial_bound, order=order,
-                       counters=counters, control=control, prune=prune)[0]
+    """The cheapest window-feasible path, or None: the unbounded
+    ``pulse_probe``'s path.  A bounded search is ``pulse_probe`` itself."""
+    return pulse_probe(net, trees, task, order=order, counters=counters,
+                       control=control, prune=prune)[0]
 
 
 def scan_corridor_paths(net: NetLike, trees: ReverseTrees, task: DrcrTask,
-                        corridor: CostCorridor, *, cap: float = INF,
+                        c_low: int, c_up: float, *, cap: float = INF,
                         order: SearchOrder | None = None,
                         counters: SearchCounters | None = None,
                         control: SearchControl = UNLIMITED
                         ) -> tuple[list[Path], float]:
-    """Exactly the corridor's paths, plus the floor above it.
+    """Exactly the paths of the corridor [c_low, c_up), and the floor above.
 
     The collecting walk: every elementary path with d_low <= d(P) <= d_up
     and c_low <= c(P) < c_up, in discovery order, or the first ``cap`` of
-    them.  No incumbent is kept and no bound is updated.  The second value
-    is the walk's floor (see ``_pulse``): no window-feasible path costs in
+    them; c_up may be INF, and an empty interval raises ValueError.  No
+    incumbent is kept and no bound is updated.  The second value is the
+    walk's floor (see ``_pulse``): no window-feasible path costs in
     [c_up, floor), so an ascending consumer may start its next corridor at
     the floor, and INF proves nothing lies above.  A walk stopped at
     ``cap`` proves nothing and reports c_up.  The corridor cost pruning is
@@ -378,8 +368,10 @@ def scan_corridor_paths(net: NetLike, trees: ReverseTrees, task: DrcrTask,
     mirroring the half-open collection test; boundary branches are explored
     and rejected at the terminal, where they set the floor.
     """
+    if not c_low < c_up:
+        raise ValueError(f"empty corridor [{c_low}, {c_up})")
     return _pulse(net, trees, task, order, counters, control, _COLLECT,
-                  corridor.c_low, corridor.c_up, cap)
+                  c_low, c_up, cap)
 
 
 def pulse_first_feasible(net: NetLike, trees: ReverseTrees, task: DrcrTask, *,

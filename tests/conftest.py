@@ -72,10 +72,9 @@ def random_task(rng: random.Random, net: Network,
     max_total_delay = sum(e.delay for e in net.edges)
     d_low = rng.randint(0, max(1, max_total_delay // 3))
     d_up = d_low + rng.randint(0, max(1, max_total_delay // 2))
-    base = DrcrTask(s, t, d_low, d_up)
     if not srlg:
-        return base
-    return SrlgTask(base, rng.randint(0, max(1, d_up)))
+        return DrcrTask(s, t, d_low, d_up)
+    return SrlgTask(s, t, d_low, d_up, rng.randint(0, max(1, d_up)))
 
 
 def bellman_ford_to_target(net: Network, target: int, metric: str) -> list[float]:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import pytest
 
-from drcr import (BTBU1, BTBU2, CostCorridor, DrcrTask, GenSpec, Network,
-                  SrlgSpec, SrlgTask, TreeCache, build_histogram,
+from drcr import (BTBU1, BTBU2, GenSpec, Network, SrlgSpec, SrlgTask,
+                  TreeCache, build_histogram,
                   build_reverse_trees, check_path, enumerate_paths,
                   filter_tasks, gen_graph, gen_srlg, gen_tasks, oracle_drcr,
                   oracle_minmin, pulse_optimal, run_suite,
@@ -69,9 +69,9 @@ def test_criterion_2_minmin_oracle_equivalence():
                              srlg_count=rng.randint(1, 12))
         task = random_task(rng, net, srlg=True)
         if seed % 2:
-            task = SrlgTask(
-                DrcrTask(task.source, task.target, 0, task.d_up + task.d_low),
-                max(task.d_diff, task.d_up // 2 + 1))
+            task = SrlgTask(task.source, task.target, 0,
+                            task.d_up + task.d_low,
+                            max(task.d_diff, task.d_up // 2 + 1))
         instances += 1
         trees = build_reverse_trees(net, task.target)
         expected = oracle_minmin(net, task)
@@ -119,8 +119,8 @@ def test_criterion_3_corridor_completeness():
             c_up = c_low + rng.randint(1, 80)
         instances += 1
         trees = build_reverse_trees(net, task.target)
-        got = {p.edges for p in scan_corridor_paths(
-            net, trees, task, CostCorridor(c_low, c_up))[0]}
+        got = {p.edges for p in scan_corridor_paths(net, trees, task, c_low,
+                                                    c_up)[0]}
         expected = {p.edges for p in paths
                     if task.d_low <= p.total_delay <= task.d_up
                     and c_low <= p.total_cost < c_up}
@@ -164,7 +164,7 @@ def trap_suite():
         cache = TreeCache(net)
         for task, label in zip(kept, labels):
             trees = cache.get(task.target)
-            start = pulse_optimal(net, trees, task.base).total_cost
+            start = pulse_optimal(net, trees, task).total_cost
             pair, _ = solve_btcs(net, trees, task)
             instances.append(TrapInstance(
                 net=net, task=task, label=label, start_cost=start,

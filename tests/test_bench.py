@@ -6,7 +6,7 @@ import io
 import json
 import random
 import threading
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from math import inf
 
 import pytest
@@ -38,7 +38,7 @@ def test_trivial_task_all_single_path_solvers():
 
 def test_btcs_suite_on_trap():
     net = trap_network()
-    task = SrlgTask(DrcrTask(0, 5, 0, 100), 50)
+    task = SrlgTask(0, 5, 0, 100, 50)
     records = run_suite(net, [task], "btcs", alpha=1.0)
     assert records[0].outcome == "pair" and records[0].ap_cost == 4
     assert records[0].corridors_explored >= 1
@@ -46,7 +46,7 @@ def test_btcs_suite_on_trap():
 
 def test_solver_task_kind_mismatch_is_error_outcome():
     net = Network(2, [Edge(0, 1, 5, 7)])
-    records = run_suite(net, [SrlgTask(DrcrTask(0, 1, 0, 10), 1)], "pulse")
+    records = run_suite(net, [SrlgTask(0, 1, 0, 10, 1)], "pulse")
     assert records[0].outcome == "error"
     assert records[0].error.startswith(
         "ValueError: solver 'pulse' needs single-path tasks")
@@ -69,7 +69,7 @@ def test_solve_reports_stop_event_as_timeout_for_every_solver(request):
         for solver, task in (("pulse", DrcrTask(0, 3, 0, 10)),
                              ("btbu1", DrcrTask(0, 3, 0, 10)),
                              ("btbu2", DrcrTask(0, 3, 0, 10)),
-                             ("btcs", SrlgTask(DrcrTask(0, 3, 0, 10), 5))):
+                             ("btcs", SrlgTask(0, 3, 0, 10, 5))):
             report, result = bench_mod.solve(net, trees, task, solver, control)
             assert (report.outcome, result, report.pulses) == ("timeout", None, 0)
 
@@ -156,7 +156,7 @@ def test_summary_writers_include_meta():
 
 def test_sweep_alpha_runs_all_values():
     net = trap_network()
-    task = SrlgTask(DrcrTask(0, 5, 0, 100), 50)
+    task = SrlgTask(0, 5, 0, 100, 50)
     sweeps = sweep_alpha(net, [task], alphas=(1.0, 10.0))
     assert set(sweeps) == {1.0, 10.0}
     for records in sweeps.values():
@@ -170,11 +170,11 @@ def test_task_node_outside_network_is_rejected_by_every_solver():
         with pytest.raises(IntegrityError, match="source 7 is not a node"):
             bench_mod.solve(net, trees, DrcrTask(7, 2, 0, 20), solver)
     with pytest.raises(IntegrityError, match="target 5 is not a node"):
-        bench_mod.solve(net, trees, SrlgTask(DrcrTask(0, 5, 0, 20), 5), "btcs")
+        bench_mod.solve(net, trees, SrlgTask(0, 5, 0, 20, 5), "btcs")
     # run_suite builds the trees first, so a bad target fails there
     for base, message in ((DrcrTask(7, 2, 0, 20), "task source 7"),
                           (DrcrTask(0, 5, 0, 20), "target 5")):
-        for solver, task in (("btbu1", base), ("btcs", SrlgTask(base, 5))):
+        for solver, task in (("btbu1", base), ("btcs", SrlgTask(*astuple(base), 5))):
             record, = run_suite(net, [task], solver)
             assert (record.outcome, record.error) == (
                 "error", f"IntegrityError: {message} is not a node of the "
@@ -207,7 +207,7 @@ def test_pulse_solver_is_the_unbounded_pulse_search():
         task = random_task(rng, net)
         trees = build_reverse_trees(net, task.target)
         counters = SearchCounters()
-        expected = pulse_optimal(net, trees, task, inf, counters=counters)
+        expected = pulse_optimal(net, trees, task, counters=counters)
         report, path = bench_mod.solve(net, trees, task, "pulse")
         assert path == expected
         assert report.outcome == ("infeasible" if expected is None else "optimal")
@@ -233,7 +233,7 @@ def test_solve_and_run_suite_look_solvers_up_on_their_modules(monkeypatch):
         monkeypatch.setattr(module, name, spy)
     net = trap_network()
     drcr_task = DrcrTask(0, 5, 0, 100)
-    srlg_task = SrlgTask(drcr_task, 50)
+    srlg_task = SrlgTask(0, 5, 0, 100, 50)
     expected = {"pulse": "solve_btbu", "btbu1": "solve_btbu",
                 "btbu2": "solve_btbu", "btcs": "solve_btcs"}
     for solver, callee in expected.items():

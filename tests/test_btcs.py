@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drcr import (BtcsConfig, CostCorridor, DrcrTask, Edge, IntegrityError,
-                  Network, SearchCounters, SrlgTask, build_reverse_trees,
+from drcr import (BtcsConfig, Edge, IntegrityError, Network,
+                  SearchCounters, SrlgTask, build_reverse_trees,
                   check_path, enumerate_paths, oracle_minmin,
                   pp_delay_window, pulse_optimal, solve_btcs, try_protect)
 from drcr import btcs
@@ -43,15 +43,15 @@ def _verify_pair(net, task, pair):
 
 
 def test_pp_delay_window_cases():
-    task = SrlgTask(DrcrTask(0, 1, 0, 100), 10)
+    task = SrlgTask(0, 1, 0, 100, 10)
     assert pp_delay_window(task, 50) == (40, 60)
-    clamped = SrlgTask(DrcrTask(0, 1, 45, 100), 10)
+    clamped = SrlgTask(0, 1, 45, 100, 10)
     assert pp_delay_window(clamped, 50) == (45, 60)
-    exact = SrlgTask(DrcrTask(0, 1, 0, 100), 0)
+    exact = SrlgTask(0, 1, 0, 100, 0)
     assert pp_delay_window(exact, 33) == (33, 33)
-    tight = SrlgTask(DrcrTask(0, 1, 80, 100), 5)
+    tight = SrlgTask(0, 1, 80, 100, 5)
     assert pp_delay_window(tight, 90) == (85, 95)
-    clip = SrlgTask(DrcrTask(0, 1, 97, 100), 5)
+    clip = SrlgTask(0, 1, 97, 100, 5)
     assert pp_delay_window(clip, 100) == (97, 100)
 
 
@@ -64,7 +64,7 @@ def _two_route_net(shared_srlg: bool) -> Network:
 
 def test_try_protect_finds_sibling_route():
     net = _two_route_net(shared_srlg=False)
-    task = SrlgTask(DrcrTask(0, 3, 0, 100), 100)
+    task = SrlgTask(0, 3, 0, 100, 100)
     trees = build_reverse_trees(net, 3)
     ap = net.path([0, 1])
     pp = try_protect(net, trees, task, ap)
@@ -73,14 +73,14 @@ def test_try_protect_finds_sibling_route():
 
 def test_try_protect_shared_srlg_blocks():
     net = _two_route_net(shared_srlg=True)
-    task = SrlgTask(DrcrTask(0, 3, 0, 100), 100)
+    task = SrlgTask(0, 3, 0, 100, 100)
     trees = build_reverse_trees(net, 3)
     assert try_protect(net, trees, task, net.path([0, 1])) is None
 
 
 def test_try_protect_disconnection_short_circuits_without_pulses():
     net = _two_route_net(shared_srlg=True)
-    task = SrlgTask(DrcrTask(0, 3, 0, 100), 100)
+    task = SrlgTask(0, 3, 0, 100, 100)
     trees = build_reverse_trees(net, 3)
     counters = SearchCounters()
     pp = try_protect(net, trees, task, net.path([0, 1]), counters=counters)
@@ -89,18 +89,18 @@ def test_try_protect_disconnection_short_circuits_without_pulses():
 
 def test_try_protect_empty_window_short_circuits():
     net = _two_route_net(shared_srlg=False)
-    task = SrlgTask(DrcrTask(0, 3, 0, 100), 0)
+    task = SrlgTask(0, 3, 0, 100, 0)
     trees = build_reverse_trees(net, 3)
     # sibling route has delay 2 vs ap delay 2: window [2,2] still works
     assert try_protect(net, trees, task, net.path([0, 1])) is not None
     # force an empty intersection
-    off = SrlgTask(DrcrTask(0, 3, 3, 100), 0)
+    off = SrlgTask(0, 3, 3, 100, 0)
     assert pp_delay_window(off, 2) is None
 
 
 def test_non_trap_returns_in_stage_one():
     net = _two_route_net(shared_srlg=False)
-    task = SrlgTask(DrcrTask(0, 3, 0, 100), 100)
+    task = SrlgTask(0, 3, 0, 100, 100)
     trees = build_reverse_trees(net, 3)
     pair, report = solve_btcs(net, trees, task)
     assert report.outcome == "pair"
@@ -110,7 +110,7 @@ def test_non_trap_returns_in_stage_one():
 
 
 def test_trap_instance_resolved_beyond_global_shortest(trap_net):
-    task = SrlgTask(DrcrTask(0, 5, 0, 100), 50)
+    task = SrlgTask(0, 5, 0, 100, 50)
     trees = build_reverse_trees(trap_net, 5)
     pair, report = solve_btcs(trap_net, trees, task, BtcsConfig(alpha=1.0))
     assert report.outcome == "pair"
@@ -128,7 +128,7 @@ def test_unavoidable_trap_is_infeasible():
     edges = [Edge(0, 1, 1, 1), Edge(1, 3, 1, 1),
              Edge(0, 2, 5, 1), Edge(2, 3, 5, 1)]
     net = Network(4, edges, [{0, 2}])  # both routes share a group
-    task = SrlgTask(DrcrTask(0, 3, 0, 100), 100)
+    task = SrlgTask(0, 3, 0, 100, 100)
     trees = build_reverse_trees(net, 3)
     pair, report = solve_btcs(net, trees, task)
     assert pair is None and report.outcome == "infeasible"
@@ -137,7 +137,7 @@ def test_unavoidable_trap_is_infeasible():
 
 def test_no_feasible_ap_is_infeasible():
     net = _two_route_net(shared_srlg=False)
-    task = SrlgTask(DrcrTask(0, 3, 50, 60), 5)  # window above any delay
+    task = SrlgTask(0, 3, 50, 60, 5)  # window above any delay
     trees = build_reverse_trees(net, 3)
     pair, report = solve_btcs(net, trees, task)
     assert pair is None and report.outcome == "infeasible"
@@ -153,9 +153,9 @@ def test_matches_minmin_oracle_on_random_instances():
                              srlg_count=rng.randint(1, 12))
         task = random_task(rng, net, srlg=True)
         if seed % 2:  # alternate between tight and generous windows
-            task = SrlgTask(
-                DrcrTask(task.source, task.target, 0, task.d_up + task.d_low),
-                max(task.d_diff, task.d_up // 2 + 1))
+            task = SrlgTask(task.source, task.target, 0,
+                            task.d_up + task.d_low,
+                            max(task.d_diff, task.d_up // 2 + 1))
         trees = build_reverse_trees(net, task.target)
         expected = oracle_minmin(net, task)
         pair, report = solve_btcs(net, trees, task)
@@ -173,16 +173,16 @@ def test_corridor_progression_invariant(monkeypatch):
     scans = []
     scan = btcs.scan_corridor_paths
 
-    def recording(net, trees, task, corridor, **kwargs):
-        scans.append(corridor)
-        return scan(net, trees, task, corridor, **kwargs)
+    def recording(net, trees, task, c_low, c_up, **kwargs):
+        scans.append((c_low, c_up))
+        return scan(net, trees, task, c_low, c_up, **kwargs)
 
     monkeypatch.setattr(btcs, "scan_corridor_paths", recording)
     beyond_first = gaps = 0
     for seed, growth in product(range(50), (1, 2)):
         net, task = _golden_instance(seed)
         trees = build_reverse_trees(net, task.target)
-        first_ap = pulse_optimal(net, trees, task.base)
+        first_ap = pulse_optimal(net, trees, task)
         if first_ap is None:
             continue
         costs = [p.total_cost
@@ -196,21 +196,22 @@ def test_corridor_progression_invariant(monkeypatch):
             if not scans:
                 continue
             width = corridor_width(net, alpha)
-            assert scans[0].c_low == first_ap.total_cost
-            for k, corridor in enumerate(scans):
-                assert corridor.c_up - corridor.c_low == width * growth ** k
+            assert scans[0][0] == first_ap.total_cost
+            for k, (c_low, c_up) in enumerate(scans):
+                assert c_up - c_low == width * growth ** k
             # each corridor starts at or above the last one's end, and the
             # stretch it skips holds no window-feasible path
-            for last, corridor in zip(scans, scans[1:]):
-                assert corridor.c_low >= last.c_up
-                assert not any(last.c_up <= c < corridor.c_low for c in costs)
-                gaps += corridor.c_low > last.c_up
+            for (_, last_up), (c_low, _) in zip(scans, scans[1:]):
+                assert c_low >= last_up
+                assert not any(last_up <= c < c_low for c in costs)
+                gaps += c_low > last_up
+            c_low, c_up = scans[-1]
             if pair is not None:
                 # the accepted candidate lies inside the last corridor
-                assert scans[-1].c_low <= pair.ap.total_cost < scans[-1].c_up
+                assert c_low <= pair.ap.total_cost < c_up
             else:
                 # the last floor was inf: no AP lies at or above its top
-                assert all(c < scans[-1].c_up for c in costs)
+                assert all(c < c_up for c in costs)
             beyond_first += len(scans) > 1
     assert beyond_first >= 10 and gaps >= 10
 
@@ -234,7 +235,7 @@ def _srlg_instance(draw):
     s = draw(node)
     t = draw(node.filter(lambda v: v != s))
     d_low = draw(st.integers(0, 10))
-    task = SrlgTask(DrcrTask(s, t, d_low, d_low + draw(st.integers(5, 60))),
+    task = SrlgTask(s, t, d_low, d_low + draw(st.integers(5, 60)),
                     draw(st.integers(0, 30)))
     return Network(n, edges, groups), task
 
@@ -265,7 +266,7 @@ def test_property_every_schedule_matches_minmin_oracle(case, alpha):
 
 
 def test_max_corridors_cap_times_out(trap_net):
-    task = SrlgTask(DrcrTask(0, 5, 0, 100), 50)
+    task = SrlgTask(0, 5, 0, 100, 50)
     trees = build_reverse_trees(trap_net, 5)
     pair, report = solve_btcs(trap_net, trees, task,
                               BtcsConfig(alpha=1.0, max_corridors=1))
@@ -276,7 +277,7 @@ def test_deadline_times_out(poll_each_pulse):
     n = 9
     edges = [Edge(u, v, 1, 1) for u in range(n) for v in range(n) if u != v]
     net = Network(n, edges, [{0}])
-    task = SrlgTask(DrcrTask(0, n - 1, 0, 10 ** 9), 10 ** 9)
+    task = SrlgTask(0, n - 1, 0, 10 ** 9, 10 ** 9)
     trees = build_reverse_trees(net, n - 1)
     control = SearchControl(deadline=monotonic() - 1.0)
     pair, report = solve_btcs(net, trees, task, control=control)
@@ -287,7 +288,7 @@ def _stage1_heavy() -> tuple[Network, SrlgTask]:
     """Stage-1 search alone walks far past the 512-pulse poll interval."""
     n = 8
     net = Network(n, [Edge(u, v, 1, 1) for u in range(n) for v in range(n) if u != v])
-    return net, SrlgTask(DrcrTask(0, n - 1, n - 1, n - 1), 0)
+    return net, SrlgTask(0, n - 1, n - 1, n - 1, 0)
 
 
 def _corridor_heavy() -> tuple[Network, SrlgTask]:
@@ -300,7 +301,7 @@ def _corridor_heavy() -> tuple[Network, SrlgTask]:
     n = 8
     edges = [Edge(u, v, 1, 1) for u in range(n) for v in range(n) if u != v]
     net = Network(n, edges, [{eid for eid, e in enumerate(edges) if e.src == 0}])
-    return net, SrlgTask(DrcrTask(0, n - 1, 0, 10 ** 9), 10 ** 9)
+    return net, SrlgTask(0, n - 1, 0, 10 ** 9, 10 ** 9)
 
 
 def _cross() -> tuple[Network, SrlgTask]:
@@ -317,7 +318,7 @@ def _cross() -> tuple[Network, SrlgTask]:
     a = [(0, 1), (0, 2), (0, 3), (4, 7), (5, 7), (6, 7), (0, 7)]
     b = [(0, 4), (0, 5), (0, 6), (1, 7), (2, 7), (3, 7), (0, 7)]
     net = Network(n, edges, [{eid[p] for p in a}, {eid[p] for p in b}])
-    return net, SrlgTask(DrcrTask(0, n - 1, 0, 10 ** 9), 10 ** 9)
+    return net, SrlgTask(0, n - 1, 0, 10 ** 9, 10 ** 9)
 
 
 @pytest.mark.parametrize("instance", [_stage1_heavy, _corridor_heavy, _cross])
@@ -340,7 +341,7 @@ def test_stage_two_polls_at_the_callers_interval(poll_each_pulse):
                               control=SearchControl(stop=stop))
     assert pair is not None and report.corridors_explored >= 1
     stage1 = SearchCounters()
-    first_ap = pulse_optimal(net, trees, task.base, counters=stage1)
+    first_ap = pulse_optimal(net, trees, task, counters=stage1)
     assert try_protect(net, trees, task, first_ap, counters=stage1) is None
     # every pulse but a search's root is polled at POLL_EVERY = 1
     assert stop.polls >= report.pulses - stage1.pulses > 1000
@@ -377,7 +378,7 @@ def test_stop_set_before_protection_loop_times_out_there(monkeypatch,
     trees = build_reverse_trees(net, task.target)
     cfg = BtcsConfig(alpha=2.0)
     stop = threading.Event()
-    first_ap = pulse_optimal(net, trees, task.base)
+    first_ap = pulse_optimal(net, trees, task)
     assert find_srlg_cut(net, trees, task) is None
     scan = btcs.scan_corridor_paths
     corridors = []
@@ -421,7 +422,7 @@ def _target_ingress_cut() -> tuple[Network, SrlgTask]:
     eid = {(e.src, e.dst): i for i, e in enumerate(edges)}
     groups = [{eid[0, 7], eid[0, 1]}, {eid[u, 7] for u in range(7)}]
     return (Network(n, edges, groups),
-            SrlgTask(DrcrTask(0, n - 1, 0, 10 ** 9), 10 ** 9))
+            SrlgTask(0, n - 1, 0, 10 ** 9, 10 ** 9))
 
 
 def test_single_srlg_cut_is_infeasible_before_any_corridor(monkeypatch):
@@ -443,7 +444,7 @@ def test_source_egress_cut_settles_the_trap_before_stage_one(monkeypatch):
     trees = build_reverse_trees(net, task.target)
     assert find_srlg_cut(net, trees, task) == 0
     # a window no path meets names no group: stage 1 finds no AP
-    no_ap = SrlgTask(DrcrTask(0, task.target, 0, 0), 0)
+    no_ap = SrlgTask(0, task.target, 0, 0, 0)
     assert find_srlg_cut(net, trees, no_ap) is None
     assert solve_btcs(net, trees, no_ap)[1].srlg_cut is None
 
@@ -477,7 +478,7 @@ def test_find_srlg_cut_tries_groups_in_path_order():
     edges = [Edge(0, 1, 1, 1), Edge(1, 3, 1, 1),
              Edge(0, 2, 5, 1), Edge(2, 3, 5, 1)]
     net = Network(4, edges, [{1, 3}, {0}, {0, 2}])
-    task = SrlgTask(DrcrTask(0, 3, 0, 100), 100)
+    task = SrlgTask(0, 3, 0, 100, 100)
     trees = build_reverse_trees(net, 3)
     # group 1 is avoided by 0->2->3, which narrows the candidates to group
     # 2, on every egress edge; group 0, every ingress edge of 3, is a cut
@@ -486,7 +487,7 @@ def test_find_srlg_cut_tries_groups_in_path_order():
     assert find_srlg_cut(net.with_srlgs([{0}, {2}]), trees, task) is None
     assert find_srlg_cut(net.with_srlgs([{0}]), trees, task) is None
     # no path from 3 at all
-    back = SrlgTask(DrcrTask(3, 0, 0, 100), 100)
+    back = SrlgTask(3, 0, 0, 100, 100)
     assert find_srlg_cut(net, build_reverse_trees(net, 0), back) is None
     # the trees of another target are refused, not walked forever
     with pytest.raises(ValueError, match="trees do not lead"):
@@ -509,7 +510,7 @@ def test_find_srlg_cut_narrows_to_the_cut():
     edges = [Edge(0, 1, 1, 1), Edge(1, 3, 1, 1),
              Edge(0, 2, 5, 1), Edge(2, 3, 5, 1)]
     net = Network(4, edges, [{0}, {1, 3}])
-    task = SrlgTask(DrcrTask(0, 3, 0, 100), 100)
+    task = SrlgTask(0, 3, 0, 100, 100)
     trees = build_reverse_trees(net, 3)
     assert find_srlg_cut(net, trees, task) == 1
     assert find_srlg_cut(net.with_srlgs([{0}, {1}]), trees, task) is None
@@ -530,12 +531,12 @@ def test_delay_bounded_cut_depends_on_d_up():
              Edge(2, 3, 2, 5), Edge(0, 4, 3, 5), Edge(4, 3, 3, 5)]
     net = Network(5, edges, [{0, 2}, {1, 5}])
     trees = build_reverse_trees(net, 3)
-    tight = SrlgTask(DrcrTask(0, 3, 0, 9), 100)
+    tight = SrlgTask(0, 3, 0, 9, 100)
     pair, report = solve_btcs(net, trees, tight)
     assert pair is None and report.outcome == "infeasible"
     assert report.srlg_cut == 0 and report.corridors_explored == 0
     assert oracle_minmin(net, tight) is None
-    loose = SrlgTask(DrcrTask(0, 3, 0, 100), 100)
+    loose = SrlgTask(0, 3, 0, 100, 100)
     assert find_srlg_cut(net, trees, loose) is None
     pair, report = solve_btcs(net, trees, loose, BtcsConfig(alpha=1))
     assert report.outcome == "pair" and report.corridors_explored > 0
@@ -548,7 +549,7 @@ def test_unreachable_target_without_a_delay_bound_is_infeasible():
     # 1->2->1 between nodes that cannot reach the target
     net = Network(4, [Edge(0, 1, 1, 1), Edge(1, 2, 1, 1), Edge(2, 1, 1, 1)],
                   [{0}, {1, 2}])
-    task = SrlgTask(DrcrTask(0, 3, 0, inf), 5)
+    task = SrlgTask(0, 3, 0, inf, 5)
     trees = build_reverse_trees(net, 3)
     assert find_srlg_cut(net, trees, task) is None
     pair, report = solve_btcs(net, trees, task)
@@ -579,9 +580,9 @@ def test_task_node_outside_network_is_rejected():
     trees = build_reverse_trees(net, 3)
     with pytest.raises(IntegrityError, match="source 7 is not a node of the "
                                              "4-node network"):
-        solve_btcs(net, trees, SrlgTask(DrcrTask(7, 3, 0, 100), 100))
+        solve_btcs(net, trees, SrlgTask(7, 3, 0, 100, 100))
     with pytest.raises(IntegrityError, match="target 4 is not a node"):
-        solve_btcs(net, trees, SrlgTask(DrcrTask(0, 4, 0, 100), 100))
+        solve_btcs(net, trees, SrlgTask(0, 4, 0, 100, 100))
 
 
 GOLDEN_REPORTS = Path(__file__).with_name("btcs_golden_reports.json")
@@ -613,16 +614,16 @@ def _golden_instance(seed: int) -> tuple[Network, SrlgTask]:
                              srlg_count=rng.randint(2, 12))
         task = random_task(rng, net, srlg=True)
         if seed % 2:
-            task = SrlgTask(
-                DrcrTask(task.source, task.target, 0, task.d_up + task.d_low),
-                max(task.d_diff, task.d_up // 2 + 1))
+            task = SrlgTask(task.source, task.target, 0,
+                            task.d_up + task.d_low,
+                            max(task.d_diff, task.d_up // 2 + 1))
         return net, task
     n = 8
     edges = [Edge(u, v, rng.randint(1, 4), rng.randint(1, 4))
              for u in range(n) for v in range(n) if u != v]
     groups = [set(rng.sample(range(len(edges)), rng.randint(6, 30)))
               for _ in range(rng.randint(4, 12))]
-    task = SrlgTask(DrcrTask(0, n - 1, rng.randint(0, 4), rng.randint(14, 40)),
+    task = SrlgTask(0, n - 1, rng.randint(0, 4), rng.randint(14, 40),
                     rng.randint(0, 6))
     return Network(n, edges, groups), task
 
@@ -641,17 +642,17 @@ def _observe(net, trees, task, cfg, control) -> list:
 _real_scan = btcs.scan_corridor_paths
 
 
-def _bit_scan(net, trees, task, corridor, **kwargs):
+def _bit_scan(net, trees, task, c_low, c_up, **kwargs):
     """``scan_corridor_paths`` with the floor switched off.
 
     A corridor that starts above ``max_elementary_path_cost()`` is widened
     to inf, and any finite floor reads as the corridor's top, so the sweep
     runs as it did when a scan answered only whether anything lay above.
     """
-    if corridor.c_low > net.max_elementary_path_cost():
-        corridor = CostCorridor(corridor.c_low, float("inf"))
-    paths, floor = _real_scan(net, trees, task, corridor, **kwargs)
-    return paths, corridor.c_up if floor < float("inf") else floor
+    if c_low > net.max_elementary_path_cost():
+        c_up = float("inf")
+    paths, floor = _real_scan(net, trees, task, c_low, c_up, **kwargs)
+    return paths, c_up if floor < float("inf") else floor
 
 
 def _no_cut(*args) -> None:

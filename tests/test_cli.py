@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+from itertools import count
 
 import pytest
 
+import drcr.pulse
 from drcr import bench as bench_mod
 from drcr.cli import main
 
@@ -152,6 +154,28 @@ def test_histogram_time_limit_keeps_completed_bins_only(tmp_path, capsys):
     assert run(*args, "--time-limit-ms=-1") == 0
     assert capsys.readouterr().out.splitlines() == [
         "bin_low,all,feasible", "# truncated=true"]
+
+
+def test_histogram_has_a_default_deadline(tmp_path, capsys, monkeypatch):
+    graph = tmp_path / "g.csv"
+    graph.write_text("nodes,4\n0,1,1,1\n1,3,1,1\n0,2,20,1\n2,3,20,1\n")
+    args = ("histogram", "--graph", str(graph), "--task", "0,3,0,100",
+            "--bin", "10")
+
+    def histogram(*limit) -> list[str]:
+        # a clock that gains 20 s per read: the deadline is made at 0 s,
+        # and the sweeps poll it at 20, 40, 60 and 80 s, once per bin
+        ticks = count(0, 20)
+        monkeypatch.setattr(drcr.pulse, "monotonic", lambda: next(ticks))
+        assert run(*args, *limit) == 0
+        return capsys.readouterr().out.splitlines()
+
+    whole = ["bin_low,all,feasible", "0,1,1", "40,1,1", "# truncated=false"]
+    # the default of 60 s passes before the last bin of the last series
+    assert histogram() == ["bin_low,all,feasible", "0,1,1", "40,1,0",
+                           "# truncated=true"]
+    assert histogram("--time-limit-ms", "100000") == whole
+    assert histogram("--time-limit-ms", "inf") == whole
 
 
 def test_histogram_csv_writes_occupied_bins_only(tmp_path, capsys):

@@ -8,16 +8,16 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import astuple
 from itertools import count
 from pathlib import Path
-from time import monotonic
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drcr import (BtcsConfig, DrcrTask, Edge, GenerationError, GenSpec,
-                  IntegrityError, Network, SearchControl, SrlgSpec, SrlgTask,
+                  IntegrityError, Network, SrlgSpec, SrlgTask,
                   build_reverse_trees, check_path, filter_tasks, gen_graph,
                   gen_srlg, gen_tasks, oracle_drcr, pulse_first_feasible,
                   pulse_optimal, save_network, save_tasks, try_protect)
@@ -207,11 +207,11 @@ def test_property_drcr_filter_keeps_exactly_the_oracle_feasible_tasks(seed):
 
 
 def test_filter_tasks_srlg_keeps_only_traps(trap_net):
-    trap = SrlgTask(DrcrTask(0, 5, 0, 100), 50)
+    trap = SrlgTask(0, 5, 0, 100, 50)
     non_trap_net = Network(4, [Edge(0, 1, 1, 1), Edge(1, 3, 1, 1),
                                Edge(0, 2, 5, 1), Edge(2, 3, 5, 1)],
                            [{0}, {2}])
-    non_trap = SrlgTask(DrcrTask(0, 3, 0, 100), 100)
+    non_trap = SrlgTask(0, 3, 0, 100, 100)
 
     kept, labels = filter_tasks(trap_net, [trap], "srlg")
     assert kept == [trap] and labels == [AVOIDABLE]
@@ -227,11 +227,11 @@ def test_filter_tasks_srlg_keeps_only_traps(trap_net):
 
 def test_filter_tasks_trap_labels_recheck(trap_net):
     # every kept srlg task really is a trap: its cheapest AP has no protection
-    tasks = [SrlgTask(DrcrTask(0, 5, 0, 100), 50)]
+    tasks = [SrlgTask(0, 5, 0, 100, 50)]
     kept, _ = filter_tasks(trap_net, tasks, "srlg")
     for task in kept:
         trees = build_reverse_trees(trap_net, task.target)
-        ap = pulse_optimal(trap_net, trees, task.base)
+        ap = pulse_optimal(trap_net, trees, task)
         assert ap is not None
         assert try_protect(trap_net, trees, task, ap) is None
 
@@ -245,8 +245,8 @@ def test_filter_tasks_srlg_runs_stage_one_once(trap_net, monkeypatch):
         return walk(*args, **kwargs)
 
     monkeypatch.setattr(drcr.pulse, "_pulse", counting)
-    trap = SrlgTask(DrcrTask(0, 5, 0, 100), 50)
-    no_ap = SrlgTask(DrcrTask(0, 5, 0, 1), 1)  # every route has delay >= 2
+    trap = SrlgTask(0, 5, 0, 100, 50)
+    no_ap = SrlgTask(0, 5, 0, 1, 1)  # every route has delay >= 2
     kept, labels = filter_tasks(trap_net, [trap, no_ap], "srlg")
     assert kept == [trap] and labels == [AVOIDABLE]
     # one optimal search per task: the stage 1 of its single solve_btcs
@@ -254,44 +254,33 @@ def test_filter_tasks_srlg_runs_stage_one_once(trap_net, monkeypatch):
 
 
 def test_filter_tasks_srlg_deadline_labels_unknown(trap_net, poll_each_pulse):
-    trap = SrlgTask(DrcrTask(0, 5, 0, 100), 50)
-    control = SearchControl(deadline=monotonic() - 1)
-    kept, labels = filter_tasks(trap_net, [trap], "srlg", control=control)
+    trap = SrlgTask(0, 5, 0, 100, 50)
+    kept, labels = filter_tasks(trap_net, [trap], "srlg", time_limit_ms=-1)
     assert kept == [trap] and labels == [UNKNOWN]
 
 
 def test_filter_tasks_srlg_egress_cut_keeps_only_tasks_with_an_ap(
-        poll_each_pulse):
+        poll_each_pulse, monkeypatch):
     # both egress edges of node 0 lie in SRLG 0: settled before any AP search
     net = Network(4, [Edge(0, 1, 1, 1), Edge(1, 3, 1, 1),
                       Edge(0, 2, 5, 1), Edge(2, 3, 5, 1)], [{0, 2}])
-    trap = SrlgTask(DrcrTask(0, 3, 0, 100), 100)
-    no_ap = SrlgTask(DrcrTask(0, 3, 0, 1), 1)  # every route has delay 2
+    trap = SrlgTask(0, 3, 0, 100, 100)
+    no_ap = SrlgTask(0, 3, 0, 1, 1)  # every route has delay 2
     kept, labels = filter_tasks(net, [no_ap, trap], "srlg")
     assert kept == [trap] and labels == [UNAVOIDABLE]
-    # the stop is seen before the cut test's first search, after its
-    # entry poll
-    control = SearchControl(stop=_StopAfter(1))
-    kept, labels = filter_tasks(net, [trap], "srlg", control=control)
+    # a clock that ticks once per read: the deadline, made at 0, passes
+    # before the cut test's first search (read 2), after its entry poll
+    # (read 1)
+    ticks = count()
+    monkeypatch.setattr(drcr.pulse, "monotonic", lambda: next(ticks))
+    kept, labels = filter_tasks(net, [trap], "srlg", time_limit_ms=1500)
     assert kept == [trap] and labels == [UNKNOWN]
-
-
-class _StopAfter:
-    """A stop event that reads as set from its (polls + 1)-th read on."""
-
-    def __init__(self, polls: int):
-        self.left = polls
-
-    def is_set(self) -> bool:
-        self.left -= 1
-        return self.left < 0
 
 
 def test_filter_tasks_drcr_deadline_labels_unknown(poll_each_pulse):
     net = Network(3, [Edge(0, 1, 1, 5), Edge(1, 2, 1, 5)])
     task = DrcrTask(0, 2, 0, 20)
-    control = SearchControl(deadline=monotonic() - 1)
-    kept, labels = filter_tasks(net, [task], "drcr", control=control)
+    kept, labels = filter_tasks(net, [task], "drcr", time_limit_ms=-1)
     assert kept == [task] and labels == [UNKNOWN]
 
 
@@ -315,19 +304,17 @@ def test_filter_tasks_time_limit_is_a_deadline_per_task(monkeypatch):
     monkeypatch.setattr(drcr.pulse, "monotonic", lambda: next(ticks))
     kept, labels = filter_tasks(net, [task, task], "drcr", time_limit_ms=2500)
     assert labels == [FEASIBLE, FEASIBLE]
-    shared = SearchControl.from_time_limit_ms(2500)
-    kept, labels = filter_tasks(net, [task, task], "drcr", control=shared)
-    assert kept == [task, task] and labels == [FEASIBLE, UNKNOWN]
     kept, labels = filter_tasks(net, [task], "drcr", time_limit_ms=1500)
     assert kept == [task] and labels == [UNKNOWN]
-    with pytest.raises(ValueError, match="not both"):
-        filter_tasks(net, [task], "drcr", control=shared, time_limit_ms=1)
 
 
 def test_filter_tasks_kind_mismatch():
     net = Network(2, [Edge(0, 1, 1, 1)])
-    with pytest.raises(ValueError):
-        filter_tasks(net, [SrlgTask(DrcrTask(0, 1, 0, 5), 1)], "drcr")
+    # a pair task is a DrcrTask too, yet the drcr filter refuses it
+    with pytest.raises(ValueError, match="expected single-path tasks"):
+        filter_tasks(net, [SrlgTask(0, 1, 0, 5, 1)], "drcr")
+    with pytest.raises(ValueError, match="expected disjoint-pair tasks"):
+        filter_tasks(net, [DrcrTask(0, 1, 0, 5)], "srlg")
 
 
 @pytest.mark.parametrize("base, message", [
@@ -338,7 +325,7 @@ def test_filter_tasks_kind_mismatch():
 def test_filter_tasks_rejects_a_task_node_outside_the_network(base, message,
                                                               kind):
     net = Network(2, [Edge(0, 1, 1, 1)])
-    task = base if kind == "drcr" else SrlgTask(base, 5)
+    task = base if kind == "drcr" else SrlgTask(*astuple(base), 5)
     with pytest.raises(IntegrityError, match=message):
         filter_tasks(net, [task], kind)
 

@@ -6,7 +6,7 @@ import gc
 import random
 import tracemalloc
 from itertools import product
-from math import inf
+from math import inf, nan
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from drcr import (DrcrTask, Edge, GenSpec, IntegrityError, Network,
                   ParseError, Path, SrlgTask, build_reverse_trees, check_path,
                   gen_graph, is_connected, load_network, load_tasks,
-                  remove_conflicting_edges, save_network, save_tasks)
+                  pulse_optimal, remove_conflicting_edges, save_network,
+                  save_tasks)
 from drcr.network import (NetworkView, find_path, format_task,
                           parse_task_line)
 
@@ -127,7 +128,7 @@ def test_roundtrip_bit_exact(tmp_path):
 
 
 def test_task_file_roundtrip(tmp_path):
-    tasks = [DrcrTask(0, 1, 0, 10), SrlgTask(DrcrTask(2, 3, 5, 20), 7)]
+    tasks = [DrcrTask(0, 1, 0, 10), SrlgTask(2, 3, 5, 20, 7)]
     path = tmp_path / "t.csv"
     save_tasks(tasks, path)
     assert load_tasks(path) == tasks
@@ -140,6 +141,50 @@ def test_task_line_validation():
     with pytest.raises(ParseError):
         parse_task_line("0,1,5,4")  # inverted window
     assert format_task(parse_task_line("0,1,2,3,4")) == "0,1,2,3,4"
+
+
+def test_srlg_task_is_the_drcr_task_of_its_window_plus_d_diff():
+    # the column count picks the class, both ways
+    for line, kind in (("0,1,2,3", DrcrTask), ("0,1,2,3,4", SrlgTask)):
+        task = parse_task_line(line)
+        assert type(task) is kind and format_task(task) == line
+    pair = SrlgTask(0, 1, 2, 3, 4)
+    assert isinstance(pair, DrcrTask)
+    assert (pair.source, pair.target, pair.d_low, pair.d_up,
+            pair.d_diff) == (0, 1, 2, 3, 4)
+    # a pair task is never the single-path task of its window
+    assert pair != DrcrTask(0, 1, 2, 3) and DrcrTask(0, 1, 2, 3) != pair
+    assert len({pair, DrcrTask(0, 1, 2, 3)}) == 2
+    # every window check of DrcrTask, plus the d_diff one
+    for window, message in (((-1, 1, 0, 5), "node ids must be >= 0"),
+                            ((1, 1, 0, 5), "source equals target"),
+                            ((0, 1, -1, 5), "bad delay window"),
+                            ((0, 1, 6, 5), "bad delay window")):
+        for make in (lambda: DrcrTask(*window),
+                     lambda: SrlgTask(*window, 0)):
+            with pytest.raises(IntegrityError, match=message):
+                make()
+    with pytest.raises(IntegrityError, match="d_diff must be >= 0"):
+        SrlgTask(0, 1, 0, 5, -1)
+    # the delay-relaxed searches keep an unbounded window top
+    assert SrlgTask(0, 1, 0, inf, 5).d_up == inf
+    # the pair task goes as it is into a single-path search
+    net = diamond()
+    trees = build_reverse_trees(net, 3)
+    path = pulse_optimal(net, trees, SrlgTask(0, 3, 0, 15, 5))
+    assert path == pulse_optimal(net, trees, DrcrTask(0, 3, 0, 15))
+    assert path.edges == (2, 3)
+
+
+@pytest.mark.parametrize("kind, window", [
+    (DrcrTask, (0, nan)), (DrcrTask, (nan, 10)), (DrcrTask, (nan, nan)),
+    (SrlgTask, (0, nan, 5)), (SrlgTask, (nan, 10, 5)), (SrlgTask, (0, 10, nan)),
+])
+def test_a_nan_window_bound_or_d_diff_is_rejected(kind, window):
+    # no delay compares with NaN, so a search would prove a false
+    # "infeasible", as solve_btbu did on a one-edge network with d_up NaN
+    with pytest.raises(IntegrityError):
+        kind(0, 1, *window)
 
 
 def test_task_node_ids_checked():

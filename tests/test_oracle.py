@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import random
+from dataclasses import astuple
 from math import inf
 from time import monotonic
 
@@ -66,7 +67,7 @@ def test_oracle_minmin_prefers_cheap_protected_route():
     edges = [Edge(0, 1, 1, 1), Edge(1, 3, 1, 1),
              Edge(0, 2, 5, 1), Edge(2, 3, 5, 1)]
     net = Network(4, edges, [{0}, {2}])
-    task = SrlgTask(DrcrTask(0, 3, 0, 100), 100)
+    task = SrlgTask(0, 3, 0, 100, 100)
     cost, pair = oracle_minmin(net, task)
     assert cost == 2 and pair.ap.edges == (0, 1) and pair.pp.edges == (2, 3)
 
@@ -75,7 +76,7 @@ def test_oracle_minmin_shared_srlg_absent():
     edges = [Edge(0, 1, 1, 1), Edge(1, 3, 1, 1),
              Edge(0, 2, 5, 1), Edge(2, 3, 5, 1)]
     net = Network(4, edges, [{0, 2}])
-    assert oracle_minmin(net, SrlgTask(DrcrTask(0, 3, 0, 100), 100)) is None
+    assert oracle_minmin(net, SrlgTask(0, 3, 0, 100, 100)) is None
 
 
 def test_oracle_minmin_wide_diff_reduces_to_disjointness():
@@ -85,7 +86,7 @@ def test_oracle_minmin_wide_diff_reduces_to_disjointness():
         net = random_network(rng, max_nodes=8, max_edges=20,
                              srlg_count=rng.randint(1, 6))
         base = random_task(rng, net)
-        wide = SrlgTask(base, base.d_up - base.d_low)
+        wide = SrlgTask(*astuple(base), base.d_up - base.d_low)
         got = oracle_minmin(net, wide)
         # reference: disjointness plus windows only
         paths = [p for p in enumerate_paths(net, base.source, base.target)
@@ -128,7 +129,7 @@ def test_histogram_truncation_flag(diamond_net):
 
 
 @pytest.mark.parametrize("task", [DrcrTask(0, 3, 0, 100),
-                                  SrlgTask(DrcrTask(0, 3, 0, 100), 100)])
+                                  SrlgTask(0, 3, 0, 100, 100)])
 def test_histogram_at_exactly_cap_paths_is_truncated(task):
     # both diamond routes are feasible and protect each other; the sweep
     # cannot tell a series of exactly cap paths from a longer one it cut
@@ -163,7 +164,7 @@ def test_pair_histogram_builds_at_most_cap_plus_one_paths(monkeypatch):
         return path(self, edge_ids)
 
     monkeypatch.setattr(Network, "path", counting_path)
-    hist = build_histogram(net, SrlgTask(DrcrTask(0, 6, 0, 100), 100),
+    hist = build_histogram(net, SrlgTask(0, 6, 0, 100, 100),
                            10 ** 6, cap=3, include_all=False)
     assert hist.truncated
     assert hist.series == {"feasible": {0: 3}, "protected": {}}
@@ -183,7 +184,7 @@ def test_pair_histogram_polls_between_protection_attempts(monkeypatch,
         return protect(*args, **kwargs)
 
     monkeypatch.setattr(drcr.btcs, "try_protect", recording_protect)
-    hist = build_histogram(net, SrlgTask(DrcrTask(0, 6, 0, 100), 100),
+    hist = build_histogram(net, SrlgTask(0, 6, 0, 100, 100),
                            10 ** 6, include_all=False,
                            control=SearchControl(stop=stop))
     assert hist.series["feasible"] == {0: 326}
@@ -194,8 +195,8 @@ def test_pair_histogram_polls_between_protection_attempts(monkeypatch,
 @pytest.mark.parametrize("task, message", [
     (DrcrTask(7, 1, 0, 10), "source 7 is not a node"),
     (DrcrTask(0, 4, 0, 10), "target 4 is not a node"),
-    (SrlgTask(DrcrTask(7, 1, 0, 10), 5), "source 7 is not a node"),
-    (SrlgTask(DrcrTask(0, 4, 0, 10), 5), "target 4 is not a node"),
+    (SrlgTask(7, 1, 0, 10, 5), "source 7 is not a node"),
+    (SrlgTask(0, 4, 0, 10, 5), "target 4 is not a node"),
 ])
 def test_histogram_rejects_a_task_node_outside_the_network(diamond_net, task,
                                                            message):
@@ -244,7 +245,7 @@ def _weighted_complete(seed: int, n: int = 6) -> Network:
                               for _ in range(8)])
 
 
-_HISTOGRAM_TASKS = (DrcrTask(0, 5, 10, 30), SrlgTask(DrcrTask(0, 5, 0, 30), 8))
+_HISTOGRAM_TASKS = (DrcrTask(0, 5, 10, 30), SrlgTask(0, 5, 0, 30, 8))
 
 
 @pytest.mark.parametrize("task", _HISTOGRAM_TASKS)

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 import drcr.btbu
 import drcr.pulse
-from drcr import (BTBU2, CostCorridor, DrcrTask, Edge, Network,
-                  SearchCancelled, SearchControl, SearchCounters,
+from drcr import (BTBU2, DrcrTask, Edge, Network, SearchCancelled,
+                  SearchControl, SearchCounters,
                   SearchTimeout, SrlgTask, build_histogram,
                   build_reverse_trees, build_search_order, check_path,
                   count_paths_capped, enumerate_paths, oracle_drcr,
@@ -33,7 +33,7 @@ from conftest import eager_search_rows, random_network, random_task
 
 def _solve(net, task, bound=inf, **kw):
     trees = build_reverse_trees(net, task.target)
-    return pulse_optimal(net, trees, task, bound, **kw)
+    return pulse_probe(net, trees, task, bound, **kw)[0]
 
 
 def test_single_edge(diamond_net):
@@ -63,17 +63,17 @@ def test_corridor_collects_exactly_the_window(diamond_net):
     task = DrcrTask(0, 3, 0, 100)
 
     def scan(c_low, c_up):
-        return scan_corridor_paths(diamond_net, trees, task,
-                                   CostCorridor(c_low, c_up))[0]
+        return scan_corridor_paths(diamond_net, trees, task, c_low, c_up)[0]
 
     assert sorted(p.total_cost for p in scan(0, 100)) == [2, 10]
     assert scan(3, 10) == []
     assert [p.total_cost for p in scan(10, 11)] == [10]
 
 
-def test_corridor_rejects_empty_interval():
-    with pytest.raises(ValueError):
-        CostCorridor(5, 5)
+def test_corridor_rejects_empty_interval(diamond_net):
+    trees = build_reverse_trees(diamond_net, 3)
+    with pytest.raises(ValueError, match="empty corridor"):
+        scan_corridor_paths(diamond_net, trees, DrcrTask(0, 3, 0, 100), 5, 5)
 
 
 def test_first_feasible_single_edge():
@@ -158,7 +158,7 @@ def test_corridor_matches_oracle_enumeration():
         c_low = rng.randint(0, 30)
         c_up = c_low + rng.randint(1, 60)
         trees = build_reverse_trees(net, task.target)
-        got = scan_corridor_paths(net, trees, task, CostCorridor(c_low, c_up))[0]
+        got = scan_corridor_paths(net, trees, task, c_low, c_up)[0]
         expected = {
             p.edges for p in enumerate_paths(net, task.source, task.target)
             if task.d_low <= p.total_delay <= task.d_up
@@ -198,7 +198,7 @@ def test_property_pulse_optimal_matches_oracle_cost(seed):
             assert got.total_cost == expected[0]
             check_path(net, got, task.source, task.target)
             assert task.d_low <= got.total_delay <= task.d_up
-        below = pulse_optimal(net, trees, task, bound, prune=prune)
+        below = pulse_probe(net, trees, task, bound, prune=prune)[0]
         if expected is None or expected[0] >= bound:
             assert below is None
         else:
@@ -216,8 +216,7 @@ def test_property_corridor_scan_is_exactly_the_corridor(seed):
     c_low = rng.randint(0, 40)
     c_up = rng.choice([inf, c_low + rng.randint(1, 60)])
     trees = build_reverse_trees(net, task.target)
-    got, floor = scan_corridor_paths(space, trees, task,
-                                     CostCorridor(c_low, c_up))
+    got, floor = scan_corridor_paths(space, trees, task, c_low, c_up)
     feasible = [p for p in enumerate_paths(space, task.source, task.target)
                 if task.d_low <= p.total_delay <= task.d_up]
     assert sorted(p.edges for p in got) == sorted(
@@ -252,8 +251,7 @@ def test_finite_floor_is_a_bound_not_a_witness():
     # 101 although the one path above the corridor misses the window
     net = Network(3, [Edge(0, 1, 100, 1), Edge(1, 2, 1, 100)])
     trees = build_reverse_trees(net, 2)
-    got, floor = scan_corridor_paths(net, trees, DrcrTask(0, 2, 0, 50),
-                                     CostCorridor(0, 10))
+    got, floor = scan_corridor_paths(net, trees, DrcrTask(0, 2, 0, 50), 0, 10)
     assert got == [] and floor == 101
     assert oracle_drcr(net, DrcrTask(0, 2, 0, 50)) is None
 
@@ -276,12 +274,12 @@ def test_wide_weights_skip_empty_bins_and_probes(monkeypatch):
     scans = []
     scan = oracle_mod.scan_corridor_paths
 
-    def recording(net, trees, task, corridor, **kwargs):
-        scans.append((corridor.c_low, corridor.c_up))
-        return scan(net, trees, task, corridor, **kwargs)
+    def recording(net, trees, task, c_low, c_up, **kwargs):
+        scans.append((c_low, c_up))
+        return scan(net, trees, task, c_low, c_up, **kwargs)
 
     monkeypatch.setattr(oracle_mod, "scan_corridor_paths", recording)
-    hist = build_histogram(net, SrlgTask(DrcrTask(0, 3, 0, 20), 20), 1,
+    hist = build_histogram(net, SrlgTask(0, 3, 0, 20, 20), 1,
                            include_all=False)
     assert hist.series == {"feasible": {2000: 1, 6000: 1},
                            "protected": {2000: 1, 6000: 1}}
@@ -332,8 +330,8 @@ def test_monotone_bound():
         trees = build_reverse_trees(net, task.target)
         low = rng.randint(1, 40)
         high = low + rng.randint(1, 40)
-        got_low = pulse_optimal(net, trees, task, low)
-        got_high = pulse_optimal(net, trees, task, high)
+        got_low = pulse_probe(net, trees, task, low)[0]
+        got_high = pulse_probe(net, trees, task, high)[0]
         if got_low is not None:
             assert got_high is not None
             assert got_low.total_cost == got_high.total_cost
@@ -430,7 +428,7 @@ def test_lazy_rows_match_eager_reference():
         order = build_search_order(net, trees)
         assert order.rows == [None] * net.node_count
         pulse_optimal(net, trees, task, order=order)
-        scan_corridor_paths(net, trees, task, CostCorridor(0, inf), order=order)
+        scan_corridor_paths(net, trees, task, 0, inf, order=order)
         view = NetworkView(net, frozenset(rng.sample(range(len(net.edges)),
                                                      len(net.edges) // 3)))
         pulse_first_feasible(view, trees, task, order=order)
@@ -518,9 +516,10 @@ def golden_observations() -> dict[str, list]:
     """Result and (pulses, infeasibility_prunes, cost_prunes) of every public
     engine entry point on 50 seeded small instances, keyed "seed:call".
 
-    Bounds for pulse_optimal sit at and half a unit around the optimum c*
-    (the unconstrained shortest cost when no feasible path exists), which
-    covers the integer and non-integer cases of the incumbent cut.  These
+    The bounds of the bounded optimal search (pulse_probe's path) sit at
+    and half a unit around the optimum c* (the unconstrained shortest cost
+    when no feasible path exists), which covers the integer and
+    non-integer cases of the incumbent cut.  These
     entries are taken with the walk's floor switched off (``_bit_walk``),
     and a corridor records only whether its floor is finite; each
     "seed:call+floor" entry is the full rule's, with the floor itself
@@ -543,16 +542,15 @@ def golden_observations() -> dict[str, list]:
         relaxed = DrcrTask(task.source, task.target, 0, inf)
         calls = {
             "optimal@inf": (pulse_optimal, net, trees, task),
-            "optimal@c*": (pulse_optimal, net, trees, task, c_star),
-            "optimal@c*-0.5": (pulse_optimal, net, trees, task, c_star - 0.5),
-            "optimal@c*+0.5": (pulse_optimal, net, trees, task, c_star + 0.5),
-            "optimal@c*+1": (pulse_optimal, net, trees, task, c_star + 1),
-            "unpruned@inf": (pulse_optimal, net, trees, task, inf),
-            "unpruned@c*+0.5": (pulse_optimal, net, trees, task, c_star + 0.5),
-            "corridor": (scan_corridor_paths, net, trees, task,
-                         CostCorridor(c_low, c_up)),
-            "corridor-open": (scan_corridor_paths, net, trees, task,
-                              CostCorridor(c_low, inf)),
+            "optimal@c*": (pulse_probe, net, trees, task, c_star),
+            "optimal@c*-0.5": (pulse_probe, net, trees, task, c_star - 0.5),
+            "optimal@c*+0.5": (pulse_probe, net, trees, task, c_star + 0.5),
+            "optimal@c*+1": (pulse_probe, net, trees, task, c_star + 1),
+            "unpruned@inf": (pulse_optimal, net, trees, task),
+            "unpruned@c*+0.5": (pulse_probe, net, trees, task, c_star + 0.5),
+            "corridor": (scan_corridor_paths, net, trees, task, c_low, c_up),
+            "corridor-open": (scan_corridor_paths, net, trees, task, c_low,
+                              inf),
             "first": (pulse_first_feasible, net, trees, task),
             "first-stripped": (pulse_first_feasible, view, trees, task),
             "count": (count_paths_capped, net, trees, task, 7, 5),
@@ -566,6 +564,8 @@ def golden_observations() -> dict[str, list]:
                 result = [[_edges(p) for p in result[0]], result[1] < inf]
             elif fn is count_paths_capped:
                 result = [sorted(result[0].items()), result[1]]
+            elif fn is pulse_probe:  # a bounded optimal search's path
+                result = _edges(result[0])
             else:
                 result = _edges(result)
             seen[f"{seed}:{name}"] = [result, counts]

@@ -85,8 +85,8 @@ def run_suite(net: Network, tasks: Sequence[Task], solver: str, *,
               alpha: float = BtcsConfig.alpha) -> list[BenchRecord]:
     """Time every task under one solver; repetitions keep the fastest run.
 
-    A solver crash on a task is recorded with outcome ``error`` and the
-    exception text, and never aborts the suite.
+    A solver crash on a task is recorded with outcome ``error``, zero
+    counts and the exception text, and never aborts the suite.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
@@ -105,18 +105,16 @@ def run_suite(net: Network, tasks: Sequence[Task], solver: str, *,
                                        btcs_cfg)
                 error = None
             except Exception as exc:
-                report, result = None, None
+                report, result = SolveReport(ERROR), None
                 error = f"{type(exc).__name__}: {exc}"
             elapsed_us = int((perf_counter() - t0) * 1e6)
             if best is None or elapsed_us < best.wall_time_us:
                 ap = result.ap if isinstance(result, DisjointPair) else result
                 best = BenchRecord(
-                    task_id=task_id, solver=solver,
-                    outcome=report.outcome if report else ERROR,
-                    wall_time_us=elapsed_us,
-                    pulses=report.pulses if report else 0,
-                    corridors_explored=report.corridors_explored if report else 0,
-                    ap_candidates_checked=report.ap_candidates_checked if report else 0,
+                    task_id=task_id, solver=solver, outcome=report.outcome,
+                    wall_time_us=elapsed_us, pulses=report.pulses,
+                    corridors_explored=report.corridors_explored,
+                    ap_candidates_checked=report.ap_candidates_checked,
                     ap_cost=ap.total_cost if ap is not None else None,
                     error=error)
         records.append(best)
@@ -136,92 +134,75 @@ class SolverSummary:
     feasible_under_ms: dict[float, int]
 
 
+def summary_of(solver: str, records: Sequence[BenchRecord]) -> SolverSummary:
+    """The metric row of one solver's records, all zero when there are none."""
+    times = [r.wall_time_ms for r in records]
+    feasible = [r.wall_time_ms for r in records if r.outcome in FEASIBLE_OUTCOMES]
+    resolved = [r.wall_time_ms for r in records if r.outcome in RESOLVED_OUTCOMES]
+    return SolverSummary(
+        solver=solver, tasks=len(times), resolved=len(resolved),
+        feasible_found=len(feasible), max_ms=max(times, default=0.0),
+        mean_ms=statistics.fmean(times) if times else 0.0,
+        median_ms=statistics.median(times) if times else 0.0,
+        solved_under_ms={t: sum(ms < t for ms in resolved) for t in THRESHOLDS_MS},
+        feasible_under_ms={t: sum(ms < t for ms in feasible) for t in THRESHOLDS_MS})
+
+
 def summarize(records: Iterable[BenchRecord]) -> list[SolverSummary]:
     """Per-solver metric rows; a pure function of the records."""
     by_solver: dict[str, list[BenchRecord]] = {}
     for r in records:
         by_solver.setdefault(r.solver, []).append(r)
-    rows = []
-    for solver in sorted(by_solver):
-        rs = by_solver[solver]
-        times = [r.wall_time_ms for r in rs]
-        feasible = [r for r in rs if r.outcome in FEASIBLE_OUTCOMES]
-        resolved = [r for r in rs if r.outcome in RESOLVED_OUTCOMES]
-        rows.append(SolverSummary(
-            solver=solver,
-            tasks=len(rs),
-            resolved=len(resolved),
-            feasible_found=len(feasible),
-            max_ms=max(times) if times else 0.0,
-            mean_ms=statistics.fmean(times) if times else 0.0,
-            median_ms=statistics.median(times) if times else 0.0,
-            solved_under_ms={t: sum(1 for r in resolved if r.wall_time_ms < t)
-                             for t in THRESHOLDS_MS},
-            feasible_under_ms={t: sum(1 for r in feasible if r.wall_time_ms < t)
-                               for t in THRESHOLDS_MS},
-        ))
-    return rows
+    return [summary_of(solver, by_solver[solver]) for solver in sorted(by_solver)]
 
 
-def _meta_lines(meta: dict | None) -> list[str]:
-    if not meta:
-        return []
-    return [f"# {key}={meta[key]}" for key in sorted(meta)]
+def _write_meta(f: IO[str], meta: dict | None) -> None:
+    for key in sorted(meta or ()):
+        f.write(f"# {key}={meta[key]}\n")
 
 
 def write_records_jsonl(records: Iterable[BenchRecord], f: IO[str],
                         meta: dict | None = None) -> None:
-    for line in _meta_lines(meta):
-        f.write(line + "\n")
+    _write_meta(f, meta)
     for r in records:
         f.write(json.dumps(asdict(r), sort_keys=True) + "\n")
 
 
+def _summary_cells(rows: Sequence[SolverSummary], digits: int) -> list[list[str]]:
+    """The cells of each summary row, times to ``digits`` decimals."""
+    return [[row.solver, *map(str, (row.tasks, row.resolved, row.feasible_found)),
+             *(f"{ms:.{digits}f}" for ms in (row.max_ms, row.mean_ms, row.median_ms)),
+             *map(str, row.solved_under_ms.values()),
+             *map(str, row.feasible_under_ms.values())] for row in rows]
+
+
 def write_summary_csv(rows: Sequence[SolverSummary], f: IO[str],
                       meta: dict | None = None) -> None:
-    for line in _meta_lines(meta):
-        f.write(line + "\n")
+    _write_meta(f, meta)
     if not rows:
         return
     thresholds = list(rows[0].solved_under_ms)
     header = ["solver", "tasks", "resolved", "feasible_found",
-              "max_ms", "mean_ms", "median_ms"]
-    header += [f"solved_under_{_fmt_thr(t)}ms" for t in thresholds]
-    header += [f"feasible_under_{_fmt_thr(t)}ms" for t in thresholds]
-    f.write(",".join(header) + "\n")
-    for row in rows:
-        cells = [row.solver, row.tasks, row.resolved, row.feasible_found,
-                 f"{row.max_ms:.3f}", f"{row.mean_ms:.3f}", f"{row.median_ms:.3f}"]
-        cells += [row.solved_under_ms[t] for t in thresholds]
-        cells += [row.feasible_under_ms[t] for t in thresholds]
-        f.write(",".join(str(c) for c in cells) + "\n")
-
-
-def _fmt_thr(t: float) -> str:
-    return f"{t:g}"
+              "max_ms", "mean_ms", "median_ms",
+              *(f"solved_under_{t:g}ms" for t in thresholds),
+              *(f"feasible_under_{t:g}ms" for t in thresholds)]
+    for cells in [header, *_summary_cells(rows, 3)]:
+        f.write(",".join(cells) + "\n")
 
 
 def write_summary_text(rows: Sequence[SolverSummary], f: IO[str],
                        meta: dict | None = None) -> None:
-    for line in _meta_lines(meta):
-        f.write(line + "\n")
+    _write_meta(f, meta)
     if not rows:
         f.write("(no records)\n")
         return
     thresholds = list(rows[0].solved_under_ms)
-    columns = ["solver", "tasks", "resolved", "feasible", "max ms",
-               "mean ms", "median ms"]
-    columns += [f"<{_fmt_thr(t)}ms" for t in thresholds]
-    columns += [f"feas<{_fmt_thr(t)}ms" for t in thresholds]
-    table = [columns]
-    for row in rows:
-        cells = [row.solver, str(row.tasks), str(row.resolved),
-                 str(row.feasible_found), f"{row.max_ms:.2f}",
-                 f"{row.mean_ms:.2f}", f"{row.median_ms:.2f}"]
-        cells += [str(row.solved_under_ms[t]) for t in thresholds]
-        cells += [str(row.feasible_under_ms[t]) for t in thresholds]
-        table.append(cells)
-    widths = [max(len(r[i]) for r in table) for i in range(len(columns))]
+    table = [["solver", "tasks", "resolved", "feasible", "max ms",
+              "mean ms", "median ms",
+              *(f"<{t:g}ms" for t in thresholds),
+              *(f"feas<{t:g}ms" for t in thresholds)],
+             *_summary_cells(rows, 2)]
+    widths = [max(map(len, column)) for column in zip(*table)]
     for r in table:
         f.write("  ".join(c.rjust(w) for c, w in zip(r, widths)) + "\n")
 

@@ -161,18 +161,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _manifest(args, kind: str) -> None:
+    """Record the arguments that made ``args.out`` (all but ``--out``) in
+    ``<out>.manifest.json``, so the same command can make it again."""
+    params = {key: value for key, value in vars(args).items()
+              if key not in ("command", "out")}
+    with open(f"{args.out}.manifest.json", "w", encoding="utf-8") as f:
+        json.dump({"artifact": args.out, "kind": kind, "params": params}, f,
+                  indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def _cmd_gen_graph(args) -> int:
-    topology = "scale-free" if args.topology == "sf" else args.topology
-    spec = netgen.GenSpec(topology=topology, nodes=args.nodes,
+    if args.topology == "sf":
+        args.topology = "scale-free"
+    spec = netgen.GenSpec(topology=args.topology, nodes=args.nodes,
                           density_param=args.density,
                           cost_range=args.cost_range,
                           delay_range=args.delay_range, seed=args.seed)
     net = netgen.gen_graph(spec)
     save_network(net, args.out)
-    netgen.write_manifest(args.out, "graph", {
-        "topology": topology, "nodes": args.nodes, "density": args.density,
-        "cost_range": list(args.cost_range), "delay_range": list(args.delay_range),
-        "seed": args.seed})
+    _manifest(args, "graph")
     print(f"wrote {args.out}: {net!r}", file=sys.stderr)
     return 0
 
@@ -183,9 +192,7 @@ def _cmd_gen_srlg(args) -> int:
                            random_size_range=args.size_range)
     groups = netgen.gen_srlg(net, spec)
     save_srlgs(groups, args.out)
-    netgen.write_manifest(args.out, "srlg", {
-        "graph": args.graph, "pattern": args.pattern,
-        "size_range": list(args.size_range), "seed": args.seed})
+    _manifest(args, "srlg")
     print(f"wrote {args.out}: {len(groups)} groups", file=sys.stderr)
     return 0
 
@@ -194,9 +201,7 @@ def _cmd_gen_tasks(args) -> int:
     net = load_network(args.graph)
     tasks = netgen.gen_tasks(net, args.count, args.kind, args.seed)
     save_tasks(tasks, args.out)
-    netgen.write_manifest(args.out, "tasks", {
-        "graph": args.graph, "count": args.count, "kind": args.kind,
-        "seed": args.seed})
+    _manifest(args, "tasks")
     print(f"wrote {args.out}: {len(tasks)} tasks", file=sys.stderr)
     return 0
 
@@ -319,14 +324,10 @@ def _cmd_sweep_alpha(args) -> int:
                             *(f"feasible_under_{t:g}ms" for t in thresholds),
                             "max_ms", "mean_ms", "median_ms"]) + "\n")
         for alpha in args.alphas:
-            rows = bench_mod.summarize(sweeps[alpha])
-            if rows:
-                row = rows[0]
-                counts = [row.tasks, row.feasible_found,
-                          *(row.feasible_under_ms[t] for t in thresholds)]
-                times = [row.max_ms, row.mean_ms, row.median_ms]
-            else:  # no tasks, so no btcs records to summarize
-                counts, times = [0] * (2 + len(thresholds)), [0.0] * 3
+            row = bench_mod.summary_of("btcs", sweeps[alpha])
+            counts = [row.tasks, row.feasible_found,
+                      *(row.feasible_under_ms[t] for t in thresholds)]
+            times = [row.max_ms, row.mean_ms, row.median_ms]
             out.write(",".join([f"{alpha:g}", *map(str, counts),
                                 *(f"{ms:.3f}" for ms in times)]) + "\n")
     return 0

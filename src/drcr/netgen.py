@@ -29,7 +29,6 @@ always inside the window) and draw d_diff uniformly from
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from math import ceil
@@ -305,13 +304,3 @@ def _trap_label(net: Network, trees: ReverseTrees, task: SrlgTask,
         # stage 1 protected its active path: no trap
         return AVOIDABLE if report.corridors_explored else None
     return UNAVOIDABLE if report.outcome == INFEASIBLE else UNKNOWN
-
-
-def write_manifest(artifact_path, kind: str, params: dict) -> str:
-    """Record what produced an artifact, next to it, as JSON text."""
-    manifest_path = f"{artifact_path}.manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as f:
-        json.dump({"artifact": str(artifact_path), "kind": kind,
-                   "params": params}, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return manifest_path

@@ -87,8 +87,9 @@ class SearchControl:
     ``drcr.btcs`` once on entry, between protection attempts and before
     each search of its SRLG-cut test, by ``solve_btbu`` once on entry, by
     ``sweep_bins`` before each cost bin, and by ``build_histogram`` between
-    protection attempts.  ``UNLIMITED`` is the control with no deadline and
-    no stop; every search takes it by default.
+    protection attempts.  A deadline is passed once ``monotonic()`` reaches
+    it.  ``UNLIMITED`` is the control with no deadline and no stop; every
+    search takes it by default.
     """
 
     deadline: float | None = None
@@ -99,9 +100,10 @@ class SearchControl:
                            ) -> "SearchControl":
         """A deadline ``time_limit_ms`` from now, or UNLIMITED for None.
 
-        A zero or negative limit is a deadline already passed.  NaN raises
-        ValueError: no clock reading is ever past a NaN deadline.  A stop
-        event is given to the constructor: ``SearchControl(stop=event)``.
+        A zero or negative limit is a deadline already passed, even on a
+        clock that has not ticked since.  NaN raises ValueError: no clock
+        reading ever reaches a NaN deadline.  A stop event is given to the
+        constructor: ``SearchControl(stop=event)``.
         """
         if time_limit_ms is None:
             return UNLIMITED
@@ -110,10 +112,11 @@ class SearchControl:
         return cls(deadline=monotonic() + time_limit_ms / 1000.0)
 
     def poll(self) -> None:
-        """Raise SearchCancelled or SearchTimeout if the search must end."""
+        """Raise SearchCancelled if the stop event is set, or SearchTimeout
+        once the clock has reached the deadline."""
         if self.stop is not None and self.stop.is_set():
             raise SearchCancelled()
-        if self.deadline is not None and monotonic() > self.deadline:
+        if self.deadline is not None and monotonic() >= self.deadline:
             raise SearchTimeout()
 
 

@@ -58,53 +58,13 @@ leaving the frontier can still break the triangle inequality, and a node
 is queued again on every fall of its label, so the trees stay exact (the
 generic label-correcting method).  The trees are the halves of the labels.
 
-Times below are per tree pair on a shared 2-core VM (CPython 3.11.7, numpy
-2.4.6).  Small graphs pay numpy's fixed cost per call, which the heap does
-not (weights 1..100, 10-12 spread targets; the median over 10 processes of
-the best of 10 interleaved passes, and of the per-process ratios):
-
-    graph        n + m   heap us   frontier us   frontier / heap
-    ER-10 k=3       43      21.2          73.3              3.18
-    ER-20 k=3       81      40.5          98.5              2.32
-    SF-30 m=1       88      46.6          97.2              1.78
-    ER-30 k=3      105      50.9         119.0              2.20
-    SF-50 m=1      148      72.8         106.7              1.26
-    ER-90 k=3      337     158.7         195.1              0.99
-    ER-60 k=5      363     175.1         148.2              0.80
-    ER-100 k=3     383     154.7         132.9              0.84
-
-That is some 35-70 us a pair below n + m of 150 and nothing from about 340
-up; no benchmark workload is that small, so the size does not choose the
-route.  The heap is a plain binary heap: measured the same way, it took
-0.87-0.95 times the time of a bucket queue (a heap of the distinct
-distances and a dict of the nodes at each) on ER-30 k=3, ER-200 k=5,
-ER-1000 k=7 and SF-1000 m=2 at weights 1..10**17, and 0.76 (chain-1000),
-0.88 (ladder-300) and 0.99 (ER-20000 k=2) of it on walks handed over after
-32 rounds.  The bucket queue wins only where many nodes tie at one
-distance: 1.05-1.22 times faster on the ER graphs of n + m 337-383 above,
-which take the frontier route.
-
-A walk's round count follows the hop depth of the trees.  Generated
-graphs of 5000 nodes need up to 28 rounds at ER mean out-degree 2 and up
-to 19 on scale-free m=1; at 20 000 nodes up to 35 and 23.  A 1000-node
-chain needs 1000, each about a ninetieth of the heap's whole pair (21 us
-against 1.9 ms).  Milliseconds per pair by FRONTIER_MAX_ROUNDS (10 spread
-targets, the chain rooted at its end; best of 15 interleaved passes, 7 at
-20 000 nodes):
-
-    graph           heap    16      24      32      48
-    chain-1000      0.91    1.12    1.20    1.42    2.75
-    ER-5000 k=2     9.96    5.22    2.99    3.01    2.99
-    ER-20000 k=2    47.9    36.3    13.0    13.3    13.6
-    SF-20000 m=1    66.0    11.5    12.4    12.4    12.6
-
-32 rounds is within 2% of the best from 24 to 48 on each generated graph
-(16 takes 7% off SF-20000 m=1 but 2.7 times as long on ER-20000 k=2) and
-saves the chain 48% against 48; the chain takes 1.6 times the heap alone.
-That table was taken with the bucket queue as the heap.  Dial's bucket
-ring, once a third route, was 3-15% faster than the frontier route on
-dense graphs of 60 to 100 nodes and lost to it from 200 nodes up
-(``BENCH_14.json``), too little to keep a third route for.
+No graph size chooses the route: numpy's fixed cost per call makes the
+frontier route up to some 70 us a pair slower than the heap below n + m of
+about 340 (shared 2-core VM, CPython 3.11.7, numpy 2.4.6), and no
+benchmark workload is that small (``BENCH_14.json``, ``BENCH_24.json``).  FRONTIER_MAX_ROUNDS = 32 is within 2% of the best
+round count on generated graphs of 5000 and 20 000 nodes (up to 35 rounds)
+and holds a 1000-node chain, which needs 1000 rounds, to 1.6 times the
+heap's time (``BENCH_24.json``).
 
 Trees computed on the full network stay valid lower bounds on any
 edge-excluded view of it (removing edges can only increase true distances),

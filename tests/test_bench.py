@@ -50,6 +50,10 @@ def test_solver_task_kind_mismatch_is_error_outcome():
     assert records[0].outcome == "error"
     assert records[0].error.startswith(
         "ValueError: solver 'pulse' needs single-path tasks")
+    records = run_suite(net, [DrcrTask(0, 1, 0, 10)], "btcs")
+    assert records[0].outcome == "error"
+    assert records[0].error.startswith(
+        "ValueError: btcs needs disjoint-pair tasks")
 
 
 def test_solve_reports_stop_event_as_timeout_for_every_solver(request):
@@ -246,3 +250,50 @@ def test_solve_and_run_suite_look_solvers_up_on_their_modules(monkeypatch):
         calls.clear()
         bench_mod.solve(net, trees, task, solver)
         assert calls == [callee]
+
+
+GOLDEN_RECORDS = [
+    BenchRecord(0, "pulse", "optimal", 12_345),
+    BenchRecord(1, "pulse", "infeasible", 1_000),
+    BenchRecord(2, "pulse", "timeout", 60_001),
+    BenchRecord(0, "btbu1", "optimal", 19_999),
+    BenchRecord(1, "btbu1", "error", 10, error="ValueError: x"),
+    BenchRecord(2, "btbu1", "optimal", 49_999),
+]
+GOLDEN_META = {"time_limit_ms": None, "alpha": 2.0, "graph": "g.csv"}
+
+
+def test_summary_csv_golden():
+    buf = io.StringIO()
+    write_summary_csv(summarize(GOLDEN_RECORDS), buf, GOLDEN_META)
+    assert buf.getvalue().splitlines() == [
+        "# alpha=2.0", "# graph=g.csv", "# time_limit_ms=None",
+        "solver,tasks,resolved,feasible_found,max_ms,mean_ms,median_ms,"
+        "solved_under_20ms,solved_under_50ms,"
+        "feasible_under_20ms,feasible_under_50ms",
+        "btbu1,3,2,2,49.999,23.336,19.999,1,2,1,2",
+        "pulse,3,2,1,60.001,24.449,12.345,2,2,1,1"]
+    buf = io.StringIO()
+    write_summary_csv([], buf, GOLDEN_META)
+    assert buf.getvalue() == (
+        "# alpha=2.0\n# graph=g.csv\n# time_limit_ms=None\n")
+
+
+def test_summary_text_golden():
+    buf = io.StringIO()
+    write_summary_text(summarize(GOLDEN_RECORDS), buf, GOLDEN_META)
+    assert buf.getvalue().splitlines() == [
+        "# alpha=2.0", "# graph=g.csv", "# time_limit_ms=None",
+        "solver  tasks  resolved  feasible  max ms  mean ms  median ms"
+        "  <20ms  <50ms  feas<20ms  feas<50ms",
+        " btbu1      3         2         2   50.00    23.34      20.00"
+        "      1      2          1          2",
+        " pulse      3         2         1   60.00    24.45      12.35"
+        "      2      2          1          1"]
+    buf = io.StringIO()
+    write_summary_text([], buf, GOLDEN_META)
+    assert buf.getvalue() == (
+        "# alpha=2.0\n# graph=g.csv\n# time_limit_ms=None\n(no records)\n")
+    buf = io.StringIO()
+    write_summary_text([], buf)
+    assert buf.getvalue() == "(no records)\n"

@@ -171,8 +171,9 @@ def test_histogram_has_a_default_deadline(tmp_path, capsys, monkeypatch):
         return capsys.readouterr().out.splitlines()
 
     whole = ["bin_low,all,feasible", "0,1,1", "40,1,1", "# truncated=false"]
-    # the default of 60 s passes before the last bin of the last series
-    assert histogram() == ["bin_low,all,feasible", "0,1,1", "40,1,0",
+    # the clock reaches the default of 60 s at the first bin of the last
+    # series, so only the all-paths series is complete
+    assert histogram() == ["bin_low,all,feasible", "0,1,0", "40,1,0",
                            "# truncated=true"]
     assert histogram("--time-limit-ms", "100000") == whole
     assert histogram("--time-limit-ms", "inf") == whole
@@ -492,3 +493,75 @@ def test_solve_srlg_reports_the_cut_only_when_set(tmp_path):
         # 1->3 is the only route and lies in no SRLG: swept to a verdict
         '{"task": "1,3,0,100,100", "outcome": "infeasible", '
         '"corridors_explored": 1, "ap_candidates_checked": 1}']
+
+
+def _manifest_text(artifact: str, kind: str, params: str) -> str:
+    return (f'{{\n  "artifact": "{artifact}",\n  "kind": "{kind}",\n'
+            f'  "params": {{\n{params}\n  }}\n}}\n')
+
+
+def test_generator_manifests_record_the_arguments(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run("gen-graph", "--topology", "sf", "--nodes", "20",
+               "--density", "2", "--seed", "1", "--out", "g.csv") == 0
+    assert run("gen-graph", "--topology", "er", "--nodes", "20",
+               "--density", "3", "--cost-range", "1,1000", "--seed", "2",
+               "--out", "g2.csv") == 0
+    assert run("gen-srlg", "--graph", "g.csv", "--pattern", "random",
+               "--size-range", "1,6", "--seed", "3", "--out", "s.csv") == 0
+    assert run("gen-tasks", "--graph", "g.csv", "--count", "3",
+               "--kind", "srlg", "--seed", "4", "--out", "t.csv") == 0
+    # "sf" is recorded as the topology it names; ranges are JSON lists
+    assert (tmp_path / "g.csv.manifest.json").read_text() == _manifest_text(
+        "g.csv", "graph",
+        '    "cost_range": [\n      1,\n      100\n    ],\n'
+        '    "delay_range": [\n      1,\n      100\n    ],\n'
+        '    "density": 2,\n    "nodes": 20,\n    "seed": 1,\n'
+        '    "topology": "scale-free"')
+    assert (tmp_path / "g2.csv.manifest.json").read_text() == _manifest_text(
+        "g2.csv", "graph",
+        '    "cost_range": [\n      1,\n      1000\n    ],\n'
+        '    "delay_range": [\n      1,\n      100\n    ],\n'
+        '    "density": 3,\n    "nodes": 20,\n    "seed": 2,\n'
+        '    "topology": "er"')
+    assert (tmp_path / "s.csv.manifest.json").read_text() == _manifest_text(
+        "s.csv", "srlg",
+        '    "graph": "g.csv",\n    "pattern": "random",\n    "seed": 3,\n'
+        '    "size_range": [\n      1,\n      6\n    ]')
+    assert (tmp_path / "t.csv.manifest.json").read_text() == _manifest_text(
+        "t.csv", "tasks",
+        '    "count": 3,\n    "graph": "g.csv",\n    "kind": "srlg",\n'
+        '    "seed": 4')
+
+
+def test_malformed_range_exits_1(tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    assert run("gen-graph", "--topology", "er", "--nodes", "20",
+               "--density", "3", "--cost-range", "5", "--out", str(out)) == 1
+    assert capsys.readouterr().err.endswith(
+        "error: argument --cost-range: expected 'lo,hi', got '5'\n")
+    assert not out.exists()
+
+
+def test_sweep_alpha_rows_from_fixed_records(tmp_path, capsys, monkeypatch):
+    graph = tmp_path / "g.csv"
+    graph.write_text("nodes,3\n0,1,1,5\n1,2,1,5\n")
+    srlg = tmp_path / "s.csv"
+    srlg.write_text("0:0\n1:1\n")
+    tasks = tmp_path / "t.csv"
+    tasks.write_text("0,2,0,20,10\n")
+    records = {
+        5.0: [bench_mod.BenchRecord(0, "btcs", "pair", 12_345),
+              bench_mod.BenchRecord(1, "btcs", "infeasible", 1_000),
+              bench_mod.BenchRecord(2, "btcs", "pair", 30_001),
+              bench_mod.BenchRecord(3, "btcs", "timeout", 60_001)],
+        0.5: []}
+    monkeypatch.setattr(bench_mod, "sweep_alpha",
+                        lambda net, tasks, alphas, **kw: records)
+    assert run("sweep-alpha", "--graph", str(graph), "--srlg", str(srlg),
+               "--tasks", str(tasks), "--alphas", "5,0.5") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "alpha,tasks,feasible_found,feasible_under_20ms,feasible_under_50ms,"
+        "max_ms,mean_ms,median_ms",
+        "5,4,2,1,2,60.001,25.837,21.173",
+        "0.5,0,0,0,0,0.000,0.000,0.000"]

@@ -372,6 +372,16 @@ def test_check_path_catches_violations():
         check_path(net, Path((0, 1), 99, 20))  # wrong cached totals
     with pytest.raises(IntegrityError):
         check_path(net, good, target=2)
+    with pytest.raises(IntegrityError, match="empty path"):
+        check_path(net, Path((), 0, 0))
+    with pytest.raises(IntegrityError, match="unknown edge 99"):
+        check_path(net, Path((0, 99), 2, 20))
+    with pytest.raises(IntegrityError, match="does not start at 2"):
+        check_path(net, good, source=2)
+    # 0 -> 1 -> 0 -> 2: node 0 is met again before the last edge
+    loop = Network(3, [Edge(0, 1, 1, 1), Edge(1, 0, 1, 1), Edge(0, 2, 1, 1)])
+    with pytest.raises(IntegrityError, match="revisits node 0"):
+        check_path(loop, loop.path([0, 1, 2]))
 
 
 def test_path_totals():

@@ -378,13 +378,22 @@ def test_deadline_raises_timeout(poll_each_pulse):
         pulse_optimal(net, trees, task, control=control, prune=False)
 
 
-def test_nan_time_limit_is_rejected_and_a_negative_one_has_passed():
-    # monotonic() > nan is never true, so a NaN deadline would never end
+def test_nan_time_limit_is_rejected_and_a_negative_one_has_passed(
+        monkeypatch):
+    # monotonic() >= nan is never true, so a NaN deadline would never end
     with pytest.raises(ValueError, match="nan"):
         SearchControl.from_time_limit_ms(float("nan"))
     assert SearchControl.from_time_limit_ms(0).deadline is not None
     with pytest.raises(SearchTimeout):
         SearchControl.from_time_limit_ms(-1).poll()
+    # a coarse clock reads the same before and after a zero limit is set:
+    # the deadline is reached at that reading, so the solve ends on entry
+    monkeypatch.setattr(drcr.pulse, "monotonic", lambda: 100.0)
+    net = Network(2, [Edge(0, 1, 5, 7)])
+    path, report = solve_btbu(net, build_reverse_trees(net, 1),
+                              DrcrTask(0, 1, 0, 10), "pulse",
+                              control=SearchControl.from_time_limit_ms(0))
+    assert (path, report.outcome) == (None, "timeout")
 
 
 def test_no_time_limit_and_no_stop_is_unlimited():

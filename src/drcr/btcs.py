@@ -104,11 +104,12 @@ def pp_delay_window(task: SrlgTask, ap_delay: int) -> tuple[int, int] | None:
 
 def corridor_width(net: Network, alpha: float) -> int:
     """``min_edge_cost * alpha`` rounded up, at least 1 and at most
-    ``max_elementary_path_cost()``: a first corridor that wide already holds
-    every path, so any wider one sweeps the same single corridor."""
+    ``node_count * max_edge_cost``, a bound on the cost of any elementary
+    path: a first corridor that wide already holds every path, so any wider
+    one sweeps the same single corridor."""
     if net.min_edge_cost is None:
         raise ValueError("network has no edges")
-    top = net.max_elementary_path_cost()
+    top = net.node_count * net.max_edge_cost
     width = net.min_edge_cost * alpha
     return top if width >= top else max(1, ceil(width))
 

@@ -296,6 +296,8 @@ def _cmd_bench(args) -> int:
             "threshold_rule": "strict-less-than",
             "repetition_rule": "min-wall-time",
             "timing": "per-task, preprocessing included, file I/O excluded"}
+    if args.srlg:
+        meta["srlg"] = args.srlg
     all_records = []
     for solver in args.solver:
         all_records.extend(bench_mod.run_suite(

@@ -24,8 +24,6 @@ from heapq import heappop, heappush
 from math import inf
 from typing import Iterable, NamedTuple, Sequence, Union
 
-import numpy as np
-
 
 class ParseError(ValueError):
     """A line of an input file does not match the expected grammar."""
@@ -63,28 +61,21 @@ class Network:
         edges: tuple of Edge, indexed by EdgeId; Edge instances passed in
             are kept as they are, other tuples are converted.
         adjacency: per-node tuple of egress EdgeIds.
-        min_edge_cost, max_edge_cost, max_edge_delay: weight extremes, None
-            without edges.
-        reverse_arcs: the ``(head, tail, weight)`` int64 arrays of the
-            stacked reverse graph's arcs, sorted by head, that the numpy tree
-            route reads, built on first use.
-        reverse_adjacency: the same arcs as ``(tail, weight)`` tuples in
-            Python ints, per stacked node, that the heap tree route reads,
-            built on first use.
+        min_edge_cost, max_edge_cost: cost extremes, None without edges.
         srlg_groups: tuple of frozensets of EdgeId, indexed by SrlgId.
         edge_srlgs: per-edge frozenset of SrlgIds (inverse of srlg_groups);
             every edge in no group holds the same shared empty frozenset.
 
-    ``with_srlgs`` copies share everything but the SRLG index with their
-    source network, the memo of the two reverse layouts included, whichever
-    of them builds it.  Instances never change after construction (the
-    reverse layouts are memos filled on first use), so any number of
-    concurrent readers is safe.
+    ``_memo`` is the per-network memo that ``drcr.trees`` fills with the
+    stacked reverse graph of the trees on first use.  ``with_srlgs`` copies
+    share everything but the SRLG index with their source network, the memo
+    included, whichever of them fills it.  Instances never change after
+    construction but for that memo, so any number of concurrent readers is
+    safe.
     """
 
     __slots__ = ("node_count", "edges", "adjacency", "srlg_groups",
-                 "edge_srlgs", "min_edge_cost", "max_edge_cost",
-                 "max_edge_delay", "_memo")
+                 "edge_srlgs", "min_edge_cost", "max_edge_cost", "_memo")
 
     def __init__(self, node_count: int, edges: Iterable[Edge],
                  srlg_groups: Iterable[Iterable[int]] = ()):
@@ -108,7 +99,6 @@ class Network:
         costs = [e.cost for e in self.edges]
         self.min_edge_cost = min(costs) if costs else None
         self.max_edge_cost = max(costs) if costs else None
-        self.max_edge_delay = max((e.delay for e in self.edges), default=None)
         self._index_srlgs(srlg_groups)
 
     def _index_srlgs(self, srlg_groups: Iterable[Iterable[int]]) -> None:
@@ -130,67 +120,13 @@ class Network:
         self.srlg_groups = groups
         self.edge_srlgs = tuple(edge_srlgs)
 
-    @property
-    def reverse_arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only int64 arrays ``(head, tail, weight)`` of the stacked
-        reverse graph, 2m arcs grouped by head: the input of the numpy route
-        of the reverse trees.
-
-        The stacked graph has 2 * node_count nodes: nodes 0..n-1 carry cost
-        and nodes n..2n-1 carry delay.  An edge from u to v gives an arc from
-        v to u weighted by its cost and an arc from v + n to u + n weighted
-        by its delay, so a tree relaxes the label of the tail from the label
-        of the head and the metrics never meet.  The arcs are sorted by head,
-        within a head in edge order, and the delay arcs (the last m) mirror
-        the cost arcs, n nodes up.  The weights must fit int64; the trees
-        build the arrays only when they do.  Built at most once per network
-        and shared with ``with_srlgs`` copies.
-        """
-        arcs = self._memo.get("reverse_arcs")
-        if arcs is None:
-            edges, n, m = self.edges, self.node_count, len(self.edges)
-            dst = np.fromiter((e.dst for e in edges), np.int64, m)
-            order = np.argsort(dst, kind="stable")
-            head = dst[order]
-            tail = np.fromiter((e.src for e in edges), np.int64, m)[order]
-            cost = np.fromiter((e.cost for e in edges), np.int64, m)[order]
-            delay = np.fromiter((e.delay for e in edges), np.int64, m)[order]
-            arcs = (np.concatenate((head, head + n)),
-                    np.concatenate((tail, tail + n)),
-                    np.concatenate((cost, delay)))
-            for a in arcs:
-                a.flags.writeable = False
-            self._memo["reverse_arcs"] = arcs
-        return arcs
-
-    @property
-    def reverse_adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per stacked node h, the ``(tail, weight)`` pairs of the arcs in
-        ``reverse_arcs`` whose head is h, in the same order: the heap route's
-        input.  An edge from u to v is ``(u, cost)`` at v and ``(u + n,
-        delay)`` at v + n, in Python ints, so weights past int64 stay exact.
-        Built at most once per network, only when the heap runs (for n * W
-        at or past 2**62, or for the rest of a walk past
-        ``FRONTIER_MAX_ROUNDS`` rounds), and shared with ``with_srlgs``
-        copies.
-        """
-        rev = self._memo.get("reverse_adjacency")
-        if rev is None:
-            n = self.node_count
-            rows: list[list[tuple[int, int]]] = [[] for _ in range(2 * n)]
-            for u, v, cost, delay in self.edges:
-                rows[v].append((u, cost))
-                rows[n + v].append((n + u, delay))
-            rev = self._memo["reverse_adjacency"] = tuple(map(tuple, rows))
-        return rev
-
     def with_srlgs(self, srlg_groups: Iterable[Iterable[int]]) -> "Network":
         """A copy of this network with the SRLG index replaced.
 
         SRLGs do not change the edges, so the copy is shallow: it shares
-        this network's node count, edges, adjacency, edge-weight extremes
-        and the memo of its reverse layouts; only the SRLG index is built
-        and validated.
+        this network's node count, edges, adjacency, cost extremes and
+        ``_memo``, the per-network memo that ``drcr.trees`` fills; only the
+        SRLG index is built and validated.
         """
         twin = copy.copy(self)
         twin._index_srlgs(srlg_groups)
@@ -202,10 +138,6 @@ class Network:
         return Path(tuple(edge_ids),
                     sum(es[eid].cost for eid in edge_ids),
                     sum(es[eid].delay for eid in edge_ids))
-
-    def max_elementary_path_cost(self) -> int:
-        """Upper bound on the cost of any elementary path."""
-        return self.node_count * (self.max_edge_cost or 0)
 
     def __repr__(self):
         return (f"Network(nodes={self.node_count}, edges={len(self.edges)}, "

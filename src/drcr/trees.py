@@ -28,28 +28,34 @@ round; a task that reads delay and then cost pays 1.17-1.44 pairs.
 
 Two routes compute the same trees, chosen from the weights with no option
 to set.  Let n be the node count, m the edge count and W the largest edge
-weight of either metric.
+weight of either metric.  Both walk one stacked reverse graph of 2n nodes:
+an edge from u to v is a cost arc from v to u and a delay arc from n + v
+to n + u, so nodes 0..n-1 carry cost, n..2n-1 delay, and the metrics never
+meet.  It depends on the edges alone, so its two layouts are built at most
+once per network, on first use, into the network's ``_memo``, which
+``with_srlgs`` copies share: ``_arcs``, three read-only int64 arrays
+``(head, tail, weight)`` sorted by head and within a head in edge order
+(the first m arcs the cost tree's, the last m the delay tree's), and
+``_rows``, the same arcs per head as ``(tail, weight)`` pairs in Python
+ints.
 
 * The frontier route, whenever n * W < 2**62, whatever the graph's size:
   one vectorised relaxation (Bellman, "On a routing problem", 1958, run as
-  a frontier walk) over ``Network.reverse_arcs``, the heads, tails and
-  weights of the arcs of a stacked graph of 2n nodes whose nodes 0..n-1
-  carry cost and n..2n-1 carry delay: all 2m arcs for both trees, the
-  first m for the cost tree alone and the last m for the delay tree alone.
-  The frontier is the mask of the nodes whose label fell in the last
-  round, at first the target in each half walked.  A round selects the
-  arcs whose head is in the mask with one gather of the mask over the
-  walk's heads, relaxes every selected arc with ``np.minimum.at`` and takes
-  the mask of the labels that fell as the next frontier: ten numpy calls,
-  whose only work over all the walk's arcs is that gather and its scan.
-  The walk ends when a round finds no arc to relax.  A label is always the
-  length of a simple path, so it stays below n * W, and int64 sums and
-  their sentinel cannot overflow.
-* The heap route, for n * W at or past 2**62: a lazy-deletion Dijkstra
-  over ``Network.reverse_adjacency``, the same stacked graph in Python
-  tuples, every half walked in one heap of ``(label, node)`` pairs that
-  skips an entry whose label has since fallen.  Python ints keep it exact
-  at any magnitude.
+  a frontier walk) over ``_arcs``: all 2m arcs for both trees, the first m
+  for the cost tree alone and the last m for the delay tree alone.  The
+  frontier is the mask of the nodes whose label fell in the last round, at
+  first the target in each half walked.  A round selects the arcs whose
+  head is in the mask with one gather of the mask over the walk's heads,
+  relaxes every selected arc with ``np.minimum.at`` and takes the mask of
+  the labels that fell as the next frontier: ten numpy calls, whose only
+  work over all the walk's arcs is that gather and its scan.  The walk
+  ends when a round finds no arc to relax.  A label is always the length
+  of a simple path, so it stays below n * W, and int64 sums and their
+  sentinel cannot overflow.
+* The heap route, for n * W at or past 2**62, where ``_arcs`` is None: a
+  lazy-deletion Dijkstra over ``_rows``, every half walked in one heap of
+  ``(label, node)`` pairs that skips an entry whose label has since
+  fallen.  Python ints keep it exact at any magnitude.
 
 The heap starts from the target's stacked node in each half walked, at 0,
 or goes on from a frontier walk not done after FRONTIER_MAX_ROUNDS rounds,
@@ -61,10 +67,11 @@ generic label-correcting method).  The trees are the halves of the labels.
 No graph size chooses the route: numpy's fixed cost per call makes the
 frontier route up to some 70 us a pair slower than the heap below n + m of
 about 340 (shared 2-core VM, CPython 3.11.7, numpy 2.4.6), and no
-benchmark workload is that small (``BENCH_14.json``, ``BENCH_24.json``).  FRONTIER_MAX_ROUNDS = 32 is within 2% of the best
-round count on generated graphs of 5000 and 20 000 nodes (up to 35 rounds)
-and holds a 1000-node chain, which needs 1000 rounds, to 1.6 times the
-heap's time (``BENCH_24.json``).
+benchmark workload is that small (``BENCH_14.json``, ``BENCH_24.json``).
+FRONTIER_MAX_ROUNDS = 32 is within 2% of the best round count on generated
+graphs of 5000 and 20 000 nodes (up to 35 rounds) and holds a 1000-node
+chain, which needs 1000 rounds, to 1.6 times the heap's time
+(``BENCH_24.json``).
 
 Trees computed on the full network stay valid lower bounds on any
 edge-excluded view of it (removing edges can only increase true distances),
@@ -190,20 +197,60 @@ def _as_labels(dist: np.ndarray) -> list[float]:
     return labels
 
 
+def _arcs(net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The stacked arcs of ``net`` as read-only int64 arrays ``(head, tail,
+    weight)``, or None once n * W reaches ``_INT64_GUARD``; memoised in
+    ``net._memo``."""
+    memo = net._memo
+    if "arcs" not in memo:
+        edges, n, m = net.edges, net.node_count, len(net.edges)
+        top = max((max(e.cost, e.delay) for e in edges), default=0)
+        arcs = None
+        if n * top < _INT64_GUARD:
+            dst = np.fromiter((e.dst for e in edges), np.int64, m)
+            order = np.argsort(dst, kind="stable")
+            head = dst[order]
+            tail = np.fromiter((e.src for e in edges), np.int64, m)[order]
+            cost = np.fromiter((e.cost for e in edges), np.int64, m)[order]
+            delay = np.fromiter((e.delay for e in edges), np.int64, m)[order]
+            arcs = (np.concatenate((head, head + n)),
+                    np.concatenate((tail, tail + n)),
+                    np.concatenate((cost, delay)))
+            for a in arcs:
+                a.flags.writeable = False
+        memo["arcs"] = arcs
+    return memo["arcs"]
+
+
+def _rows(net: Network) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per stacked node, the ``(tail, weight)`` pairs of the stacked arcs it
+    heads, in ``_arcs`` order, in Python ints; memoised in ``net._memo``."""
+    rows = net._memo.get("rows")
+    if rows is None:
+        n = net.node_count
+        lists: list[list[tuple[int, int]]] = [[] for _ in range(2 * n)]
+        for u, v, cost, delay in net.edges:
+            lists[v].append((u, cost))
+            lists[n + v].append((n + u, delay))
+        rows = net._memo["rows"] = tuple(map(tuple, lists))
+    return rows
+
+
 def build_halves(net: Network, target: int,
                  halves: tuple[int, ...]) -> list[list[float]]:
     """Exact shortest distances to ``target`` in each of ``halves`` (COST,
     DELAY or both, ascending), all in one walk, one list per half.
 
-    One half walks its own m arcs of ``Network.reverse_arcs`` (cost the
-    first, delay the last) from its own stacked copy of the target; both
-    walk all 2m from both.  ``target`` must be a node of ``net``."""
+    One half walks its own m arcs of ``_arcs`` (cost the first, delay the
+    last) from its own stacked copy of the target; both walk all 2m from
+    both.  The heap walks ``_rows`` where ``_arcs`` is None, or goes on
+    over them from a walk past FRONTIER_MAX_ROUNDS rounds.  ``target`` must
+    be a node of ``net``."""
     n = net.node_count
     lo, hi = halves[0] * n, (halves[-1] + 1) * n
     seeds = [h * n + target for h in halves]
-    top = max(net.max_edge_cost or 0, net.max_edge_delay or 0)
-    if n * top < _INT64_GUARD:
-        arcs = net.reverse_arcs
+    arcs = _arcs(net)
+    if arcs is not None:
         if len(halves) == 1:
             m = len(net.edges)
             arcs = [a[halves[0] * m:(halves[0] + 1) * m] for a in arcs]
@@ -218,7 +265,7 @@ def build_halves(net: Network, target: int,
             labels[v] = 0
         start = seeds
     if start:
-        _heap_walk(net.reverse_adjacency, labels, start)
+        _heap_walk(_rows(net), labels, start)
         labels = labels[lo:hi]
     return [labels[k * n:(k + 1) * n] for k in range(len(halves))]
 

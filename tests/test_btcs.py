@@ -645,11 +645,12 @@ _real_scan = btcs.scan_corridor_paths
 def _bit_scan(net, trees, task, c_low, c_up, **kwargs):
     """``scan_corridor_paths`` with the floor switched off.
 
-    A corridor that starts above ``max_elementary_path_cost()`` is widened
-    to inf, and any finite floor reads as the corridor's top, so the sweep
-    runs as it did when a scan answered only whether anything lay above.
+    A corridor that starts above ``node_count * max_edge_cost``, a bound on
+    the cost of any elementary path, is widened to inf, and any finite floor
+    reads as the corridor's top, so the sweep runs as it did when a scan
+    answered only whether anything lay above.
     """
-    if c_low > net.max_elementary_path_cost():
+    if c_low > net.node_count * net.max_edge_cost:
         c_up = float("inf")
     paths, floor = _real_scan(net, trees, task, c_low, c_up, **kwargs)
     return paths, c_up if floor < float("inf") else floor

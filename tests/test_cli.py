@@ -327,7 +327,7 @@ def test_bench_rejects_a_repeated_solver_before_any_file(tmp_path, capsys,
 def test_alpha_past_the_largest_path_cost_sweeps_one_corridor(tmp_path, capsys):
     # node 1's only route 1->3 lies in no SRLG, so the task reaches the
     # sweep; a width of 2 * 1e308 overflows a float, and is clamped to
-    # max_elementary_path_cost() like any width that holds every path
+    # node_count * max_edge_cost like any width that holds every path
     graph = tmp_path / "g.csv"
     graph.write_text("nodes,4\n0,1,2,1\n1,3,2,1\n0,2,10,1\n2,3,10,1\n")
     srlg = tmp_path / "s.csv"
@@ -342,6 +342,79 @@ def test_alpha_past_the_largest_path_cost_sweeps_one_corridor(tmp_path, capsys):
     assert lines["1e308"] == lines["1e6"] == (
         '{"task": "1,3,0,100,100", "outcome": "infeasible", '
         '"corridors_explored": 1, "ap_candidates_checked": 1}\n')
+
+
+def test_bench_records_the_srlg_file_it_protects_against(tmp_path):
+    # a btcs bench with --srlg names the SRLG file in all three outputs,
+    # sorted among the other meta lines; without --srlg there is no line
+    graph = tmp_path / "g.csv"
+    graph.write_text("nodes,4\n0,1,1,1\n1,3,1,1\n0,2,2,1\n2,3,2,1\n")
+    srlg = tmp_path / "s.csv"
+    srlg.write_text("0:0\n1:2\n")
+    tasks = tmp_path / "t.csv"
+    tasks.write_text("0,3,0,10,10\n")
+    outs = [tmp_path / name for name in ("r.jsonl", "s.csv", "s.txt")]
+    assert run("bench", "--graph", str(graph), "--srlg", str(srlg),
+               "--tasks", str(tasks), "--solver", "btcs",
+               "--records", str(outs[0]), "--summary-csv", str(outs[1]),
+               "--out", str(outs[2])) == 0
+    for out in outs:
+        meta = [line for line in out.read_text().splitlines()
+                if line.startswith("# ")]
+        assert f"# srlg={srlg}" in meta
+        assert meta == sorted(meta)
+    assert json.loads(outs[0].read_text().splitlines()[-1])["outcome"] == "pair"
+    assert run("bench", "--graph", str(graph), "--tasks", str(tasks),
+               "--solver", "btcs", "--records", str(outs[0])) == 0
+    assert "# srlg=" not in outs[0].read_text()
+
+
+# bad generator parameters and bad input files: each exits before it
+# writes any output
+INPUT_CHECK_CASES = [
+    ("gen-graph --topology er --nodes 1 --density 2", 1, "nodes must be"),
+    ("gen-graph --topology er --nodes 10 --density 0", 1, "density_param"),
+    ("gen-graph --topology er --nodes 10 --density 2 --cost-range 5,1", 1,
+     "bad range [5, 1]"),
+    ("gen-graph --topology sf --nodes 3 --density 3", 2,
+     "attachment parameter 3 needs more than 3 nodes"),
+    ("gen-srlg --graph {g} --pattern random --size-range 0,5", 1,
+     "got [0, 5]"),
+    ("gen-srlg --graph {g} --pattern random --size-range 1,41", 1,
+     "got [1, 41]"),
+    ("gen-tasks --graph {g} --count 0 --kind drcr", 1, "count must be"),
+    ("solve-srlg --graph {g} --srlg {s} --tasks {t5} --max-corridors 0", 1,
+     "max_corridors must be"),
+    ("bench --graph {g} --tasks {t4} --solver pulse --repetitions 0", 1,
+     "repetitions must be"),
+    ("solve-drcr --graph {empty} --tasks {t4}", 2, "empty graph file"),
+    ("solve-srlg --graph {g} --srlg {no_colon} --tasks {t5}", 2,
+     "expected 'srlg_id:e0,e1,...'"),
+    ("solve-srlg --graph {g} --srlg {no_member} --tasks {t5}", 2,
+     "empty srlg group"),
+    ("solve-drcr --graph {g} --tasks {t3}", 2,
+     "expected 'src,dst,d_low,d_up[,d_diff]'"),
+]
+
+
+@pytest.mark.parametrize("command, code, message", INPUT_CHECK_CASES,
+                         ids=[c for c, _, _ in INPUT_CHECK_CASES])
+def test_bad_input_exits_before_any_output(tmp_path, capsys, command, code,
+                                           message):
+    files = {"g": "nodes,3\n0,1,1,5\n1,2,1,5\n0,2,3,1\n", "s": "0:0\n",
+             "t4": "0,2,0,20\n", "t5": "0,2,0,20,10\n", "t3": "0,2,0\n",
+             "empty": "", "no_colon": "0,1\n", "no_member": "0:\n"}
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text(text)
+    out = tmp_path / "out"
+    assert run(*command.format(**paths).split(), "--out", str(out)) == code
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{name}.csv" for name in files)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("drcr: ") and message in captured.err
 
 
 def test_usage_error_exits_1(capsys):

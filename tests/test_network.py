@@ -9,8 +9,6 @@ from itertools import product
 from math import inf, nan
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from drcr import (DrcrTask, Edge, GenSpec, IntegrityError, Network,
                   ParseError, Path, SrlgTask, build_reverse_trees, check_path,
@@ -225,6 +223,9 @@ def test_remove_conflicting_edges_self_conflict():
     ap = net.path([0, 1])
     view = remove_conflicting_edges(net, ap)
     assert view.excluded == frozenset({0, 1})
+    for eid in (3, -1):
+        with pytest.raises(IntegrityError, match=f"unknown edge {eid}"):
+            remove_conflicting_edges(net, Path((0, eid), 2, 2))
 
 
 def test_star_srlg_disconnects_source():
@@ -275,6 +276,9 @@ def test_is_connected_trivial_cases():
         assert find_path(net, 0, 1, potential, inf) == [0]
         assert find_path(net, 0, 1, potential, 0) is None
         assert find_path(net, 2, 1, potential, inf) is None
+    for s, t in ((0, 3), (3, 0), (-1, 1)):
+        with pytest.raises(IntegrityError, match="node out of range"):
+            find_path(net, s, t)
 
 
 def test_is_connected_matches_reference_reachability():
@@ -319,47 +323,12 @@ def test_adjacency_and_inverse_invariants():
         assert sorted(listed) == list(range(len(net.edges)))
         for node, adj in enumerate(net.adjacency):
             assert all(net.edges[eid].src == node for eid in adj)
-        # the heap's stacked rows: each edge u->v once as (u, cost) at v and
-        # once as (u + n, delay) at v + n
-        n = net.node_count
-        stacked = sorted([(e.src, e.dst, e.cost) for e in net.edges]
-                         + [(n + e.src, n + e.dst, e.delay) for e in net.edges])
-        assert sorted((tail, head, weight)
-                      for head, row in enumerate(net.reverse_adjacency)
-                      for tail, weight in row) == stacked
-        # the stacked arcs, 2m of them, sorted by head: every edge once as
-        # a cost arc at its head v and once, n nodes and m arcs up, as a
-        # delay arc at v + n; within a head in edge order
-        head, tail, weight = (a.tolist() for a in net.reverse_arcs)
-        n, m = net.node_count, len(net.edges)
-        assert len(head) == len(tail) == len(weight) == 2 * m
-        assert head == sorted(head)
-        assert list(zip(tail[:m], head[:m], weight[:m], weight[m:])) == [
-            tuple(e) for e in sorted(net.edges, key=lambda e: e.dst)]
-        assert head[m:] == [v + n for v in head[:m]]
-        assert tail[m:] == [u + n for u in tail[:m]]
         for gid, group in enumerate(net.srlg_groups):
             for eid in group:
                 assert gid in net.edge_srlgs[eid]
         for eid, groups in enumerate(net.edge_srlgs):
             for gid in groups:
                 assert eid in net.srlg_groups[gid]
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.randoms(use_true_random=False), st.sampled_from((20, 10 ** 15)))
-def test_property_reverse_adjacency_is_reverse_arcs_range_by_range(rng, top):
-    # the heap's rows and the frontier's arrays are one stacked graph: the
-    # row of stacked node h holds exactly the tails and weights of the arcs
-    # whose head is h, in arc order
-    net = random_network(rng, max_cost=top, max_delay=top)
-    head, tail, weight = (a.tolist() for a in net.reverse_arcs)
-    rows = net.reverse_adjacency
-    assert len(rows) == 2 * net.node_count
-    for h, row in enumerate(rows):
-        assert row == tuple((tail[a], weight[a])
-                            for a in range(len(head)) if head[a] == h)
-        assert all(type(u) is int and type(w) is int for u, w in row)
 
 
 def test_check_path_catches_violations():
@@ -382,26 +351,15 @@ def test_check_path_catches_violations():
     loop = Network(3, [Edge(0, 1, 1, 1), Edge(1, 0, 1, 1), Edge(0, 2, 1, 1)])
     with pytest.raises(IntegrityError, match="revisits node 0"):
         check_path(loop, loop.path([0, 1, 2]))
+    # 0 -> 1 -> 0: the last edge returns to the first node
+    with pytest.raises(IntegrityError, match="revisits node 0"):
+        check_path(loop, loop.path([0, 1]))
 
 
 def test_path_totals():
     net = diamond()
     p = net.path([2, 3])
     assert (p.total_cost, p.total_delay) == (10, 2)
-
-
-def test_reverse_adjacency_built_once_and_shared_by_srlg_copies():
-    net = Network(3, [Edge(0, 1, 2, 5), Edge(0, 1, 3, 4), Edge(2, 1, 1, 1),
-                      Edge(1, 2, 7, 7)])
-    rev = net.reverse_adjacency
-    assert rev == ((), ((0, 2), (0, 3), (2, 1)), ((1, 7),),
-                   (), ((3, 5), (3, 4), (5, 1)), ((4, 7),))
-    build_reverse_trees(net, 1)
-    build_reverse_trees(net, 2)
-    assert net.reverse_adjacency is rev
-    copy = net.with_srlgs([{0, 3}])
-    assert copy.srlg_groups == (frozenset({0, 3}),)
-    assert copy.reverse_adjacency is rev
 
 
 def test_edge_instances_are_kept_and_other_tuples_converted():
@@ -427,9 +385,8 @@ def test_with_srlgs_shares_everything_but_the_srlg_index():
     copy = net.with_srlgs([{0, 2}, {1}])
     assert copy.edges is net.edges
     assert copy.adjacency is net.adjacency
-    assert copy.reverse_adjacency is net.reverse_adjacency
-    assert (copy.node_count, copy.min_edge_cost, copy.max_edge_cost,
-            copy.max_edge_delay) == (3, 2, 9, 5)
+    assert copy._memo is net._memo
+    assert (copy.node_count, copy.min_edge_cost, copy.max_edge_cost) == (3, 2, 9)
     assert copy.srlg_groups == (frozenset({0, 2}), frozenset({1}))
     assert copy.edge_srlgs == (frozenset({0}), frozenset({1}), frozenset({0}))
     fresh = Network(3, net.edges, [{0, 2}, {1}])

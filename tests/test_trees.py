@@ -142,7 +142,7 @@ def test_property_both_routes_match_bellman_ford(case):
     assert trees.min_cost_to_target == cost
     assert trees.min_delay_to_target == delay
     _assert_python_ints(trees)
-    rows = _CountingRows(net.reverse_adjacency)
+    rows = _CountingRows(trees_mod._rows(net))
     assert _heap(rows, target) == cost + delay
     assert rows.reads == [int(d != inf) for d in cost + delay]
 
@@ -174,6 +174,7 @@ def test_scaled_weights_scale_the_distances_through_the_heap(case, j, order):
                          for e in net.edges])
     if net.edges:
         assert n * scaled.max_edge_cost >= trees_mod._INT64_GUARD
+        assert trees_mod._arcs(scaled) is None
     small = build_reverse_trees(net, target)
     large = _read(build_reverse_trees(scaled, target), order)
     assert large.min_cost_to_target == [d * k for d in small.min_cost_to_target]
@@ -192,8 +193,7 @@ def _frontier(net, target, rounds=None, order=_ORDERS[0]):
     int64 guard), its walk cut after ``rounds`` rounds (FRONTIER_MAX_ROUNDS
     if None) and handed to the heap if not done by then, read in
     ``order``."""
-    top = max(net.max_edge_cost or 0, net.max_edge_delay or 0)
-    assert net.node_count * top < trees_mod._INT64_GUARD
+    assert trees_mod._arcs(net) is not None
     with pytest.MonkeyPatch.context() as patch:
         if rounds is not None:
             patch.setattr(trees_mod, "FRONTIER_MAX_ROUNDS", rounds)
@@ -204,8 +204,8 @@ def _pair_walk(net, target, rounds):
     """The frontier walk of the stacked pair: all 2m arcs, from the
     target's two stacked nodes."""
     n = net.node_count
-    return trees_mod._frontier_walk(net.reverse_arcs, n, [target, n + target],
-                                    rounds)
+    return trees_mod._frontier_walk(trees_mod._arcs(net), n,
+                                    [target, n + target], rounds)
 
 
 def _heap(rev, target) -> list[float]:
@@ -304,9 +304,9 @@ def test_long_walk_goes_on_in_the_heap(monkeypatch):
             [10 * (root - i) for i in range(root + 1)] + [inf] * (n - root - 1))
         assert calls == route
         assert (trees.min_cost_to_target + trees.min_delay_to_target
-                == _heap(net.reverse_adjacency, root))
+                == _heap(trees_mod._rows(net), root))
         _assert_python_ints(trees)
-        _, frontier = walk(net.reverse_arcs, n, [root, n + root], bound)
+        _, frontier = walk(trees_mod._arcs(net), n, [root, n + root], bound)
         left = root - bound
         assert frontier.tolist() == ([left, n + left] if left >= 0 else [])
     assert trees.min_cost_to_target == bellman_ford_to_target(net, n - 1, "cost")
@@ -470,7 +470,7 @@ def test_frontier_nodes_without_ingress_arcs():
     net = Network(n, [Edge(1, 0, 1, 2), Edge(2, 0, 3, 4), Edge(3, 0, 5, 6),
                       Edge(5, 1, 7, 8), Edge(6, 1, 9, 10), Edge(7, 3, 11, 12)])
     heads = [0, 0, 0, 1, 1, 3]
-    assert net.reverse_arcs[0].tolist() == heads + [n + h for h in heads]
+    assert trees_mod._arcs(net)[0].tolist() == heads + [n + h for h in heads]
     walks = [_pair_walk(net, 0, r) for r in range(4)]
     assert [f.tolist() for _, f in walks] == [
         [0, n], [1, 2, 3, n + 1, n + 2, n + 3], [5, 6, 7, n + 5, n + 6, n + 7], []]
@@ -488,13 +488,64 @@ def test_frontier_route_builds_only_the_shared_arcs(monkeypatch):
     # the frontier route reads the arcs, never the heap's tuple rows, and
     # a with_srlgs copy shares the arcs whichever network builds them first
     net = Network(3, [Edge(1, 0, 3, 2), Edge(2, 1, 1, 1)])
-    monkeypatch.setattr(Network, "reverse_adjacency", property(
-        lambda self: pytest.fail("the frontier route built reverse_adjacency")))
+    monkeypatch.setattr(trees_mod, "_rows", lambda net: pytest.fail(
+        "the frontier route built the heap's rows"))
     copy = net.with_srlgs([{0}])
     trees = build_reverse_trees(copy, 0)
     assert trees.min_cost_to_target == build_reverse_trees(net, 0).min_cost_to_target
-    assert net.reverse_arcs is copy.reverse_arcs
-    assert net.with_srlgs([]).reverse_arcs is net.reverse_arcs
+    assert trees_mod._arcs(net) is trees_mod._arcs(copy)
+    assert trees_mod._arcs(net.with_srlgs([])) is trees_mod._arcs(net)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from((20, 10 ** 15)))
+def test_property_rows_are_arcs_range_by_range(rng, top):
+    # the stacked arcs, 2m of them, sorted by head: every edge once as a
+    # cost arc at its head v and once, n nodes and m arcs up, as a delay arc
+    # at v + n; within a head in edge order.  The heap's rows and the
+    # frontier's arrays are one stacked graph: the row of stacked node h
+    # holds exactly the tails and weights of the arcs whose head is h, in
+    # arc order
+    net = random_network(rng, max_cost=top, max_delay=top)
+    head, tail, weight = (a.tolist() for a in trees_mod._arcs(net))
+    n, m = net.node_count, len(net.edges)
+    assert len(head) == len(tail) == len(weight) == 2 * m
+    assert head == sorted(head)
+    assert list(zip(tail[:m], head[:m], weight[:m], weight[m:])) == [
+        tuple(e) for e in sorted(net.edges, key=lambda e: e.dst)]
+    assert head[m:] == [v + n for v in head[:m]]
+    assert tail[m:] == [u + n for u in tail[:m]]
+    rows = trees_mod._rows(net)
+    assert len(rows) == 2 * n
+    for h, row in enumerate(rows):
+        assert row == tuple((tail[a], weight[a])
+                            for a in range(len(head)) if head[a] == h)
+        assert all(type(u) is int and type(w) is int for u, w in row)
+
+
+def test_stacked_layouts_built_once_and_shared_by_srlg_copies():
+    # each layout is built on its first use, memoised, and shared by every
+    # with_srlgs copy, whichever network builds it; past the int64 guard
+    # the arcs are None, memoised too
+    net = Network(3, [Edge(0, 1, 2, 5), Edge(0, 1, 3, 4), Edge(2, 1, 1, 1),
+                      Edge(1, 2, 7, 7)])
+    rows = trees_mod._rows(net)
+    assert rows == ((), ((0, 2), (0, 3), (2, 1)), ((1, 7),),
+                    (), ((3, 5), (3, 4), (5, 1)), ((4, 7),))
+    copy = net.with_srlgs([{0, 3}])
+    arcs = trees_mod._arcs(copy)
+    assert [a.tolist() for a in arcs] == [[1, 1, 1, 2, 4, 4, 4, 5],
+                                          [0, 0, 2, 1, 3, 3, 5, 4],
+                                          [2, 3, 1, 7, 5, 4, 1, 7]]
+    assert not any(a.flags.writeable for a in arcs)
+    _read(build_reverse_trees(net, 1))
+    _read(build_reverse_trees(copy, 2))
+    assert trees_mod._rows(net) is trees_mod._rows(copy) is rows
+    assert trees_mod._arcs(net) is trees_mod._arcs(copy) is arcs
+    assert copy.srlg_groups == (frozenset({0, 3}),)
+    huge = Network(2, [Edge(0, 1, 2 ** 61, 1)])
+    assert trees_mod._arcs(huge) is None
+    assert huge.with_srlgs([])._memo == {"arcs": None}
 
 
 def test_many_nodes_tied_at_one_distance():
@@ -560,7 +611,7 @@ def test_stale_bucket_entry_is_skipped():
     # The delay nodes share the queue, the first delay arc already cheapest
     net = Network(4, [Edge(1, 2, 9, 1), Edge(1, 2, 1, 9), Edge(0, 1, 1, 1),
                       Edge(3, 2, 20, 20)])
-    rows = _CountingRows(net.reverse_adjacency)
+    rows = _CountingRows(trees_mod._rows(net))
     dist = _heap(rows, 2)
     assert dist == [2, 1, 0, 20] * 2
     assert rows.reads == [1] * 8

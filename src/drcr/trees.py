@@ -21,10 +21,10 @@ walked on its first read, so a task pays only for the trees it reads.
 
 Every walk goes through ``build_halves``, which ``ReverseTrees`` looks up
 on this module at call time, so a wrapper set there sees every walk.  A
-delay half alone takes 0.55-0.73 and a cost half alone 0.62-0.70 of the
+delay half alone takes 0.54-0.73 and a cost half alone 0.60-0.68 of the
 pair's time (SF-200 m=4, SF-500 m=2, SF-1000 m=2, ER-1000 k=7 at weights
-1..100, ``BENCH_26.json``), since the pair shares every numpy call of a
-round; a task that reads delay and then cost pays 1.17-1.44 pairs.
+1..100, ``BENCH_30.json``), since the pair shares every numpy call of a
+round; a task that reads delay and then cost pays 1.15-1.42 pairs.
 
 Two routes compute the same trees, chosen from the weights with no option
 to set.  Let n be the node count, m the edge count and W the largest edge
@@ -33,9 +33,9 @@ an edge from u to v is a cost arc from v to u and a delay arc from n + v
 to n + u, so nodes 0..n-1 carry cost, n..2n-1 delay, and the metrics never
 meet.  It depends on the edges alone, so its two layouts are built at most
 once per network, on first use, into the network's ``_memo``, which
-``with_srlgs`` copies share: ``_arcs``, three read-only int64 arrays
-``(head, tail, weight)`` sorted by head and within a head in edge order
-(the first m arcs the cost tree's, the last m the delay tree's), and
+``with_srlgs`` copies share: ``_arcs``, three int64 arrays ``(head,
+tail, weight)`` sorted by head and within a head in edge order (the first
+m arcs the cost tree's, the last m the delay tree's), and
 ``_rows``, the same arcs per head as ``(tail, weight)`` pairs in Python
 ints.
 
@@ -48,10 +48,14 @@ ints.
   head is in the mask with one gather of the mask over the walk's heads,
   relaxes every selected arc with ``np.minimum.at`` and takes the mask of
   the labels that fell as the next frontier: ten numpy calls, whose only
-  work over all the walk's arcs is that gather and its scan.  The walk
-  ends when a round finds no arc to relax.  A label is always the length
-  of a simple path, so it stays below n * W, and int64 sums and their
-  sentinel cannot overflow.
+  work over all the walk's arcs is that gather and its scan.  None goes
+  through a Python wrapper (``nonzero`` in place of ``np.flatnonzero``),
+  and none allocates the labels' copy or the mask: the walk allocates them
+  once and each round refills them in place.  The arcs stay writeable,
+  as ``ndarray.take`` copies a read-only index array on every call, and
+  no walk writes them.  The walk ends when a round finds no arc to relax.
+  A label is always the length of a simple path, so it stays below n * W,
+  and int64 sums and their sentinel cannot overflow.
 * The heap route, for n * W at or past 2**62, where ``_arcs`` is None: a
   lazy-deletion Dijkstra over ``_rows``, every half walked in one heap of
   ``(label, node)`` pairs that skips an entry whose label has since
@@ -145,18 +149,18 @@ def _frontier_walk(arcs: tuple[np.ndarray, np.ndarray, np.ndarray],
     finds no arc to relax."""
     head, tail, weight = arcs
     dist = np.full(2 * n, _UNREACHED, dtype=np.int64)
-    for v in seeds:
-        dist[v] = 0
+    dist[seeds] = 0
     fell = dist == 0
+    before = np.empty_like(dist)
     for _ in range(rounds):
-        arc = np.flatnonzero(fell.take(head))
+        arc = fell.take(head).nonzero()[0]
         if not arc.size:
             return dist, arc
         relaxed = dist.take(head.take(arc)) + weight.take(arc)
-        before = dist.copy()
+        np.copyto(before, dist)
         np.minimum.at(dist, tail.take(arc), relaxed)
-        fell = dist < before
-    return dist, np.flatnonzero(fell)
+        np.less(dist, before, out=fell)
+    return dist, fell.nonzero()[0]
 
 
 def _heap_walk(rev: tuple[tuple[tuple[int, int], ...], ...],
@@ -184,23 +188,23 @@ def _heap_walk(rev: tuple[tuple[tuple[int, int], ...], ...],
 def _as_labels(dist: np.ndarray) -> list[float]:
     """``dist`` as a list of Python ints, math.inf where unreached, filled
     from the smaller side."""
-    unreached = np.flatnonzero(dist == _UNREACHED)
+    unreached = (dist == _UNREACHED).nonzero()[0]
     if 2 * unreached.size <= dist.size:
         labels = dist.tolist()
         for v in unreached.tolist():
             labels[v] = inf
     else:
         labels = [inf] * dist.size
-        reached = np.flatnonzero(dist != _UNREACHED)
+        reached = (dist != _UNREACHED).nonzero()[0]
         for v, d in zip(reached.tolist(), dist.take(reached).tolist()):
             labels[v] = d
     return labels
 
 
 def _arcs(net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The stacked arcs of ``net`` as read-only int64 arrays ``(head, tail,
-    weight)``, or None once n * W reaches ``_INT64_GUARD``; memoised in
-    ``net._memo``."""
+    """The stacked arcs of ``net`` as int64 arrays ``(head, tail, weight)``,
+    or None once n * W reaches ``_INT64_GUARD``; memoised in ``net._memo``.
+    Walks never write them."""
     memo = net._memo
     if "arcs" not in memo:
         edges, n, m = net.edges, net.node_count, len(net.edges)
@@ -216,8 +220,6 @@ def _arcs(net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
             arcs = (np.concatenate((head, head + n)),
                     np.concatenate((tail, tail + n)),
                     np.concatenate((cost, delay)))
-            for a in arcs:
-                a.flags.writeable = False
         memo["arcs"] = arcs
     return memo["arcs"]
 

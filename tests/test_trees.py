@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from math import inf
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -444,6 +447,49 @@ def test_frontier_route_with_most_nodes_unreached():
         _assert_python_ints(trees)
 
 
+def test_labels_filled_from_either_side_of_half_unreached():
+    # the labels are filled from the whole array with none, one and exactly
+    # half of the nodes unreached, and from the reached side with three of
+    # four and with all unreached
+    big, x = 2 ** 62 - 1, _UNREACHED
+    for dist in ([0, 5, big, 7], [0, x, 3, big], [0, x, 2, x], [x, 4, x, x],
+                 [x] * 3):
+        labels = trees_mod._as_labels(np.array(dist, dtype=np.int64))
+        assert len(labels) == len(dist)
+        for d, label in zip(dist, labels):
+            if d == _UNREACHED:
+                assert label is inf
+            else:
+                assert type(label) is int and label == d
+
+
+def test_concurrent_walks_on_one_network_match_bellman_ford():
+    # two threads walk trees on one shared network, its arcs built by
+    # whichever walks first: the round's buffers belong to each walk
+    net = gen_graph(GenSpec("scale-free", 200, 2, seed=3))
+    targets = range(0, net.node_count, 25)
+    expected = {(t, metric): bellman_ford_to_target(net, t, metric)
+                for t in targets for metric in ("cost", "delay")}
+
+    def walk(job):
+        target, order = job
+        trees = _read(build_reverse_trees(net, target), order)
+        return [((target, metric), getattr(trees, f"min_{metric}_to_target"))
+                for metric in order]
+
+    jobs = [(t, order) for _ in range(3) for t in targets for order in _ORDERS]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(walk, jobs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for result in results:
+        for key, tree in result:
+            assert tree == expected[key]
+
+
 def test_a_label_that_falls_twice_reenters_the_frontier():
     # cost: node 1 reaches the target 0 at 10 directly, then at 2 through
     # node 2, one round later; node 3, behind node 1, falls with it.
@@ -523,10 +569,11 @@ def test_property_rows_are_arcs_range_by_range(rng, top):
         assert all(type(u) is int and type(w) is int for u, w in row)
 
 
-def test_stacked_layouts_built_once_and_shared_by_srlg_copies():
+def test_stacked_layouts_built_once_and_shared_by_srlg_copies(monkeypatch):
     # each layout is built on its first use, memoised, and shared by every
     # with_srlgs copy, whichever network builds it; past the int64 guard
-    # the arcs are None, memoised too
+    # the arcs are None, memoised too.  Walks in every read order, and one
+    # handed to the heap, leave the memoised arrays as they were built
     net = Network(3, [Edge(0, 1, 2, 5), Edge(0, 1, 3, 4), Edge(2, 1, 1, 1),
                       Edge(1, 2, 7, 7)])
     rows = trees_mod._rows(net)
@@ -534,11 +581,17 @@ def test_stacked_layouts_built_once_and_shared_by_srlg_copies():
                     (), ((3, 5), (3, 4), (5, 1)), ((4, 7),))
     copy = net.with_srlgs([{0, 3}])
     arcs = trees_mod._arcs(copy)
-    assert [a.tolist() for a in arcs] == [[1, 1, 1, 2, 4, 4, 4, 5],
-                                          [0, 0, 2, 1, 3, 3, 5, 4],
-                                          [2, 3, 1, 7, 5, 4, 1, 7]]
-    assert not any(a.flags.writeable for a in arcs)
-    _read(build_reverse_trees(net, 1))
+    built = [[1, 1, 1, 2, 4, 4, 4, 5], [0, 0, 2, 1, 3, 3, 5, 4],
+             [2, 3, 1, 7, 5, 4, 1, 7]]
+    assert [a.tolist() for a in arcs] == built
+    for order in (("delay",), ("cost",), ("delay", "cost")):
+        for target in range(net.node_count):
+            _read(build_reverse_trees(net, target), order)
+    calls = _routes(monkeypatch)
+    monkeypatch.setattr(trees_mod, "FRONTIER_MAX_ROUNDS", 1)
+    _read(build_reverse_trees(copy, 1))
+    assert calls == ["frontier", "heap"]
+    assert [a.tolist() for a in arcs] == built
     _read(build_reverse_trees(copy, 2))
     assert trees_mod._rows(net) is trees_mod._rows(copy) is rows
     assert trees_mod._arcs(net) is trees_mod._arcs(copy) is arcs

@@ -407,12 +407,15 @@ def sweep_bins(bin_width: int, cap: int,
     to ``left`` meets the cap: the sweep stops, missing only dearer bins,
     and the flag is True.  ``control`` is polled before each bin, and an
     interruption ends the sweep the same way but drops the bin it cut.  A
-    ``bin_width`` or ``cap`` below 1 raises ValueError.
+    ``bin_width`` or ``cap`` below 1, or a ``cost_ceiling`` below 0, raises
+    ValueError.
     """
     if bin_width < 1:
         raise ValueError(f"bin width must be >= 1, got {bin_width}")
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
+    if cost_ceiling is not None and cost_ceiling < 0:
+        raise ValueError(f"cost ceiling must be >= 0, got {cost_ceiling}")
     bins: dict[int, int] = {}
     left = cap
     b = 0

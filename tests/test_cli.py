@@ -1,4 +1,4 @@
-"""End-to-end CLI pipeline, output formats and exit codes."""
+"""CLI output formats and exit codes; the pipelines are in test_cli_golden."""
 
 from __future__ import annotations
 
@@ -14,65 +14,6 @@ from drcr.cli import main
 
 def run(*argv) -> int:
     return main(list(argv))
-
-
-def test_full_pipeline(tmp_path, capsys):
-    graph = tmp_path / "g.csv"
-    srlg = tmp_path / "s.csv"
-    tasks_drcr = tmp_path / "t_drcr.csv"
-    tasks_srlg = tmp_path / "t_srlg.csv"
-
-    assert run("gen-graph", "--topology", "er", "--nodes", "40",
-               "--density", "4", "--seed", "3", "--out", str(graph)) == 0
-    assert graph.exists() and (tmp_path / "g.csv.manifest.json").exists()
-
-    assert run("gen-srlg", "--graph", str(graph), "--pattern", "star",
-               "--seed", "4", "--out", str(srlg)) == 0
-    assert run("gen-tasks", "--graph", str(graph), "--count", "5",
-               "--kind", "drcr", "--seed", "5", "--out", str(tasks_drcr)) == 0
-    assert run("gen-tasks", "--graph", str(graph), "--count", "5",
-               "--kind", "srlg", "--seed", "6", "--out", str(tasks_srlg)) == 0
-    capsys.readouterr()
-
-    solved = tmp_path / "solved.jsonl"
-    assert run("solve-drcr", "--graph", str(graph), "--tasks", str(tasks_drcr),
-               "--solver", "btbu1", "--out", str(solved)) == 0
-    rows = [json.loads(line) for line in solved.read_text().splitlines()]
-    assert len(rows) == 5
-    assert all(r["outcome"] in ("optimal", "infeasible") for r in rows)
-    assert any(r["outcome"] == "optimal" and r["cost"] >= 1 for r in rows)
-
-    pairs = tmp_path / "pairs.jsonl"
-    assert run("solve-srlg", "--graph", str(graph), "--srlg", str(srlg),
-               "--tasks", str(tasks_srlg), "--alpha", "10", "--out", str(pairs)) == 0
-    rows = [json.loads(line) for line in pairs.read_text().splitlines()]
-    assert len(rows) == 5
-    assert all(r["outcome"] in ("pair", "infeasible") for r in rows)
-
-    hist = tmp_path / "hist.csv"
-    assert run("histogram", "--graph", str(graph), "--task", "0,9,0,500",
-               "--bin", "10", "--cap", "100000", "--ceiling", "120",
-               "--out", str(hist)) == 0
-    lines = hist.read_text().splitlines()
-    assert lines[0].startswith("bin_low,")
-    assert lines[-1].startswith("# truncated=")
-
-    records = tmp_path / "records.jsonl"
-    summary_csv = tmp_path / "summary.csv"
-    summary_txt = tmp_path / "summary.txt"
-    assert run("bench", "--graph", str(graph), "--tasks", str(tasks_drcr),
-               "--solver", "pulse", "--solver", "btbu1",
-               "--time-limit-ms", "5000", "--records", str(records),
-               "--summary-csv", str(summary_csv), "--out", str(summary_txt)) == 0
-    assert "solver" in summary_csv.read_text()
-    assert "btbu1" in summary_txt.read_text()
-    assert any(line.startswith("{") for line in records.read_text().splitlines())
-
-    sweep = tmp_path / "sweep.csv"
-    assert run("sweep-alpha", "--graph", str(graph), "--srlg", str(srlg),
-               "--tasks", str(tasks_srlg), "--alphas", "5,10",
-               "--out", str(sweep)) == 0
-    assert sweep.read_text().startswith("alpha,")
 
 
 def test_sweep_alpha_on_empty_task_file(tmp_path):
@@ -249,6 +190,7 @@ def test_non_finite_alpha_or_nan_time_limit_exits_1(tmp_path, capsys,
     ("--cap", "-1", "cap must be >= 1, got -1"),
     ("--bin", "0", "bin width must be >= 1, got 0"),
     ("--bin", "-5", "bin width must be >= 1, got -5"),
+    ("--ceiling", "-1", "cost ceiling must be >= 0, got -1"),
 ])
 def test_histogram_bad_cap_or_bin_exits_1_for_either_task_kind(
         tmp_path, capsys, task, option, value, message):

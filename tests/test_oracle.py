@@ -231,9 +231,12 @@ def test_histogram_csv_layout(diamond_net):
 
 
 def test_histogram_cost_ceiling_limits_sweep(diamond_net):
-    hist = build_histogram(diamond_net, DrcrTask(0, 3, 0, 10 ** 6), 10,
-                           cost_ceiling=5)
+    task = DrcrTask(0, 3, 0, 10 ** 6)
+    hist = build_histogram(diamond_net, task, 10, cost_ceiling=5)
     assert hist.series["all"] == {0: 1}  # the cost-10 path is above the ceiling
+    # a ceiling of 0 still sweeps the bin [0, 10)
+    hist = build_histogram(diamond_net, task, 10, cost_ceiling=0)
+    assert hist.series["all"] == {0: 1}
 
 
 def _weighted_complete(seed: int, n: int = 6) -> Network:

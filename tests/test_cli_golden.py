@@ -12,13 +12,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import re
 import shlex
 from pathlib import Path
 
+from drcr import build_reverse_trees, load_network, load_tasks, trees
 from drcr.cli import main
 
+from conftest import bellman_ford_to_target
+
 GOLDEN_DIGESTS = Path(__file__).resolve().with_name("cli_golden.json")
+README = Path(__file__).resolve().parents[1] / "README.md"
 SINGLE_PATH_SOLVERS = ("pulse", "btbu1", "btbu2")
 
 
@@ -28,6 +33,44 @@ def run(command: str) -> None:
 
 def first_task(name: str) -> str:
     return Path(name).read_text().splitlines()[0]
+
+
+def solve_drcr(graph: str, tasks: str) -> None:
+    """``tasks`` on ``graph``.csv through solve-drcr under each solver."""
+    for solver in SINGLE_PATH_SOLVERS:
+        run(f"solve-drcr --graph {graph}.csv --tasks {tasks} "
+            f"--solver {solver} --out {graph}-{solver}.jsonl")
+
+
+def single_path_pipeline(graph: str, spec: str, count: int) -> None:
+    """A graph from the gen-graph arguments ``spec``, ``count`` single-path
+    tasks on it, the feasible ones kept and solved under each solver."""
+    run(f"gen-graph {spec} --out {graph}.csv")
+    run(f"gen-tasks --graph {graph}.csv --count {count} --kind drcr --seed 2 "
+        f"--out {graph}-t.csv")
+    run(f"filter-tasks --graph {graph}.csv --tasks {graph}-t.csv --kind drcr "
+        f"--out {graph}-kept.csv")
+    solve_drcr(graph, f"{graph}-kept.csv")
+
+
+def write_ladder() -> None:
+    """``ladder.csv``, a ladder of 300 columns: rails c -> c + 1 at nodes c
+    and 300 + c, and a rung each way between them, weights 1..100; and
+    ``ladder-t.csv``, five tasks at d_up 60000, which holds every path, as
+    no elementary path has 600 edges."""
+    rng = random.Random(7)
+    cols = 300
+    edges = []
+    for c in range(cols):
+        if c + 1 < cols:
+            edges += [(c, c + 1), (cols + c, cols + c + 1)]
+        edges += [(c, cols + c), (cols + c, c)]
+    Path("ladder.csv").write_text(f"nodes,{2 * cols}\n" + "".join(
+        f"{u},{v},{rng.randint(1, 100)},{rng.randint(1, 100)}\n"
+        for u, v in edges))
+    Path("ladder-t.csv").write_text("".join(
+        f"{s},{t},0,60000\n"
+        for s, t in ((0, 299), (0, 599), (300, 299), (300, 599), (150, 599))))
 
 
 def run_pipelines() -> None:
@@ -58,9 +101,7 @@ def run_pipelines() -> None:
         "--out er-t.csv")
     run("filter-tasks --graph er.csv --tasks er-t.csv --kind drcr "
         "--out er-kept.csv --labels-out er-labels.csv")
-    for solver in SINGLE_PATH_SOLVERS:
-        run(f"solve-drcr --graph er.csv --tasks er-kept.csv --solver {solver} "
-            f"--out er-{solver}.jsonl")
+    solve_drcr("er", "er-kept.csv")
     run("bench --graph er.csv --tasks er-kept.csv --solver pulse "
         "--solver btbu1 --solver btbu2 --records bench-er.jsonl "
         "--summary-csv bench-er.csv --out bench-er.txt")
@@ -97,15 +138,25 @@ def run_pipelines() -> None:
         "--bin 50 --cap 200 --out er30w-hist.csv")
 
     # weights up to 10**6 on 200 nodes: wide int64 sums in the trees
-    run("gen-graph --topology er --nodes 200 --density 5 --seed 1 "
-        "--cost-range 1,1000000 --delay-range 1,1000000 --out wide.csv")
-    run("gen-tasks --graph wide.csv --count 20 --kind drcr --seed 2 "
-        "--out wide-t.csv")
-    run("filter-tasks --graph wide.csv --tasks wide-t.csv --kind drcr "
-        "--out wide-kept.csv")
-    for solver in SINGLE_PATH_SOLVERS:
-        run(f"solve-drcr --graph wide.csv --tasks wide-kept.csv "
-            f"--solver {solver} --out wide-{solver}.jsonl")
+    single_path_pipeline("wide", "--topology er --nodes 200 --density 5 "
+                         "--seed 1 --cost-range 1,1000000 "
+                         "--delay-range 1,1000000", 20)
+
+    # a 20 000-node scale-free graph, where each frontier round reads the
+    # head of every one of the 2m stacked arcs however small its frontier
+    single_path_pipeline("sf20k", "--topology scale-free --nodes 20000 "
+                         "--density 2 --seed 1", 10)
+
+    # weights up to 10**17 put n * W past 2**62, so the trees take the heap
+    # route and every solver sums in Python ints past int64
+    single_path_pipeline("huge", "--topology er --nodes 200 --density 5 "
+                         "--seed 1 --cost-range 1,100000000000000000 "
+                         "--delay-range 1,100000000000000000", 20)
+
+    # the ladder takes the frontier route, but its trees are some 300 hops
+    # deep, so every walk hands its frontier to the heap
+    write_ladder()
+    solve_drcr("ladder", "ladder-t.csv")
 
 
 def masked(name: str, text: str) -> str:
@@ -161,7 +212,7 @@ def test_cli_outputs_match_golden_digests(tmp_path, monkeypatch):
 
     # the single-path solvers agree on every task's outcome and cost,
     # through solve-drcr and through bench
-    for graph in ("er", "wide"):
+    for graph in ("er", "wide", "sf20k", "huge", "ladder"):
         rows = [_solve_rows(f"{graph}-{s}.jsonl") for s in SINGLE_PATH_SOLVERS]
         assert rows[0] and rows[0] == rows[1] == rows[2], graph
     runs: dict[int, set] = {}
@@ -178,6 +229,27 @@ def test_cli_outputs_match_golden_digests(tmp_path, monkeypatch):
                             ("er30w-hist.csv", "true")):
         assert Path(name).read_text().splitlines()[-1] == (
             f"# truncated={truncated}"), name
+
+    # the 10**17 weights take the heap route; each of the ladder's walks is
+    # not done after FRONTIER_MAX_ROUNDS rounds, and the heap it hands over
+    # to ends at Bellman-Ford's distances
+    assert trees._arcs(load_network("huge.csv")) is None
+    net = load_network("ladder.csv")
+    n = net.node_count
+    for t in sorted({task.target for task in load_tasks("ladder-t.csv", n)}):
+        _, frontier = trees._frontier_walk(trees._arcs(net), n, [t, n + t],
+                                           trees.FRONTIER_MAX_ROUNDS)
+        assert frontier.size, t
+        got = build_reverse_trees(net, t)
+        assert got.min_cost_to_target == bellman_ford_to_target(net, t, "cost")
+        assert got.min_delay_to_target == bellman_ford_to_target(
+            net, t, "delay")
+
+    # README's library example runs on the g.csv and s.csv made above
+    example = README.read_text().split("## Library example", 1)[1]
+    example = example.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "solve_btcs" in example
+    exec(compile(example, str(README), "exec"), {})
 
     assert digests == json.loads(GOLDEN_DIGESTS.read_text())
 

@@ -45,9 +45,18 @@ class Edge(NamedTuple):
     delay: int
 
 
-def _check_positive_int(value, what: str):
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise IntegrityError(f"{what} must be a positive integer, got {value!r}")
+def _edge_fault(e: Edge, node_count: int) -> str:
+    """Why ``e``, which fails the check of ``Network``, is no edge of a
+    ``node_count``-node network: its node ids must be ints (not bool) below
+    ``node_count``, and its weights positive ints."""
+    for node in e[:2]:
+        if type(node) is not int:
+            return f"references node {node!r}, which is not an integer"
+        if not 0 <= node < node_count:
+            return f"references node {node} outside 0..{node_count - 1}"
+    cost_ok = type(e.cost) is int and e.cost >= 1
+    what, value = ("delay", e.delay) if cost_ok else ("cost", e.cost)
+    return f"{what} must be a positive integer, got {value!r}"
 
 
 _NO_SRLGS: frozenset[int] = frozenset()
@@ -86,13 +95,13 @@ class Network:
 
         adjacency: list[list[int]] = [[] for _ in range(node_count)]
         for eid, e in enumerate(self.edges):
-            for node in (e.src, e.dst):
-                if not 0 <= node < node_count:
-                    raise IntegrityError(
-                        f"edge {eid} references node {node} outside 0..{node_count - 1}")
-            _check_positive_int(e.cost, f"edge {eid} cost")
-            _check_positive_int(e.delay, f"edge {eid} delay")
-            adjacency[e.src].append(eid)
+            src, dst, cost, delay = e
+            if (type(src) is not int or type(dst) is not int
+                    or type(cost) is not int or type(delay) is not int
+                    or not 0 <= src < node_count or not 0 <= dst < node_count
+                    or cost < 1 or delay < 1):
+                raise IntegrityError(f"edge {eid} {_edge_fault(e, node_count)}")
+            adjacency[src].append(eid)
         self.adjacency = tuple(tuple(a) for a in adjacency)
         self._memo: dict[str, object] = {}
 
@@ -110,7 +119,7 @@ class Network:
             if not group:
                 raise IntegrityError(f"srlg group {gid} is empty")
             for eid in group:
-                if not isinstance(eid, int) or not 0 <= eid < edge_count:
+                if type(eid) is not int or not 0 <= eid < edge_count:
                     raise IntegrityError(
                         f"srlg group {gid} references unknown edge {eid!r}")
                 inverse.setdefault(eid, []).append(gid)
@@ -386,13 +395,12 @@ def load_network(graph_file, srlg_file=None) -> Network:
         if len(parts) != 4:
             raise ParseError(graph_file, line_no,
                              f"expected 'from,to,cost,delay', got {line!r}")
-        src, dst, cost, delay = (
-            _parse_int(p, graph_file, line_no, name)
-            for p, name in zip(parts, ("from", "to", "cost", "delay")))
-        if cost < 1 or delay < 1:
-            raise ParseError(graph_file, line_no,
-                             "cost and delay must be positive integers")
-        edges.append(Edge(src, dst, cost, delay))
+        try:
+            edges.append(Edge._make(map(int, parts)))
+        except ValueError:
+            for p, name in zip(parts, ("from", "to", "cost", "delay")):
+                _parse_int(p, graph_file, line_no, name)
+            raise
 
     groups: list[list[int]] = []
     if srlg_file is not None:

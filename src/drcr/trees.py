@@ -186,18 +186,10 @@ def _heap_walk(rev: tuple[tuple[tuple[int, int], ...], ...],
 
 
 def _as_labels(dist: np.ndarray) -> list[float]:
-    """``dist`` as a list of Python ints, math.inf where unreached, filled
-    from the smaller side."""
-    unreached = (dist == _UNREACHED).nonzero()[0]
-    if 2 * unreached.size <= dist.size:
-        labels = dist.tolist()
-        for v in unreached.tolist():
-            labels[v] = inf
-    else:
-        labels = [inf] * dist.size
-        reached = (dist != _UNREACHED).nonzero()[0]
-        for v, d in zip(reached.tolist(), dist.take(reached).tolist()):
-            labels[v] = d
+    """``dist`` as a list of Python ints, math.inf where unreached."""
+    labels = dist.tolist()
+    for v in (dist == _UNREACHED).nonzero()[0].tolist():
+        labels[v] = inf
     return labels
 
 

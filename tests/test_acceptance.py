@@ -17,7 +17,7 @@ from drcr import (BTBU1, BTBU2, GenSpec, Network, SrlgSpec, SrlgTask,
                   build_reverse_trees, check_path, enumerate_paths,
                   filter_tasks, gen_graph, gen_srlg, gen_tasks, oracle_drcr,
                   oracle_minmin, pulse_optimal, run_suite,
-                  scan_corridor_paths, solve_btbu, solve_btcs, summarize)
+                  scan_corridor_paths, solve_btbu, solve_btcs)
 from drcr.btcs import corridor_width
 from drcr.netgen import AVOIDABLE
 

@@ -43,28 +43,6 @@ def test_package_exports_resolve():
     assert set(drcr.__all__) <= set(namespace)
 
 
-def test_gen_outputs_byte_identical(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    for out in (a, b):
-        assert run("gen-graph", "--topology", "sf", "--nodes", "50",
-                   "--density", "2", "--seed", "9", "--out", str(out)) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_filter_tasks_cli(tmp_path):
-    graph = tmp_path / "g.csv"
-    graph.write_text("nodes,3\n0,1,1,5\n1,2,1,5\n")
-    tasks = tmp_path / "t.csv"
-    tasks.write_text("0,2,0,20\n0,2,0,3\n")
-    kept = tmp_path / "kept.csv"
-    labels = tmp_path / "labels.csv"
-    assert run("filter-tasks", "--graph", str(graph), "--tasks", str(tasks),
-               "--kind", "drcr", "--out", str(kept),
-               "--labels-out", str(labels)) == 0
-    assert kept.read_text() == "0,2,0,20\n"
-    assert labels.read_text() == "0,2,0,20,feasible\n"
-
-
 def test_filter_tasks_time_limit_keeps_tasks_it_ends_as_unknown(tmp_path):
     graph = tmp_path / "g.csv"
     graph.write_text("nodes,4\n0,1,1,1\n1,3,1,1\n0,2,5,1\n2,3,5,1\n")
@@ -330,6 +308,8 @@ INPUT_CHECK_CASES = [
     ("bench --graph {g} --tasks {t4} --solver pulse --repetitions 0", 1,
      "repetitions must be"),
     ("solve-drcr --graph {empty} --tasks {t4}", 2, "empty graph file"),
+    ("solve-drcr --graph {zero} --tasks {t4}", 2,
+     "edge 1 cost must be a positive integer, got 0"),
     ("solve-srlg --graph {g} --srlg {no_colon} --tasks {t5}", 2,
      "expected 'srlg_id:e0,e1,...'"),
     ("solve-srlg --graph {g} --srlg {no_member} --tasks {t5}", 2,
@@ -345,7 +325,8 @@ def test_bad_input_exits_before_any_output(tmp_path, capsys, command, code,
                                            message):
     files = {"g": "nodes,3\n0,1,1,5\n1,2,1,5\n0,2,3,1\n", "s": "0:0\n",
              "t4": "0,2,0,20\n", "t5": "0,2,0,20,10\n", "t3": "0,2,0\n",
-             "empty": "", "no_colon": "0,1\n", "no_member": "0:\n"}
+             "empty": "", "zero": "nodes,3\n0,1,1,5\n1,2,0,5\n",
+             "no_colon": "0,1\n", "no_member": "0:\n"}
     paths = {}
     for name, text in files.items():
         paths[name] = tmp_path / f"{name}.csv"
@@ -423,15 +404,6 @@ def test_wrong_kind_task_after_good_ones_writes_no_result(tmp_path, capsys,
     assert captured.out == "" and not out.exists()
     assert f"mixed.csv: task 3 ({wrong}) has " in captured.err
     assert f"{command} expects" in captured.err
-
-
-def test_inline_task_on_stdout(tmp_path, capsys):
-    graph = tmp_path / "g.csv"
-    graph.write_text("nodes,2\n0,1,2,3\n")
-    assert run("histogram", "--graph", str(graph), "--task", "0,1,0,10",
-               "--bin", "5") == 0
-    out = capsys.readouterr().out
-    assert out.splitlines()[0] == "bin_low,all,feasible"
 
 
 # "-1,2,0,20" (a source aliasing the target) is covered by the parser test

@@ -101,15 +101,6 @@ def test_weights_within_range():
     assert all(e.src != e.dst for e in net.edges)
 
 
-def test_generation_is_deterministic(tmp_path):
-    for spec in (GenSpec("er", 120, 4, seed=11),
-                 GenSpec("scale-free", 120, 2, seed=11)):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        save_network(gen_graph(spec), a)
-        save_network(gen_graph(spec), b)
-        assert a.read_bytes() == b.read_bytes()
-
-
 def test_gen_srlg_random_coverage_and_sizes():
     net = gen_graph(GenSpec("er", 20, 3, seed=21))
     assert len(net.edges) >= 50
@@ -137,13 +128,6 @@ def test_gen_srlg_star_groups_share_origin():
         assert g <= set(net.adjacency[origins.pop()])
         covered |= g
     assert covered == set(range(len(net.edges)))
-
-
-def test_gen_srlg_deterministic():
-    net = gen_graph(GenSpec("er", 25, 3, seed=41))
-    for pattern in ("random", "star"):
-        assert gen_srlg(net, SrlgSpec(pattern, seed=7)) == \
-            gen_srlg(net, SrlgSpec(pattern, seed=7))
 
 
 def test_gen_tasks_counts_and_window_rule():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import random
+import re
 import tracemalloc
 from itertools import product
 from math import inf, nan
@@ -30,21 +31,6 @@ def test_single_edge_roundtrip(tmp_path):
     assert net.adjacency == ((0,), ())
 
 
-def test_cogentco_scale_load(tmp_path):
-    # Topology-Zoo-class size: 197 nodes, 490 directed links
-    rng = random.Random(7)
-    lines = ["nodes,197"]
-    for _ in range(490):
-        u = rng.randrange(197)
-        v = (u + rng.randrange(1, 197)) % 197
-        lines.append(f"{u},{v},{rng.randint(1, 100)},{rng.randint(1, 100)}")
-    graph = tmp_path / "cogentco_class.csv"
-    graph.write_text("\n".join(lines) + "\n")
-    net = load_network(graph)
-    assert net.node_count == 197
-    assert len(net.edges) == 490
-
-
 def test_dangling_node_reference(tmp_path):
     graph = tmp_path / "g.csv"
     graph.write_text("nodes,10\n0,99,5,7\n")
@@ -61,11 +47,43 @@ def test_malformed_edge_line(tmp_path, line):
     assert ":2:" in str(err.value)
 
 
-def test_nonpositive_weights_rejected(tmp_path):
+@pytest.mark.parametrize("line, field", [
+    ("x,1,5,7", "from"), ("0,1.0,5,7", "to"), ("0,1,5.5,7", "cost"),
+    ("0,1,5,", "delay")])
+def test_malformed_edge_field_is_named(tmp_path, line, field):
+    # the load converts a line in one call and parses it field by field
+    # only to name the field that failed
     graph = tmp_path / "g.csv"
-    graph.write_text("nodes,3\n0,1,0,7\n")
-    with pytest.raises(ParseError):
+    graph.write_text(f"nodes,3\n0,1,1,1\n{line}\n")
+    token = line.split(",")[("from", "to", "cost", "delay").index(field)]
+    with pytest.raises(ParseError, match=re.escape(
+            f"g.csv:3: {field} is not an integer: {token!r}")):
         load_network(graph)
+
+
+def test_nonpositive_weights_rejected(tmp_path):
+    # the file parses, and Network names the edge with the bad weight
+    graph = tmp_path / "g.csv"
+    for edges, message in (("0,1,0,7", "edge 0 cost must be a positive "
+                                       "integer, got 0"),
+                           ("0,1,5,7\n1,2,3,-1", "edge 1 delay must be a "
+                                                 "positive integer, got -1")):
+        graph.write_text(f"nodes,3\n{edges}\n")
+        with pytest.raises(IntegrityError, match=message):
+            load_network(graph)
+
+
+@pytest.mark.parametrize("edge, message", [
+    (Edge(0, 1.5, 1, 1), "edge 0 references node 1.5, which is not an integer"),
+    (Edge(True, 1, 1, 1), "edge 0 references node True, which is not an "
+                          "integer"),
+    (Edge(0, 1, 2.0, 1), "edge 0 cost must be a positive integer, got 2.0"),
+    (Edge(0, 1, 1, False), "edge 0 delay must be a positive integer, got False"),
+])
+def test_edge_node_ids_and_weights_must_be_ints(edge, message):
+    # a range check alone passes node 1.5, which a list index reads as 1
+    with pytest.raises(IntegrityError, match=re.escape(message)):
+        Network(3, [edge, Edge(1, 2, 1, 1)])
 
 
 def test_bad_header(tmp_path):
@@ -400,6 +418,7 @@ def test_with_srlgs_shares_everything_but_the_srlg_index():
     ([{0, 3}], "srlg group 0 references unknown edge 3"),
     ([{-1}], "srlg group 0 references unknown edge -1"),
     ([{0}, {"1"}], "srlg group 1 references unknown edge '1'"),
+    ([{True}], "srlg group 0 references unknown edge True"),
 ])
 def test_with_srlgs_validates_the_groups(groups, message):
     net = Network(3, [Edge(0, 1, 1, 1), Edge(1, 2, 1, 1), Edge(0, 2, 1, 1)])

@@ -21,52 +21,76 @@ walked on its first read, so a task pays only for the trees it reads.
 
 Every walk goes through ``build_halves``, which ``ReverseTrees`` looks up
 on this module at call time, so a wrapper set there sees every walk.  A
-delay half alone takes 0.54-0.73 and a cost half alone 0.60-0.68 of the
+delay half alone takes 0.54-0.72 and a cost half alone 0.61-0.70 of the
 pair's time (SF-200 m=4, SF-500 m=2, SF-1000 m=2, ER-1000 k=7 at weights
-1..100, ``BENCH_30.json``), since the pair shares every numpy call of a
-round; a task that reads delay and then cost pays 1.15-1.42 pairs.
+1..100, ``BENCH_35.json``), since the pair shares every numpy call of a
+round; a task that reads delay and then cost pays 1.16-1.41 pairs.
 
 Two routes compute the same trees, chosen from the weights with no option
 to set.  Let n be the node count, m the edge count and W the largest edge
-weight of either metric.  Both walk one stacked reverse graph of 2n nodes:
+weight of either metric.  Both walk a stacked reverse graph of 2n nodes:
 an edge from u to v is a cost arc from v to u and a delay arc from n + v
 to n + u, so nodes 0..n-1 carry cost, n..2n-1 delay, and the metrics never
 meet.  It depends on the edges alone, so its two layouts are built at most
 once per network, on first use, into the network's ``_memo``, which
-``with_srlgs`` copies share: ``_arcs``, three int64 arrays ``(head,
-tail, weight)`` sorted by head and within a head in edge order (the first
-m arcs the cost tree's, the last m the delay tree's), and
-``_rows``, the same arcs per head as ``(tail, weight)`` pairs in Python
-ints.
+``with_srlgs`` copies share: ``_arcs``, the series-reduced core below
+(a ``_Core``), and ``_rows``, the whole stacked graph per head as
+``(tail, weight)`` pairs in Python ints, in edge order.
+
+The core leaves out the series nodes.  A series node v has exactly two
+distinct neighbours a and b, exactly one edge each way to each and no
+self-loop; in ascending id order a node that fits is taken unless a
+neighbour already was, so no two series nodes are adjacent.  About half
+the nodes of a scale-free m=2 graph are series nodes (246 of 500 on the
+``srlg-star`` graph), as are the inner nodes of chains and rings; an ER
+graph at mean degree 7 has none.  In place of v's four edges the core has
+two shortcuts (node contraction: Geisberger, Sanders, Schultes and
+Delling, WEA 2008), a -> b at w(a -> v) + w(v -> b) and b -> a at
+w(b -> v) + w(v -> a) in each metric, so the two halves keep blocks of
+equal length, the cost block first; each block is sorted by head and
+within a head holds the other edges in edge order and then the
+shortcuts.  A shortcut is a two-edge path, and a simple path of the core
+expands to a simple path of the graph, so the core's distances between
+its own nodes are the graph's.
 
 * The frontier route, whenever n * W < 2**62, whatever the graph's size:
   one vectorised relaxation (Bellman, "On a routing problem", 1958, run as
-  a frontier walk) over ``_arcs``: all 2m arcs for both trees, the first m
-  for the cost tree alone and the last m for the delay tree alone.  The
-  frontier is the mask of the nodes whose label fell in the last round, at
-  first the target in each half walked.  A round selects the arcs whose
-  head is in the mask with one gather of the mask over the walk's heads,
-  relaxes every selected arc with ``np.minimum.at`` and takes the mask of
-  the labels that fell as the next frontier: ten numpy calls, whose only
-  work over all the walk's arcs is that gather and its scan.  None goes
-  through a Python wrapper (``nonzero`` in place of ``np.flatnonzero``),
-  and none allocates the labels' copy or the mask: the walk allocates them
-  once and each round refills them in place.  The arcs stay writeable,
-  as ``ndarray.take`` copies a read-only index array on every call, and
-  no walk writes them.  The walk ends when a round finds no arc to relax.
-  A label is always the length of a simple path, so it stays below n * W,
-  and int64 sums and their sentinel cannot overflow.
+  a frontier walk) over the core's arcs: both blocks for both trees, one
+  block for a tree alone.  The walk starts from the target in each half
+  walked, at 0, or from a series target's two neighbours, at the weights
+  of their edges into it.  The frontier is the mask of the nodes whose
+  label fell in the last round, at first the seeds.  A round selects the
+  arcs whose head is in the mask with one gather of the mask over the
+  walk's heads, relaxes every selected arc with ``np.minimum.at`` and
+  takes the mask of the labels that fell as the next frontier: ten numpy
+  calls, whose only work over all the walk's arcs is that gather and its
+  scan.  None goes through a Python wrapper (``nonzero`` in place of
+  ``np.flatnonzero``), and none allocates the labels' copy or the mask:
+  the walk allocates them once and each round refills them in place.  The
+  arrays stay writeable, as ``ndarray.take`` copies a read-only index
+  array on every call, and no walk writes them.  The walk ends when a
+  round finds no arc to relax.  Then one masked relaxation fills in every
+  series node from its two neighbours (unreached stays unreached), and a
+  series target is reset to 0.  A label of the walk is always the length
+  of a simple path, and one filled in adds an edge to such a label, so
+  every label stays at most n * W, below 2**62, and int64 sums and their
+  sentinel cannot overflow.  On ``srlg-star``'s first graph the core
+  drops a quarter of the arcs (3984 to 3000), and the median delay walk
+  two of its twelve rounds, the last of which finds nothing to relax.
 * The heap route, for n * W at or past 2**62, where ``_arcs`` is None: a
   lazy-deletion Dijkstra over ``_rows``, every half walked in one heap of
   ``(label, node)`` pairs that skips an entry whose label has since
   fallen.  Python ints keep it exact at any magnitude.
 
 The heap starts from the target's stacked node in each half walked, at 0,
-or goes on from a frontier walk not done after FRONTIER_MAX_ROUNDS rounds,
-with the walk's labels and its last frontier as its queue: only the arcs
-leaving the frontier can still break the triangle inequality, and a node
-is queued again on every fall of its label, so the trees stay exact (the
-generic label-correcting method).  The trees are the halves of the labels.
+or goes on over ``_rows`` from a frontier walk not done after
+FRONTIER_MAX_ROUNDS rounds.  Such a walk is filled in first, and the heap
+takes its labels with a queue of its last frontier and every series node
+of the halves walked: only the arcs leaving those nodes can still break
+the triangle inequality (a series node's label came from neighbours whose
+own may still fall), and a node is queued again on every fall of its
+label, so the trees stay exact (the generic label-correcting method).
+The trees are the halves of the labels.
 
 No graph size chooses the route: numpy's fixed cost per call makes the
 frontier route up to some 70 us a pair slower than the heap below n + m of
@@ -85,11 +109,13 @@ so protection-path searches reuse them unchanged.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import inf
+from typing import NamedTuple
 
 import numpy as np
 
-from .network import IntegrityError, Network
+from .network import Edge, IntegrityError, Network
 
 # rounds after which a frontier walk hands over to the heap (measured)
 FRONTIER_MAX_ROUNDS = 32
@@ -98,6 +124,31 @@ _INT64_GUARD = 2 ** 62
 _UNREACHED = np.iinfo(np.int64).max
 # the halves of the stacked graph: stacked node h * n + v is node v of half h
 COST, DELAY = 0, 1
+
+
+class _Core(NamedTuple):
+    """The series-reduced stacked graph that the frontier route walks.
+
+    ``head``, ``tail`` and ``weight`` are the core's stacked arcs, sorted by
+    head, the cost half's block first and the delay half's, n nodes up,
+    second.  The next five fields run over the halves (axis 0) and the
+    series nodes v in ascending order (the last axis): ``series`` holds
+    v's stacked node, ``via`` its two stacked neighbours a and b (axis 1),
+    ``step`` the weights of v -> a and v -> b, ``cap`` is ``_UNREACHED -
+    step``, and ``into`` holds the weights of a -> v and b -> v.  ``slot``
+    maps each series node to its index on the last axis, and ``alone``
+    holds the core of each half walked alone, its own block of every array
+    (empty in such a core)."""
+    head: np.ndarray
+    tail: np.ndarray
+    weight: np.ndarray
+    series: np.ndarray
+    via: np.ndarray
+    step: np.ndarray
+    cap: np.ndarray
+    into: np.ndarray
+    slot: dict[int, int]
+    alone: tuple[_Core, ...]
 
 
 class ReverseTrees:
@@ -140,17 +191,17 @@ class ReverseTrees:
         return delay
 
 
-def _frontier_walk(arcs: tuple[np.ndarray, np.ndarray, np.ndarray],
-                   n: int, seeds: list[int], rounds: int
-                   ) -> tuple[np.ndarray, np.ndarray]:
+def _frontier_walk(core: _Core, n: int, seeds: list[int], values: list[int],
+                   rounds: int) -> tuple[np.ndarray, np.ndarray]:
     """The 2n stacked labels after at most ``rounds`` frontier rounds over
-    ``arcs`` from the stacked nodes ``seeds`` at 0, and the frontier left:
-    the sorted nodes whose label fell in the last round, empty once a round
-    finds no arc to relax."""
-    head, tail, weight = arcs
+    the arcs of ``core`` from the stacked nodes ``seeds`` at ``values``, and
+    the frontier left: the sorted nodes whose label fell in the last round,
+    empty once a round finds no arc to relax.  Series nodes stay unreached
+    (see ``_fill``)."""
+    head, tail, weight = core.head, core.tail, core.weight
     dist = np.full(2 * n, _UNREACHED, dtype=np.int64)
-    dist[seeds] = 0
-    fell = dist == 0
+    dist[seeds] = values
+    fell = dist != _UNREACHED
     before = np.empty_like(dist)
     for _ in range(rounds):
         arc = fell.take(head).nonzero()[0]
@@ -161,6 +212,18 @@ def _frontier_walk(arcs: tuple[np.ndarray, np.ndarray, np.ndarray],
         np.minimum.at(dist, tail.take(arc), relaxed)
         np.less(dist, before, out=fell)
     return dist, fell.nonzero()[0]
+
+
+def _fill(core: _Core, dist: np.ndarray) -> None:
+    """Set each series node of ``core`` in ``dist`` to the least of its two
+    edges out plus its neighbour's label, in one masked relaxation: an
+    unreached neighbour is capped at ``_UNREACHED`` less the edge, so it
+    adds up to ``_UNREACHED`` again and nothing overflows."""
+    if core.series.size:
+        reach = dist.take(core.via)
+        np.minimum(reach, core.cap, out=reach)
+        reach += core.step
+        dist[core.series] = np.minimum(reach[:, 0], reach[:, 1])
 
 
 def _heap_walk(rev: tuple[tuple[tuple[int, int], ...], ...],
@@ -193,32 +256,93 @@ def _as_labels(dist: np.ndarray) -> list[float]:
     return labels
 
 
-def _arcs(net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The stacked arcs of ``net`` as int64 arrays ``(head, tail, weight)``,
-    or None once n * W reaches ``_INT64_GUARD``; memoised in ``net._memo``.
-    Walks never write them."""
+def _arcs(net: Network) -> _Core | None:
+    """The series-reduced stacked graph of ``net`` (see ``_Core``), or None
+    once n * W reaches ``_INT64_GUARD``; memoised in ``net._memo``.  Walks
+    never write it."""
     memo = net._memo
     if "arcs" not in memo:
-        edges, n, m = net.edges, net.node_count, len(net.edges)
-        top = max((max(e.cost, e.delay) for e in edges), default=0)
-        arcs = None
-        if n * top < _INT64_GUARD:
-            dst = np.fromiter((e.dst for e in edges), np.int64, m)
-            order = np.argsort(dst, kind="stable")
-            head = dst[order]
-            tail = np.fromiter((e.src for e in edges), np.int64, m)[order]
-            cost = np.fromiter((e.cost for e in edges), np.int64, m)[order]
-            delay = np.fromiter((e.delay for e in edges), np.int64, m)[order]
-            arcs = (np.concatenate((head, head + n)),
-                    np.concatenate((tail, tail + n)),
-                    np.concatenate((cost, delay)))
-        memo["arcs"] = arcs
+        memo["arcs"] = _core(net.node_count, net.edges)
     return memo["arcs"]
+
+
+def _core(n: int, edges: tuple[Edge, ...]) -> _Core | None:
+    """The ``_Core`` of the ``n``-node graph of ``edges``, or None once
+    n * W reaches ``_INT64_GUARD``."""
+    m = len(edges)
+    try:
+        cols = np.fromiter(chain.from_iterable(edges), np.int64, 4 * m)
+    except OverflowError:  # a weight past int64, and n * W past the guard
+        return None
+    src, dst, *weights = cols.reshape(m, 4).T
+    weight = np.stack(weights)  # (metric, edge)
+    if m and n * int(weight.max()) >= _INT64_GUARD:
+        return None
+    v, a, b, to_a, to_b, from_a, from_b = _series(n, src, dst)
+    gone = np.zeros(n, dtype=bool)
+    gone[v] = True
+    kept = (~(gone.take(src) | gone.take(dst))).nonzero()[0]
+    # the kept edges, then the shortcuts a -> b and b -> a through each v
+    core_src = np.concatenate((src[kept], a, b))
+    core_dst = np.concatenate((dst[kept], b, a))
+    core_weight = np.concatenate((weight[:, kept],
+                                  weight[:, from_a] + weight[:, to_b],
+                                  weight[:, from_b] + weight[:, to_a]), axis=1)
+    order = np.argsort(core_dst, kind="stable")
+    shift = n * np.arange(2).reshape(2, 1)  # each half's node offset
+    step = weight[:, np.stack((to_a, to_b))]
+    pair = _Core((core_dst[order] + shift).ravel(),
+                 (core_src[order] + shift).ravel(),
+                 core_weight[:, order].ravel(), v + shift,
+                 np.stack((a, b)) + shift[:, :, None], step,
+                 _UNREACHED - step, weight[:, np.stack((from_a, from_b))],
+                 dict(zip(v.tolist(), range(v.size))), ())
+    mc = core_dst.size
+    return pair._replace(alone=tuple(
+        _Core(*(x[h * mc:(h + 1) * mc] for x in pair[:3]),
+              *(x[h:h + 1] for x in pair[3:8]), pair.slot, ())
+        for h in (COST, DELAY)))
+
+
+def _series(n: int, src: np.ndarray, dst: np.ndarray) -> list[np.ndarray]:
+    """The series nodes v of the ``n``-node graph of the edges ``src`` ->
+    ``dst``, ascending, with their neighbours a and b and the edge ids of
+    v -> a, v -> b, a -> v and b -> v.
+
+    A node fits when it has exactly two distinct neighbours, neither of
+    them itself, and exactly one edge each way to each.  In ascending id
+    order, a node that fits is taken unless a neighbour was taken before
+    it, so no two series nodes are adjacent."""
+    ids = np.arange(src.size)
+    ends = []  # per node its first and last edge out, then in
+    for node in (src, dst):
+        first = np.full(n, src.size)
+        np.minimum.at(first, node, ids)
+        last = np.zeros(n, dtype=np.int64)
+        np.maximum.at(last, node, ids)
+        ends += first, last
+    v = ((np.bincount(src, minlength=n) == 2)
+         & (np.bincount(dst, minlength=n) == 2)).nonzero()[0]
+    to_a, to_b, from_x, from_y = (end[v] for end in ends)
+    a, b = dst[to_a], dst[to_b]
+    swap = src[from_x] == b
+    from_a = np.where(swap, from_y, from_x)
+    from_b = np.where(swap, from_x, from_y)
+    fits = ((a != b) & (a != v) & (b != v)
+            & (src[from_a] == a) & (src[from_b] == b)).nonzero()[0]
+    taken = bytearray(n)
+    pick = []
+    for k, x, y, z in zip(fits.tolist(), v[fits].tolist(), a[fits].tolist(),
+                          b[fits].tolist()):
+        if not (taken[y] or taken[z]):
+            taken[x] = 1
+            pick.append(k)
+    return [c[pick] for c in (v, a, b, to_a, to_b, from_a, from_b)]
 
 
 def _rows(net: Network) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Per stacked node, the ``(tail, weight)`` pairs of the stacked arcs it
-    heads, in ``_arcs`` order, in Python ints; memoised in ``net._memo``."""
+    heads, in edge order, in Python ints; memoised in ``net._memo``."""
     rows = net._memo.get("rows")
     if rows is None:
         n = net.node_count
@@ -235,29 +359,39 @@ def build_halves(net: Network, target: int,
     """Exact shortest distances to ``target`` in each of ``halves`` (COST,
     DELAY or both, ascending), all in one walk, one list per half.
 
-    One half walks its own m arcs of ``_arcs`` (cost the first, delay the
-    last) from its own stacked copy of the target; both walk all 2m from
-    both.  The heap walks ``_rows`` where ``_arcs`` is None, or goes on
+    One half walks its own block of the core's arcs from its own stacked
+    copy of the target; both walk both blocks from both.  A series target
+    is seeded at its two neighbours instead, and reset to 0 after the
+    fill-in.  The heap walks ``_rows`` where ``_arcs`` is None, or goes on
     over them from a walk past FRONTIER_MAX_ROUNDS rounds.  ``target`` must
     be a node of ``net``."""
     n = net.node_count
     lo, hi = halves[0] * n, (halves[-1] + 1) * n
-    seeds = [h * n + target for h in halves]
-    arcs = _arcs(net)
-    if arcs is not None:
+    core = _arcs(net)
+    if core is not None:
         if len(halves) == 1:
-            m = len(net.edges)
-            arcs = [a[halves[0] * m:(halves[0] + 1) * m] for a in arcs]
-        dist, frontier = _frontier_walk(arcs, n, seeds, FRONTIER_MAX_ROUNDS)
+            core = core.alone[halves[0]]
+        k = core.slot.get(target)
+        if k is None:
+            seeds, values = [h * n + target for h in halves], [0] * len(halves)
+        else:
+            seeds = core.via[:, :, k].ravel().tolist()
+            values = core.into[:, :, k].ravel().tolist()
+        dist, frontier = _frontier_walk(core, n, seeds, values,
+                                        FRONTIER_MAX_ROUNDS)
+        _fill(core, dist)
+        if k is not None:
+            dist[[h * n + target for h in halves]] = 0
         labels = _as_labels(dist[lo:hi])
         start = frontier.tolist()
         if start:  # the heap goes on over all 2n stacked nodes
+            start += core.series.ravel().tolist()
             labels = [inf] * lo + labels + [inf] * (2 * n - hi)
     else:
         labels = [inf] * (2 * n)
-        for v in seeds:
+        start = [h * n + target for h in halves]
+        for v in start:
             labels[v] = 0
-        start = seeds
     if start:
         _heap_walk(_rows(net), labels, start)
         labels = labels[lo:hi]

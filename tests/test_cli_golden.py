@@ -236,9 +236,10 @@ def test_cli_outputs_match_golden_digests(tmp_path, monkeypatch):
     assert trees._arcs(load_network("huge.csv")) is None
     net = load_network("ladder.csv")
     n = net.node_count
+    assert trees._arcs(net).series.size == 0  # the rails run one way
     for t in sorted({task.target for task in load_tasks("ladder-t.csv", n)}):
         _, frontier = trees._frontier_walk(trees._arcs(net), n, [t, n + t],
-                                           trees.FRONTIER_MAX_ROUNDS)
+                                           [0, 0], trees.FRONTIER_MAX_ROUNDS)
         assert frontier.size, t
         got = build_reverse_trees(net, t)
         assert got.min_cost_to_target == bellman_ford_to_target(net, t, "cost")

@@ -9,8 +9,10 @@ that lifts n * W past the int64 guard of ``drcr.trees``, so that the
 twin's trees take the heap route and every solver sums in Python ints past
 int64.  Relabelling the nodes and shuffling the edge order, with the
 groups and tasks mapped along, keeps the outcome, the cost (the AP's for a
-pair) and whether an SRLG cut settled the task.  It does not keep the path
-or pair, nor the work counts: ties break by EdgeId.  A wider window (a
+pair) and whether an SRLG cut settled the task, and it keeps every
+target's trees, node for node, walked on a core whose series nodes the
+new ids name otherwise.  It does not keep the path or pair, nor the work
+counts: ties break by EdgeId.  A wider window (a
 lower ``d_low`` or a higher ``d_up``) or a wider ``d_diff`` is never
 dearer, and a feasible task stays feasible; merged groups or an added group
 is never cheaper, and an infeasible task stays infeasible; deleting an edge
@@ -33,7 +35,7 @@ import pytest
 from drcr import (TIMEOUT, DisjointPair, Edge, GenSpec, Network, Path,
                   SrlgSpec, SrlgTask, build_reverse_trees, gen_graph,
                   gen_srlg, gen_tasks, solve_btbu, solve_btcs)
-from drcr.trees import _arcs
+from drcr.trees import COST, DELAY, _arcs, build_halves
 
 COST_FACTOR = 7
 DELAY_FACTOR = 5
@@ -140,6 +142,7 @@ def test_relabelled_nodes_and_shuffled_edges_keep_the_cost(instances):
     for net, solves in instances:
         label = list(range(net.node_count))  # node v becomes label[v]
         rng.shuffle(label)
+        unlabel = sorted(range(net.node_count), key=label.__getitem__)
         order = list(range(len(net.edges)))  # edge order[i] becomes edge i
         rng.shuffle(order)
         new_eid = {old: new for new, old in enumerate(order)}
@@ -159,6 +162,18 @@ def test_relabelled_nodes_and_shuffled_edges_keep_the_cost(instances):
             assert (twin_report.srlg_cut is None) == (
                 report.srlg_cut is None), (solver, task)
             compared += 1
+        if net.srlg_groups:  # the scale-free graph, rich in series nodes
+            # no two nodes of two neighbours are adjacent in a scale-free
+            # m=2 graph, so every one is a series node in any id order
+            series = [_arcs(g).series[0].tolist() for g in (net, twin)]
+            assert series[0] and sorted(label[v] for v in series[0]) == (
+                series[1])
+            for target in {task.target for task, *_ in solves}:
+                for halves in ((COST,), (DELAY,), (COST, DELAY)):
+                    trees = build_halves(net, target, halves)
+                    twin_trees = build_halves(twin, label[target], halves)
+                    assert twin_trees == [[tree[v] for v in unlabel]
+                                          for tree in trees], target
     print(f"\nrelabelled: {compared} pairs of solves with the same outcome "
           f"and cost, {skipped} skipped on a timeout")
     assert compared >= MIN_COMPARED

@@ -194,11 +194,12 @@ def _frontier(net, target, rounds=None, order=_ORDERS[0]):
 
 
 def _pair_walk(net, target, rounds):
-    """The frontier walk of the stacked pair: all 2m arcs, from the
-    target's two stacked nodes."""
+    """The frontier walk of the stacked pair: both blocks of the core's
+    arcs, from the target's two stacked nodes at 0 (a core target)."""
     n = net.node_count
+    assert target not in trees_mod._arcs(net).slot
     return trees_mod._frontier_walk(trees_mod._arcs(net), n,
-                                    [target, n + target], rounds)
+                                    [target, n + target], [0, 0], rounds)
 
 
 def _heap(rev, target) -> list[float]:
@@ -299,7 +300,8 @@ def test_long_walk_goes_on_in_the_heap(monkeypatch):
         assert (trees.min_cost_to_target + trees.min_delay_to_target
                 == _heap(trees_mod._rows(net), root))
         _assert_python_ints(trees)
-        _, frontier = walk(trees_mod._arcs(net), n, [root, n + root], bound)
+        _, frontier = walk(trees_mod._arcs(net), n, [root, n + root], [0, 0],
+                           bound)
         left = root - bound
         assert frontier.tolist() == ([left, n + left] if left >= 0 else [])
     assert trees.min_cost_to_target == bellman_ford_to_target(net, n - 1, "cost")
@@ -393,13 +395,15 @@ def _deep_graph(n: int, seed: int) -> Network:
 
 
 def test_walk_handed_to_the_heap_at_any_round_is_exact(monkeypatch):
-    # the walk to target 510 takes 39 rounds, more than FRONTIER_MAX_ROUNDS.
+    # the walk to target 510 takes 39 rounds, more than FRONTIER_MAX_ROUNDS
+    # (the graph has no series node, so the core is the whole graph).
     # Cut after any of them, it hands over labels that are not all final
     # yet, and from every cut the heap must end at Bellman-Ford's distances
     net, target = _deep_graph(1000, seed=4), 510
     n = net.node_count
     cost = bellman_ford_to_target(net, target, "cost")
     delay = bellman_ford_to_target(net, target, "delay")
+    assert trees_mod._arcs(net).series.size == 0
     rounds = 0
     while _pair_walk(net, target, rounds)[1].size:
         rounds += 1
@@ -499,12 +503,13 @@ def test_a_label_that_falls_twice_reenters_the_frontier():
 def test_frontier_nodes_without_ingress_arcs():
     # the second round's frontier, nodes 1..3 in both halves, heads 2, 0
     # and 1 arcs; the third's, nodes 5..7, heads no arc at all and ends the
-    # walk, as does a target without ingress arcs at once
+    # walk, as does a target without ingress arcs at once.  No node has
+    # two neighbours both ways, so the core's arcs are all the graph's
     n = 8
     net = Network(n, [Edge(1, 0, 1, 2), Edge(2, 0, 3, 4), Edge(3, 0, 5, 6),
                       Edge(5, 1, 7, 8), Edge(6, 1, 9, 10), Edge(7, 3, 11, 12)])
     heads = [0, 0, 0, 1, 1, 3]
-    assert trees_mod._arcs(net)[0].tolist() == heads + [n + h for h in heads]
+    assert trees_mod._arcs(net).head.tolist() == heads + [n + h for h in heads]
     walks = [_pair_walk(net, 0, r) for r in range(4)]
     assert [f.tolist() for _, f in walks] == [
         [0, n], [1, 2, 3, n + 1, n + 2, n + 3], [5, 6, 7, n + 5, n + 6, n + 7], []]
@@ -531,32 +536,187 @@ def test_frontier_route_builds_only_the_shared_arcs(monkeypatch):
     assert trees_mod._arcs(net.with_srlgs([])) is trees_mod._arcs(net)
 
 
+@st.composite
+def _series_rich(draw, caps=(3, 100)):
+    """A digraph rich in series nodes, and a target on one of them or on a
+    neighbour of one.  A few base nodes carry one-way links, self-loops
+    and parallel edges; two-way links between base nodes are subdivided
+    into chains of one to four new nodes, and some edges are then spoilt:
+    repeated (a parallel edge), looped back at their tail or dropped (a
+    one-way link beside two-way ones)."""
+    base = draw(st.integers(1, 5))
+    node = st.integers(0, base - 1)
+    weight = st.integers(1, draw(st.sampled_from(caps)))
+
+    def edge(u, v):
+        return Edge(u, v, draw(weight), draw(weight))
+
+    edges = [edge(u, v) for u, v in draw(st.lists(st.tuples(node, node),
+                                                   max_size=6))]
+    n, chains = base, []
+    for u, w, length in draw(st.lists(st.tuples(node, node, st.integers(1, 4)),
+                                      min_size=1, max_size=4)):
+        chain = [u, *range(n, n + length), w]
+        n += length
+        for x, y in zip(chain, chain[1:]):
+            edges += [edge(x, y), edge(y, x)]
+        chains += chain
+    spoilt = draw(st.lists(st.tuples(st.integers(0, len(edges) - 1),
+                                     st.sampled_from(("parallel", "loop",
+                                                      "drop"))),
+                           max_size=3))
+    dropped = {i for i, how in spoilt if how == "drop"}
+    edges += [edge(edges[i].src, edges[i].dst if how == "parallel"
+                   else edges[i].src)
+              for i, how in spoilt if how != "drop"]
+    edges = [e for i, e in enumerate(edges) if i not in dropped]
+    return Network(n, edges), draw(st.sampled_from(chains))
+
+
+def _series_by_rule(net) -> list[int]:
+    """The series nodes by their definition, one node at a time: each node
+    with exactly two distinct neighbours, neither itself, and exactly one
+    edge each way to each, in ascending order unless a neighbour is
+    already taken."""
+    taken: list[int] = []
+    for v in range(net.node_count):
+        out = sorted(e.dst for e in net.edges if e.src == v)
+        into = sorted(e.src for e in net.edges if e.dst == v)
+        if (len(out) == 2 and out == into and out[0] != out[1]
+                and v not in out and not set(out) & set(taken)):
+            taken.append(v)
+    return taken
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.randoms(use_true_random=False), st.sampled_from((20, 10 ** 15)))
-def test_property_rows_are_arcs_range_by_range(rng, top):
-    # the stacked arcs, 2m of them, sorted by head: every edge once as a
-    # cost arc at its head v and once, n nodes and m arcs up, as a delay arc
-    # at v + n; within a head in edge order.  The heap's rows and the
-    # frontier's arrays are one stacked graph: the row of stacked node h
-    # holds exactly the tails and weights of the arcs whose head is h, in
-    # arc order
-    net = random_network(rng, max_cost=top, max_delay=top)
-    head, tail, weight = (a.tolist() for a in trees_mod._arcs(net))
-    n, m = net.node_count, len(net.edges)
-    assert len(head) == len(tail) == len(weight) == 2 * m
-    assert head == sorted(head)
-    assert list(zip(tail[:m], head[:m], weight[:m], weight[m:])) == [
-        tuple(e) for e in sorted(net.edges, key=lambda e: e.dst)]
-    assert head[m:] == [v + n for v in head[:m]]
-    assert tail[m:] == [u + n for u in tail[:m]]
+@given(st.one_of(_series_rich(caps=(20, 10 ** 15)).map(lambda case: case[0]),
+                 st.builds(random_network, st.randoms(use_true_random=False),
+                           max_cost=st.sampled_from((20, 10 ** 15)),
+                           max_delay=st.sampled_from((20, 10 ** 15)))))
+def test_property_rows_are_arcs_range_by_range(net):
+    # the core: the series nodes by their rule; every edge with no series
+    # end once as a cost arc at its head v and once, n nodes and mc arcs
+    # up, as a delay arc at v + n, then for each series node v, between a
+    # and b, the shortcut a -> b and then b -> a at the weights of the two
+    # edges through v; sorted by head, within a head in that order.  Each
+    # half walked alone has its own block of every array.  The heap's rows
+    # are the whole stacked graph: the row of stacked node h holds exactly
+    # the tails and weights of the edges whose head is h, in edge order
+    core = trees_mod._arcs(net)
+    n = net.node_count
+    series = _series_by_rule(net)
+    assert core.series.tolist() == [series, [v + n for v in series]]
+    assert core.slot == {v: k for k, v in enumerate(series)}
+    arcs = [tuple(e) for e in net.edges
+            if e.src not in series and e.dst not in series]
+    shortcuts = []
+    for k, v in enumerate(series):
+        a, b = core.via[COST, :, k].tolist()
+        into = {e.src: e for e in net.edges if e.dst == v}
+        out = {e.dst: e for e in net.edges if e.src == v}
+        assert sorted(into) == sorted(out) == sorted((a, b))
+        assert core.via[DELAY, :, k].tolist() == [a + n, b + n]
+        assert core.step[:, :, k].tolist() == [[out[a].cost, out[b].cost],
+                                               [out[a].delay, out[b].delay]]
+        assert core.into[:, :, k].tolist() == [[into[a].cost, into[b].cost],
+                                               [into[a].delay, into[b].delay]]
+        arcs.append((a, b, into[a].cost + out[b].cost,
+                     into[a].delay + out[b].delay))
+        shortcuts.append((b, a, into[b].cost + out[a].cost,
+                          into[b].delay + out[a].delay))
+    arcs = sorted(arcs + shortcuts, key=lambda arc: arc[1])
+    assert (core.cap == _UNREACHED - core.step).all()
+    head, tail, weight = (a.tolist() for a in core[:3])
+    mc = len(arcs)
+    assert len(head) == len(tail) == len(weight) == 2 * mc
+    assert list(zip(tail[:mc], head[:mc], weight[:mc], weight[mc:])) == arcs
+    assert head[mc:] == [v + n for v in head[:mc]]
+    assert tail[mc:] == [u + n for u in tail[:mc]]
+    for h, alone in enumerate(core.alone):
+        assert [a.tolist() for a in alone[:3]] == [
+            a[h * mc:(h + 1) * mc] for a in (head, tail, weight)]
+        assert [a.tolist() for a in alone[3:8]] == [
+            a[h:h + 1].tolist() for a in core[3:8]]
+        assert alone.slot is core.slot and alone.alone == ()
     rows = trees_mod._rows(net)
     assert len(rows) == 2 * n
     for h, row in enumerate(rows):
-        assert row == tuple((tail[a], weight[a])
-                            for a in range(len(head)) if head[a] == h)
+        half, v = divmod(h, n)
+        assert row == tuple((e.src + half * n, e[2 + half])
+                            for e in net.edges if e.dst == v)
         assert all(type(u) is int and type(w) is int for u, w in row)
 
 
+def test_series_pick_is_independent_deterministic_and_strict():
+    # a two-way chain 0-1-2-3-4 takes 1 and 3, not 2 between them; node 5,
+    # two-way between 0 and 4, is taken too.  Node 6 has a parallel edge
+    # from 0, node 7 a self-loop and node 8 a one-way link to 4: none of
+    # them is taken.  The edge order changes nothing; the node ids do
+    def two_way(u, v):
+        return [Edge(u, v, u + 1, v + 2), Edge(v, u, v + 3, u + 4)]
+
+    edges = (two_way(0, 1) + two_way(1, 2) + two_way(2, 3) + two_way(3, 4)
+             + two_way(0, 5) + two_way(5, 4)
+             + two_way(0, 6) + two_way(6, 4) + [Edge(0, 6, 9, 9)]
+             + two_way(0, 7) + two_way(7, 4) + [Edge(7, 7, 1, 1)]
+             + two_way(0, 8) + [Edge(8, 4, 1, 1)])
+    net = Network(9, edges)
+    core = trees_mod._arcs(net)
+    assert core.series.tolist() == [[1, 3, 5], [10, 12, 14]]
+    assert _series_by_rule(net) == [1, 3, 5]
+    assert core.via[COST].tolist() == [[0, 2, 0], [2, 4, 4]]
+    shuffled = edges[:]
+    random.Random(3).shuffle(shuffled)
+    assert trees_mod._arcs(Network(9, shuffled)).series.tolist() == (
+        core.series.tolist())
+    # a self-loop at node 1 takes node 2 in its place, and then not node 3
+    looped = Network(9, edges + [Edge(1, 1, 1, 1)])
+    assert trees_mod._arcs(looped).series[COST].tolist() == [2, 5]
+    # nodes 1 and 2 swapped: the chain runs 0-2-1-3-4, 1 is taken and
+    # neither 2 nor 3 beside it.  Another pick, the same trees
+    swap = [0, 2, 1, 3, 4, 5, 6, 7, 8]
+    swapped = Network(9, [Edge(swap[e.src], swap[e.dst], e.cost, e.delay)
+                          for e in edges])
+    assert trees_mod._arcs(swapped).series[COST].tolist() == [1, 5]
+    for target in range(9):
+        trees = _read(build_reverse_trees(net, target))
+        assert trees.min_cost_to_target == bellman_ford_to_target(
+            net, target, "cost")
+        assert trees.min_delay_to_target == bellman_ford_to_target(
+            net, target, "delay")
+        twin = _read(build_reverse_trees(swapped, swap[target]))
+        assert [twin.min_cost_to_target[swap[v]] for v in range(9)] == (
+            trees.min_cost_to_target)
+        assert [twin.min_delay_to_target[swap[v]] for v in range(9)] == (
+            trees.min_delay_to_target)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_series_rich())
+def test_property_series_rich_trees_cut_anywhere_match_bellman_ford(case):
+    # each half choice, with the walk cut after every round from 0 to the
+    # last: the series nodes filled in from their neighbours, a series
+    # target seeded at its neighbours and reset to 0, and at a cut the heap
+    # queue holding every series node of the halves walked
+    net, target = case
+    expected = [bellman_ford_to_target(net, target, metric)
+                for metric in ("cost", "delay")]
+    heap = trees_mod._heap_walk
+    cut, done = 0, False
+    with pytest.MonkeyPatch.context() as patch:
+        handed: list[int] = []
+        patch.setattr(trees_mod, "_heap_walk",
+                      lambda *args: handed.append(1) or heap(*args))
+        while not done:
+            patch.setattr(trees_mod, "FRONTIER_MAX_ROUNDS", cut)
+            handed.clear()
+            for halves in ((COST,), (DELAY,), (COST, DELAY)):
+                got = trees_mod.build_halves(net, target, halves)
+                assert got == [expected[h] for h in halves], (cut, halves)
+                assert all(type(d) is int for half in got for d in half
+                           if d != inf)
+            done = not handed
+            cut += 1
 def test_stacked_layouts_built_once_and_shared_by_srlg_copies(monkeypatch):
     # each layout is built on its first use, memoised, and shared by every
     # with_srlgs copy, whichever network builds it; past the int64 guard
@@ -571,7 +731,9 @@ def test_stacked_layouts_built_once_and_shared_by_srlg_copies(monkeypatch):
     arcs = trees_mod._arcs(copy)
     built = [[1, 1, 1, 2, 4, 4, 4, 5], [0, 0, 2, 1, 3, 3, 5, 4],
              [2, 3, 1, 7, 5, 4, 1, 7]]
-    assert [a.tolist() for a in arcs] == built
+    # node 2 has one neighbour, and node 0 two edges to node 1: no series
+    assert [a.tolist() for a in arcs[:3]] == built
+    assert arcs.series.size == 0
     for order in (("delay",), ("cost",), ("delay", "cost")):
         for target in range(net.node_count):
             _read(build_reverse_trees(net, target), order)
@@ -579,7 +741,7 @@ def test_stacked_layouts_built_once_and_shared_by_srlg_copies(monkeypatch):
     monkeypatch.setattr(trees_mod, "FRONTIER_MAX_ROUNDS", 1)
     _read(build_reverse_trees(copy, 1))
     assert calls == ["frontier", "heap"]
-    assert [a.tolist() for a in arcs] == built
+    assert [a.tolist() for a in arcs[:3]] == built
     _read(build_reverse_trees(copy, 2))
     assert trees_mod._rows(net) is trees_mod._rows(copy) is rows
     assert trees_mod._arcs(net) is trees_mod._arcs(copy) is arcs

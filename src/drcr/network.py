@@ -6,7 +6,7 @@ carries a positive integer cost and delay and is identified by its dense
 of EdgeIds with dense 0-based group ids; ``edge_srlgs`` is the exact inverse
 index.  Parallel edges are allowed and get distinct EdgeIds.
 
-File formats (UTF-8 text, decimal integers):
+File formats (ASCII text; an integer is an optional ``-`` and the digits 0-9):
 
 * graph file:  first line ``nodes,<N>``, then one edge per line
   ``from,to,cost,delay``.
@@ -19,6 +19,7 @@ File formats (UTF-8 text, decimal integers):
 from __future__ import annotations
 
 import copy
+import re
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import inf
@@ -362,17 +363,30 @@ def is_connected(net: NetLike, s: int, t: int,
 # ---- file formats ----------------------------------------------------------
 
 
+# The formats are ASCII: an integer token is an optional "-" and the digits
+# 0-9 (int() would also take "+", "_", blanks and non-ASCII digits), and
+# only ASCII blanks are stripped from a line's ends.
+_INT = re.compile(r"-?[0-9]+")
+_EDGE = re.compile(r"-?[0-9]+,-?[0-9]+,-?[0-9]+,-?[0-9]+")
+_BLANKS = " \t\n\r\f\v"
+
+
 def _parse_int(token: str, path, line_no: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(path, line_no, f"{what} is not an integer: {token!r}") from None
+    if _INT.fullmatch(token) is None:
+        raise ParseError(path, line_no, f"{what} is not an integer: {token!r}")
+    return int(token)
 
 
 def _iter_lines(path):
-    with open(path, "r", encoding="utf-8") as f:
+    """(line number, stripped line) of each non-blank line.
+
+    A byte that is not UTF-8 decodes to a lone surrogate rather than
+    raising, so it and any other non-ASCII character (a BOM included) fail
+    the grammar of the line that holds it, which the ParseError names.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for line_no, raw in enumerate(f, start=1):
-            line = raw.strip()
+            line = raw.strip(_BLANKS)
             if line:
                 yield line_no, line
 
@@ -395,12 +409,10 @@ def load_network(graph_file, srlg_file=None) -> Network:
         if len(parts) != 4:
             raise ParseError(graph_file, line_no,
                              f"expected 'from,to,cost,delay', got {line!r}")
-        try:
-            edges.append(Edge._make(map(int, parts)))
-        except ValueError:
+        if _EDGE.fullmatch(line) is None:  # name the field that is not an int
             for p, name in zip(parts, ("from", "to", "cost", "delay")):
                 _parse_int(p, graph_file, line_no, name)
-            raise
+        edges.append(Edge._make(map(int, parts)))
 
     groups: list[list[int]] = []
     if srlg_file is not None:
@@ -443,7 +455,7 @@ def save_srlgs(groups: Iterable[Iterable[int]], srlg_file) -> None:
 def parse_task_line(line: str, path="<string>", line_no: int = 0,
                     node_count: int | None = None) -> Task:
     """One task line; with node_count, its node ids must lie below it."""
-    parts = line.strip().split(",")
+    parts = line.strip(_BLANKS).split(",")
     if len(parts) not in (4, 5):
         raise ParseError(path, line_no,
                          f"expected 'src,dst,d_low,d_up[,d_diff]', got {line!r}")

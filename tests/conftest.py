@@ -1,4 +1,5 @@
-"""Shared instance builders and reference implementations for the tests.
+"""Shared instance builders, reference implementations and the golden-table
+writer for the tests.
 
 The reference implementations here (Bellman-Ford distances, plain
 reachability, a plain Dijkstra on delay) are deliberately written
@@ -7,9 +8,12 @@ independently of the package internals so the comparisons mean something.
 
 from __future__ import annotations
 
+import json
 import random
 from heapq import heappop, heappush
 from math import inf
+from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -110,14 +114,42 @@ def eager_search_rows(net: Network, min_cost: list[float],
 
 
 class CountingStop:
-    """A stop event that is never set and counts how often it is polled."""
+    """A stop event that counts how often it is polled; it is never set, or,
+    with ``after=k``, set from the k-th poll on."""
 
-    def __init__(self):
+    def __init__(self, after: float = inf):
         self.polls = 0
+        self.after = after
 
     def is_set(self) -> bool:
         self.polls += 1
-        return False
+        return self.polls >= self.after
+
+
+def write_golden(path: Path, table: dict[str, list],
+                 answer: Callable[[list], list]) -> None:
+    """Overwrite the golden table at ``path`` with ``table``, one entry a
+    line with keys sorted.
+
+    First print what moved against the committed file: the number of
+    entries whose answer (``answer(entry)``) changed, counting added and
+    dropped keys, and their keys; and the number whose work counts alone
+    changed.
+    """
+    table = json.loads(json.dumps(table))
+    old = json.loads(path.read_text()) if path.exists() else {}
+    moved = sorted(key for key in old.keys() | table.keys()
+                   if key not in old or key not in table
+                   or answer(old[key]) != answer(table[key]))
+    counts_only = sum(old[key] != entry for key, entry in table.items()
+                      if key in old and key not in moved)
+    print(f"{path.name}: {len(moved)} answers changed, {counts_only} "
+          f"entries changed in their work counts alone")
+    for key in moved:
+        print(f"  answer changed: {key}")
+    path.write_text("{\n" + ",\n".join(
+        f"{json.dumps(key)}: {json.dumps(table[key])}" for key in sorted(table))
+        + "\n}\n")
 
 
 def reachable(net: Network, s: int, excluded: frozenset[int] = frozenset()) -> set[int]:

@@ -9,13 +9,12 @@ from itertools import product
 from math import inf
 from pathlib import Path
 from time import monotonic
-from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drcr import (BtcsConfig, Edge, IntegrityError, Network,
+from drcr import (BtcsConfig, DisjointPair, Edge, IntegrityError, Network,
                   SearchCounters, SrlgTask, build_reverse_trees,
                   check_path, enumerate_paths, oracle_minmin,
                   pp_delay_window, pulse_optimal, solve_btcs, try_protect)
@@ -25,7 +24,8 @@ from drcr.network import is_connected, remove_conflicting_edges
 from drcr.pulse import UNLIMITED, SearchControl, SearchTimeout
 from drcr.trees import COST, DELAY
 
-from conftest import CountingStop, least_delay, random_network, random_task
+from conftest import (CountingStop, least_delay, random_network,
+                      random_task, write_golden)
 
 
 def _verify_pair(net, task, pair):
@@ -400,6 +400,10 @@ def _target_ingress_cut() -> tuple[Network, SrlgTask]:
             SrlgTask(0, n - 1, 0, 10 ** 9, 10 ** 9))
 
 
+def _no_cut(*args) -> None:
+    return None
+
+
 def test_single_srlg_cut_is_infeasible_before_any_corridor(monkeypatch):
     net, task = _target_ingress_cut()
     trees = build_reverse_trees(net, task.target)
@@ -581,7 +585,8 @@ def _golden_instance(seed: int) -> tuple[Network, SrlgTask]:
 
     Seeds from 44: complete 8-node digraphs with many SRLGs, mostly traps
     whose corridors hold enough paths for one search to pass the 512-pulse
-    poll interval, so a preset stop event cuts them short in stage 2.
+    poll interval, so a stop event set after a few polls can cut them short
+    in stage 2.
     """
     rng = random.Random(7000 + seed)
     if seed < 44:
@@ -614,72 +619,41 @@ def _observe(net, trees, task, cfg, control) -> list:
             report.srlg_cut]
 
 
-_real_scan = btcs.scan_corridor_paths
-
-
-def _bit_scan(net, trees, task, c_low, c_up, **kwargs):
-    """``scan_corridor_paths`` with the floor switched off.
-
-    A corridor that starts above ``node_count * max_edge_cost``, a bound on
-    the cost of any elementary path, is widened to inf, and any finite floor
-    reads as the corridor's top, so the sweep runs as it did when a scan
-    answered only whether anything lay above.
-    """
-    if c_low > net.node_count * net.max_edge_cost:
-        c_up = float("inf")
-    paths, floor = _real_scan(net, trees, task, c_low, c_up, **kwargs)
-    return paths, c_up if floor < float("inf") else floor
-
-
-def _no_cut(*args) -> None:
-    return None
-
-
-def _unbounded(view, s, t, delay_lb, d_up):
-    """``is_connected`` with the delay bound dropped: plain reachability."""
-    return is_connected(view, s, t, delay_lb)
+# from poll 5 on: no solve stops before its first search (a preset stop,
+# pinned by test_stop_event_is_a_timeout_outcome), seeds 47 and 49 stop in
+# corridor 0 and seed 45 after its first corridor
+STOP_AFTER = 5
 
 
 def golden_observations() -> dict[str, list]:
     """Report of solve_btcs on 50 seeded instances, keyed "seed:config".
 
     Each entry is [outcome, AP edges, PP edges, corridors_explored,
-    ap_candidates_checked, (pulses, infeasibility_prunes, cost_prunes)]
-    under three first-corridor widths and two corridor caps, each with
-    fixed and doubling widths (no cap=1 for doubling: corridor 0 is the
-    same), and a preset stop event.  These entries are taken with the
-    SRLG-cut test replaced by one that never finds a cut and with the
-    protection check's delay bound dropped, so they pin the sweep alone;
-    each "seed:config,dcut" entry adds the cut test and the bounded check,
-    with ``srlg_cut`` appended.  Both are taken with the corridor floor
-    switched off (``_bit_scan``); each "seed:config+floor" entry is the
-    full solver's.
+    ap_candidates_checked, (pulses, infeasibility_prunes, cost_prunes),
+    srlg_cut] under three first-corridor widths and two corridor caps, each
+    with fixed and doubling widths (no cap=1 for doubling: corridor 0 is the
+    same), and under a stop event set from its STOP_AFTER-th poll on.
     """
     seen: dict[str, list] = {}
     for seed in range(50):
         net, task = _golden_instance(seed)
         trees = build_reverse_trees(net, task.target)
-        stop = threading.Event()
-        stop.set()
-        runs = [(name, cfg, UNLIMITED)
-                for name, cfg in GOLDEN_CONFIGS.items()]
-        runs.append(("stop", BtcsConfig(alpha=10, growth=1),
-                     SearchControl(stop=stop)))
-        for name, cfg, control in runs:
-            key = f"{seed}:{name}"
-            args = net, trees, task, cfg, control
-            with patch.object(btcs, "scan_corridor_paths", _bit_scan):
-                with patch.object(btcs, "find_srlg_cut", _no_cut), \
-                        patch.object(btcs, "is_connected", _unbounded):
-                    seen[key] = _observe(*args)[:-1]
-                seen[f"{key},dcut"] = _observe(*args)
-            seen[f"{key}+floor"] = _observe(*args)
+        for name, cfg in GOLDEN_CONFIGS.items():
+            seen[f"{seed}:{name}"] = _observe(net, trees, task, cfg, UNLIMITED)
+        stop = SearchControl(stop=CountingStop(after=STOP_AFTER))
+        seen[f"{seed}:stop@{STOP_AFTER}"] = _observe(
+            net, trees, task, BtcsConfig(alpha=10, growth=1), stop)
     return seen
+
+
+def _answer(entry: list) -> list:
+    return entry[:3] + entry[6:]
 
 
 def test_reports_match_golden_table():
     # regenerate with: PYTHONPATH=src:tests python tests/test_btcs.py
     expected = json.loads(GOLDEN_REPORTS.read_text())
+    stop = f"stop@{STOP_AFTER}"
     kinds = {(key.split(":")[1], entry[0], entry[3] > 0)
              for key, entry in expected.items()}
     assert {("alpha=1", "pair", False),        # stage-1 pair
@@ -691,57 +665,32 @@ def test_reports_match_golden_table():
             ("alpha=1,growth=2", "infeasible", True),
             ("cap=2,growth=2", "pair", True),   # finished within the cap
             ("cap=2,growth=2", "timeout", True),
-            ("stop", "timeout", False),        # cut in stage 2, corridor 0
-            ("stop", "timeout", True),
-            ("alpha=1,dcut", "infeasible", True)} <= kinds  # swept: no cut
-    # a finished solve gives the same outcome, pair and checked count under
-    # either schedule; only corridors and pulse counters may differ
-    for key, entry in expected.items():
-        seed, name = key.split(":")
-        if name.endswith(",growth=2") and entry[0] != "timeout":
-            alpha = GOLDEN_CONFIGS[name].alpha
-            fixed = expected[f"{seed}:alpha={alpha:g}"]
-            assert entry[:3] + entry[4:5] == fixed[:3] + fixed[4:5], key
-    # the cut test settles some traps before stage 1, a preset stop is a
-    # timeout on entry, and every other finished solve runs as the sweep
-    # alone does, with no more pulses or prunes: the bounded check only
-    # skips protection searches that would find nothing
+            (stop, "timeout", False),           # stopped in corridor 0
+            (stop, "timeout", True)} <= kinds   # after a corridor
+    # every finished config of a seed gives one answer: outcome, pair,
+    # checked count and cut; only corridors and pulse counters may differ.
+    # That answer is the exhaustive min-min oracle's, and a cut settles
+    # the seed before stage 1 under every config
     settled = 0
-    for key, entry in expected.items():
-        if not key.endswith(",dcut"):
-            continue
-        sweep = expected[key[:-len(",dcut")]]
-        if key.endswith(":stop,dcut"):
-            assert entry == ["timeout", None, None, 0, 0, [0, 0, 0], None], key
-        elif entry[6] is not None:
-            assert entry[:6] == ["infeasible", None, None, 0, 0, [0, 0, 0]], key
-            assert sweep[0] in ("infeasible", "timeout"), key
+    for seed in range(50):
+        entries = [entry for key, entry in expected.items()
+                   if key.startswith(f"{seed}:")]
+        finished = [_answer(e) + e[4:5] for e in entries if e[0] != "timeout"]
+        assert all(f == finished[0] for f in finished), seed
+        outcome, ap, pp, cut, _ = finished[0]
+        net, task = _golden_instance(seed)
+        best = oracle_minmin(net, task)
+        if best is None:
+            assert outcome == "infeasible", seed
+        else:
+            pair = DisjointPair(net.path(ap), net.path(pp))
+            assert outcome == "pair" and pair.ap.total_cost == best[0], seed
+            _verify_pair(net, task, pair)
+        if cut is not None:
+            assert all(e[:6] == ["infeasible", None, None, 0, 0, [0, 0, 0]]
+                       for e in entries), seed
             settled += 1
-        elif entry[0] != "timeout":
-            assert entry[:5] == sweep[:5], key
-            assert all(a <= b for a, b in zip(entry[5], sweep[5])), key
     assert settled >= 10
-    # the floor changes no answer: a finished full-rule solve has the
-    # outcome, pair, checked count and cut of its twin with the floor off,
-    # or, where that twin ran out of corridors, of the uncapped sweep of
-    # the same growth; and no solve explores more corridors
-    past_cap = 0
-    for key, entry in expected.items():
-        if not key.endswith("+floor"):
-            continue
-        twin = expected[key[:-len("+floor")] + ",dcut"]
-        assert entry[3] <= twin[3], key
-        if entry[0] == "timeout":
-            continue
-        if twin[0] == "timeout":
-            seed, name = key.split(":")
-            assert name.startswith("cap="), key
-            growth = ",growth=2" if "growth=2" in name else ""
-            twin = expected[f"{seed}:alpha=1{growth},dcut"]
-            past_cap += 1
-        assert (entry[:3] + entry[4:5] + entry[6:]
-                == twin[:3] + twin[4:5] + twin[6:]), key
-    assert past_cap >= 1
     got = json.loads(json.dumps(golden_observations()))
     assert got.keys() == expected.keys()
     for key in expected:
@@ -749,7 +698,4 @@ def test_reports_match_golden_table():
 
 
 if __name__ == "__main__":
-    table = golden_observations()
-    GOLDEN_REPORTS.write_text("{\n" + ",\n".join(
-        f"{json.dumps(key)}: {json.dumps(table[key])}" for key in sorted(table))
-        + "\n}\n")
+    write_golden(GOLDEN_REPORTS, golden_observations(), _answer)

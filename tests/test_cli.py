@@ -316,6 +316,12 @@ INPUT_CHECK_CASES = [
      "empty srlg group"),
     ("solve-drcr --graph {g} --tasks {t3}", 2,
      "expected 'src,dst,d_low,d_up[,d_diff]'"),
+    ("solve-drcr --graph {byte_g} --tasks {t4}", 2,
+     "byte_g.csv:3: cost is not an integer"),
+    ("solve-srlg --graph {g} --srlg {byte_s} --tasks {t5}", 2,
+     "byte_s.csv:2: edge id is not an integer"),
+    ("solve-drcr --graph {g} --tasks {byte_t}", 2,
+     "byte_t.csv:1: d_up is not an integer"),
 ]
 
 
@@ -326,11 +332,14 @@ def test_bad_input_exits_before_any_output(tmp_path, capsys, command, code,
     files = {"g": "nodes,3\n0,1,1,5\n1,2,1,5\n0,2,3,1\n", "s": "0:0\n",
              "t4": "0,2,0,20\n", "t5": "0,2,0,20,10\n", "t3": "0,2,0\n",
              "empty": "", "zero": "nodes,3\n0,1,1,5\n1,2,0,5\n",
-             "no_colon": "0,1\n", "no_member": "0:\n"}
+             "no_colon": "0,1\n", "no_member": "0:\n",
+             # a byte 0xff, which is not UTF-8, in each kind of file
+             "byte_g": "nodes,3\n0,1,1,1\n1,2,\udcff,1\n",
+             "byte_s": "0:0\n1:\udcff2\n", "byte_t": "0,2,0,2\udcff0\n"}
     paths = {}
     for name, text in files.items():
         paths[name] = tmp_path / f"{name}.csv"
-        paths[name].write_text(text)
+        paths[name].write_bytes(text.encode("utf-8", "surrogateescape"))
     out = tmp_path / "out"
     assert run(*command.format(**paths).split(), "--out", str(out)) == code
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(

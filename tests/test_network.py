@@ -49,16 +49,36 @@ def test_malformed_edge_line(tmp_path, line):
 
 @pytest.mark.parametrize("line, field", [
     ("x,1,5,7", "from"), ("0,1.0,5,7", "to"), ("0,1,5.5,7", "cost"),
-    ("0,1,5,", "delay")])
+    ("0,1,5,", "delay"), ("0,1,1_0,7", "cost"), ("0,1,+5,7", "cost"),
+    ("0,\u0664,5,7", "to"), ("0,1,5, 5", "delay")])
 def test_malformed_edge_field_is_named(tmp_path, line, field):
     # the load converts a line in one call and parses it field by field
-    # only to name the field that failed
+    # only to name the field that failed; int() alone would take "1_0",
+    # "+5", an Arabic-Indic four and " 5"
     graph = tmp_path / "g.csv"
-    graph.write_text(f"nodes,3\n0,1,1,1\n{line}\n")
+    graph.write_text(f"nodes,3\n0,1,1,1\n{line}\n", encoding="utf-8")
     token = line.split(",")[("from", "to", "cost", "delay").index(field)]
     with pytest.raises(ParseError, match=re.escape(
             f"g.csv:3: {field} is not an integer: {token!r}")):
         load_network(graph)
+
+
+def test_non_ascii_fails_on_its_line(tmp_path):
+    # CRLF lines load; a byte that is not UTF-8, here past the reader's
+    # first 8 KB chunk, a BOM and a non-ASCII digit each fail their line
+    graph = tmp_path / "g.csv"
+    head = b"nodes,1001\r\n" + b"".join(
+        b"%d,%d,1,1\r\n" % (u, u + 1) for u in range(1000))
+    assert len(head) > 8192
+    graph.write_bytes(head)
+    assert len(load_network(graph).edges) == 1000
+    for text, message in (
+            (head + b"1000,0,\xff,1\r\n", "g.csv:1002: cost is not an integer"),
+            (b"\xef\xbb\xbfnodes,2\n", "g.csv:1: expected 'nodes,<N>'"),
+            ("nodes,\u0664\n".encode(), "g.csv:1: node count is not an integer")):
+        graph.write_bytes(text)
+        with pytest.raises(ParseError, match=message):
+            load_network(graph)
 
 
 def test_nonpositive_weights_rejected(tmp_path):

@@ -8,7 +8,6 @@ import threading
 from math import inf
 from pathlib import Path
 from time import monotonic
-from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -24,11 +23,11 @@ from drcr import (BTBU2, DrcrTask, Edge, Network, SearchCancelled,
                   pulse_first_feasible, pulse_optimal, scan_corridor_paths,
                   solve_btbu)
 from drcr import oracle as oracle_mod
-from drcr import pulse as pulse_mod
 from drcr.network import NetworkView, as_view
 from drcr.pulse import UNLIMITED, pulse_probe
 
-from conftest import eager_search_rows, random_network, random_task
+from conftest import (eager_search_rows, random_network, random_task,
+                      write_golden)
 
 
 def _solve(net, task, bound=inf, **kw):
@@ -429,20 +428,6 @@ def _edges(path):
     return None if path is None else list(path.edges)
 
 
-_real_pulse = pulse_mod._pulse
-
-
-def _bit_walk(net, trees, task, order, counters, control, mode, lo=0,
-              hi=inf, cap=inf, prune=True):
-    """``_pulse`` with the floor switched off: any finite floor reads as hi.
-
-    This is the yes/no answer the walk gave before it returned its floor,
-    so the histogram sweeps step one bin at a time again."""
-    result, floor = _real_pulse(net, trees, task, order, counters, control,
-                                mode, lo, hi, cap, prune)
-    return result, hi if floor < inf else inf
-
-
 def _floor(value):
     return None if value == inf else value
 
@@ -451,14 +436,12 @@ def golden_observations() -> dict[str, list]:
     """Result and (pulses, infeasibility_prunes, cost_prunes) of every public
     engine entry point on 50 seeded small instances, keyed "seed:call".
 
-    The bounds of the bounded optimal search (pulse_probe's path) sit at
-    and half a unit around the optimum c* (the unconstrained shortest cost
-    when no feasible path exists), which covers the integer and
-    non-integer cases of the incumbent cut.  These
-    entries are taken with the walk's floor switched off (``_bit_walk``),
-    and a corridor records only whether its floor is finite; each
-    "seed:call+floor" entry is the full rule's, with the floor itself
-    (None for inf), and "seed:probe@c*" is pulse_probe's path and floor.
+    The bounds of the bounded optimal search (pulse_probe) sit at and half
+    a unit around the optimum c* (the unconstrained shortest cost when no
+    feasible path exists), which covers the integer and non-integer cases
+    of the incumbent cut.  A corridor records its paths and the walk's
+    floor, and a bounded search its path and floor (None for inf); the
+    unbounded search's cost must be the exhaustive oracle's c*.
     """
     rng = random.Random()
     seen: dict[str, list] = {}
@@ -493,49 +476,25 @@ def golden_observations() -> dict[str, list]:
         }
         for name, (fn, *args) in calls.items():
             kw = {"prune": False} if name.startswith("unpruned") else {}
-            with patch.object(pulse_mod, "_pulse", _bit_walk):
-                result, counts = _counted(fn, *args, **kw)
+            result, counts = _counted(fn, *args, **kw)
             if fn is scan_corridor_paths:
-                result = [[_edges(p) for p in result[0]], result[1] < inf]
+                result = [[_edges(p) for p in result[0]], _floor(result[1])]
+            elif fn is pulse_probe:
+                result = [_edges(result[0]), _floor(result[1])]
             elif fn is count_paths_capped:
                 result = [sorted(result[0].items()), result[1]]
-            elif fn is pulse_probe:  # a bounded optimal search's path
-                result = _edges(result[0])
             else:
                 result = _edges(result)
             seen[f"{seed}:{name}"] = [result, counts]
-        for name in ("corridor", "count", "count-relaxed"):
-            fn, *args = calls[name]
-            result, counts = _counted(fn, *args)
-            if fn is scan_corridor_paths:
-                result = [[_edges(p) for p in result[0]], _floor(result[1])]
-            else:
-                result = [sorted(result[0].items()), result[1]]
-            seen[f"{seed}:{name}+floor"] = [result, counts]
-        (path, floor), counts = _counted(pulse_probe, net, trees, task, c_star)
-        seen[f"{seed}:probe@c*"] = [[_edges(path), _floor(floor)], counts]
+        optimal = seen[f"{seed}:optimal@inf"][0]
+        assert (net.path(optimal).total_cost if optimal else None) == \
+            (best[0] if best else None), seed
     return seen
 
 
 def test_work_counts_match_golden_table():
     # regenerate with: PYTHONPATH=src:tests python tests/test_pulse.py
     expected = json.loads(GOLDEN_COUNTS.read_text())
-    # the floor changes no result: a corridor's paths and a histogram's
-    # bins are its twin's, and only the sweeps' pulses may fall
-    for key, (result, counts) in expected.items():
-        seed, name = key.split(":")
-        if name.endswith("+floor"):
-            twin_result, twin_counts = expected[key[:-len("+floor")]]
-            if name == "corridor+floor":
-                assert result[0] == twin_result[0], key
-                assert (result[1] is not None) == twin_result[1], key
-                assert counts == twin_counts, key
-            else:
-                assert result == twin_result, key
-                assert counts[0] <= twin_counts[0], key
-        elif name == "probe@c*":
-            assert result[0] == expected[f"{seed}:optimal@c*"][0], key
-            assert counts == expected[f"{seed}:optimal@c*"][1], key
     got = json.loads(json.dumps(golden_observations()))
     assert got.keys() == expected.keys()
     for key in expected:
@@ -543,7 +502,4 @@ def test_work_counts_match_golden_table():
 
 
 if __name__ == "__main__":
-    table = golden_observations()
-    GOLDEN_COUNTS.write_text("{\n" + ",\n".join(
-        f"{json.dumps(key)}: {json.dumps(table[key])}" for key in sorted(table))
-        + "\n}\n")
+    write_golden(GOLDEN_COUNTS, golden_observations(), lambda entry: entry[0])

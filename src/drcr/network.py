@@ -89,7 +89,7 @@ class Network:
 
     def __init__(self, node_count: int, edges: Iterable[Edge],
                  srlg_groups: Iterable[Iterable[int]] = ()):
-        if not isinstance(node_count, int) or node_count < 1:
+        if type(node_count) is not int or node_count < 1:
             raise IntegrityError(f"node count must be >= 1, got {node_count!r}")
         self.node_count = node_count
         self.edges = tuple(e if isinstance(e, Edge) else Edge(*e) for e in edges)
@@ -426,11 +426,10 @@ def load_network(graph_file, srlg_file=None) -> Network:
                 raise ParseError(srlg_file, line_no,
                                  f"srlg ids must be dense and in order; expected "
                                  f"{len(groups)}, got {gid}")
-            members = [_parse_int(p, srlg_file, line_no, "edge id")
-                       for p in rest.split(",") if p != ""]
-            if not members:
+            if not rest:
                 raise ParseError(srlg_file, line_no, "empty srlg group")
-            groups.append(members)
+            groups.append([_parse_int(p, srlg_file, line_no, "edge id")
+                           for p in rest.split(",")])
 
     return Network(node_count, edges, groups)
 

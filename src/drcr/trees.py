@@ -26,16 +26,16 @@ pair's time (SF-200 m=4, SF-500 m=2, SF-1000 m=2, ER-1000 k=7 at weights
 1..100, ``BENCH_35.json``), since the pair shares every numpy call of a
 round; a task that reads delay and then cost pays 1.16-1.41 pairs.
 
-Two routes compute the same trees, chosen from the weights with no option
-to set.  Let n be the node count, m the edge count and W the largest edge
-weight of either metric.  Both walk a stacked reverse graph of 2n nodes:
-an edge from u to v is a cost arc from v to u and a delay arc from n + v
-to n + u, so nodes 0..n-1 carry cost, n..2n-1 delay, and the metrics never
-meet.  It depends on the edges alone, so its two layouts are built at most
-once per network, on first use, into the network's ``_memo``, which
-``with_srlgs`` copies share: ``_arcs``, the series-reduced core below
-(a ``_Core``), and ``_rows``, the whole stacked graph per head as
-``(tail, weight)`` pairs in Python ints, in edge order.
+Each walk runs one pipeline over one layout.  Let n be the node count and
+W the largest edge weight of either metric.  The layout is cut from a
+stacked reverse graph of 2n nodes: an edge from u to v is a cost arc from
+v to u and a delay arc from n + v to n + u, so nodes 0..n-1 carry cost,
+n..2n-1 delay, and the metrics never meet.  It depends on the edges alone,
+so it is built at most once per network, on first use, into the network's
+``_memo``, which ``with_srlgs`` copies share: ``_arcs``, the
+series-reduced core below (a ``_Core``), and ``_rows``, the same arcs per
+head as ``(tail, weight)`` pairs in Python ints, which only a walk handed
+to the heap builds.
 
 The core leaves out the series nodes.  A series node v has exactly two
 distinct neighbours a and b, exactly one edge each way to each and no
@@ -53,47 +53,44 @@ shortcuts.  A shortcut is a two-edge path, and a simple path of the core
 expands to a simple path of the graph, so the core's distances between
 its own nodes are the graph's.
 
-* The frontier route, whenever n * W < 2**62, whatever the graph's size:
-  one vectorised relaxation (Bellman, "On a routing problem", 1958, run as
-  a frontier walk) over the core's arcs: both blocks for both trees, one
-  block for a tree alone.  The walk starts from the target in each half
-  walked, at 0, or from a series target's two neighbours, at the weights
-  of their edges into it.  The frontier is the mask of the nodes whose
-  label fell in the last round, at first the seeds.  A round selects the
-  arcs whose head is in the mask with one gather of the mask over the
-  walk's heads, relaxes every selected arc with ``np.minimum.at`` and
-  takes the mask of the labels that fell as the next frontier: ten numpy
-  calls, whose only work over all the walk's arcs is that gather and its
-  scan.  None goes through a Python wrapper (``nonzero`` in place of
-  ``np.flatnonzero``), and none allocates the labels' copy or the mask:
-  the walk allocates them once and each round refills them in place.  The
-  arrays stay writeable, as ``ndarray.take`` copies a read-only index
-  array on every call, and no walk writes them.  The walk ends when a
-  round finds no arc to relax.  Then one masked relaxation fills in every
-  series node from its two neighbours (unreached stays unreached), and a
-  series target is reset to 0.  A label of the walk is always the length
-  of a simple path, and one filled in adds an edge to such a label, so
-  every label stays at most n * W, below 2**62, and int64 sums and their
-  sentinel cannot overflow.  On ``srlg-star``'s first graph the core
-  drops a quarter of the arcs (3984 to 3000), and the median delay walk
-  two of its twelve rounds, the last of which finds nothing to relax.
-* The heap route, for n * W at or past 2**62, where ``_arcs`` is None: a
-  lazy-deletion Dijkstra over ``_rows``, every half walked in one heap of
-  ``(label, node)`` pairs that skips an entry whose label has since
-  fallen.  Python ints keep it exact at any magnitude.
+Only the core's dtype depends on the weights, with no option to set.
+While n * W is below 2**62 its weights are int64 and a label is unreached
+at int64's largest value: a label is always the length of a simple path,
+and one filled in adds an edge to such a label, so every label stays at
+most n * W and no sum overflows.  Otherwise the weights are Python ints
+(numpy ``object`` arrays), exact at any magnitude, and a label is
+unreached at math.inf.  The core's ``top`` is that unreached label.
 
-The heap starts from the target's stacked node in each half walked, at 0,
-or goes on over ``_rows`` from a frontier walk not done after
-FRONTIER_MAX_ROUNDS rounds.  Such a walk is filled in first, and the heap
-takes its labels with a queue of its last frontier and every series node
-of the halves walked: only the arcs leaving those nodes can still break
-the triangle inequality (a series node's label came from neighbours whose
-own may still fall), and a node is queued again on every fall of its
-label, so the trees stay exact (the generic label-correcting method).
-The trees are the halves of the labels.
+1. The walk starts from the target in each half walked, at 0, or from a
+   series target's two neighbours, at the weights of their edges into it.
+2. It is one vectorised relaxation (Bellman, "On a routing problem", 1958,
+   run as a frontier walk) over the core's arcs: both blocks for both
+   trees, one block for a tree alone.  The frontier is the mask of the
+   nodes whose label fell in the last round, at first the seeds.  A round
+   selects the arcs whose head is in the mask with one gather of the mask
+   over the walk's heads, relaxes every selected arc with
+   ``np.minimum.at`` and takes the mask of the labels that fell as the
+   next frontier: ten numpy calls, whose only work over all the walk's
+   arcs is that gather and its scan.  None goes through a Python wrapper
+   (``nonzero`` in place of ``np.flatnonzero``), and none allocates the
+   labels' copy or the mask: the walk allocates them once and each round
+   refills them in place.  The arrays stay writeable, as ``ndarray.take``
+   copies a read-only index array on every call, and no walk writes them.
+   The walk ends when a round finds no arc to relax, or after
+   FRONTIER_MAX_ROUNDS rounds.  On ``srlg-star``'s first graph the core
+   drops a quarter of the arcs (3984 to 3000), and the median delay walk
+   two of its twelve rounds, the last of which finds nothing to relax.
+3. A walk not done by then goes on in a lazy-deletion Dijkstra over
+   ``_rows``, queued with the walk's last frontier alone: only the arcs
+   leaving those nodes can still break the triangle inequality, and a
+   node is queued again on every fall of its label, so the labels end
+   exact (the generic label-correcting method).
+4. One masked relaxation fills in every series node from its two
+   neighbours (unreached stays unreached), and a series target is reset
+   to 0.  The trees are the halves of the labels.
 
-No graph size chooses the route: numpy's fixed cost per call makes the
-frontier route up to some 70 us a pair slower than the heap below n + m of
+No graph size chooses how to walk: numpy's fixed cost per call makes the
+frontier walk up to some 70 us a pair slower than a heap below n + m of
 about 340 (shared 2-core VM, CPython 3.11.7, numpy 2.4.6), and no
 benchmark workload is that small (``BENCH_14.json``, ``BENCH_24.json``).
 FRONTIER_MAX_ROUNDS = 32 is within 2% of the best round count on generated
@@ -119,7 +116,7 @@ from .network import Edge, IntegrityError, Network
 
 # rounds after which a frontier walk hands over to the heap (measured)
 FRONTIER_MAX_ROUNDS = 32
-# the frontier route runs while n * W is below this
+# a core's weights are int64 while n * W is below this, else Python ints
 _INT64_GUARD = 2 ** 62
 _UNREACHED = np.iinfo(np.int64).max
 # the halves of the stacked graph: stacked node h * n + v is node v of half h
@@ -127,18 +124,20 @@ COST, DELAY = 0, 1
 
 
 class _Core(NamedTuple):
-    """The series-reduced stacked graph that the frontier route walks.
+    """The series-reduced stacked graph that every walk runs on.
 
     ``head``, ``tail`` and ``weight`` are the core's stacked arcs, sorted by
     head, the cost half's block first and the delay half's, n nodes up,
     second.  The next five fields run over the halves (axis 0) and the
     series nodes v in ascending order (the last axis): ``series`` holds
     v's stacked node, ``via`` its two stacked neighbours a and b (axis 1),
-    ``step`` the weights of v -> a and v -> b, ``cap`` is ``_UNREACHED -
-    step``, and ``into`` holds the weights of a -> v and b -> v.  ``slot``
-    maps each series node to its index on the last axis, and ``alone``
-    holds the core of each half walked alone, its own block of every array
-    (empty in such a core)."""
+    ``step`` the weights of v -> a and v -> b, ``cap`` is ``top - step``,
+    and ``into`` holds the weights of a -> v and b -> v.  Node ids are
+    int64; the weights are int64 with ``top`` at int64's largest value, or
+    Python ints with ``top`` at math.inf.  ``slot`` maps each series node
+    to its index on the last axis, and ``alone`` holds the core of each
+    half walked alone, its own block of every array (empty in such a
+    core)."""
     head: np.ndarray
     tail: np.ndarray
     weight: np.ndarray
@@ -147,6 +146,7 @@ class _Core(NamedTuple):
     step: np.ndarray
     cap: np.ndarray
     into: np.ndarray
+    top: int | float
     slot: dict[int, int]
     alone: tuple[_Core, ...]
 
@@ -199,9 +199,9 @@ def _frontier_walk(core: _Core, n: int, seeds: list[int], values: list[int],
     empty once a round finds no arc to relax.  Series nodes stay unreached
     (see ``_fill``)."""
     head, tail, weight = core.head, core.tail, core.weight
-    dist = np.full(2 * n, _UNREACHED, dtype=np.int64)
+    dist = np.full(2 * n, core.top, dtype=weight.dtype)
     dist[seeds] = values
-    fell = dist != _UNREACHED
+    fell = dist != core.top
     before = np.empty_like(dist)
     for _ in range(rounds):
         arc = fell.take(head).nonzero()[0]
@@ -217,8 +217,8 @@ def _frontier_walk(core: _Core, n: int, seeds: list[int], values: list[int],
 def _fill(core: _Core, dist: np.ndarray) -> None:
     """Set each series node of ``core`` in ``dist`` to the least of its two
     edges out plus its neighbour's label, in one masked relaxation: an
-    unreached neighbour is capped at ``_UNREACHED`` less the edge, so it
-    adds up to ``_UNREACHED`` again and nothing overflows."""
+    unreached neighbour is capped at the core's ``top`` less the edge, so
+    it adds up to ``top`` again and nothing overflows."""
     if core.series.size:
         reach = dist.take(core.via)
         np.minimum(reach, core.cap, out=reach)
@@ -228,8 +228,9 @@ def _fill(core: _Core, dist: np.ndarray) -> None:
 
 def _heap_walk(rev: tuple[tuple[tuple[int, int], ...], ...],
                labels: list[float], start: list[int]) -> None:
-    """Exact stacked distances to the target over the rows ``rev``, in
-    place in ``labels``, from those labels and the queued nodes ``start``.
+    """Exact stacked distances to the target over the rows ``rev`` (see
+    ``_rows``), in place in ``labels``, from those labels and the queued
+    nodes ``start``.
 
     Every arc that leaves a node outside ``start`` must already hold (the
     label of its tail is at most the label of its head plus its weight).
@@ -248,36 +249,37 @@ def _heap_walk(rev: tuple[tuple[tuple[int, int], ...], ...],
                 heappush(heap, (nd, u))
 
 
-def _as_labels(dist: np.ndarray) -> list[float]:
-    """``dist`` as a list of Python ints, math.inf where unreached."""
+def _as_labels(dist: np.ndarray, top: int | float) -> list[float]:
+    """``dist`` as a list of Python ints, math.inf where it holds ``top``."""
     labels = dist.tolist()
-    for v in (dist == _UNREACHED).nonzero()[0].tolist():
+    for v in (dist == top).nonzero()[0].tolist():
         labels[v] = inf
     return labels
 
 
-def _arcs(net: Network) -> _Core | None:
-    """The series-reduced stacked graph of ``net`` (see ``_Core``), or None
-    once n * W reaches ``_INT64_GUARD``; memoised in ``net._memo``.  Walks
-    never write it."""
+def _arcs(net: Network) -> _Core:
+    """The series-reduced stacked graph of ``net`` (see ``_Core``),
+    memoised in ``net._memo``.  Walks never write it."""
     memo = net._memo
     if "arcs" not in memo:
         memo["arcs"] = _core(net.node_count, net.edges)
     return memo["arcs"]
 
 
-def _core(n: int, edges: tuple[Edge, ...]) -> _Core | None:
-    """The ``_Core`` of the ``n``-node graph of ``edges``, or None once
-    n * W reaches ``_INT64_GUARD``."""
+def _core(n: int, edges: tuple[Edge, ...]) -> _Core:
+    """The ``_Core`` of the ``n``-node graph of ``edges``, its weights in
+    Python ints once n * W reaches ``_INT64_GUARD``."""
     m = len(edges)
     try:
         cols = np.fromiter(chain.from_iterable(edges), np.int64, 4 * m)
     except OverflowError:  # a weight past int64, and n * W past the guard
-        return None
+        cols = np.fromiter(chain.from_iterable(edges), object, 4 * m)
     src, dst, *weights = cols.reshape(m, 4).T
+    src, dst = (c.astype(np.int64, copy=False) for c in (src, dst))
     weight = np.stack(weights)  # (metric, edge)
+    top = _UNREACHED
     if m and n * int(weight.max()) >= _INT64_GUARD:
-        return None
+        weight, top = weight.astype(object, copy=False), inf
     v, a, b, to_a, to_b, from_a, from_b = _series(n, src, dst)
     gone = np.zeros(n, dtype=bool)
     gone[v] = True
@@ -294,13 +296,13 @@ def _core(n: int, edges: tuple[Edge, ...]) -> _Core | None:
     pair = _Core((core_dst[order] + shift).ravel(),
                  (core_src[order] + shift).ravel(),
                  core_weight[:, order].ravel(), v + shift,
-                 np.stack((a, b)) + shift[:, :, None], step,
-                 _UNREACHED - step, weight[:, np.stack((from_a, from_b))],
+                 np.stack((a, b)) + shift[:, :, None], step, top - step,
+                 weight[:, np.stack((from_a, from_b))], top,
                  dict(zip(v.tolist(), range(v.size))), ())
     mc = core_dst.size
     return pair._replace(alone=tuple(
         _Core(*(x[h * mc:(h + 1) * mc] for x in pair[:3]),
-              *(x[h:h + 1] for x in pair[3:8]), pair.slot, ())
+              *(x[h:h + 1] for x in pair[3:8]), *pair[8:10], ())
         for h in (COST, DELAY)))
 
 
@@ -341,15 +343,17 @@ def _series(n: int, src: np.ndarray, dst: np.ndarray) -> list[np.ndarray]:
 
 
 def _rows(net: Network) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per stacked node, the ``(tail, weight)`` pairs of the stacked arcs it
-    heads, in edge order, in Python ints; memoised in ``net._memo``."""
+    """Per stacked node, the ``(tail, weight)`` pairs of the core's arcs it
+    heads, in the core's order, in Python ints (none for a series node);
+    memoised in ``net._memo``."""
     rows = net._memo.get("rows")
     if rows is None:
-        n = net.node_count
-        lists: list[list[tuple[int, int]]] = [[] for _ in range(2 * n)]
-        for u, v, cost, delay in net.edges:
-            lists[v].append((u, cost))
-            lists[n + v].append((n + u, delay))
+        core = _arcs(net)
+        lists: list[list[tuple[int, int]]] = [
+            [] for _ in range(2 * net.node_count)]
+        for v, u, w in zip(core.head.tolist(), core.tail.tolist(),
+                           core.weight.tolist()):
+            lists[v].append((u, w))
         rows = net._memo["rows"] = tuple(map(tuple, lists))
     return rows
 
@@ -362,39 +366,30 @@ def build_halves(net: Network, target: int,
     One half walks its own block of the core's arcs from its own stacked
     copy of the target; both walk both blocks from both.  A series target
     is seeded at its two neighbours instead, and reset to 0 after the
-    fill-in.  The heap walks ``_rows`` where ``_arcs`` is None, or goes on
-    over them from a walk past FRONTIER_MAX_ROUNDS rounds.  ``target`` must
-    be a node of ``net``."""
+    fill-in.  A walk past FRONTIER_MAX_ROUNDS rounds goes on in the heap
+    over ``_rows``, from its last frontier.  ``target`` must be a node of
+    ``net``."""
     n = net.node_count
-    lo, hi = halves[0] * n, (halves[-1] + 1) * n
     core = _arcs(net)
-    if core is not None:
-        if len(halves) == 1:
-            core = core.alone[halves[0]]
-        k = core.slot.get(target)
-        if k is None:
-            seeds, values = [h * n + target for h in halves], [0] * len(halves)
-        else:
-            seeds = core.via[:, :, k].ravel().tolist()
-            values = core.into[:, :, k].ravel().tolist()
-        dist, frontier = _frontier_walk(core, n, seeds, values,
-                                        FRONTIER_MAX_ROUNDS)
-        _fill(core, dist)
-        if k is not None:
-            dist[[h * n + target for h in halves]] = 0
-        labels = _as_labels(dist[lo:hi])
-        start = frontier.tolist()
-        if start:  # the heap goes on over all 2n stacked nodes
-            start += core.series.ravel().tolist()
-            labels = [inf] * lo + labels + [inf] * (2 * n - hi)
+    if len(halves) == 1:
+        core = core.alone[halves[0]]
+    k = core.slot.get(target)
+    if k is None:
+        seeds, values = [h * n + target for h in halves], [0] * len(halves)
     else:
-        labels = [inf] * (2 * n)
-        start = [h * n + target for h in halves]
-        for v in start:
-            labels[v] = 0
-    if start:
-        _heap_walk(_rows(net), labels, start)
-        labels = labels[lo:hi]
+        seeds = core.via[:, :, k].ravel().tolist()
+        values = core.into[:, :, k].ravel().tolist()
+    dist, frontier = _frontier_walk(core, n, seeds, values,
+                                    FRONTIER_MAX_ROUNDS)
+    if frontier.size:
+        labels = dist.tolist()
+        _heap_walk(_rows(net), labels, frontier.tolist())
+        dist[:] = labels
+    _fill(core, dist)
+    if k is not None:
+        dist[[h * n + target for h in halves]] = 0
+    lo = halves[0] * n
+    labels = _as_labels(dist[lo:lo + len(halves) * n], core.top)
     return [labels[k * n:(k + 1) * n] for k in range(len(halves))]
 
 

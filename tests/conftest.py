@@ -126,10 +126,10 @@ class CountingStop:
         return self.polls >= self.after
 
 
-def write_golden(path: Path, table: dict[str, list],
-                 answer: Callable[[list], list]) -> None:
+def write_golden(path: Path, table: dict[str, object],
+                 answer: Callable[[object], object], indent: str = "") -> None:
     """Overwrite the golden table at ``path`` with ``table``, one entry a
-    line with keys sorted.
+    line led by ``indent``, with keys sorted.
 
     First print what moved against the committed file: the number of
     entries whose answer (``answer(entry)``) changed, counting added and
@@ -148,8 +148,8 @@ def write_golden(path: Path, table: dict[str, list],
     for key in moved:
         print(f"  answer changed: {key}")
     path.write_text("{\n" + ",\n".join(
-        f"{json.dumps(key)}: {json.dumps(table[key])}" for key in sorted(table))
-        + "\n}\n")
+        f"{indent}{json.dumps(key)}: {json.dumps(table[key])}"
+        for key in sorted(table)) + "\n}\n")
 
 
 def reachable(net: Network, s: int, excluded: frozenset[int] = frozenset()) -> set[int]:

@@ -314,6 +314,13 @@ INPUT_CHECK_CASES = [
      "expected 'srlg_id:e0,e1,...'"),
     ("solve-srlg --graph {g} --srlg {no_member} --tasks {t5}", 2,
      "empty srlg group"),
+    # an empty member token between, after or before the edge ids
+    ("solve-srlg --graph {g} --srlg {gap} --tasks {t5}", 2,
+     "gap.csv:1: edge id is not an integer: ''"),
+    ("solve-srlg --graph {g} --srlg {trailing} --tasks {t5}", 2,
+     "trailing.csv:1: edge id is not an integer: ''"),
+    ("solve-srlg --graph {g} --srlg {leading} --tasks {t5}", 2,
+     "leading.csv:1: edge id is not an integer: ''"),
     ("solve-drcr --graph {g} --tasks {t3}", 2,
      "expected 'src,dst,d_low,d_up[,d_diff]'"),
     ("solve-drcr --graph {byte_g} --tasks {t4}", 2,
@@ -333,6 +340,7 @@ def test_bad_input_exits_before_any_output(tmp_path, capsys, command, code,
              "t4": "0,2,0,20\n", "t5": "0,2,0,20,10\n", "t3": "0,2,0\n",
              "empty": "", "zero": "nodes,3\n0,1,1,5\n1,2,0,5\n",
              "no_colon": "0,1\n", "no_member": "0:\n",
+             "gap": "0:1,,2\n", "trailing": "0:1,\n", "leading": "0:,1\n",
              # a byte 0xff, which is not UTF-8, in each kind of file
              "byte_g": "nodes,3\n0,1,1,1\n1,2,\udcff,1\n",
              "byte_s": "0:0\n1:\udcff2\n", "byte_t": "0,2,0,2\udcff0\n"}

@@ -20,7 +20,7 @@ from pathlib import Path
 from drcr import build_reverse_trees, load_network, load_tasks, trees
 from drcr.cli import main
 
-from conftest import bellman_ford_to_target
+from conftest import bellman_ford_to_target, write_golden
 
 GOLDEN_DIGESTS = Path(__file__).resolve().with_name("cli_golden.json")
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -147,14 +147,14 @@ def run_pipelines() -> None:
     single_path_pipeline("sf20k", "--topology scale-free --nodes 20000 "
                          "--density 2 --seed 1", 10)
 
-    # weights up to 10**17 put n * W past 2**62, so the trees take the heap
-    # route and every solver sums in Python ints past int64
+    # weights up to 10**17 put n * W past 2**62, so the trees walk a
+    # Python-int core and every solver sums in Python ints past int64
     single_path_pipeline("huge", "--topology er --nodes 200 --density 5 "
                          "--seed 1 --cost-range 1,100000000000000000 "
                          "--delay-range 1,100000000000000000", 20)
 
-    # the ladder takes the frontier route, but its trees are some 300 hops
-    # deep, so every walk hands its frontier to the heap
+    # the ladder's trees are some 300 hops deep, so every walk hands its
+    # frontier to the heap
     write_ladder()
     solve_drcr("ladder", "ladder-t.csv")
 
@@ -230,10 +230,10 @@ def test_cli_outputs_match_golden_digests(tmp_path, monkeypatch):
         assert Path(name).read_text().splitlines()[-1] == (
             f"# truncated={truncated}"), name
 
-    # the 10**17 weights take the heap route; each of the ladder's walks is
-    # not done after FRONTIER_MAX_ROUNDS rounds, and the heap it hands over
-    # to ends at Bellman-Ford's distances
-    assert trees._arcs(load_network("huge.csv")) is None
+    # the 10**17 weights make a Python-int core; each of the ladder's walks
+    # is not done after FRONTIER_MAX_ROUNDS rounds, and the heap it hands
+    # over to ends at Bellman-Ford's distances
+    assert trees._arcs(load_network("huge.csv")).weight.dtype == object
     net = load_network("ladder.csv")
     n = net.node_count
     assert trees._arcs(net).series.size == 0  # the rails run one way
@@ -261,4 +261,4 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         table = golden_digests()
-    GOLDEN_DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    write_golden(GOLDEN_DIGESTS, table, lambda digest: digest, indent=" ")

@@ -6,8 +6,8 @@ cost.  Every edge delay and every task delay bound (``d_low``, ``d_up`` and
 ``d_diff``) times 5 leaves the report and the path or pair alone, at 5
 times the delay.  Each relation runs a second time at the smallest factor
 that lifts n * W past the int64 guard of ``drcr.trees``, so that the
-twin's trees take the heap route and every solver sums in Python ints past
-int64.  Relabelling the nodes and shuffling the edge order, with the
+twin's trees walk a Python-int core and every solver sums in Python ints
+past int64.  Relabelling the nodes and shuffling the edge order, with the
 groups and tasks mapped along, keeps the outcome, the cost (the AP's for a
 pair) and whether an SRLG cut settled the task, and it keeps every
 target's trees, node for node, walked on a core whose series nodes the
@@ -95,8 +95,9 @@ def check_relation(instances, cost: int, delay: int) -> tuple[int, int]:
         twin = Network(net.node_count,
                        [Edge(e.src, e.dst, e.cost * cost, e.delay * delay)
                         for e in net.edges], net.srlg_groups)
-        # the twin's trees take the heap route just at the larger factor
-        assert (_arcs(twin) is None) == (max(cost, delay) >= PAST_INT64)
+        # the twin's core holds Python ints just at the larger factor
+        assert (_arcs(twin).weight.dtype == object) == (
+            max(cost, delay) >= PAST_INT64)
         for task, solver, report, result in solves:
             bounds = dict(d_low=task.d_low * delay, d_up=task.d_up * delay)
             if isinstance(task, SrlgTask):

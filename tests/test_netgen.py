@@ -27,7 +27,7 @@ from drcr.network import format_task
 from drcr.netgen import (AVOIDABLE, FEASIBLE, UNAVOIDABLE, UNKNOWN,
                          _barabasi_albert_links)
 
-from conftest import random_network, random_task
+from conftest import random_network, random_task, write_golden
 
 
 def test_scale_free_link_counts_match_attachment_arithmetic():
@@ -381,4 +381,4 @@ if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
         table = golden_digests(Path(tmp))
-    GOLDEN_DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    write_golden(GOLDEN_DIGESTS, table, lambda digest: digest, indent=" ")

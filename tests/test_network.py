@@ -93,17 +93,22 @@ def test_nonpositive_weights_rejected(tmp_path):
             load_network(graph)
 
 
-@pytest.mark.parametrize("edge, message", [
-    (Edge(0, 1.5, 1, 1), "edge 0 references node 1.5, which is not an integer"),
-    (Edge(True, 1, 1, 1), "edge 0 references node True, which is not an "
-                          "integer"),
-    (Edge(0, 1, 2.0, 1), "edge 0 cost must be a positive integer, got 2.0"),
-    (Edge(0, 1, 1, False), "edge 0 delay must be a positive integer, got False"),
+@pytest.mark.parametrize("node_count, edge, message", [
+    (3, Edge(0, 1.5, 1, 1), "edge 0 references node 1.5, which is not an "
+                            "integer"),
+    (3, Edge(True, 1, 1, 1), "edge 0 references node True, which is not an "
+                             "integer"),
+    (3, Edge(0, 1, 2.0, 1), "edge 0 cost must be a positive integer, got 2.0"),
+    (3, Edge(0, 1, 1, False), "edge 0 delay must be a positive integer, got "
+                              "False"),
+    (True, Edge(0, 0, 1, 1), "node count must be >= 1, got True"),
 ])
-def test_edge_node_ids_and_weights_must_be_ints(edge, message):
-    # a range check alone passes node 1.5, which a list index reads as 1
+def test_node_count_edge_node_ids_and_weights_must_be_ints(node_count, edge,
+                                                           message):
+    # a range check alone passes node 1.5, which a list index reads as 1,
+    # and a node count True, which counts as 1
     with pytest.raises(IntegrityError, match=re.escape(message)):
-        Network(3, [edge, Edge(1, 2, 1, 1)])
+        Network(node_count, [edge, Edge(1, 2, 1, 1)])
 
 
 def test_bad_header(tmp_path):

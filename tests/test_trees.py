@@ -123,29 +123,11 @@ def _network_and_target(draw, caps=(3, 20, 100, 10 ** 15)):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_network_and_target())
-def test_property_both_routes_match_bellman_ford(case):
-    # each route on its own: the frontier route on the stacked arcs, and
-    # the heap on the stacked rows in one queue, reading each reachable
-    # stacked node's row exactly once (a stale entry is skipped)
-    net, target = case
-    cost = bellman_ford_to_target(net, target, "cost")
-    delay = bellman_ford_to_target(net, target, "delay")
-    trees = _frontier(net, target)
-    assert trees.min_cost_to_target == cost
-    assert trees.min_delay_to_target == delay
-    _assert_python_ints(trees)
-    rows = _CountingRows(trees_mod._rows(net))
-    assert _heap(rows, target) == cost + delay
-    assert rows.reads == [int(d != inf) for d in cost + delay]
-
-
-@settings(max_examples=300, deadline=None)
 @given(_network_and_target(), st.integers(0, 12), st.sampled_from(_ORDERS))
 def test_property_walk_cut_anywhere_matches_bellman_ford(case, cut, order):
-    # the frontier route with its walk cut after ``cut`` rounds: the heap
-    # goes on from the frontier left, whatever the labels handed over, for
-    # the pair and for each half walked alone
+    # the walk cut after ``cut`` rounds: the heap goes on from the frontier
+    # left, whatever the labels handed over, for the pair and for each half
+    # walked alone; a cut past the walk's last round cuts nothing
     net, target = case
     trees = _frontier(net, target, rounds=cut, order=order)
     assert trees.min_cost_to_target == bellman_ford_to_target(net, target, "cost")
@@ -156,10 +138,11 @@ def test_property_walk_cut_anywhere_matches_bellman_ford(case, cut, order):
 @settings(max_examples=200, deadline=None)
 @given(_network_and_target(caps=(3, 20)), st.integers(1, 10 ** 12),
        st.sampled_from(_ORDERS))
-def test_scaled_weights_scale_the_distances_through_the_heap(case, j, order):
-    # n * k exceeds 2**62, so the scaled trees sum only large weights, on
-    # the heap once there is an edge, whichever half is read first: they
-    # must be exactly k times the originals
+def test_scaled_weights_scale_the_distances_on_a_python_int_core(case, j,
+                                                                order):
+    # n * k exceeds 2**62, so the scaled trees sum only large weights, on a
+    # Python-int core once there is an edge, whichever half is read first:
+    # they must be exactly k times the originals
     net, target = case
     n = net.node_count
     k = 2 ** 62 // n + j
@@ -167,7 +150,7 @@ def test_scaled_weights_scale_the_distances_through_the_heap(case, j, order):
                          for e in net.edges])
     if net.edges:
         assert n * scaled.max_edge_cost >= trees_mod._INT64_GUARD
-        assert trees_mod._arcs(scaled) is None
+        assert trees_mod._arcs(scaled).top is inf
     small = build_reverse_trees(net, target)
     large = _read(build_reverse_trees(scaled, target), order)
     assert large.min_cost_to_target == [d * k for d in small.min_cost_to_target]
@@ -182,11 +165,9 @@ def _assert_python_ints(trees):
 
 
 def _frontier(net, target, rounds=None, order=_ORDERS[0]):
-    """Both trees by the frontier route (the weights must be below the
-    int64 guard), its walk cut after ``rounds`` rounds (FRONTIER_MAX_ROUNDS
+    """Both trees, the walk cut after ``rounds`` rounds (FRONTIER_MAX_ROUNDS
     if None) and handed to the heap if not done by then, read in
     ``order``."""
-    assert trees_mod._arcs(net) is not None
     with pytest.MonkeyPatch.context() as patch:
         if rounds is not None:
             patch.setattr(trees_mod, "FRONTIER_MAX_ROUNDS", rounds)
@@ -204,7 +185,8 @@ def _pair_walk(net, target, rounds):
 
 def _heap(rev, target) -> list[float]:
     """A fresh heap walk over the stacked rows ``rev``: the target's two
-    stacked nodes queued, at 0.  Returns the 2n stacked labels."""
+    stacked nodes queued, at 0.  Returns the 2n stacked labels, exact on a
+    graph without series nodes, whose rows are the whole graph."""
     n = len(rev) // 2
     labels = [inf] * (2 * n)
     labels[target] = labels[n + target] = 0
@@ -213,8 +195,8 @@ def _heap(rev, target) -> list[float]:
 
 
 def _routes(monkeypatch) -> list[str]:
-    """Record which route each tree pair took: ``frontier``, then ``heap``
-    if the walk handed over, or ``heap`` alone."""
+    """Record how each tree walk ran: ``frontier``, then ``heap`` if the
+    walk handed over."""
     calls: list[str] = []
     frontier, heap = trees_mod._frontier_walk, trees_mod._heap_walk
 
@@ -231,58 +213,51 @@ def _routes(monkeypatch) -> list[str]:
     return calls
 
 
-def test_route_by_weight_range_then_heap_past_the_rounds(monkeypatch):
-    # whatever the size: a 3-node graph takes the frontier route, the same
-    # graph with one weight at ceil(2**62 / n) the heap, and a 34-node
-    # chain, whose walk needs 34 rounds, the frontier and then the heap
+@pytest.mark.parametrize("order", _ORDERS)
+def test_core_dtype_by_weight_range_then_heap_past_the_rounds(
+        monkeypatch, tree_walks, order):
+    # n * W is 2**62 - 256, just below the guard (an int64 core), and then
+    # 2**62 (Python ints).  Node i > 1 reaches the target cheapest through
+    # node 1, at the sum of two weights near W / 2: past 2**53, where floats
+    # space their values 4 apart, and exact either way.  A chain deeper
+    # than FRONTIER_MAX_ROUNDS, at small weights and scaled past the guard,
+    # hands its walk to the heap.  Each walk runs as the pair does
     calls = _routes(monkeypatch)
-    n, big = 3, -(-2 ** 62 // 3)
-    for weight, route in ((1, ["frontier"]), (big, ["heap"])):
-        calls.clear()
-        net = Network(n, [Edge(1, 0, 2, 3), Edge(2, 1, weight, 1)])
-        trees = build_reverse_trees(net, 0)
-        assert calls == []
-        assert trees.min_cost_to_target == [0, 2, 2 + weight]
-        assert calls == route
-        assert trees.min_delay_to_target == [0, 3, 4]
-        _assert_python_ints(trees)
-    n = trees_mod.FRONTIER_MAX_ROUNDS + 2
-    calls.clear()
-    chain = Network(n, [Edge(i, i + 1, 2, 1) for i in range(n - 1)])
-    trees = build_reverse_trees(chain, n - 1)
-    assert trees.min_cost_to_target == [2 * (n - 1 - i) for i in range(n)]
-    assert calls == ["frontier", "heap"]
-    assert trees.min_delay_to_target == [n - 1 - i for i in range(n)]
-    _assert_python_ints(trees)
-
-
-def test_int64_guard_below_and_at_2_62(monkeypatch):
-    # n * W is 2**62 - 256, just below the guard (the frontier route, in
-    # int64), and then 2**62 (the heap).  Node i > 1 reaches the target
-    # cheapest through node 1, at the sum of two weights near W / 2: past
-    # 2**53, where floats space their values 4 apart, and exact either way
     n = 256
-    calls = _routes(monkeypatch)
-    for top, route in ((2 ** 54 - 1, "frontier"), (2 ** 54, "heap")):
-        assert n * top - 2 ** 62 == (-n if route == "frontier" else 0)
+    graphs = []
+    for top, dtype in ((2 ** 54 - 1, np.int64), (2 ** 54, object)):
+        assert n * top - 2 ** 62 == (-n if dtype is np.int64 else 0)
         half = top // 2
         net = Network(n, [Edge(1, 0, half + 1, top)]
                       + [Edge(i, 1, half - i, 1) for i in range(2, n)]
                       + [Edge(i, 0, top, 2) for i in range(2, n)])
-        trees = build_reverse_trees(net, 0)
         cost = [0, half + 1] + [2 * half + 1 - i for i in range(2, n)]
-        assert trees.min_cost_to_target == cost
-        assert calls == [route]
-        assert trees.min_delay_to_target == [0, top] + [2] * (n - 2)
-        assert cost == bellman_ford_to_target(net, 0, "cost")
+        assert build_reverse_trees(net, 0).min_cost_to_target == cost
         assert any(float(d) != d for d in cost)
+        graphs.append((net, 0, dtype, ["frontier"]))
+    n = trees_mod.FRONTIER_MAX_ROUNDS + 5
+    for k, dtype in ((1, np.int64), (2 ** 62, object)):
+        chain = Network(n, [Edge(i, i + 1, k * (1 + i % 4), k * (1 + i % 3))
+                            for i in range(n - 1)])
+        graphs.append((chain, n - 1, dtype, ["frontier", "heap"]))
+    for graph, target, dtype, route in graphs:
+        assert trees_mod._arcs(graph).weight.dtype == dtype
+        tree_walks.clear()
+        trees = build_reverse_trees(graph, target)
+        for metric in order:
+            calls.clear()
+            assert getattr(trees, f"min_{metric}_to_target") == (
+                bellman_ford_to_target(graph, target, metric))
+            assert calls == (route if (metric, order[0]) != ("delay", "cost")
+                             else [])
+        assert tree_walks == (
+            [(COST, DELAY)] if order[0] == "cost" else [(DELAY,), (COST,)])
         _assert_python_ints(trees)
-        calls.clear()
 
 
 def test_long_walk_goes_on_in_the_heap(monkeypatch):
     # a 450-node chain: rooted at node k, the walk takes k + 1 rounds, the
-    # last finding nothing to relax.  At k = MAX - 1 the frontier route
+    # last finding nothing to relax.  At k = MAX - 1 the frontier walk
     # ends it; at k = MAX and beyond the heap goes on from the walk's last
     # frontier, node k - MAX, and keeps the walk's labels
     bound = trees_mod.FRONTIER_MAX_ROUNDS
@@ -335,36 +310,6 @@ def test_each_half_is_walked_on_its_first_read(tree_walks):
     _read(cache.get(3), _ORDERS[1])
     _read(cache.get(3), _ORDERS[0])
     assert tree_walks == [(COST, DELAY)]
-
-
-@pytest.mark.parametrize("order", _ORDERS)
-def test_every_read_order_matches_bellman_ford_on_every_route(
-        monkeypatch, tree_walks, order):
-    # each walk takes its route as the pair does: the frontier below the
-    # int64 guard, the heap at it (n * W = 2**62), and the frontier handed
-    # to the heap on a chain deeper than FRONTIER_MAX_ROUNDS
-    calls = _routes(monkeypatch)
-    net = gen_graph(GenSpec("er", 30, 3, seed=1))
-    k = trees_mod._INT64_GUARD // (net.node_count * net.max_edge_cost) + 1
-    scaled = Network(net.node_count, [
-        Edge(e.src, e.dst, e.cost * k, e.delay * k) for e in net.edges])
-    n = trees_mod.FRONTIER_MAX_ROUNDS + 5
-    chain = Network(n, [Edge(i, i + 1, 1 + i % 4, 1 + i % 3)
-                        for i in range(n - 1)])
-    for graph, target, route in ((net, 0, ["frontier"]),
-                                 (scaled, 0, ["heap"]),
-                                 (chain, n - 1, ["frontier", "heap"])):
-        tree_walks.clear()
-        trees = build_reverse_trees(graph, target)
-        for metric in order:
-            calls.clear()
-            assert getattr(trees, f"min_{metric}_to_target") == (
-                bellman_ford_to_target(graph, target, metric))
-            assert calls == (route if (metric, order[0]) != ("delay", "cost")
-                             else [])
-        assert tree_walks == (
-            [(COST, DELAY)] if order[0] == "cost" else [(DELAY,), (COST,)])
-        _assert_python_ints(trees)
 
 
 @pytest.mark.parametrize("solver", ["pulse", "btbu1", "btbu2"])
@@ -442,17 +387,19 @@ def test_frontier_route_with_most_nodes_unreached():
 
 
 def test_labels_are_python_ints_and_inf_where_unreached():
-    # none, one, half, three of four and all of the nodes unreached
-    big, x = 2 ** 62 - 1, _UNREACHED
-    for dist in ([0, 5, big, 7], [0, x, 3, big], [0, x, 2, x], [x, 4, x, x],
-                 [x] * 3):
-        labels = trees_mod._as_labels(np.array(dist, dtype=np.int64))
-        assert len(labels) == len(dist)
-        for d, label in zip(dist, labels):
-            if d == _UNREACHED:
-                assert label is inf
-            else:
-                assert type(label) is int and label == d
+    # none, one, half, three of four and all of the nodes unreached, in
+    # int64 and in Python ints, where int64's largest value is a label
+    for dtype, x, big in ((np.int64, _UNREACHED, 2 ** 62 - 1),
+                          (object, inf, _UNREACHED)):
+        for dist in ([0, 5, big, 7], [0, x, 3, big], [0, x, 2, x],
+                     [x, 4, x, x], [x] * 3):
+            labels = trees_mod._as_labels(np.array(dist, dtype=dtype), x)
+            assert len(labels) == len(dist)
+            for d, label in zip(dist, labels):
+                if d == x:
+                    assert label is inf
+                else:
+                    assert type(label) is int and label == d
 
 
 def test_concurrent_walks_on_one_network_match_bellman_ford():
@@ -524,11 +471,11 @@ def test_frontier_nodes_without_ingress_arcs():
 
 
 def test_frontier_route_builds_only_the_shared_arcs(monkeypatch):
-    # the frontier route reads the arcs, never the heap's tuple rows, and
+    # a walk done within its rounds reads the arcs, never the heap's rows, and
     # a with_srlgs copy shares the arcs whichever network builds them first
     net = Network(3, [Edge(1, 0, 3, 2), Edge(2, 1, 1, 1)])
     monkeypatch.setattr(trees_mod, "_rows", lambda net: pytest.fail(
-        "the frontier route built the heap's rows"))
+        "a walk done within its rounds built the heap's rows"))
     copy = net.with_srlgs([{0}])
     trees = build_reverse_trees(copy, 0)
     assert trees.min_cost_to_target == build_reverse_trees(net, 0).min_cost_to_target
@@ -537,7 +484,7 @@ def test_frontier_route_builds_only_the_shared_arcs(monkeypatch):
 
 
 @st.composite
-def _series_rich(draw, caps=(3, 100)):
+def _series_rich(draw, caps=(3, 100, 2 ** 62)):
     """A digraph rich in series nodes, and a target on one of them or on a
     neighbour of one.  A few base nodes carry one-way links, self-loops
     and parallel edges; two-way links between base nodes are subdivided
@@ -589,7 +536,8 @@ def _series_by_rule(net) -> list[int]:
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(_series_rich(caps=(20, 10 ** 15)).map(lambda case: case[0]),
+@given(st.one_of(_series_rich(caps=(20, 10 ** 15, 2 ** 62)).map(
+    lambda case: case[0]),
                  st.builds(random_network, st.randoms(use_true_random=False),
                            max_cost=st.sampled_from((20, 10 ** 15)),
                            max_delay=st.sampled_from((20, 10 ** 15)))))
@@ -599,11 +547,15 @@ def test_property_rows_are_arcs_range_by_range(net):
     # up, as a delay arc at v + n, then for each series node v, between a
     # and b, the shortcut a -> b and then b -> a at the weights of the two
     # edges through v; sorted by head, within a head in that order.  Each
-    # half walked alone has its own block of every array.  The heap's rows
-    # are the whole stacked graph: the row of stacked node h holds exactly
-    # the tails and weights of the edges whose head is h, in edge order
+    # half walked alone has its own block of every array.  The weights are
+    # int64 below the guard and Python ints at it, and the heap's row of
+    # stacked node h holds exactly the tails and weights of the core's arcs
+    # whose head is h, in that order
     core = trees_mod._arcs(net)
     n = net.node_count
+    wide = net.edges and n * max(max(e[2:]) for e in net.edges) >= 2 ** 62
+    assert (core.weight.dtype, core.top) == (
+        (object, inf) if wide else (np.int64, _UNREACHED))
     series = _series_by_rule(net)
     assert core.series.tolist() == [series, [v + n for v in series]]
     assert core.slot == {v: k for k, v in enumerate(series)}
@@ -625,7 +577,7 @@ def test_property_rows_are_arcs_range_by_range(net):
         shortcuts.append((b, a, into[b].cost + out[a].cost,
                           into[b].delay + out[a].delay))
     arcs = sorted(arcs + shortcuts, key=lambda arc: arc[1])
-    assert (core.cap == _UNREACHED - core.step).all()
+    assert (core.cap == core.top - core.step).all()
     head, tail, weight = (a.tolist() for a in core[:3])
     mc = len(arcs)
     assert len(head) == len(tail) == len(weight) == 2 * mc
@@ -642,8 +594,8 @@ def test_property_rows_are_arcs_range_by_range(net):
     assert len(rows) == 2 * n
     for h, row in enumerate(rows):
         half, v = divmod(h, n)
-        assert row == tuple((e.src + half * n, e[2 + half])
-                            for e in net.edges if e.dst == v)
+        assert row == tuple((arc[0] + half * n, arc[2 + half])
+                            for arc in arcs if arc[1] == v)
         assert all(type(u) is int and type(w) is int for u, w in row)
 
 
@@ -695,9 +647,10 @@ def test_series_pick_is_independent_deterministic_and_strict():
 @given(_series_rich())
 def test_property_series_rich_trees_cut_anywhere_match_bellman_ford(case):
     # each half choice, with the walk cut after every round from 0 to the
-    # last: the series nodes filled in from their neighbours, a series
-    # target seeded at its neighbours and reset to 0, and at a cut the heap
-    # queue holding every series node of the halves walked
+    # last, on int64 and on Python-int cores: the heap going on over the
+    # core from the walk's last frontier at a cut, the series nodes filled
+    # in from their neighbours, a series target seeded at its neighbours
+    # and reset to 0.  A walk over at most n nodes ends within n + 1 rounds
     net, target = case
     expected = [bellman_ford_to_target(net, target, metric)
                 for metric in ("cost", "delay")]
@@ -708,6 +661,7 @@ def test_property_series_rich_trees_cut_anywhere_match_bellman_ford(case):
         patch.setattr(trees_mod, "_heap_walk",
                       lambda *args: handed.append(1) or heap(*args))
         while not done:
+            assert cut <= net.node_count + 1, "the walk never ends"
             patch.setattr(trees_mod, "FRONTIER_MAX_ROUNDS", cut)
             handed.clear()
             for halves in ((COST,), (DELAY,), (COST, DELAY)):
@@ -717,11 +671,34 @@ def test_property_series_rich_trees_cut_anywhere_match_bellman_ford(case):
                            if d != inf)
             done = not handed
             cut += 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_network_and_target(), _series_rich()))
+def test_property_heap_from_the_seeds_reads_each_core_row_once(case):
+    # the walk cut at round 0, so the heap walks alone from the seeds: it
+    # reads the row of each reached core node exactly once (a stale entry
+    # is skipped) and never a series node's, which the fill-in sets
+    net, target = case
+    n = net.node_count
+    expected = [bellman_ford_to_target(net, target, metric)
+                for metric in ("cost", "delay")]
+    rows = _CountingRows(trees_mod._rows(net))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trees_mod, "FRONTIER_MAX_ROUNDS", 0)
+        patch.setattr(trees_mod, "_rows", lambda net: rows)
+        assert trees_mod.build_halves(net, target, (COST, DELAY)) == expected
+    series = trees_mod._arcs(net).slot
+    assert rows.reads == [int(d != inf and v % n not in series)
+                          for v, d in enumerate(expected[0] + expected[1])]
+
+
 def test_stacked_layouts_built_once_and_shared_by_srlg_copies(monkeypatch):
     # each layout is built on its first use, memoised, and shared by every
     # with_srlgs copy, whichever network builds it; past the int64 guard
-    # the arcs are None, memoised too.  Walks in every read order, and one
-    # handed to the heap, leave the memoised arrays as they were built
+    # the core holds Python ints, memoised too.  Walks in every read order,
+    # and one handed to the heap, leave the memoised arrays as they were
+    # built
     net = Network(3, [Edge(0, 1, 2, 5), Edge(0, 1, 3, 4), Edge(2, 1, 1, 1),
                       Edge(1, 2, 7, 7)])
     rows = trees_mod._rows(net)
@@ -747,8 +724,9 @@ def test_stacked_layouts_built_once_and_shared_by_srlg_copies(monkeypatch):
     assert trees_mod._arcs(net) is trees_mod._arcs(copy) is arcs
     assert copy.srlg_groups == (frozenset({0, 3}),)
     huge = Network(2, [Edge(0, 1, 2 ** 61, 1)])
-    assert trees_mod._arcs(huge) is None
-    assert huge.with_srlgs([])._memo == {"arcs": None}
+    arcs = trees_mod._arcs(huge)
+    assert arcs.weight.tolist() == [2 ** 61, 1] and arcs.top is inf
+    assert huge.with_srlgs([])._memo == {"arcs": arcs}
 
 
 def test_many_nodes_tied_at_one_distance():
@@ -777,6 +755,12 @@ def test_weights_near_and_above_2_63_are_exact():
     assert trees.min_delay_to_target == [1, big + 3, 0]
     assert all(type(d) is int for d in trees.min_cost_to_target)
     assert float(2 * big) == float(2 * big + 1)
+    # a label of exactly int64's largest value, on a Python-int core
+    net = Network(2, [Edge(0, 1, big - 1, big - 1)])
+    assert trees_mod._arcs(net).top is inf
+    trees = build_reverse_trees(net, 1)
+    assert trees.min_cost_to_target == [big - 1, 0]
+    assert trees.min_delay_to_target == [big - 1, 0]
 
 
 class _CountingRows(list):
